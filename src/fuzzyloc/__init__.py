@@ -10,7 +10,7 @@ from .adaptation import (
     compute_dom,
     estimate_actual_cov,
 )
-from .anfis import AnfisNet, MembershipFn, RuleBase, build_rule_base, mf_eval
+from .anfis import AnfisNet
 from .ekf import CovPair, GaussianState, InnovationRecord
 from .errors import FuzzylocError
 from .metrics import (
@@ -57,17 +57,14 @@ __all__ = [
     "Landmark",
     "LandmarkMap",
     "Measurement",
-    "MembershipFn",
     "NoiseSpec",
     "Pose",
     "ResidualWindow",
-    "RuleBase",
     "RunLog",
     "Scenario",
     "VARIANTS",
     "average_nees",
     "build_report",
-    "build_rule_base",
     "chi2_band",
     "chi2_ppf",
     "compute_dom",
@@ -75,7 +72,6 @@ __all__ = [
     "estimate_actual_cov",
     "in_band_fraction",
     "load_scenario",
-    "mf_eval",
     "nees",
     "rmse",
     "run_monte_carlo",

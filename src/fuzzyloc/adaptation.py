@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anfis import (
-    DEFAULT_DELTA_FLOOR,
-    AnfisNet,
-    ForwardTrace,
-    MembershipFn,
-    build_rule_base,
-    net_to_params,
-)
+from .anfis import DEFAULT_DELTA_FLOOR, N_TERMS, AnfisNet, ForwardTrace, net_to_params
 from .ekf import CovPair, InnovationRecord
 from .errors import WarmupError
 
@@ -91,7 +84,6 @@ class DomState:
     """Covariance mismatch S - C_hat and its change since the last evaluation."""
 
     dom: np.ndarray | None = None
-    dom_prev: np.ndarray | None = None
     delta_dom: np.ndarray | None = None
 
 
@@ -102,12 +94,19 @@ def compute_dom(S: np.ndarray, c_hat: np.ndarray, prev: DomState) -> DomState:
         delta = np.zeros_like(dom)
     else:
         delta = dom - prev.dom
-    return DomState(dom=dom, dom_prev=prev.dom, delta_dom=delta)
+    return DomState(dom=dom, delta_dom=delta)
 
 
-def _spread_mfs(scale: float) -> list[MembershipFn]:
-    # Centers at -2s..2s with width s: adjacent terms overlap at 1/e.
-    return [MembershipFn(k * scale, scale) for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+#: Term centers in units of the input scale, which is also every term's
+#: width: adjacent terms overlap at 1/e.
+_TERM_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+def _spread_net(
+    scale1: float, scale2: float, singletons: np.ndarray, eta: float, delta_floor: float
+) -> AnfisNet:
+    scales = np.array([[scale1], [scale2]])
+    return AnfisNet(_TERM_OFFSETS * scales, np.repeat(scales, N_TERMS, axis=1), singletons, eta, delta_floor)
 
 
 def make_additive_net(
@@ -122,10 +121,8 @@ def make_additive_net(
     its step change at half that scale. Singletons start at -3c..3c so a
     saturated mismatch maps to a correction of 3 output_scale per step.
     """
-    mfs1 = _spread_mfs(input_scale)
-    mfs2 = _spread_mfs(0.5 * input_scale)
     singletons = output_scale * np.arange(-3.0, 4.0)
-    return AnfisNet(mfs1, mfs2, build_rule_base(), singletons, eta, delta_floor)
+    return _spread_net(input_scale, 0.5 * input_scale, singletons, eta, delta_floor)
 
 
 def make_multiplicative_net(
@@ -141,7 +138,7 @@ def make_multiplicative_net(
     exactly 1 (no change) and saturated labels multiply or divide by ratio^3.
     """
     singletons = ratio ** np.arange(-3.0, 4.0)
-    return AnfisNet(_spread_mfs(scale1), _spread_mfs(scale2), build_rule_base(), singletons, eta, delta_floor)
+    return _spread_net(scale1, scale2, singletons, eta, delta_floor)
 
 
 @dataclass
@@ -161,32 +158,28 @@ class QAdapter:
     q_ceiling: np.ndarray
 
 
-def _saturate(mfs: list[MembershipFn], u: float) -> float:
-    centers = [mf.m for mf in mfs]
-    reach = INPUT_SATURATION_WIDTHS * max(mf.delta for mf in mfs)
-    return min(max(u, min(centers) - reach), max(centers) + reach)
-
-
 def saturated_forward(net: AnfisNet, in1: float, in2: float) -> tuple[float, ForwardTrace]:
     """Forward pass with both inputs clamped into the net's live region."""
-    return net.forward(_saturate(net.mfs_input1, in1), _saturate(net.mfs_input2, in2))
+    reach = INPUT_SATURATION_WIDTHS * net.widths.max(axis=1)
+    lo = net.centers.min(axis=1) - reach
+    hi = net.centers.max(axis=1) + reach
+    u1, u2 = np.minimum(np.maximum((in1, in2), lo), hi)
+    return net.forward(float(u1), float(u2))
 
 
-def leak_toward(net: AnfisNet, anchor: list[float], rate: float) -> AnfisNet:
+def leak_toward(net: AnfisNet, anchor: np.ndarray | list[float], rate: float) -> AnfisNet:
     """Relax every trained parameter a fraction of the way to its anchor.
 
-    The anchor is a flat parameter list in net_to_params layout, normally
+    The anchor is a flat parameter sequence in net_to_params layout, normally
     captured when the network was built. A zero rate is a no-op.
     """
     if rate == 0.0:
         return net
-    for i, mf in enumerate(net.mfs_input1):
-        mf.m += rate * (anchor[i] - mf.m)
-        mf.delta = max(mf.delta + rate * (anchor[10 + i] - mf.delta), net.delta_floor)
-    for i, mf in enumerate(net.mfs_input2):
-        mf.m += rate * (anchor[5 + i] - mf.m)
-        mf.delta = max(mf.delta + rate * (anchor[15 + i] - mf.delta), net.delta_floor)
-    net.singletons += rate * (np.asarray(anchor[20:], dtype=float) - net.singletons)
+    anchor = np.asarray(anchor, dtype=float)
+    centers, widths = anchor[:20].reshape(2, 2, N_TERMS)
+    net.centers += rate * (centers - net.centers)
+    net.widths = np.maximum(net.widths + rate * (widths - net.widths), net.delta_floor)
+    net.singletons += rate * (anchor[20:] - net.singletons)
     return net
 
 
@@ -321,8 +314,8 @@ class CovarianceAdapter:
         self._s_samples: list[np.ndarray] = []
         self._initial_r = np.diag(initial_cov.R).copy()
         self._initial_q = np.diag(initial_cov.Q).copy()
-        self._r_anchors: list[list[float]] = []
-        self._q_anchor: list[float] | None = None
+        self._r_anchors: list[np.ndarray] = []
+        self._q_anchor: np.ndarray | None = None
 
     def _input_scale(self, samples: np.ndarray) -> float:
         spread = float(np.std(samples))
@@ -344,7 +337,7 @@ class CovarianceAdapter:
                 for i in range(2)
             )
             self.r_adapter = RAdapter(nets, r_floor=cfg.r_floor)
-            self._r_anchors = [net_to_params(net) for net in nets]
+            self._r_anchors = [np.array(net_to_params(net)) for net in nets]
         if self.mode in ("q", "rq"):
             net = make_multiplicative_net(
                 scales[0],
@@ -358,7 +351,7 @@ class CovarianceAdapter:
             else:
                 q_floor = cfg.q_floor_ratio * self._initial_q
             self.q_adapter = QAdapter(net, q_floor, cfg.q_ceiling_ratio * self._initial_q)
-            self._q_anchor = net_to_params(net)
+            self._q_anchor = np.array(net_to_params(net))
         self._built = True
 
     def _apply_leak(self) -> None:
@@ -399,7 +392,7 @@ class CovarianceAdapter:
         accepted = [rec for rec in records if rec.accepted]
         if not accepted:
             return cov, trace
-        if not self._built:
+        if not self._built and self.config.eta != 0.0:
             self._s_samples.append(np.diag(S_scan).copy())
         if not self.window.is_full:
             return cov, trace

@@ -4,11 +4,13 @@ Five layers: input pass-through, Gaussian fuzzification (five terms per
 input), product rule firing (25 rules), normalization over all rules, and
 a weighted sum of singleton consequents. Centers, widths, and singletons
 are all free parameters trained by steepest descent on a squared error.
+They are plain arrays: centers and widths (2, 5) with row k for input k,
+singletons (7,), and the fixed rule table CONSEQUENT maps each of the
+5 x 5 term pairs to a singleton index.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,47 +33,11 @@ _FIRING_FLOOR = 1e-300
 N_PARAMS = 27
 
 
-@dataclass
-class MembershipFn:
-    """Gaussian membership term with center m and width delta.
-
-    The grade is exp(-((u - m) / delta)^2); the exponent carries no 1/2
-    factor, so delta is the distance at which the grade falls to 1/e.
-    """
-
-    m: float
-    delta: float
-
-
-def mf_eval(u: float, mf: MembershipFn) -> float:
-    """Membership grade of input u, in (0, 1]."""
-    z = (u - mf.m) / mf.delta
-    return math.exp(-z * z)
-
-
-@dataclass(frozen=True)
-class RuleBase:
-    """5x5 grid mapping term pairs to consequent singleton labels 1..7.
-
-    Entries are constant along anti-diagonals: the consequent depends only
-    on the combined level i + j of the two input terms, falling from label 7
-    at (1, 1) to label 1 at (5, 5).
-    """
-
-    consequent_index: np.ndarray
-
-    def consequent(self, i: int, j: int) -> int:
-        """Singleton label for input-1 term i and input-2 term j (1-based)."""
-        return int(self.consequent_index[i - 1, j - 1])
-
-
-def build_rule_base() -> RuleBase:
-    """Anti-diagonal rule table: consequent(i, j) = clamp(10 - (i + j), 1, 7)."""
-    grid = np.empty((N_TERMS, N_TERMS), dtype=int)
-    for i in range(N_TERMS):
-        for j in range(N_TERMS):
-            grid[i, j] = min(max(10 - (i + 1) - (j + 1), 1), N_SINGLETONS)
-    return RuleBase(grid)
+#: 0-based singleton index of the rule for input-1 term i and input-2 term j.
+#: Entries are constant along anti-diagonals: the consequent depends only on
+#: the combined level i + j of the two input terms, falling from the last
+#: singleton at (0, 0) to the first at (4, 4).
+CONSEQUENT = np.clip(7 - np.add.outer(np.arange(N_TERMS), np.arange(N_TERMS)), 0, N_SINGLETONS - 1)
 
 
 @dataclass
@@ -80,41 +46,45 @@ class ForwardTrace:
 
     in1: float
     in2: float
-    mu1: np.ndarray  # (5,) membership grades of input 1
-    mu2: np.ndarray  # (5,) membership grades of input 2
+    mu: np.ndarray  # (2, 5) membership grades, row k for input k
     firing: np.ndarray  # (5, 5) rule firing strengths
     total: float  # sum of all 25 firing strengths
     normalized: np.ndarray  # (5, 5), sums to 1
     out: float
+
+    @property
+    def mu1(self) -> np.ndarray:
+        return self.mu[0]
+
+    @property
+    def mu2(self) -> np.ndarray:
+        return self.mu[1]
 
 
 @dataclass
 class AnfisNet:
     """Trainable two-input/one-output network.
 
-    A single instance belongs to one adapter; training mutates it in place.
+    Row k of centers and widths holds the five Gaussian terms of input k;
+    a term's grade is exp(-((u - m) / delta)^2), so delta is the distance
+    at which the grade falls to 1/e. A single instance belongs to one
+    adapter; training mutates it in place.
     """
 
-    mfs_input1: list[MembershipFn]
-    mfs_input2: list[MembershipFn]
-    rules: RuleBase
-    singletons: np.ndarray
+    centers: np.ndarray  # (2, 5)
+    widths: np.ndarray  # (2, 5)
+    singletons: np.ndarray  # (7,)
     eta: float = DEFAULT_LEARNING_RATE
     delta_floor: float = DEFAULT_DELTA_FLOOR
 
     def __post_init__(self) -> None:
-        if len(self.mfs_input1) != N_TERMS or len(self.mfs_input2) != N_TERMS:
+        self.centers = np.array(self.centers, dtype=float)
+        self.widths = np.array(self.widths, dtype=float)
+        if self.centers.shape != (2, N_TERMS) or self.widths.shape != (2, N_TERMS):
             raise ValueError(f"each input needs exactly {N_TERMS} membership terms")
         self.singletons = np.asarray(self.singletons, dtype=float).copy()
         if self.singletons.shape != (N_SINGLETONS,):
             raise ValueError(f"expected {N_SINGLETONS} consequent singletons")
-
-    @staticmethod
-    def _memberships(u: float, mfs: list[MembershipFn]) -> np.ndarray:
-        m = np.array([mf.m for mf in mfs])
-        d = np.array([mf.delta for mf in mfs])
-        z = (u - m) / d
-        return np.exp(-z * z)
 
     def forward(self, in1: float, in2: float) -> tuple[float, ForwardTrace]:
         """Evaluate the network and keep the layer trace for training.
@@ -123,49 +93,34 @@ class AnfisNet:
         callers are expected to keep inputs within a sane multiple of the
         membership widths.
         """
-        mu1 = self._memberships(in1, self.mfs_input1)
-        mu2 = self._memberships(in2, self.mfs_input2)
-        firing = np.outer(mu1, mu2)
+        z = (np.array([[in1], [in2]]) - self.centers) / self.widths
+        mu = np.exp(-z * z)
+        firing = np.outer(mu[0], mu[1])
         total = float(firing.sum())
         if total < _FIRING_FLOOR:
             raise ZeroFiringError(f"zero total firing at inputs ({in1}, {in2})")
         normalized = firing / total
-        out = float(np.sum(normalized * self.singletons[self.rules.consequent_index - 1]))
-        return out, ForwardTrace(in1, in2, mu1, mu2, firing, total, normalized, out)
+        out = float(np.sum(normalized * self.singletons[CONSEQUENT]))
+        return out, ForwardTrace(in1, in2, mu, firing, total, normalized, out)
 
-    def output_gradients(
-        self, trace: ForwardTrace
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def output_gradients(self, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradients of the output w.r.t. every free parameter at the trace.
 
         Returns:
-            (d_singletons, d_m1, d_delta1, d_m2, d_delta2) with shapes
-            (7,), (5,), (5,), (5,), (5,).
+            (d_singletons, d_centers, d_widths) with shapes (7,), (2, 5), (2, 5).
         """
-        grid = self.rules.consequent_index - 1
-        wgrid = self.singletons[grid]
-
         # d(out)/d(w_l): total normalized firing routed to singleton l.
         d_w = np.zeros(N_SINGLETONS)
-        np.add.at(d_w, grid, trace.normalized)
+        np.add.at(d_w, CONSEQUENT, trace.normalized)
 
         # d(out)/d(mu): quotient rule against the normalization layer.
-        excess = wgrid - trace.out
-        g_mu1 = excess @ trace.mu2 / trace.total
-        g_mu2 = excess.T @ trace.mu1 / trace.total
+        excess = self.singletons[CONSEQUENT] - trace.out
+        g_mu = np.array([excess @ trace.mu2, excess.T @ trace.mu1]) / trace.total
 
-        m1 = np.array([mf.m for mf in self.mfs_input1])
-        d1 = np.array([mf.delta for mf in self.mfs_input1])
-        m2 = np.array([mf.m for mf in self.mfs_input2])
-        d2 = np.array([mf.delta for mf in self.mfs_input2])
-
-        diff1 = trace.in1 - m1
-        diff2 = trace.in2 - m2
-        d_m1 = g_mu1 * trace.mu1 * 2.0 * diff1 / d1**2
-        d_delta1 = g_mu1 * trace.mu1 * 2.0 * diff1**2 / d1**3
-        d_m2 = g_mu2 * trace.mu2 * 2.0 * diff2 / d2**2
-        d_delta2 = g_mu2 * trace.mu2 * 2.0 * diff2**2 / d2**3
-        return d_w, d_m1, d_delta1, d_m2, d_delta2
+        diff = np.array([[trace.in1], [trace.in2]]) - self.centers
+        d_centers = g_mu * trace.mu * 2.0 * diff / self.widths**2
+        d_widths = g_mu * trace.mu * 2.0 * diff**2 / self.widths**3
+        return d_w, d_centers, d_widths
 
     def train_step(self, trace: ForwardTrace, e: float, ds_dout: float) -> "AnfisNet":
         """One steepest-descent step on E = e^2 / 2.
@@ -183,22 +138,16 @@ class AnfisNet:
         g = self.eta * e * ds_dout
         if g == 0.0:
             return self
-        d_w, d_m1, d_delta1, d_m2, d_delta2 = self.output_gradients(trace)
+        d_w, d_centers, d_widths = self.output_gradients(trace)
         self.singletons -= g * d_w
-        for mf, dm, dd in zip(self.mfs_input1, d_m1, d_delta1):
-            mf.m -= g * dm
-            mf.delta = max(mf.delta - g * dd, self.delta_floor)
-        for mf, dm, dd in zip(self.mfs_input2, d_m2, d_delta2):
-            mf.m -= g * dm
-            mf.delta = max(mf.delta - g * dd, self.delta_floor)
+        self.centers -= g * d_centers
+        self.widths = np.maximum(self.widths - g * d_widths, self.delta_floor)
         return self
 
 
 def net_to_params(net: AnfisNet) -> list[float]:
     """Flatten a network to 27 scalars: 10 centers, 10 widths, 7 singletons."""
-    centers = [mf.m for mf in net.mfs_input1] + [mf.m for mf in net.mfs_input2]
-    widths = [mf.delta for mf in net.mfs_input1] + [mf.delta for mf in net.mfs_input2]
-    return [float(v) for v in centers + widths + list(net.singletons)]
+    return np.concatenate((net.centers.ravel(), net.widths.ravel(), net.singletons)).tolist()
 
 
 def net_from_params(
@@ -209,9 +158,6 @@ def net_from_params(
     """Rebuild a network from the layout produced by net_to_params."""
     if len(params) != N_PARAMS:
         raise ValueError(f"expected {N_PARAMS} parameters, got {len(params)}")
-    centers = params[:10]
-    widths = params[10:20]
-    singletons = np.array(params[20:], dtype=float)
-    mfs1 = [MembershipFn(centers[i], widths[i]) for i in range(N_TERMS)]
-    mfs2 = [MembershipFn(centers[N_TERMS + i], widths[N_TERMS + i]) for i in range(N_TERMS)]
-    return AnfisNet(mfs1, mfs2, build_rule_base(), singletons, eta, delta_floor)
+    p = np.asarray(params, dtype=float)
+    centers, widths = p[:20].reshape(2, 2, N_TERMS)
+    return AnfisNet(centers, widths, p[20:], eta, delta_floor)

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .adaptation import AdaptationConfig
 from .errors import FuzzylocError
-from .metrics import build_report
+from .metrics import EnsembleReport, build_report
 from .simulator import (
     VARIANTS,
     RunLog,
@@ -206,17 +206,22 @@ def _metadata(spec_fields: dict, scenario) -> dict:
     }
 
 
+def _run_ensemble(scenario, spec: ExperimentSpec) -> tuple[list[RunLog], EnsembleReport]:
+    """Monte Carlo runs of one spec and their aggregate report."""
+    logs = run_monte_carlo(
+        scenario, spec.variant, spec.n_runs, spec.base_seed,
+        max_workers=spec.workers, adaptation=spec.adaptation_config(),
+    )
+    return logs, build_report(logs)
+
+
 def cmd_run(spec: ExperimentSpec) -> int:
     """Run one variant; write runs.csv, report.csv, summary.json, metadata.json."""
     spec.validate()
     scenario = load_scenario(spec.scenario_path)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    logs = run_monte_carlo(
-        scenario, spec.variant, spec.n_runs, spec.base_seed,
-        max_workers=spec.workers, adaptation=spec.adaptation_config(),
-    )
-    report = build_report(logs)
+    logs, report = _run_ensemble(scenario, spec)
     _write_csv(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, _runs_rows(logs))
     _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, _report_rows(report))
     _write_json(out / "summary.json", _summary_dict(report))
@@ -234,17 +239,7 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     scenario = load_scenario(spec_a.scenario_path)
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    summaries = []
-    for spec in (spec_a, spec_b):
-        logs = run_monte_carlo(
-            scenario, spec.variant, spec.n_runs, spec.base_seed,
-            max_workers=spec.workers, adaptation=spec.adaptation_config(),
-        )
-        report = build_report(logs)
-        reports.append(report)
-        summaries.append(_summary_dict(report))
-    rep_a, rep_b = reports
+    rep_a, rep_b = (_run_ensemble(scenario, spec)[1] for spec in (spec_a, spec_b))
     rows = (
         (
             i + 1, rep_a.t[i],
@@ -259,8 +254,8 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     rmse_b = [s.time_avg_pos_rmse for s in rep_b.run_summaries]
     wins_b = sum(1 for a, b in zip(rmse_a, rmse_b) if b < a)
     comparison = {
-        "variant_a": summaries[0],
-        "variant_b": summaries[1],
+        "variant_a": _summary_dict(rep_a),
+        "variant_b": _summary_dict(rep_b),
         "delta_time_avg_rmse_pos": rep_b.time_avg_rmse_pos - rep_a.time_avg_rmse_pos,
         "delta_in_band_fraction": rep_b.in_band - rep_a.in_band,
         "paired_win_fraction_b": wins_b / len(rmse_a),

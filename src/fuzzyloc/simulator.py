@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +83,19 @@ class Scenario:
             raise ScenarioError("landmark ids are not unique")
         for name in ("wheelbase", "speed", "gamma_max", "sensor_range", "sensor_fov",
                      "control_rate", "observe_rate", "duration"):
-            if getattr(self, name) <= 0.0:
-                raise ScenarioError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ScenarioError(f"{name} must be positive and finite")
+        if len(self.start) != 3 or not all(math.isfinite(v) for v in self.start):
+            raise ScenarioError("start must be 3 finite values (x, y, phi)")
         ratio = self.control_rate / self.observe_rate
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("control_rate must be an integer multiple of observe_rate")
         for label, noise in (("true_noise", self.true_noise), ("assumed_noise", self.assumed_noise)):
             for field_name in ("sigma_v", "sigma_gamma", "sigma_r", "sigma_theta"):
-                if getattr(noise, field_name) <= 0.0:
-                    raise ScenarioError(f"{label}.{field_name} must be positive")
+                value = getattr(noise, field_name)
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ScenarioError(f"{label}.{field_name} must be positive and finite")
 
 
 def default_scenario() -> Scenario:
@@ -318,8 +323,10 @@ class RunLog:
         )
 
     def heading_error(self) -> np.ndarray:
-        raw = self.truth[:, 2] - self.est_mean[:, 2]
-        return np.array([models.wrap_angle(v) for v in raw])
+        """Heading errors wrapped to (-pi, pi], bitwise equal to models.wrap_angle."""
+        with np.errstate(invalid="ignore"):  # a non-finite error stays NaN, as in wrap_angle
+            wrapped = np.remainder(self.truth[:, 2] - self.est_mean[:, 2], models.TWO_PI)
+        return np.where(wrapped > math.pi, wrapped - models.TWO_PI, wrapped)
 
     def summary(self) -> RunSummary:
         err = self.position_error()
@@ -449,11 +456,6 @@ def run_once(
     )
 
 
-def _run_once_packed(args: tuple) -> RunLog:
-    scenario, variant, seed, adaptation, gate_threshold, p0_diag = args
-    return run_once(scenario, variant, seed, adaptation, gate_threshold, p0_diag)
-
-
 def run_monte_carlo(
     scenario: Scenario,
     variant: str,
@@ -471,11 +473,9 @@ def run_monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    packed = [
-        (scenario, variant, base_seed + i, adaptation, gate_threshold, p0_diag)
-        for i in range(n_runs)
-    ]
+    runs = (repeat(scenario), repeat(variant), range(base_seed, base_seed + n_runs),
+            repeat(adaptation), repeat(gate_threshold), repeat(p0_diag))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_once_packed, packed))
-    return [_run_once_packed(args) for args in packed]
+            return list(pool.map(run_once, *runs))
+    return list(map(run_once, *runs))

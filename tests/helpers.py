@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from fuzzyloc.adaptation import AdaptationConfig, CovarianceAdapter
-from fuzzyloc.anfis import AnfisNet, MembershipFn, build_rule_base, net_from_params, net_to_params
+from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, InnovationRecord
 from fuzzyloc.models import ControlInput, Pose, wrap_angle
 
@@ -43,21 +43,22 @@ def anfis_forward_brute(net: AnfisNet, in1: float, in2: float) -> float:
     num = 0.0
     den = 0.0
     for i in range(1, 6):
-        mf1 = net.mfs_input1[i - 1]
-        mu1 = math.exp(-(((in1 - mf1.m) / mf1.delta) ** 2))
+        m1, d1 = float(net.centers[0, i - 1]), float(net.widths[0, i - 1])
+        mu1 = math.exp(-(((in1 - m1) / d1) ** 2))
         for j in range(1, 6):
-            mf2 = net.mfs_input2[j - 1]
-            mu2 = math.exp(-(((in2 - mf2.m) / mf2.delta) ** 2))
+            m2, d2 = float(net.centers[1, j - 1]), float(net.widths[1, j - 1])
+            mu2 = math.exp(-(((in2 - m2) / d2) ** 2))
             firing = mu1 * mu2
-            num += firing * float(net.singletons[net.rules.consequent(i, j) - 1])
+            label = min(max(10 - i - j, 1), 7)  # anti-diagonal rule table, 1-based
+            num += firing * float(net.singletons[label - 1])
             den += firing
     return num / den
 
 
 def anfis_analytic_gradients(net: AnfisNet, trace) -> np.ndarray:
     """Analytic output gradients flattened into the 27-scalar param layout."""
-    d_w, d_m1, d_delta1, d_m2, d_delta2 = net.output_gradients(trace)
-    return np.concatenate([d_m1, d_m2, d_delta1, d_delta2, d_w])
+    d_w, d_centers, d_widths = net.output_gradients(trace)
+    return np.concatenate([d_centers.ravel(), d_widths.ravel(), d_w])
 
 
 def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -> np.ndarray:
@@ -78,12 +79,10 @@ def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -
 
 def random_net(rng, singleton_span: float = 2.0) -> AnfisNet:
     """Well-conditioned random network: ordered centers, moderate widths."""
-    mfs1 = [MembershipFn(float(m), float(d)) for m, d in zip(
-        np.sort(rng.uniform(-3.0, 3.0, 5)), rng.uniform(0.6, 2.0, 5))]
-    mfs2 = [MembershipFn(float(m), float(d)) for m, d in zip(
-        np.sort(rng.uniform(-3.0, 3.0, 5)), rng.uniform(0.6, 2.0, 5))]
+    m1, d1 = np.sort(rng.uniform(-3.0, 3.0, 5)), rng.uniform(0.6, 2.0, 5)
+    m2, d2 = np.sort(rng.uniform(-3.0, 3.0, 5)), rng.uniform(0.6, 2.0, 5)
     singletons = rng.uniform(-singleton_span, singleton_span, 7)
-    return AnfisNet(mfs1, mfs2, build_rule_base(), singletons)
+    return AnfisNet([m1, m2], [d1, d2], singletons)
 
 
 def random_pose(rng, span: float = 50.0) -> Pose:

@@ -30,7 +30,7 @@ from fuzzyloc.adaptation import (
     saturated_forward,
     train_adapters,
 )
-from fuzzyloc.anfis import AnfisNet, MembershipFn, build_rule_base, net_to_params
+from fuzzyloc.anfis import AnfisNet, net_to_params
 from fuzzyloc.ekf import CovPair, InnovationRecord
 from fuzzyloc.errors import WarmupError
 
@@ -109,16 +109,15 @@ class TestComputeDom:
         s0 = compute_dom(np.diag([4.0, 1.0]), np.eye(2), DomState())
         s1 = compute_dom(np.diag([3.0, 1.0]), np.eye(2), s0)
         np.testing.assert_allclose(s1.delta_dom, np.diag([-1.0, 0.0]))
-        np.testing.assert_allclose(s1.dom_prev, s0.dom)
 
 
 class TestNetBuilders:
     def test_additive_net_layout(self):
         net = make_additive_net(input_scale=2.0, output_scale=0.1)
-        assert [mf.m for mf in net.mfs_input1] == [-4.0, -2.0, 0.0, 2.0, 4.0]
-        assert [mf.delta for mf in net.mfs_input1] == [2.0] * 5
-        assert [mf.m for mf in net.mfs_input2] == [-2.0, -1.0, 0.0, 1.0, 2.0]
-        assert [mf.delta for mf in net.mfs_input2] == [1.0] * 5
+        assert net.centers[0].tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
+        assert net.widths[0].tolist() == [2.0] * 5
+        assert net.centers[1].tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert net.widths[1].tolist() == [1.0] * 5
         np.testing.assert_allclose(net.singletons, 0.1 * np.arange(-3, 4))
 
     def test_multiplicative_net_is_geometric_with_unit_center(self):
@@ -151,14 +150,12 @@ class TestLeakToward:
     def test_width_floor_respected(self):
         net = make_additive_net(1.0, 0.1)
         anchor = net_to_params(net)
-        for mf in net.mfs_input1:
-            mf.delta = net.delta_floor
+        net.widths[0] = net.delta_floor
         bad_anchor = list(anchor)
         for k in range(10, 15):
             bad_anchor[k] = 0.0  # anchor widths of zero must not pull below floor
         leak_toward(net, bad_anchor, 0.9)
-        for mf in net.mfs_input1:
-            assert mf.delta >= net.delta_floor
+        assert np.all(net.widths[0] >= net.delta_floor)
 
 
 class TestAdaptR:
@@ -219,9 +216,8 @@ class TestAdaptR:
 def narrow_q_adapter(ratio=1.5, q_floor=(1e-6, 1e-6), q_ceiling=(1e6, 1e6)):
     """Q adapter whose membership widths are a tenth of the spacing, so the
     center rule dominates completely at zero input."""
-    mfs1 = [MembershipFn(float(k), 0.1) for k in (-2, -1, 0, 1, 2)]
-    mfs2 = [MembershipFn(float(k), 0.1) for k in (-2, -1, 0, 1, 2)]
-    net = AnfisNet(mfs1, mfs2, build_rule_base(), ratio ** np.arange(-3.0, 4.0))
+    centers = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    net = AnfisNet([centers, centers], np.full((2, 5), 0.1), ratio ** np.arange(-3.0, 4.0))
     return QAdapter(net, np.asarray(q_floor, dtype=float), np.asarray(q_ceiling, dtype=float))
 
 
@@ -291,6 +287,53 @@ class TestQFactorSensitivity:
     def test_no_usable_records_gives_zero(self):
         G = np.zeros((3, 2))
         assert np.all(q_factor_sensitivity([], G, np.eye(2)) == 0.0)
+
+
+class TestGoldenTrajectory:
+    """Bitwise pin of the adapter numerics: 20 rounds of saturated forward,
+    train step and leak, recorded as float.hex of the 27 parameters."""
+
+    ADDITIVE = [
+        "-0x1.99a9cd7d33f4fp+0", "-0x1.98fda6bc5e156p-1", "-0x1.03e0af256881dp-5",
+        "0x1.93d66a4af4ae3p-1", "0x1.9639ef4ac44c7p+0", "-0x1.9c54058d99862p-1",
+        "-0x1.986561a2fe9b6p-2", "-0x1.6a0ba1b941f83p-7", "0x1.4ecbd0c040074p-2",
+        "0x1.a0c86e55ddeeep-1", "0x1.9b26413e2fe19p-1", "0x1.9245c504f763dp-1",
+        "0x1.808a197d3fcc2p-1", "0x1.8dffd25bc91d7p-1", "0x1.a255ecb9721e2p-1",
+        "0x1.971477ee3b121p-2", "0x1.a4744549bd3b1p-2", "0x1.8b636e96f34bep-2",
+        "0x1.4a4d155f2c4a2p-2", "0x1.942b7825bafe5p-2", "-0x1.a5123e41d45acp+0",
+        "-0x1.4300075504f67p-3", "-0x1.9789c671852bep-4", "-0x1.d9a228217d220p-5",
+        "0x1.a6e265ce66b66p-4", "0x1.21e77ea3f9fa5p-3", "0x1.8e6cc211d5457p-2",
+    ]
+    MULTIPLICATIVE = [
+        "-0x1.32fd199b3d1f8p+0", "-0x1.2eb1a2846c0bdp-1", "0x1.ab42a75b487d9p-10",
+        "0x1.315b7425189b0p-1", "0x1.3314845e7c26bp+0", "-0x1.9dadeb631e056p-1",
+        "-0x1.8b8d9f1ec4b54p-2", "0x1.8c20dc1e8e08bp-6", "0x1.a4313cb7efff5p-2",
+        "0x1.a5f5c8682a6d3p-1", "0x1.363440e47c4abp-1", "0x1.2ca4360972363p-1",
+        "0x1.2afb73de66f34p-1", "0x1.2d03d19d4f758p-1", "0x1.358b7653d735ep-1",
+        "0x1.991a4f1b2a1e1p-2", "0x1.ba951bc85f538p-2", "0x1.b0918d5672622p-2",
+        "0x1.a1dbb1955b8b0p-2", "0x1.76844852a35e9p-2", "-0x1.2c0a5a05dea35p-3",
+        "0x1.b73fbbbd99e08p-2", "0x1.4d8f163f913e5p-1", "0x1.fb7e2c54cd24ap-1",
+        "0x1.86d82db491a6dp+0", "0x1.2229a1f3d0b44p+1", "0x1.bc6639e619651p+1",
+    ]
+
+    @staticmethod
+    def _trajectory(net, ds):
+        anchor = net_to_params(net)
+        for k in range(20):
+            in1 = 2.5 * math.sin(0.7 * k + 0.3) + (40.0 if k == 11 else 0.0)
+            in2 = 1.3 * math.cos(1.1 * k) - (1e6 if k == 6 else 0.0)
+            out, trace = saturated_forward(net, in1, in2)
+            net.train_step(trace, in1 - 0.2 * out, ds)
+            leak_toward(net, anchor, 0.05)
+        return [v.hex() for v in net_to_params(net)]
+
+    def test_additive_net_bitwise(self):
+        net = make_additive_net(0.8, 0.05, eta=0.05)
+        assert self._trajectory(net, 1.0) == self.ADDITIVE
+
+    def test_multiplicative_net_bitwise(self):
+        net = make_multiplicative_net(0.6, 0.4, ratio=1.5, eta=0.05)
+        assert self._trajectory(net, 0.3) == self.MULTIPLICATIVE
 
 
 class TestTrainAdapters:
@@ -400,6 +443,14 @@ class TestCovarianceAdapter:
             np.testing.assert_array_equal(cov_out.Q, cov.Q)
         assert trace.active  # mismatch is still evaluated and logged
         assert adapter.r_adapter is None
+
+    def test_zero_eta_collects_no_scale_samples(self):
+        # the samples only size the nets, which are never built at eta=0
+        cov = self._cov()
+        adapter = CovarianceAdapter("r", cov, AdaptationConfig(eta=0.0))
+        for _ in range(100):
+            self._tick(adapter, cov, [0.3, 0.02])
+        assert adapter._s_samples == []
 
     def test_builds_nets_with_anchors_on_first_full_tick(self):
         cov = self._cov()

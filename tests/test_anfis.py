@@ -7,68 +7,77 @@ import pytest
 
 import helpers
 from fuzzyloc.anfis import (
+    CONSEQUENT,
     DEFAULT_DELTA_FLOOR,
     N_PARAMS,
     AnfisNet,
-    MembershipFn,
-    build_rule_base,
-    mf_eval,
     net_from_params,
     net_to_params,
 )
 from fuzzyloc.errors import ZeroFiringError
 
+CENTERS = [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def grade(u: float, m: float, delta: float) -> float:
+    """Grade of u under a Gaussian term (m, delta), read off a forward trace.
+
+    Input 2 sits at its centers so the rule firing cannot underflow.
+    """
+    net = AnfisNet(np.full((2, 5), m), np.full((2, 5), delta), np.zeros(7))
+    _, trace = net.forward(u, m)
+    assert trace.mu2[0] == 1.0
+    return float(trace.mu1[0])
+
+
+def label(i: int, j: int) -> int:
+    """Singleton label 1..7 for input-1 term i and input-2 term j (1-based)."""
+    return int(CONSEQUENT[i - 1, j - 1]) + 1
+
 
 class TestMembership:
     def test_peak_at_center(self):
-        assert mf_eval(1.5, MembershipFn(1.5, 0.7)) == 1.0
+        assert grade(1.5, 1.5, 0.7) == 1.0
 
     def test_one_over_e_at_one_width(self):
-        mf = MembershipFn(0.0, 2.0)
-        assert mf_eval(2.0, mf) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert mf_eval(-2.0, mf) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert grade(2.0, 0.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert grade(-2.0, 0.0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_symmetric_and_monotone_tails(self):
-        mf = MembershipFn(1.0, 0.5)
-        assert mf_eval(1.3, mf) == pytest.approx(mf_eval(0.7, mf), rel=1e-15)
-        grades = [mf_eval(1.0 + 0.2 * k, mf) for k in range(6)]
+        assert grade(1.3, 1.0, 0.5) == pytest.approx(grade(0.7, 1.0, 0.5), rel=1e-15)
+        grades = [grade(1.0 + 0.2 * k, 1.0, 0.5) for k in range(6)]
         assert all(a > b for a, b in zip(grades, grades[1:]))
 
 
 class TestRuleBase:
     def test_corner_and_center_anchors(self):
-        rules = build_rule_base()
-        assert rules.consequent(1, 1) == 7
-        assert rules.consequent(5, 5) == 1
-        assert rules.consequent(3, 3) == 4
-        assert rules.consequent(1, 5) == 4
-        assert rules.consequent(5, 1) == 4
+        assert label(1, 1) == 7
+        assert label(5, 5) == 1
+        assert label(3, 3) == 4
+        assert label(1, 5) == 4
+        assert label(5, 1) == 4
 
     def test_symmetric_in_inputs(self):
-        rules = build_rule_base()
         for i in range(1, 6):
             for j in range(1, 6):
-                assert rules.consequent(i, j) == rules.consequent(j, i)
+                assert label(i, j) == label(j, i)
 
     def test_constant_along_antidiagonals(self):
-        rules = build_rule_base()
         for s in range(2, 11):
             labels = {
-                rules.consequent(i, s - i)
+                label(i, s - i)
                 for i in range(1, 6)
                 if 1 <= s - i <= 5
             }
             assert len(labels) == 1
 
     def test_all_seven_labels_used(self):
-        grid = build_rule_base().consequent_index
-        assert set(grid.ravel()) == set(range(1, 8))
+        assert set((CONSEQUENT + 1).ravel()) == set(range(1, 8))
 
     def test_monotone_decreasing_in_each_index(self):
-        rules = build_rule_base()
         for i in range(1, 5):
             for j in range(1, 6):
-                assert rules.consequent(i + 1, j) <= rules.consequent(i, j)
+                assert label(i + 1, j) <= label(i, j)
 
 
 class TestForward:
@@ -95,18 +104,15 @@ class TestForward:
 
     def test_dominant_rule_selects_its_singleton(self):
         # narrow widths at exact centers: one rule fires ~1, the rest ~0
-        centers = [-2.0, -1.0, 0.0, 1.0, 2.0]
-        rules = build_rule_base()
         for i in (1, 3, 5):
             for j in (1, 2, 4):
                 net = AnfisNet(
-                    [MembershipFn(c, 0.05) for c in centers],
-                    [MembershipFn(c, 0.05) for c in centers],
-                    rules,
+                    [CENTERS, CENTERS],
+                    np.full((2, 5), 0.05),
                     np.linspace(-3.0, 3.0, 7),
                 )
-                out, _ = net.forward(centers[i - 1], centers[j - 1])
-                expected = net.singletons[rules.consequent(i, j) - 1]
+                out, _ = net.forward(CENTERS[i - 1], CENTERS[j - 1])
+                expected = net.singletons[label(i, j) - 1]
                 assert out == pytest.approx(float(expected), abs=1e-9)
 
     def test_trace_layers_consistent(self, rng):
@@ -117,22 +123,17 @@ class TestForward:
         assert out == trace.out
 
     def test_zero_firing_raises(self):
-        net = AnfisNet(
-            [MembershipFn(0.0, 1e-4) for _ in range(5)],
-            [MembershipFn(0.0, 1e-4) for _ in range(5)],
-            build_rule_base(),
-            np.zeros(7),
-        )
+        net = AnfisNet(np.zeros((2, 5)), np.full((2, 5), 1e-4), np.zeros(7))
         with pytest.raises(ZeroFiringError):
             net.forward(1e6, 1e6)
 
     def test_wrong_term_count_rejected(self):
+        with pytest.raises(ValueError, match="5 membership terms"):
+            AnfisNet(np.zeros((2, 4)), np.ones((2, 4)), np.zeros(7))
+        with pytest.raises(ValueError, match="5 membership terms"):
+            AnfisNet(np.zeros((2, 5)), np.ones((1, 5)), np.zeros(7))
         with pytest.raises(ValueError):
-            AnfisNet([MembershipFn(0, 1)] * 4, [MembershipFn(0, 1)] * 5,
-                     build_rule_base(), np.zeros(7))
-        with pytest.raises(ValueError):
-            AnfisNet([MembershipFn(0, 1)] * 5, [MembershipFn(0, 1)] * 5,
-                     build_rule_base(), np.zeros(6))
+            AnfisNet(np.zeros((2, 5)), np.ones((2, 5)), np.zeros(6))
 
 
 class TestGradients:
@@ -213,17 +214,15 @@ class TestTraining:
 
     def test_width_floor_respected(self):
         net = AnfisNet(
-            [MembershipFn(float(c), 2e-4) for c in (-2, -1, 0, 1, 2)],
-            [MembershipFn(float(c), 2e-4) for c in (-2, -1, 0, 1, 2)],
-            build_rule_base(),
+            [CENTERS, CENTERS],
+            np.full((2, 5), 2e-4),
             np.linspace(-3, 3, 7),
             eta=0.5,
         )
         for _ in range(50):
             _, trace = net.forward(0.1e-4, -0.1e-4)
             net.train_step(trace, 5.0, 1.0)
-            for mf in net.mfs_input1 + net.mfs_input2:
-                assert mf.delta >= DEFAULT_DELTA_FLOOR
+            assert np.all(net.widths >= DEFAULT_DELTA_FLOOR)
 
 
 class TestSerialization:

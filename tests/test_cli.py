@@ -116,6 +116,19 @@ class TestRun:
         assert err.startswith("error:")
         assert str(missing) in err
 
+    def test_malformed_scenario_exits_2(self, tmp_path, tiny_scenario, capsys):
+        # a two-value start must be rejected before run_once unpacks it into a Pose
+        path = tmp_path / "scenario.json"
+        save_scenario(dataclasses.replace(tiny_scenario, start=(0.0, 0.0)), path)
+        rc = main([
+            "run", "--variant", "ekf", "--scenario", str(path),
+            "--runs", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "start" in err
+
     @pytest.mark.parametrize(
         "flags",
         [

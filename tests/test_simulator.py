@@ -9,7 +9,7 @@ import pytest
 
 from fuzzyloc.adaptation import AdaptationConfig
 from fuzzyloc.errors import ScenarioError
-from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose
+from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose, wrap_angle
 from fuzzyloc.simulator import (
     DEFAULT_P0_DIAG,
     SCENARIO_SCHEMA,
@@ -58,10 +58,22 @@ class TestScenarioValidate:
         noise = NoiseSpec(sigma_v=0.0, sigma_gamma=0.01, sigma_r=0.1, sigma_theta=0.01)
         with pytest.raises(ScenarioError, match="sigma_v"):
             dataclasses.replace(tiny_scenario, true_noise=noise).validate()
+        for bad in (math.nan, math.inf):
+            noise = NoiseSpec(sigma_v=0.3, sigma_gamma=0.01, sigma_r=bad, sigma_theta=0.01)
+            with pytest.raises(ScenarioError, match="assumed_noise.sigma_r"):
+                dataclasses.replace(tiny_scenario, assumed_noise=noise).validate()
 
     def test_nonpositive_scalar(self, tiny_scenario):
         with pytest.raises(ScenarioError, match="speed"):
             dataclasses.replace(tiny_scenario, speed=0.0).validate()
+        for name, bad in (("speed", math.nan), ("sensor_range", math.nan), ("duration", math.inf)):
+            with pytest.raises(ScenarioError, match=name):
+                dataclasses.replace(tiny_scenario, **{name: bad}).validate()
+
+    def test_malformed_start(self, tiny_scenario):
+        for start in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0)):
+            with pytest.raises(ScenarioError, match="start"):
+                dataclasses.replace(tiny_scenario, start=start).validate()
 
 
 class TestDefaultScenario:
@@ -333,6 +345,11 @@ class TestRunOnce:
         log = run_once(tiny_scenario, "ekf", seed=0)
         he = log.heading_error()
         assert np.all(np.abs(he) <= math.pi)
+        raw = [math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 1e3, -1e3]
+        log.truth[: len(raw), 2] = raw
+        log.est_mean[: len(raw), 2] = 0.0
+        expected = np.array([wrap_angle(v) for v in log.truth[:, 2] - log.est_mean[:, 2]])
+        assert log.heading_error().tobytes() == expected.tobytes()
 
     def test_initial_covariance_honored(self, tiny_scenario):
         log = run_once(tiny_scenario, "ekf", seed=0, p0_diag=(4.0, 4.0, 1.0))
