@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -110,10 +111,10 @@ class ExperimentSpec:
             raise ValueError("--window must be at least 2")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ValueError("--eta must lie in (0, 1]")
-        if self.r_floor is not None and self.r_floor <= 0.0:
-            raise ValueError("--r-floor must be positive")
-        if self.q_floor is not None and self.q_floor <= 0.0:
-            raise ValueError("--q-floor must be positive")
+        if self.r_floor is not None and not (math.isfinite(self.r_floor) and self.r_floor > 0.0):
+            raise ValueError("--r-floor must be positive and finite")
+        if self.q_floor is not None and not (math.isfinite(self.q_floor) and self.q_floor > 0.0):
+            raise ValueError("--q-floor must be positive and finite")
         if self.workers < 1:
             raise ValueError("--workers must be at least 1")
 

@@ -3,10 +3,17 @@
 The filter owns nothing but the Gaussian belief; the noise covariances are
 passed in every step so an external adapter can rewrite them between steps.
 Measurements are processed sequentially with a Mahalanobis acceptance gate.
+
+The state is 3-dimensional and a measurement 2-dimensional, so every step is
+written out entry by entry on Python floats; no step calls LAPACK. Gate and
+update share one closed-form 2x2 inverse of the innovation covariance S: it
+rejects S unless all four entries are finite and its 2-norm condition number,
+sigma_max^2 / |det| after scaling S by its largest |entry|, is at most 1e12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +89,43 @@ class InnovationRecord:
     H: np.ndarray | None = None  # observation Jacobian, kept for adaptation
 
 
-def _solve_innovation(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(S)) or np.linalg.cond(S) > _COND_LIMIT:
-        raise SingularInnovationError("innovation covariance is ill-conditioned")
-    return np.linalg.solve(S, rhs)
+def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
+    """Entries of S^-1, row-major, by the adjugate, after the conditioning test.
+
+    S is first divided by its largest |entry|, so neither the determinant
+    nor the Frobenius norm can overflow or underflow. For a 2x2 matrix
+    sigma_max * sigma_min = |det| and sigma_max^2 + sigma_min^2 = |S|_F^2,
+    so the 2-norm condition number is sigma_max^2 / |det|.
+
+    Raises:
+        SingularInnovationError: an entry is not finite, or cond(S) > 1e12.
+    """
+    (a, b), (c, d) = S.tolist()
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise SingularInnovationError("innovation covariance is not finite")
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if scale > 0.0:
+        a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        det = a * d - b * c
+        fro2 = a * a + b * b + c * c + d * d
+        sigma_max2 = 0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * det * det, 0.0)))
+        if sigma_max2 <= _COND_LIMIT * abs(det):
+            k = 1.0 / det / scale
+            return d * k, -b * k, -c * k, a * k
+    raise SingularInnovationError("innovation covariance is ill-conditioned")
+
+
+def _state(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
+           p11: float, p12: float, p22: float) -> GaussianState:
+    """GaussianState from floats: phi is wrapped, P mirrored from its upper triangle.
+
+    P is symmetric by construction here, so __post_init__'s copy and
+    symmetrization are skipped.
+    """
+    state = object.__new__(GaussianState)
+    state.mean = np.array((x, y, models.wrap_angle(phi)))
+    state.P = np.array(((p00, p01, p02), (p01, p11, p12), (p02, p12, p22)))
+    return state
 
 
 def predict(
@@ -98,14 +138,33 @@ def predict(
     """Time update: propagate the mean and inflate P through the motion model.
 
     P' = F P F^T + G Q G^T with F, G the motion Jacobians w.r.t. the state
-    and the noisy command, both linearized at the current mean.
+    and the noisy command, both linearized at the current mean. F is the
+    identity except for (fx, fy) above the diagonal in its heading column,
+    and those equal the position entries of G's steer column (see
+    models.position_jacobian).
     """
-    pose = state.pose
-    next_pose = models.motion_step(pose, u, dt, wheelbase)
-    F = models.motion_jacobian_state(pose, u, dt)
-    G = models.motion_jacobian_control(pose, u, dt, wheelbase)
-    P = F @ state.P @ F.T + G @ Q @ G.T
-    return GaussianState(next_pose.as_array(), P)
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    (q00, q01), (q10, q11) = Q.tolist()
+    q01 = 0.5 * (q01 + q10)
+    g00, g01, g10, g11, g20, g21 = models.control_jacobian_floats(phi, u.v, u.gamma, dt, wheelbase)
+    fx, fy = g01, g11
+    # F P F^T: third column first, it feeds the other entries
+    n02 = p02 + fx * p22
+    n12 = p12 + fy * p22
+    # rows of G Q
+    w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
+    w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
+    w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
+    return _state(
+        *models.motion_floats(x, y, phi, u.v, u.gamma, dt, wheelbase),
+        p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
+        p01 + fx * p12 + fy * n02 + w00 * g10 + w01 * g11,
+        n02 + w00 * g20 + w01 * g21,
+        p11 + fy * p12 + fy * n12 + w10 * g10 + w11 * g11,
+        n12 + w10 * g20 + w11 * g21,
+        p22 + w20 * g20 + w21 * g21,
+    )
 
 
 def predict_measurement(
@@ -115,38 +174,72 @@ def predict_measurement(
 
     Returns:
         zhat: (2,) predicted measurement at the current mean.
-        S: 2x2 H P H^T + R, symmetrized.
+        S: 2x2 H P H^T + R, computed from one off-diagonal entry, so it is
+            exactly symmetric.
         H: 2x3 observation Jacobian at the current mean.
     """
-    pose = state.pose
-    z = models.observe(pose, landmark)
-    H = models.observation_jacobian(pose, landmark)
-    S = _symmetrize(H @ state.P @ H.T + R)
-    return np.array([z.r, z.theta]), S, H
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    (r00, r01), (r10, r11) = R.tolist()
+    r, bearing = models.range_bearing(x, y, phi, landmark)
+    h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
+    # rows of H P, with H's phi column (0, -1)
+    a0, a1, a2 = h00 * p00 + h01 * p01, h00 * p01 + h01 * p11, h00 * p02 + h01 * p12
+    b0 = h10 * p00 + h11 * p01 - p02
+    b1 = h10 * p01 + h11 * p11 - p12
+    b2 = h10 * p02 + h11 * p12 - p22
+    s01 = a0 * h10 + a1 * h11 - a2 + 0.5 * (r01 + r10)
+    return (
+        np.array((r, models.wrap_angle(bearing))),
+        np.array(((a0 * h00 + a1 * h01 + r00, s01), (s01, b0 * h10 + b1 * h11 - b2 + r11))),
+        np.array(((h00, h01, 0.0), (h10, h11, -1.0))),
+    )
 
 
 def innovation(z: Measurement, zhat: np.ndarray) -> np.ndarray:
     """Residual z - zhat with the bearing difference wrapped."""
-    return np.array([z.r - zhat[0], models.wrap_angle(z.theta - zhat[1])])
+    r, theta = zhat.tolist()
+    return np.array((z.r - r, models.wrap_angle(z.theta - theta)))
 
 
 def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
     """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
-    d = float(residual @ _solve_innovation(S, residual))
-    return d <= threshold
+    i00, i01, i10, i11 = _inverse_2x2(S)
+    v0, v1 = residual.tolist()
+    return v0 * (i00 * v0 + i01 * v1) + v1 * (i10 * v0 + i11 * v1) <= threshold
 
 
 def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
     """Measurement update with gain K = P H^T S^-1.
 
-    The covariance is propagated as (I - K H) P and re-symmetrized by the
-    state constructor.
+    With K^T = S^-1 H P the covariance is P - K (H P). Only its upper
+    triangle is evaluated and then mirrored: for the symmetric S that
+    predict_measurement produces, K H P is symmetric.
     """
-    # S is symmetric, so K^T solves S K^T = H P.
-    K = _solve_innovation(record.S, H @ state.P).T
-    mean = state.mean + K @ record.residual
-    P = (np.eye(3) - K @ H) @ state.P
-    return GaussianState(mean, P)
+    i00, i01, i10, i11 = _inverse_2x2(record.S)
+    v0, v1 = record.residual.tolist()
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    (h00, h01, h02), (h10, h11, h12) = H.tolist()
+    # rows of H P
+    a0, a1, a2 = (h00 * p00 + h01 * p01 + h02 * p02, h00 * p01 + h01 * p11 + h02 * p12,
+                  h00 * p02 + h01 * p12 + h02 * p22)
+    b0, b1, b2 = (h10 * p00 + h11 * p01 + h12 * p02, h10 * p01 + h11 * p11 + h12 * p12,
+                  h10 * p02 + h11 * p12 + h12 * p22)
+    # rows of K^T = S^-1 H P
+    k0, k1, k2 = i00 * a0 + i01 * b0, i00 * a1 + i01 * b1, i00 * a2 + i01 * b2
+    l0, l1, l2 = i10 * a0 + i11 * b0, i10 * a1 + i11 * b1, i10 * a2 + i11 * b2
+    return _state(
+        x + k0 * v0 + l0 * v1,
+        y + k1 * v0 + l1 * v1,
+        phi + k2 * v0 + l2 * v1,
+        p00 - (k0 * a0 + l0 * b0),
+        p01 - (k0 * a1 + l0 * b1),
+        p02 - (k0 * a2 + l0 * b2),
+        p11 - (k1 * a1 + l1 * b1),
+        p12 - (k1 * a2 + l1 * b2),
+        p22 - (k2 * a2 + l2 * b2),
+    )
 
 
 def step(

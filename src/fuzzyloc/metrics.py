@@ -26,19 +26,37 @@ def nees(truth: Pose, est: GaussianState) -> float:
     The heading error is wrapped before weighting. Exactly matching truth
     gives 0; a consistent filter yields chi-square values with one degree of
     freedom per state dimension.
+
+    P^-1 e is solved by Gaussian elimination with partial pivoting, unrolled
+    for 3x3: the algorithm of LAPACK's gesv, which is backward stable, so the
+    error stays of order cond(P) * eps at any scale of P.
+
+    Raises:
+        SingularCovarianceError: a pivot is exactly zero, as in gesv.
     """
-    e = np.array(
-        [
-            truth.x - est.mean[0],
-            truth.y - est.mean[1],
-            wrap_angle(truth.phi - est.mean[2]),
-        ]
-    )
-    try:
-        sol = np.linalg.solve(est.P, e)
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceError("state covariance is singular") from None
-    return max(float(e @ sol), 0.0)
+    x, y, phi = est.mean.tolist()
+    e0, e1, e2 = truth.x - x, truth.y - y, wrap_angle(truth.phi - phi)
+    p0, p1, p2 = est.P.tolist()
+    r0, r1, r2 = (*p0, e0), (*p1, e1), (*p2, e2)
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    if r0[0] != 0.0:
+        l1, l2 = r1[0] / r0[0], r2[0] / r0[0]
+        s1 = (r1[1] - l1 * r0[1], r1[2] - l1 * r0[2], r1[3] - l1 * r0[3])
+        s2 = (r2[1] - l2 * r0[1], r2[2] - l2 * r0[2], r2[3] - l2 * r0[3])
+        if abs(s2[0]) > abs(s1[0]):
+            s1, s2 = s2, s1
+        if s1[0] != 0.0:
+            l3 = s2[0] / s1[0]
+            u22 = s2[1] - l3 * s1[1]
+            if u22 != 0.0:
+                x2 = (s2[2] - l3 * s1[2]) / u22
+                x1 = (s1[2] - s1[1] * x2) / s1[0]
+                x0 = (r0[3] - r0[2] * x2 - r0[1] * x1) / r0[0]
+                return max(e0 * x0 + e1 * x1 + e2 * x2, 0.0)
+    raise SingularCovarianceError("state covariance is singular")
 
 
 def _stack_nees(logs: Sequence) -> np.ndarray:

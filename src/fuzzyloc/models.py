@@ -142,11 +142,43 @@ def motion_step(
     """
     v = u.v + noise[0]
     gamma = u.gamma + noise[1]
-    heading = pose.phi + gamma
-    return Pose(
-        pose.x + dt * v * math.cos(heading),
-        pose.y + dt * v * math.sin(heading),
-        pose.phi + dt * v / wheelbase * math.sin(gamma),
+    return Pose(*motion_floats(pose.x, pose.y, pose.phi, v, gamma, dt, wheelbase))
+
+
+def motion_floats(
+    x: float, y: float, phi: float, v: float, gamma: float, dt: float, wheelbase: float
+) -> tuple[float, float, float]:
+    """motion_step on plain floats: the next (x, y, phi), heading not wrapped."""
+    heading = phi + gamma
+    return (
+        x + dt * v * math.cos(heading),
+        y + dt * v * math.sin(heading),
+        phi + dt * v / wheelbase * math.sin(gamma),
+    )
+
+
+def position_jacobian(
+    phi: float, v: float, gamma: float, dt: float
+) -> tuple[float, float, float, float]:
+    """Derivatives of the next (x, y) w.r.t. (v, heading), row-major.
+
+    phi and gamma enter the position only through heading = phi + gamma, so
+    the heading column is both d(x, y)/dphi and d(x, y)/dgamma.
+    """
+    heading = phi + gamma
+    sin_h = math.sin(heading)
+    cos_h = math.cos(heading)
+    return dt * cos_h, -dt * v * sin_h, dt * sin_h, dt * v * cos_h
+
+
+def control_jacobian_floats(
+    phi: float, v: float, gamma: float, dt: float, wheelbase: float
+) -> tuple[float, float, float, float, float, float]:
+    """The six entries of motion_jacobian_control, row-major."""
+    return (
+        *position_jacobian(phi, v, gamma, dt),
+        dt * math.sin(gamma) / wheelbase,
+        dt * v * math.cos(gamma) / wheelbase,
     )
 
 
@@ -156,11 +188,11 @@ def motion_jacobian_state(pose: Pose, u: ControlInput, dt: float) -> np.ndarray:
     The heading row is independent of the pose, so the matrix is identity
     plus a heading-to-position shear.
     """
-    heading = pose.phi + u.gamma
+    _, shear_x, _, shear_y = position_jacobian(pose.phi, u.v, u.gamma, dt)
     return np.array(
         [
-            [1.0, 0.0, -dt * u.v * math.sin(heading)],
-            [0.0, 1.0, dt * u.v * math.cos(heading)],
+            [1.0, 0.0, shear_x],
+            [0.0, 1.0, shear_y],
             [0.0, 0.0, 1.0],
         ]
     )
@@ -174,16 +206,8 @@ def motion_jacobian_control(
     Evaluated at zero noise; this is the matrix that maps control noise
     covariance into pose covariance during the filter's time update.
     """
-    heading = pose.phi + u.gamma
-    sin_h = math.sin(heading)
-    cos_h = math.cos(heading)
-    return np.array(
-        [
-            [dt * cos_h, -dt * u.v * sin_h],
-            [dt * sin_h, dt * u.v * cos_h],
-            [dt * math.sin(u.gamma) / wheelbase, dt * u.v * math.cos(u.gamma) / wheelbase],
-        ]
-    )
+    g = control_jacobian_floats(pose.phi, u.v, u.gamma, dt, wheelbase)
+    return np.array(g).reshape(3, 2)
 
 
 def observe(
@@ -197,15 +221,49 @@ def observe(
     noise = (dr, dtheta) is added exactly; the bearing is wrapped after the
     noise is applied.
     """
-    dx = landmark.x - pose.x
-    dy = landmark.y - pose.y
+    r, theta = range_bearing(pose.x, pose.y, pose.phi, landmark, epsilon_range)
+    return Measurement(landmark.id, r + noise[0], wrap_angle(theta + noise[1]))
+
+
+def _degenerate(landmark: Landmark, epsilon_range: float) -> DegenerateGeometryError:
+    return DegenerateGeometryError(
+        f"landmark {landmark.id} within {epsilon_range} m of the robot"
+    )
+
+
+def range_bearing(
+    x: float,
+    y: float,
+    phi: float,
+    landmark: Landmark,
+    epsilon_range: float = DEFAULT_EPSILON_RANGE,
+) -> tuple[float, float]:
+    """Noise-free (range, bearing) of a landmark on plain floats, bearing not wrapped."""
+    dx = landmark.x - x
+    dy = landmark.y - y
     r = math.hypot(dx, dy)
     if r < epsilon_range:
-        raise DegenerateGeometryError(
-            f"landmark {landmark.id} within {epsilon_range} m of the robot"
-        )
-    theta = math.atan2(dy, dx) - pose.phi + noise[1]
-    return Measurement(landmark.id, r + noise[0], wrap_angle(theta))
+        raise _degenerate(landmark, epsilon_range)
+    return r, math.atan2(dy, dx) - phi
+
+
+def range_bearing_jacobian(
+    x: float,
+    y: float,
+    landmark: Landmark,
+    epsilon_range: float = DEFAULT_EPSILON_RANGE,
+) -> tuple[float, float, float, float]:
+    """The pose-dependent entries of observation_jacobian, row-major.
+
+    Those are the (x, y) columns; the phi column is always (0, -1).
+    """
+    dx = landmark.x - x
+    dy = landmark.y - y
+    q = dx * dx + dy * dy
+    r = math.sqrt(q)
+    if r < epsilon_range:
+        raise _degenerate(landmark, epsilon_range)
+    return -dx / r, -dy / r, dy / q, -dx / q
 
 
 def observation_jacobian(
@@ -217,17 +275,10 @@ def observation_jacobian(
 
     Rows are (range, bearing); d(bearing)/d(phi) is exactly -1.
     """
-    dx = landmark.x - pose.x
-    dy = landmark.y - pose.y
-    q = dx * dx + dy * dy
-    r = math.sqrt(q)
-    if r < epsilon_range:
-        raise DegenerateGeometryError(
-            f"landmark {landmark.id} within {epsilon_range} m of the robot"
-        )
+    h00, h01, h10, h11 = range_bearing_jacobian(pose.x, pose.y, landmark, epsilon_range)
     return np.array(
         [
-            [-dx / r, -dy / r, 0.0],
-            [dy / q, -dx / q, -1.0],
+            [h00, h01, 0.0],
+            [h10, h11, -1.0],
         ]
     )

@@ -3,8 +3,9 @@
 Everything here recomputes quantities by a different route than the package
 code: central finite differences for Jacobians and gradients, a rule-by-rule
 scalar loop for the fuzzy forward pass, a textbook Kalman filter with an
-explicit matrix inverse, and a deterministic residual stream whose sample
-covariance is known in closed form.
+explicit matrix inverse, the filter cycle as numpy matrix products with a
+LAPACK solve, and a deterministic residual stream whose sample covariance is
+known in closed form.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import math
 
 import numpy as np
 
+from fuzzyloc import models, simulator
 from fuzzyloc.adaptation import AdaptationConfig, CovarianceAdapter
 from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
-from fuzzyloc.ekf import CovPair, InnovationRecord
+from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
+from fuzzyloc.errors import SingularInnovationError
 from fuzzyloc.models import ControlInput, Pose, wrap_angle
 
 
@@ -113,6 +116,76 @@ class LinearKF:
         K = self.P @ C.T @ np.linalg.inv(S)
         self.x = self.x + K @ (z - C @ self.x)
         self.P = (np.eye(self.x.size) - K @ C) @ self.P
+
+
+def _symmetrize(mat):
+    return 0.5 * (mat + mat.T)
+
+
+def _solve_innovation(S, rhs):
+    if not np.all(np.isfinite(S)) or np.linalg.cond(S) > 1e12:
+        raise SingularInnovationError("innovation covariance is ill-conditioned")
+    return np.linalg.solve(S, rhs)
+
+
+def numpy_predict(state, u, Q, dt, wheelbase):
+    """ekf.predict as matrix products of the model Jacobians."""
+    pose = state.pose
+    next_pose = models.motion_step(pose, u, dt, wheelbase)
+    F = models.motion_jacobian_state(pose, u, dt)
+    G = models.motion_jacobian_control(pose, u, dt, wheelbase)
+    P = F @ state.P @ F.T + G @ Q @ G.T
+    return GaussianState(next_pose.as_array(), P)
+
+
+def numpy_predict_measurement(state, landmark, R):
+    """ekf.predict_measurement as matrix products: (zhat, S, H)."""
+    pose = state.pose
+    z = models.observe(pose, landmark)
+    H = models.observation_jacobian(pose, landmark)
+    S = _symmetrize(H @ state.P @ H.T + R)
+    return np.array([z.r, z.theta]), S, H
+
+
+def numpy_gate(residual, S, threshold):
+    """ekf.gate with np.linalg.cond as the conditioning test and a LAPACK solve."""
+    d = float(residual @ _solve_innovation(S, residual))
+    return d <= threshold
+
+
+def numpy_update(state, record, H):
+    """ekf.update as (I - K H) P with K^T solved from S K^T = H P."""
+    K = _solve_innovation(record.S, H @ state.P).T
+    mean = state.mean + K @ record.residual
+    P = (np.eye(3) - K @ H) @ state.P
+    return GaussianState(mean, P)
+
+
+def record_drive(scenario, seed):
+    """Clean commands and scans of one run_once drive, drawn in its RNG order.
+
+    Returns:
+        One (clean ControlInput, scan) pair per control tick; scans are empty
+        lists off observation ticks.
+    """
+    control_rng, sensor_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+    )
+    landmark_map = models.LandmarkMap(scenario.landmarks)
+    driver = simulator.WaypointDriver(scenario)
+    truth = Pose(*scenario.start)
+    ticks = []
+    for k in range(1, int(round(scenario.duration * scenario.control_rate)) + 1):
+        clean, noisy = driver.drive(truth, control_rng, scenario.true_noise)
+        truth = models.motion_step(
+            truth, clean, scenario.dt, scenario.wheelbase,
+            noise=(noisy.v - clean.v, noisy.gamma - clean.gamma),
+        )
+        scan = []
+        if k % scenario.ticks_per_observation == 0:
+            scan = simulator.sense(truth, landmark_map, scenario, sensor_rng)
+        ticks.append((clean, scan))
+    return ticks
 
 
 def alternating_residuals(sigma1: float, sigma2: float) -> list[np.ndarray]:

@@ -138,6 +138,10 @@ class TestRun:
             ["--runs", "0"],
             ["--workers", "0"],
             ["--r-floor=-1e-9"],
+            ["--r-floor", "nan"],
+            ["--r-floor", "inf"],
+            ["--q-floor", "nan"],
+            ["--q-floor", "inf"],
         ],
     )
     def test_invalid_overrides_exit_2(self, tmp_path, scenario_file, capsys, flags):

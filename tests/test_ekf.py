@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from fuzzyloc import ekf, metrics
 from fuzzyloc.ekf import (
     DEFAULT_GATE_THRESHOLD,
     CovPair,
     GaussianState,
     InnovationRecord,
+    _inverse_2x2,
     gate,
     innovation,
     predict,
@@ -29,6 +33,7 @@ from fuzzyloc.models import (
     motion_jacobian_control,
     observe,
 )
+from fuzzyloc.simulator import DEFAULT_P0_DIAG, default_scenario
 
 
 class TestGaussianState:
@@ -144,6 +149,143 @@ class TestGate:
     def test_nonfinite_s_raises(self):
         with pytest.raises(SingularInnovationError):
             gate(np.array([1.0, 0.0]), np.array([[np.nan, 0.0], [0.0, 1.0]]), 5.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_any_nonfinite_entry_raises(self, bad, index):
+        S = np.eye(2)
+        S[index] = bad
+        with pytest.raises(SingularInnovationError):
+            gate(np.array([1.0, 0.0]), S, 5.0)
+
+    @staticmethod
+    def _assert_gate_at(residual, S):
+        """The gate accepts at the oracle's distance and rejects just below it."""
+        d = float(residual @ np.linalg.solve(S, residual))
+        assert gate(residual, S, d * (1.0 + 1e-12))
+        assert not gate(residual, S, d * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_extreme_scales_gate_normally(self, scale):
+        # a scaled identity has cond 1; only its magnitude is extreme
+        residual = math.sqrt(scale) * np.array([1.0, -0.5])
+        self._assert_gate_at(residual, scale * np.eye(2))
+
+    @pytest.mark.parametrize("small, raises", [(0.9e-12, True), (1.1e-12, False)])
+    def test_condition_limit_matches_numpy_cond(self, small, raises):
+        S = np.diag([1.0, small])
+        assert bool(np.linalg.cond(S) > ekf._COND_LIMIT) == raises
+        if raises:
+            with pytest.raises(SingularInnovationError):
+                gate(np.array([1.0, 0.0]), S, 5.0)
+        else:
+            self._assert_gate_at(np.array([1.0, 1e-6]), S)
+
+    def test_nonsymmetric_s_matches_solve(self):
+        S = np.array([[2.0, 0.7], [-0.3, 1.5]])
+        self._assert_gate_at(np.array([0.8, -1.1]), S)
+        np.testing.assert_allclose(
+            np.array(_inverse_2x2(S)).reshape(2, 2) @ np.array([0.8, -1.1]),
+            np.linalg.solve(S, np.array([0.8, -1.1])),
+            rtol=1e-14,
+        )
+
+
+def _matrix_2x2(draw):
+    angle = draw(st.floats(0.0, math.pi))
+    scale = 10.0 ** draw(st.floats(-290.0, 290.0))
+    log_cond = draw(st.floats(0.0, 13.0))
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return scale * rot @ np.diag([1.0, 10.0**-log_cond]) @ rot.T
+
+
+class TestInverse2x2:
+    """Closed-form inverse against LAPACK on SPD matrices from well- to ill-conditioned."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_solve_or_raises_past_the_limit(self, data):
+        S = _matrix_2x2(data.draw)
+        rhs = np.array([1.0, -0.3])
+        cond = np.linalg.cond(S)
+        if cond > 1.01 * ekf._COND_LIMIT:
+            with pytest.raises(SingularInnovationError):
+                _inverse_2x2(S)
+            return
+        if cond < 0.99 * ekf._COND_LIMIT:
+            expected = np.linalg.solve(S, rhs)
+            got = np.array(_inverse_2x2(S)).reshape(2, 2) @ rhs
+            # both sides carry an error of order cond * eps
+            tol = 16.0 * cond * np.finfo(float).eps * np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= tol
+
+
+class TestNumpyOracle:
+    """The closed-form cycle against the same cycle as numpy matrix products,
+    fed the same state at every tick of a recorded default-scenario drive."""
+
+    #: max |closed form - numpy| relative to the largest |entry| of the numpy side
+    TOL = 1e-12
+
+    def _close(self, ours, theirs):
+        assert np.max(np.abs(ours - theirs)) <= self.TOL * np.max(np.abs(theirs))
+
+    def test_replay_default_drive(self):
+        scenario = default_scenario()
+        lmap = LandmarkMap(scenario.landmarks)
+        cov = CovPair.from_noise(scenario.assumed_noise)
+        state = GaussianState(np.array(scenario.start, dtype=float), np.diag(DEFAULT_P0_DIAG))
+        dt, wheelbase = scenario.dt, scenario.wheelbase
+        n_accepted = n_rejected = 0
+        for u, scan in helpers.record_drive(scenario, seed=0):
+            ours = predict(state, u, cov.Q, dt, wheelbase)
+            theirs = helpers.numpy_predict(state, u, cov.Q, dt, wheelbase)
+            self._close(ours.mean, theirs.mean)
+            self._close(ours.P, theirs.P)
+            state = ours
+            for z in scan:
+                landmark = lmap[z.landmark_id]
+                zhat, S, H = predict_measurement(state, landmark, cov.R)
+                theirs = helpers.numpy_predict_measurement(state, landmark, cov.R)
+                for a, b in zip((zhat, S, H), theirs):
+                    self._close(a, b)
+                residual = innovation(z, zhat)
+                accepted = gate(residual, S, DEFAULT_GATE_THRESHOLD)
+                assert accepted == helpers.numpy_gate(residual, S, DEFAULT_GATE_THRESHOLD)
+                if not accepted:
+                    n_rejected += 1
+                    continue
+                n_accepted += 1
+                record = InnovationRecord(residual, S, z.landmark_id, 0, True, H)
+                ours = update(state, record, H)
+                theirs = helpers.numpy_update(state, record, H)
+                self._close(ours.mean, theirs.mean)
+                self._close(ours.P, theirs.P)
+                assert np.array_equal(ours.P, ours.P.T)
+                state = ours
+        assert n_accepted > 400 and n_rejected > 0
+
+
+class TestNoLapack:
+    """The per-tick path calls no LAPACK routine: a timing-free guard."""
+
+    def test_step_and_nees_without_linalg(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg called on the per-tick path")
+
+        for name in ("solve", "cond", "svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        lmap = LandmarkMap(
+            [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, -8.0, -6.0)]
+        )
+        state = GaussianState(np.zeros(3), np.diag([0.1, 0.1, 0.02]))
+        cov = CovPair(np.diag([0.09, 0.003]), np.diag([0.01, 0.0003]))
+        truth = Pose(0.1, 0.0, 0.0)
+        scan = [observe(truth, lm) for lm in lmap]
+        out, records = step(state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0)
+        assert len(records) == 3 and all(rec.accepted for rec in records)
+        assert metrics.nees(truth, out) >= 0.0
 
 
 class TestLinearOracle:

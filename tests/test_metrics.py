@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyloc.ekf import GaussianState
 from fuzzyloc.errors import SingularCovarianceError
@@ -68,6 +70,45 @@ class TestNees:
         est = GaussianState(np.zeros(3), np.zeros((3, 3)))
         with pytest.raises(SingularCovarianceError):
             nees(Pose(1.0, 0.0, 0.0), est)
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([2.0, 0.0, 1.0]),
+        ],
+    )
+    def test_exactly_singular_nonzero_covariance_raises(self, P):
+        est = GaussianState(np.zeros(3), P)
+        with pytest.raises(SingularCovarianceError):
+            nees(Pose(1.0, 0.0, 0.0), est)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-110])
+    def test_extreme_scales(self, scale):
+        # det(scale * I) over- or underflows; elimination never forms it
+        est = GaussianState(np.zeros(3), scale * np.eye(3))
+        assert nees(Pose(1.0, 0.0, 0.0), est) == pytest.approx(1.0 / scale, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-100.0, 100.0),
+        log_cond=st.floats(0.0, 12.0),
+    )
+    def test_matches_solve(self, seed, log_scale, log_cond):
+        """Random SPD covariances, up to near-singular, against LAPACK."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        eig = 10.0 ** np.array([0.0, -rng.uniform(0.0, log_cond), -log_cond])
+        P = 10.0**log_scale * (q * eig) @ q.T
+        est = GaussianState(rng.normal(size=3), P)
+        truth = Pose(*rng.normal(size=3))
+        e = np.array([truth.x, truth.y, truth.phi]) - est.mean
+        e[2] = math.remainder(e[2], 2.0 * math.pi)
+        expected = float(e @ np.linalg.solve(est.P, e))
+        cond = np.linalg.cond(est.P)
+        # both sides carry a relative error of order cond * eps
+        assert nees(truth, est) == pytest.approx(expected, rel=16.0 * cond * np.finfo(float).eps)
 
 
 class TestEnsembleSeries:
