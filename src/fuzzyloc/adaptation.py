@@ -160,11 +160,11 @@ class QAdapter:
 
 def saturated_forward(net: AnfisNet, in1: float, in2: float) -> tuple[float, ForwardTrace]:
     """Forward pass with both inputs clamped into the net's live region."""
-    reach = INPUT_SATURATION_WIDTHS * net.widths.max(axis=1)
-    lo = net.centers.min(axis=1) - reach
-    hi = net.centers.max(axis=1) + reach
-    u1, u2 = np.minimum(np.maximum((in1, in2), lo), hi)
-    return net.forward(float(u1), float(u2))
+    clamped = []
+    for u, centers, widths in zip((in1, in2), net.centers.tolist(), net.widths.tolist()):
+        reach = INPUT_SATURATION_WIDTHS * max(widths)
+        clamped.append(min(max(float(u), min(centers) - reach), max(centers) + reach))
+    return net.forward(*clamped)
 
 
 def leak_toward(net: AnfisNet, anchor: np.ndarray | list[float], rate: float) -> AnfisNet:
@@ -175,11 +175,11 @@ def leak_toward(net: AnfisNet, anchor: np.ndarray | list[float], rate: float) ->
     """
     if rate == 0.0:
         return net
-    anchor = np.asarray(anchor, dtype=float)
-    centers, widths = anchor[:20].reshape(2, 2, N_TERMS)
-    net.centers += rate * (centers - net.centers)
-    net.widths = np.maximum(net.widths + rate * (widths - net.widths), net.delta_floor)
-    net.singletons += rate * (anchor[20:] - net.singletons)
+    params = np.concatenate((net.centers.ravel(), net.widths.ravel(), net.singletons))
+    params += rate * (np.asarray(anchor, dtype=float) - params)
+    net.centers, net.widths = params[:20].reshape(2, 2, N_TERMS)
+    np.maximum(net.widths, net.delta_floor, out=net.widths)
+    net.singletons = params[20:]
     return net
 
 
@@ -228,7 +228,7 @@ def q_factor_sensitivity(
     n = 0
     for rec in records:
         if rec.accepted and rec.H is not None:
-            sens += np.diag(rec.H @ GQG @ rec.H.T)
+            sens += (rec.H @ GQG @ rec.H.T).diagonal()
             n += 1
     return sens / max(n, 1)
 
@@ -388,22 +388,22 @@ class CovarianceAdapter:
             return cov, trace
         for rec in records:
             self.window.push(rec.residual)
-        S_scan = np.mean([rec.S for rec in records], axis=0)
+        # the mean summed in arrival order, as np.mean over axis 0 does
+        S_scan = sum((rec.S for rec in records[1:]), records[0].S) / len(records)
         accepted = [rec for rec in records if rec.accepted]
         if not accepted:
             return cov, trace
         if not self._built and self.config.eta != 0.0:
-            self._s_samples.append(np.diag(S_scan).copy())
+            self._s_samples.append(S_scan.diagonal().copy())
         if not self.window.is_full:
             return cov, trace
         c_hat = estimate_actual_cov(self.window)
         self.dom_state = compute_dom(S_scan, c_hat, self.dom_state)
         trace.active = True
-        trace.dom_diag = (float(self.dom_state.dom[0, 0]), float(self.dom_state.dom[1, 1]))
-        trace.delta_dom_diag = (
-            float(self.dom_state.delta_dom[0, 0]),
-            float(self.dom_state.delta_dom[1, 1]),
-        )
+        (d00, _), (_, d11) = self.dom_state.dom.tolist()
+        (dd00, _), (_, dd11) = self.dom_state.delta_dom.tolist()
+        trace.dom_diag = (d00, d11)
+        trace.delta_dom_diag = (dd00, dd11)
         if self.config.eta == 0.0:
             return cov, trace
         if not self._built:

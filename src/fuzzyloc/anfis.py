@@ -38,6 +38,7 @@ N_PARAMS = 27
 #: the combined level i + j of the two input terms, falling from the last
 #: singleton at (0, 0) to the first at (4, 4).
 CONSEQUENT = np.clip(7 - np.add.outer(np.arange(N_TERMS), np.arange(N_TERMS)), 0, N_SINGLETONS - 1)
+_CONSEQUENT_FLAT = CONSEQUENT.ravel()
 
 
 @dataclass
@@ -95,12 +96,12 @@ class AnfisNet:
         """
         z = (np.array([[in1], [in2]]) - self.centers) / self.widths
         mu = np.exp(-z * z)
-        firing = np.outer(mu[0], mu[1])
+        firing = mu[0, :, None] * mu[1]
         total = float(firing.sum())
         if total < _FIRING_FLOOR:
             raise ZeroFiringError(f"zero total firing at inputs ({in1}, {in2})")
         normalized = firing / total
-        out = float(np.sum(normalized * self.singletons[CONSEQUENT]))
+        out = float((normalized * self.singletons[CONSEQUENT]).sum())
         return out, ForwardTrace(in1, in2, mu, firing, total, normalized, out)
 
     def output_gradients(self, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,17 +110,18 @@ class AnfisNet:
         Returns:
             (d_singletons, d_centers, d_widths) with shapes (7,), (2, 5), (2, 5).
         """
-        # d(out)/d(w_l): total normalized firing routed to singleton l.
-        d_w = np.zeros(N_SINGLETONS)
-        np.add.at(d_w, CONSEQUENT, trace.normalized)
+        # d(out)/d(w_l): total normalized firing routed to singleton l, summed
+        # in ravel order.
+        d_w = np.bincount(_CONSEQUENT_FLAT, trace.normalized.ravel(), N_SINGLETONS)
 
         # d(out)/d(mu): quotient rule against the normalization layer.
         excess = self.singletons[CONSEQUENT] - trace.out
         g_mu = np.array([excess @ trace.mu2, excess.T @ trace.mu1]) / trace.total
 
         diff = np.array([[trace.in1], [trace.in2]]) - self.centers
-        d_centers = g_mu * trace.mu * 2.0 * diff / self.widths**2
-        d_widths = g_mu * trace.mu * 2.0 * diff**2 / self.widths**3
+        d_mu = g_mu * trace.mu * 2.0
+        d_centers = d_mu * diff / self.widths**2
+        d_widths = d_mu * diff**2 / self.widths**3
         return d_w, d_centers, d_widths
 
     def train_step(self, trace: ForwardTrace, e: float, ds_dout: float) -> "AnfisNet":

@@ -7,7 +7,6 @@ byte) and a metadata JSON that carries the timestamps and versions.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -132,42 +131,45 @@ class ExperimentSpec:
         return replace(cfg, **overrides) if overrides else cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+#: Rows formatted per write: bounds the transient memory of a long runs.csv.
+_CSV_BLOCK_ROWS = 32
 
 
-def _write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
+def _write_csv(path: Path, schema: str, header: list[str], tables) -> None:
+    """Write the '# schema=' line, the header row, then the rows of each table.
+
+    A table is a list of equal-length 1-D columns. Integer columns are written
+    with %d and float columns with %.12g, each row ending in \\r\\n: the
+    bytes csv.writer gives for these values. Columns are read block by block
+    as Python scalars and each block is formatted with one row template.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={schema}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for columns in tables:
+            template = ",".join("%d" if col.dtype.kind in "iu" else "%.12g" for col in columns) + "\r\n"
+            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns]
+                fh.write("".join([template % row for row in zip(*block)]))
 
 
-def _runs_rows(logs: list[RunLog]):
+def _runs_tables(logs: list[RunLog]):
     for run_idx, log in enumerate(logs):
-        for i in range(len(log.t)):
-            yield (
-                run_idx, i + 1, log.t[i],
-                log.truth[i, 0], log.truth[i, 1], log.truth[i, 2],
-                log.est_mean[i, 0], log.est_mean[i, 1], log.est_mean[i, 2],
-                log.p_diag[i, 0], log.p_diag[i, 1], log.p_diag[i, 2],
-                log.nees[i], log.n_meas[i], log.n_gated[i],
-                log.r_diag[i, 0], log.r_diag[i, 1],
-                log.q_diag[i, 0], log.q_diag[i, 1],
-                log.dom_diag[i, 0], log.dom_diag[i, 1],
-            )
+        n = len(log.t)
+        yield [
+            np.full(n, run_idx), np.arange(1, n + 1), log.t,
+            *log.truth.T, *log.est_mean.T, *log.p_diag.T,
+            log.nees, log.n_meas, log.n_gated,
+            *log.r_diag.T, *log.q_diag.T, *log.dom_diag.T,
+        ]
 
 
-def _report_rows(report):
-    for i in range(len(report.t)):
-        yield (
-            i + 1, report.t[i], report.rmse_pos[i], report.avg_nees[i],
-            report.band[0], report.band[1],
-        )
+def _report_table(report: EnsembleReport) -> list[np.ndarray]:
+    n = len(report.t)
+    return [
+        np.arange(1, n + 1), report.t, report.rmse_pos, report.avg_nees,
+        np.full(n, report.band[0]), np.full(n, report.band[1]),
+    ]
 
 
 def _summary_dict(report) -> dict:
@@ -223,8 +225,8 @@ def cmd_run(spec: ExperimentSpec) -> int:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     logs, report = _run_ensemble(scenario, spec)
-    _write_csv(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, _runs_rows(logs))
-    _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, _report_rows(report))
+    _write_csv(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, _runs_tables(logs))
+    _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)])
     _write_json(out / "summary.json", _summary_dict(report))
     _write_json(out / "metadata.json", _metadata(vars(spec).copy(), scenario))
     print(f"{spec.variant}: {spec.n_runs} runs, "
@@ -241,16 +243,9 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rep_a, rep_b = (_run_ensemble(scenario, spec)[1] for spec in (spec_a, spec_b))
-    rows = (
-        (
-            i + 1, rep_a.t[i],
-            rep_a.rmse_pos[i], rep_b.rmse_pos[i],
-            rep_a.avg_nees[i], rep_b.avg_nees[i],
-            rep_a.band[0], rep_a.band[1],
-        )
-        for i in range(len(rep_a.t))
-    )
-    _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, rows)
+    steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
+    table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
+    _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, [table])
     rmse_a = [s.time_avg_pos_rmse for s in rep_a.run_summaries]
     rmse_b = [s.time_avg_pos_rmse for s in rep_b.run_summaries]
     wins_b = sum(1 for a, b in zip(rmse_a, rmse_b) if b < a)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ekf, metrics, models
-from .adaptation import AdaptationConfig, CovarianceAdapter, StepTrace
+from .adaptation import AdaptationConfig, CovarianceAdapter
 from .ekf import CovPair, GaussianState
 from .errors import ScenarioError
 from .models import ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose
@@ -260,21 +260,23 @@ def sense(
 
     Visibility is decided on the noise-free geometry, so the set of observed
     landmarks depends only on the true pose. Measured ranges are floored at
-    zero, matching a physical rangefinder.
+    zero, matching a physical rangefinder. The geometry is computed once per
+    landmark; the noisy bearing adds its noise to the unwrapped bearing and
+    wraps once, exactly as models.observe does.
     """
     half_fov = 0.5 * scenario.sensor_fov
-    noise = scenario.true_noise
+    max_range = scenario.sensor_range
+    sigma_r = scenario.true_noise.sigma_r
+    sigma_theta = scenario.true_noise.sigma_theta
+    x, y, phi = truth.x, truth.y, truth.phi
     scan: list[Measurement] = []
     for lm in landmark_map:
-        clean = models.observe(truth, lm)
-        if clean.r > scenario.sensor_range or abs(clean.theta) > half_fov:
+        r, theta = models.range_bearing(x, y, phi, lm)
+        if r > max_range or abs(models.wrap_angle(theta)) > half_fov:
             continue
-        dr = rng.normal(0.0, noise.sigma_r)
-        dtheta = rng.normal(0.0, noise.sigma_theta)
-        z = models.observe(truth, lm, noise=(dr, dtheta))
-        if z.r < 0.0:
-            z = Measurement(z.landmark_id, 0.0, z.theta)
-        scan.append(z)
+        z_r = r + rng.normal(0.0, sigma_r)
+        z_theta = models.wrap_angle(theta + rng.normal(0.0, sigma_theta))
+        scan.append(Measurement(lm.id, 0.0 if z_r < 0.0 else z_r, z_theta))
     return scan
 
 
@@ -378,6 +380,8 @@ def run_once(
     )
 
     dt = scenario.dt
+    wheelbase = scenario.wheelbase
+    true_noise = scenario.true_noise
     ratio = scenario.ticks_per_observation
     n = int(round(scenario.duration * scenario.control_rate))
 
@@ -396,45 +400,53 @@ def run_once(
     nees_arr = np.empty(n)
     n_meas = np.zeros(n, dtype=int)
     n_gated = np.zeros(n, dtype=int)
+    # R and Q change only when the adapter runs. Their diagonals in force are
+    # kept as floats and written as one slice per change: rows [filled, i)
+    # get the values in force before tick i.
     r_diag = np.empty((n, 2))
     q_diag = np.empty((n, 2))
+    r_in_force, q_in_force = _cov_diag(cov)
+    filled = 0
     dom_diag = np.full((n, 2), np.nan)
     delta_dom_diag = np.full((n, 2), np.nan)
     applied_delta_r = np.full((n, 2), np.nan)
     q_factor = np.full(n, np.nan)
 
-    for k in range(1, n + 1):
-        clean, noisy = driver.drive(truth, control_rng, scenario.true_noise)
+    for i in range(n):
+        clean, noisy = driver.drive(truth, control_rng, true_noise)
         truth = models.motion_step(
-            truth, clean, dt, scenario.wheelbase,
+            truth, clean, dt, wheelbase,
             noise=(noisy.v - clean.v, noisy.gamma - clean.gamma),
         )
-        obs_tick = k % ratio == 0
+        obs_tick = (i + 1) % ratio == 0
         scan = sense(truth, landmark_map, scenario, sensor_rng) if obs_tick else []
-        pose_before = state.pose
+        prior = state
         state, records = ekf.step(
-            state, clean, scan, cov, landmark_map, dt, scenario.wheelbase,
-            gate_threshold=gate_threshold, timestep=k,
+            state, clean, scan, cov, landmark_map, dt, wheelbase,
+            gate_threshold=gate_threshold, timestep=i + 1,
         )
-        trace = StepTrace()
-        if obs_tick and adapter is not None:
-            G_u = models.motion_jacobian_control(pose_before, clean, dt, scenario.wheelbase)
-            cov, trace = adapter.after_update(records, G_u, cov)
-
-        i = k - 1
+        if obs_tick:
+            accepted = [rec.accepted for rec in records].count(True)
+            n_meas[i] = accepted
+            n_gated[i] = len(records) - accepted
+            if adapter is not None:
+                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase)
+                cov, trace = adapter.after_update(records, G_u, cov)
+                r_diag[filled:i] = r_in_force
+                q_diag[filled:i] = q_in_force
+                r_in_force, q_in_force = _cov_diag(cov)
+                filled = i
+                if trace.active:
+                    dom_diag[i] = trace.dom_diag
+                    delta_dom_diag[i] = trace.delta_dom_diag
+                    applied_delta_r[i] = trace.applied_delta_r
+                    q_factor[i] = trace.q_factor
         truth_arr[i] = (truth.x, truth.y, truth.phi)
         est_arr[i] = state.mean
-        p_diag[i] = np.diag(state.P)
+        p_diag[i] = state.P.diagonal()
         nees_arr[i] = metrics.nees(truth, state)
-        n_meas[i] = sum(1 for rec in records if rec.accepted)
-        n_gated[i] = len(records) - n_meas[i]
-        r_diag[i] = (cov.R[0, 0], cov.R[1, 1])
-        q_diag[i] = (cov.Q[0, 0], cov.Q[1, 1])
-        if trace.active:
-            dom_diag[i] = trace.dom_diag
-            delta_dom_diag[i] = trace.delta_dom_diag
-            applied_delta_r[i] = trace.applied_delta_r
-            q_factor[i] = trace.q_factor
+    r_diag[filled:] = r_in_force
+    q_diag[filled:] = q_in_force
 
     return RunLog(
         variant=variant,
@@ -456,6 +468,11 @@ def run_once(
     )
 
 
+def _cov_diag(cov: CovPair) -> tuple[list[float], list[float]]:
+    """Diagonals of R and Q as floats."""
+    return cov.R.diagonal().tolist(), cov.Q.diagonal().tolist()
+
+
 def run_monte_carlo(
     scenario: Scenario,
     variant: str,
@@ -469,13 +486,15 @@ def run_monte_carlo(
     """Run n_runs independent simulations seeded base_seed + run index.
 
     Results are ordered by run index regardless of worker scheduling, so a
-    parallel invocation is interchangeable with a serial one.
+    parallel invocation is interchangeable with a serial one. The pool never
+    has more workers than runs: it starts all of them at the first submit.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     runs = (repeat(scenario), repeat(variant), range(base_seed, base_seed + n_runs),
             repeat(adaptation), repeat(gate_threshold), repeat(p0_diag))
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers, n_runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_once, *runs))
     return list(map(run_once, *runs))

@@ -4,12 +4,15 @@ Everything here recomputes quantities by a different route than the package
 code: central finite differences for Jacobians and gradients, a rule-by-rule
 scalar loop for the fuzzy forward pass, a textbook Kalman filter with an
 explicit matrix inverse, the filter cycle as numpy matrix products with a
-LAPACK solve, and a deterministic residual stream whose sample covariance is
-known in closed form.
+LAPACK solve, a deterministic residual stream whose sample covariance is
+known in closed form, sensing with one noise-free and one noisy
+models.observe per landmark, and CSV rows formatted value by value through
+csv.writer.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -19,7 +22,7 @@ from fuzzyloc.adaptation import AdaptationConfig, CovarianceAdapter
 from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.errors import SingularInnovationError
-from fuzzyloc.models import ControlInput, Pose, wrap_angle
+from fuzzyloc.models import ControlInput, Measurement, Pose, wrap_angle
 
 
 def fd_jacobian(f, x, h=1e-6, wrap_rows=()):
@@ -238,3 +241,73 @@ def drive_r_adapter(
             doms[k] = trace.dom_diag
         rs[k] = (cov.R[0, 0], cov.R[1, 1])
     return doms, rs
+
+
+def sense_observe_twice(truth, landmark_map, scenario, rng):
+    """simulator.sense with a noise-free observe for visibility, then a noisy one."""
+    half_fov = 0.5 * scenario.sensor_fov
+    noise = scenario.true_noise
+    scan = []
+    for lm in landmark_map:
+        clean = models.observe(truth, lm)
+        if clean.r > scenario.sensor_range or abs(clean.theta) > half_fov:
+            continue
+        dr = rng.normal(0.0, noise.sigma_r)
+        dtheta = rng.normal(0.0, noise.sigma_theta)
+        z = models.observe(truth, lm, noise=(dr, dtheta))
+        if z.r < 0.0:
+            z = Measurement(z.landmark_id, 0.0, z.theta)
+        scan.append(z)
+    return scan
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def write_csv_rows(path, schema, columns, rows):
+    """A CSV through csv.writer, each value formatted on its own."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# schema={schema}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def runs_rows(logs):
+    """runs.csv rows, indexed value by value."""
+    for run_idx, log in enumerate(logs):
+        for i in range(len(log.t)):
+            yield (
+                run_idx, i + 1, log.t[i],
+                log.truth[i, 0], log.truth[i, 1], log.truth[i, 2],
+                log.est_mean[i, 0], log.est_mean[i, 1], log.est_mean[i, 2],
+                log.p_diag[i, 0], log.p_diag[i, 1], log.p_diag[i, 2],
+                log.nees[i], log.n_meas[i], log.n_gated[i],
+                log.r_diag[i, 0], log.r_diag[i, 1],
+                log.q_diag[i, 0], log.q_diag[i, 1],
+                log.dom_diag[i, 0], log.dom_diag[i, 1],
+            )
+
+
+def report_rows(report):
+    """report.csv rows, indexed value by value."""
+    for i in range(len(report.t)):
+        yield (
+            i + 1, report.t[i], report.rmse_pos[i], report.avg_nees[i],
+            report.band[0], report.band[1],
+        )
+
+
+def compare_rows(rep_a, rep_b):
+    """compare.csv rows, indexed value by value."""
+    for i in range(len(rep_a.t)):
+        yield (
+            i + 1, rep_a.t[i],
+            rep_a.rmse_pos[i], rep_b.rmse_pos[i],
+            rep_a.avg_nees[i], rep_b.avg_nees[i],
+            rep_a.band[0], rep_a.band[1],
+        )

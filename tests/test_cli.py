@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import helpers
+from fuzzyloc.adaptation import AdaptationConfig
 from fuzzyloc.cli import (
+    _CSV_BLOCK_ROWS,
     COMPARE_COLUMNS,
     COMPARE_SCHEMA,
     REPORT_COLUMNS,
@@ -15,9 +20,11 @@ from fuzzyloc.cli import (
     RUNS_COLUMNS,
     RUNS_SCHEMA,
     ExperimentSpec,
+    _write_csv,
     main,
 )
-from fuzzyloc.simulator import default_scenario, load_scenario, save_scenario
+from fuzzyloc.metrics import build_report
+from fuzzyloc.simulator import default_scenario, load_scenario, run_monte_carlo, save_scenario
 
 
 @pytest.fixture
@@ -211,6 +218,67 @@ class TestCompare:
         seeds_a = [r["seed"] for r in summary["variant_a"]["runs"]]
         seeds_b = [r["seed"] for r in summary["variant_b"]["runs"]]
         assert seeds_a == seeds_b == [5, 6]
+
+
+class TestCsvWriter:
+    """The block writer against csv.writer with one formatted value at a time."""
+
+    EDGE_FLOATS = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e300,
+        3.0, -2.0, 1e15, 1e16, 0.1, -123456789012.5, 2.0**53 + 1.0,
+    ]
+
+    def _assert_same_bytes(self, tmp_path, header, tables):
+        _write_csv(tmp_path / "blocks.csv", "test-v1", header, tables)
+        rows = [row for columns in tables for row in zip(*columns)]
+        helpers.write_csv_rows(tmp_path / "oracle.csv", "test-v1", header, rows)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_edge_values(self, tmp_path):
+        floats = np.array(self.EDGE_FLOATS)
+        n = len(floats)
+        ints = np.array([0, 1, -7, 2**62, -(2**63), 2**63 - 1] + list(range(n - 6)), dtype=np.int64)
+        table = [ints, floats, floats[::-1], np.arange(n, dtype=np.int32), np.full(n, -0.0)]
+        self._assert_same_bytes(tmp_path, ["a", "b", "c", "d", "e"], [table])
+
+    def test_several_tables_across_block_boundaries(self, tmp_path):
+        rng = np.random.default_rng(0)
+        tables = []
+        for k, n in enumerate((1, _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS + 3)):
+            floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            floats[::7] = np.resize(self.EDGE_FLOATS, len(floats[::7]))
+            tables.append([np.full(n, k), np.arange(1, n + 1), floats, rng.normal(size=n)])
+        self._assert_same_bytes(tmp_path, ["run", "step", "x", "y"], tables)
+
+    def test_run_outputs(self, tmp_path, scenario_file):
+        out = tmp_path / "exp"
+        assert main([
+            "run", "--variant", "anfekf-rq", "--scenario", str(scenario_file),
+            "--runs", "3", "--seed", "4", "--out", str(out),
+        ]) == 0
+        logs = run_monte_carlo(load_scenario(scenario_file), "anfekf-rq", 3, 4,
+                               adaptation=AdaptationConfig())
+        helpers.write_csv_rows(tmp_path / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS,
+                               helpers.runs_rows(logs))
+        helpers.write_csv_rows(tmp_path / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS,
+                               helpers.report_rows(build_report(logs)))
+        for name in ("runs.csv", "report.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_compare_output(self, tmp_path, scenario_file):
+        out = tmp_path / "cmp"
+        assert main([
+            "compare", "--variant-a", "ekf", "--variant-b", "anfekf-q",
+            "--scenario", str(scenario_file), "--runs", "2", "--seed", "9", "--out", str(out),
+        ]) == 0
+        scenario = load_scenario(scenario_file)
+        rep_a, rep_b = (
+            build_report(run_monte_carlo(scenario, variant, 2, 9, adaptation=AdaptationConfig()))
+            for variant in ("ekf", "anfekf-q")
+        )
+        helpers.write_csv_rows(tmp_path / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS,
+                               helpers.compare_rows(rep_a, rep_b))
+        assert (out / "compare.csv").read_bytes() == (tmp_path / "compare.csv").read_bytes()
 
 
 class TestExperimentSpec:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import helpers
+from fuzzyloc import models, simulator
 from fuzzyloc.adaptation import AdaptationConfig
-from fuzzyloc.errors import ScenarioError
+from fuzzyloc.errors import DegenerateGeometryError, ScenarioError
 from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose, wrap_angle
 from fuzzyloc.simulator import (
     DEFAULT_P0_DIAG,
@@ -245,6 +247,77 @@ class TestSense:
         assert scan[0].r > s.sensor_range
 
 
+def _scan_bits(scan):
+    return [(z.landmark_id, z.r.hex(), z.theta.hex()) for z in scan]
+
+
+class TestSenseOracle:
+    """sense against an oracle that calls models.observe twice per visible landmark."""
+
+    def _both(self, truth, scenario, rng_factory):
+        landmark_map = LandmarkMap(scenario.landmarks)
+        new = sense(truth, landmark_map, scenario, rng_factory())
+        old = helpers.sense_observe_twice(truth, landmark_map, scenario, rng_factory())
+        return new, old
+
+    def test_default_drive_replay(self):
+        s = default_scenario()
+        landmark_map = LandmarkMap(s.landmarks)
+        control_rng = np.random.default_rng(5)
+        rng_new, rng_old = np.random.default_rng(6), np.random.default_rng(6)
+        driver = WaypointDriver(s)
+        truth = Pose(*s.start)
+        scans = 0
+        for k in range(1, int(round(s.duration * s.control_rate)) + 1):
+            clean, noisy = driver.drive(truth, control_rng, s.true_noise)
+            truth = models.motion_step(truth, clean, s.dt, s.wheelbase,
+                                       noise=(noisy.v - clean.v, noisy.gamma - clean.gamma))
+            if k % s.ticks_per_observation == 0:
+                new = sense(truth, landmark_map, s, rng_new)
+                old = helpers.sense_observe_twice(truth, landmark_map, s, rng_old)
+                assert _scan_bits(new) == _scan_bits(old), k
+                scans += len(new) > 0
+        assert scans > 400
+
+    def test_random_poses_wrap_bearings(self, tiny_scenario, rng):
+        # headings near +-pi put the unwrapped bearing outside (-pi, pi]
+        s = dataclasses.replace(
+            tiny_scenario,
+            landmarks=tuple(Landmark(i + 1, 15.0 * math.cos(a), 15.0 * math.sin(a))
+                            for i, a in enumerate(np.linspace(-math.pi, math.pi, 24))),
+        )
+        for seed in range(200):
+            truth = helpers.random_pose(rng, span=10.0)
+            new, old = self._both(truth, s, lambda: np.random.default_rng(seed))
+            assert _scan_bits(new) == _scan_bits(old)
+
+    def test_range_floored_at_zero(self, tiny_scenario):
+        class NegRng:
+            def normal(self, loc=0.0, scale=1.0):
+                return -5.0
+
+        s = dataclasses.replace(tiny_scenario, landmarks=(Landmark(1, 0.5, 0.0), Landmark(2, 3.0, 1.0)))
+        new, old = self._both(Pose(0.0, 0.0, 0.3), s, NegRng)
+        assert [z.r for z in new] == [0.0, 0.0]
+        assert _scan_bits(new) == _scan_bits(old)
+
+    def test_landmark_exactly_at_half_fov(self, tiny_scenario):
+        # bearings of exactly +-pi/2 with half_fov = 0.5 * pi: on the edge, visible
+        s = dataclasses.replace(
+            tiny_scenario, sensor_fov=math.pi,
+            landmarks=(Landmark(1, 0.0, 15.0), Landmark(2, 0.0, -15.0), Landmark(3, -1.0, 15.0)),
+        )
+        new, old = self._both(Pose(0.0, 0.0, 0.0), s, lambda: np.random.default_rng(1))
+        assert [z.landmark_id for z in new] == [1, 2]
+        assert _scan_bits(new) == _scan_bits(old)
+
+    def test_landmark_at_robot_position(self, tiny_scenario):
+        s = dataclasses.replace(tiny_scenario, landmarks=(Landmark(1, 3.0, 4.0),))
+        for fn in (sense, helpers.sense_observe_twice):
+            with pytest.raises(DegenerateGeometryError):
+                fn(Pose(3.0, 4.0, 0.0), LandmarkMap(s.landmarks), s, np.random.default_rng(0))
+
+
 class TestRunOnce:
     def test_unknown_variant(self, tiny_scenario):
         with pytest.raises(ValueError, match="variant"):
@@ -377,6 +450,32 @@ class TestMonteCarlo:
             assert a.seed == b.seed
             np.testing.assert_array_equal(a.est_mean, b.est_mean)
             np.testing.assert_array_equal(a.r_diag, b.r_diag)
+
+    def test_pool_never_larger_than_run_count(self, tiny_scenario, monkeypatch):
+        # a stand-in pool that runs in this process and records its size
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+        logs = run_monte_carlo(tiny_scenario, "ekf", n_runs=2, base_seed=3, max_workers=64)
+        assert sizes == [2]
+        assert [log.seed for log in logs] == [3, 4]
+        run_monte_carlo(tiny_scenario, "ekf", n_runs=1, base_seed=3, max_workers=64)
+        assert sizes == [2]  # one run needs no pool
+        run_monte_carlo(tiny_scenario, "ekf", n_runs=3, base_seed=3, max_workers=2)
+        assert sizes == [2, 2]
 
     def test_zero_runs_rejected(self, tiny_scenario):
         with pytest.raises(ValueError):
