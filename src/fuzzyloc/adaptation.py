@@ -9,6 +9,7 @@ the process covariance multiplicatively, then take one training step each.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -278,6 +279,30 @@ class AdaptationConfig:
     scale_rel_floor: float = SCALE_REL_FLOOR
     delta_floor: float = DEFAULT_DELTA_FLOOR
     leak: float = DEFAULT_LEAK
+
+    def __post_init__(self) -> None:
+        """Raise ValueError on a parameter the adapter cannot honour.
+
+        Every bound is checked with a comparison that NaN fails: a NaN floor
+        would otherwise vanish silently inside max().
+        """
+        if not self.window >= 2:
+            raise ValueError("window must be at least 2")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError("eta must be finite and nonnegative")
+        for name in ("r_floor", "delta_floor", "q_floor_ratio", "q_ceiling_ratio",
+                     "r_singleton_ratio", "q_singleton_ratio"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.q_floor_ratio <= self.q_ceiling_ratio:
+            raise ValueError("q_floor_ratio must not exceed q_ceiling_ratio")
+        if self.q_floor is not None and not (math.isfinite(self.q_floor) and self.q_floor > 0.0):
+            raise ValueError("q_floor must be None or positive and finite")
+        if not 0.0 <= self.leak <= 1.0:
+            raise ValueError("leak must lie in [0, 1]")
+        if not (math.isfinite(self.scale_rel_floor) and self.scale_rel_floor >= 0.0):
+            raise ValueError("scale_rel_floor must be finite and nonnegative")
 
 
 @dataclass

@@ -115,17 +115,52 @@ def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
     raise SingularInnovationError("innovation covariance is ill-conditioned")
 
 
-def _state(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
-           p11: float, p12: float, p22: float) -> GaussianState:
-    """GaussianState from floats: phi is wrapped, P mirrored from its upper triangle.
+def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
+            p11: float, p12: float, p22: float) -> GaussianState:
+    """GaussianState from floats, phi already wrapped, P mirrored from its upper triangle.
 
-    P is symmetric by construction here, so __post_init__'s copy and
-    symmetrization are skipped.
+    P is symmetric by construction here, so __post_init__'s copy,
+    wrapping and symmetrization are skipped.
     """
     state = object.__new__(GaussianState)
-    state.mean = np.array((x, y, models.wrap_angle(phi)))
-    state.P = np.array(((p00, p01, p02), (p01, p11, p12), (p02, p12, p22)))
+    state.mean = np.array([x, y, phi])
+    state.P = np.array([p00, p01, p02, p01, p11, p12, p02, p12, p22]).reshape(3, 3)
     return state
+
+
+def predict_floats(
+    x: float, y: float, phi: float,
+    p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
+    v: float, gamma: float, q00: float, q01: float, q10: float, q11: float,
+    dt: float, wheelbase: float,
+) -> tuple[float, float, float, float, float, float, float, float, float]:
+    """predict on plain floats: the next mean (heading wrapped) and P's upper triangle.
+
+    P is given by its upper triangle (p00, p01, p02, p11, p12, p22) and Q by
+    its four entries, whose off-diagonal pair is averaged; the result is in
+    the same order as the arguments: x, y, phi, then P's upper triangle row
+    by row.
+    """
+    q01 = 0.5 * (q01 + q10)
+    g00, g01, g10, g11, g20, g21 = models.control_jacobian_floats(phi, v, gamma, dt, wheelbase)
+    fx, fy = g01, g11
+    # F P F^T: third column first, it feeds the other entries
+    n02 = p02 + fx * p22
+    n12 = p12 + fy * p22
+    # rows of G Q
+    w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
+    w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
+    w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
+    x, y, phi = models.motion_floats(x, y, phi, v, gamma, dt, wheelbase)
+    return (
+        x, y, models.wrap_angle(phi),
+        p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
+        p01 + fx * p12 + fy * n02 + w00 * g10 + w01 * g11,
+        n02 + w00 * g20 + w01 * g21,
+        p11 + fy * p12 + fy * n12 + w10 * g10 + w11 * g11,
+        n12 + w10 * g20 + w11 * g21,
+        p22 + w20 * g20 + w21 * g21,
+    )
 
 
 def predict(
@@ -141,30 +176,15 @@ def predict(
     and the noisy command, both linearized at the current mean. F is the
     identity except for (fx, fy) above the diagonal in its heading column,
     and those equal the position entries of G's steer column (see
-    models.position_jacobian).
+    models.position_jacobian). The arithmetic is predict_floats'.
     """
     x, y, phi = state.mean.tolist()
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
     (q00, q01), (q10, q11) = Q.tolist()
-    q01 = 0.5 * (q01 + q10)
-    g00, g01, g10, g11, g20, g21 = models.control_jacobian_floats(phi, u.v, u.gamma, dt, wheelbase)
-    fx, fy = g01, g11
-    # F P F^T: third column first, it feeds the other entries
-    n02 = p02 + fx * p22
-    n12 = p12 + fy * p22
-    # rows of G Q
-    w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
-    w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
-    w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
-    return _state(
-        *models.motion_floats(x, y, phi, u.v, u.gamma, dt, wheelbase),
-        p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
-        p01 + fx * p12 + fy * n02 + w00 * g10 + w01 * g11,
-        n02 + w00 * g20 + w01 * g21,
-        p11 + fy * p12 + fy * n12 + w10 * g10 + w11 * g11,
-        n12 + w10 * g20 + w11 * g21,
-        p22 + w20 * g20 + w21 * g21,
+    x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
+        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, q00, q01, q10, q11, dt, wheelbase,
     )
+    return _belief(x, y, phi, p00, p01, p02, p11, p12, p22)
 
 
 def predict_measurement(
@@ -229,10 +249,10 @@ def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> Gau
     # rows of K^T = S^-1 H P
     k0, k1, k2 = i00 * a0 + i01 * b0, i00 * a1 + i01 * b1, i00 * a2 + i01 * b2
     l0, l1, l2 = i10 * a0 + i11 * b0, i10 * a1 + i11 * b1, i10 * a2 + i11 * b2
-    return _state(
+    return _belief(
         x + k0 * v0 + l0 * v1,
         y + k1 * v0 + l1 * v1,
-        phi + k2 * v0 + l2 * v1,
+        models.wrap_angle(phi + k2 * v0 + l2 * v1),
         p00 - (k0 * a0 + l0 * b0),
         p01 - (k0 * a1 + l0 * b1),
         p02 - (k0 * a2 + l0 * b2),

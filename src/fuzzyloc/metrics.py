@@ -21,40 +21,55 @@ STATE_DIM = 3
 
 
 def nees(truth: Pose, est: GaussianState) -> float:
-    """Normalized estimation error squared e^T P^-1 e.
+    """Normalized estimation error squared e^T P^-1 e; see nees_floats.
 
-    The heading error is wrapped before weighting. Exactly matching truth
-    gives 0; a consistent filter yields chi-square values with one degree of
-    freedom per state dimension.
-
-    P^-1 e is solved by Gaussian elimination with partial pivoting, unrolled
-    for 3x3: the algorithm of LAPACK's gesv, which is backward stable, so the
-    error stays of order cond(P) * eps at any scale of P.
+    Exactly matching truth gives 0; a consistent filter yields chi-square
+    values with one degree of freedom per state dimension.
 
     Raises:
         SingularCovarianceError: a pivot is exactly zero, as in gesv.
     """
-    x, y, phi = est.mean.tolist()
-    e0, e1, e2 = truth.x - x, truth.y - y, wrap_angle(truth.phi - phi)
     p0, p1, p2 = est.P.tolist()
-    r0, r1, r2 = (*p0, e0), (*p1, e1), (*p2, e2)
-    if abs(r1[0]) > abs(r0[0]):
-        r0, r1 = r1, r0
-    if abs(r2[0]) > abs(r0[0]):
-        r0, r2 = r2, r0
-    if r0[0] != 0.0:
-        l1, l2 = r1[0] / r0[0], r2[0] / r0[0]
-        s1 = (r1[1] - l1 * r0[1], r1[2] - l1 * r0[2], r1[3] - l1 * r0[3])
-        s2 = (r2[1] - l2 * r0[1], r2[2] - l2 * r0[2], r2[3] - l2 * r0[3])
-        if abs(s2[0]) > abs(s1[0]):
-            s1, s2 = s2, s1
-        if s1[0] != 0.0:
-            l3 = s2[0] / s1[0]
-            u22 = s2[1] - l3 * s1[1]
+    return nees_floats(truth.x, truth.y, truth.phi, *est.mean.tolist(), *p0, *p1, *p2)
+
+
+def nees_floats(
+    tx: float, ty: float, tphi: float, x: float, y: float, phi: float,
+    a0: float, a1: float, a2: float,
+    b0: float, b1: float, b2: float,
+    c0: float, c1: float, c2: float,
+) -> float:
+    """nees on plain floats: true pose, estimated mean, then P's rows a, b, c.
+
+    The heading error is wrapped before weighting. P^-1 e is solved by
+    Gaussian elimination with partial pivoting, unrolled for 3x3: the
+    algorithm of LAPACK's gesv, which is backward stable, so the error stays
+    of order cond(P) * eps at any scale of P. Each row carries its entry of
+    e as a fourth column (a3, b3, c3).
+
+    Raises:
+        SingularCovarianceError: a pivot is exactly zero, as in gesv.
+    """
+    e0, e1, e2 = tx - x, ty - y, wrap_angle(tphi - phi)
+    a3, b3, c3 = e0, e1, e2
+    if abs(b0) > abs(a0):
+        a0, a1, a2, a3, b0, b1, b2, b3 = b0, b1, b2, b3, a0, a1, a2, a3
+    if abs(c0) > abs(a0):
+        a0, a1, a2, a3, c0, c1, c2, c3 = c0, c1, c2, c3, a0, a1, a2, a3
+    if a0 != 0.0:
+        l1, l2 = b0 / a0, c0 / a0
+        # the 2x2 system left after eliminating column 0, rows s and t
+        s0, s1, s2 = b1 - l1 * a1, b2 - l1 * a2, b3 - l1 * a3
+        t0, t1, t2 = c1 - l2 * a1, c2 - l2 * a2, c3 - l2 * a3
+        if abs(t0) > abs(s0):
+            s0, s1, s2, t0, t1, t2 = t0, t1, t2, s0, s1, s2
+        if s0 != 0.0:
+            l3 = t0 / s0
+            u22 = t1 - l3 * s1
             if u22 != 0.0:
-                x2 = (s2[2] - l3 * s1[2]) / u22
-                x1 = (s1[2] - s1[1] * x2) / s1[0]
-                x0 = (r0[3] - r0[2] * x2 - r0[1] * x1) / r0[0]
+                x2 = (t2 - l3 * s2) / u22
+                x1 = (s2 - s1 * x2) / s0
+                x0 = (a3 - a2 * x2 - a1 * x1) / a0
                 return max(e0 * x0 + e1 * x1 + e2 * x2, 0.0)
     raise SingularCovarianceError("state covariance is singular")
 

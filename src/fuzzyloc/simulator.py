@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +32,9 @@ _VARIANT_MODE = {"ekf": None, "anfekf-r": "r", "anfekf-q": "q", "anfekf-rq": "rq
 
 #: A waypoint counts as reached inside this radius (m).
 WAYPOINT_RADIUS = 1.0
+
+#: Control-noise pairs drawn per rng call in run_once; bounds the draw buffer.
+CONTROL_NOISE_BLOCK = 256
 
 #: The filter starts at the true pose with a near-certain belief.
 DEFAULT_P0_DIAG = (1e-6, 1e-6, 1e-6)
@@ -88,6 +92,12 @@ class Scenario:
                 raise ScenarioError(f"{name} must be positive and finite")
         if len(self.start) != 3 or not all(math.isfinite(v) for v in self.start):
             raise ScenarioError("start must be 3 finite values (x, y, phi)")
+        if not all(math.isfinite(lm.x) and math.isfinite(lm.y) for lm in self.landmarks):
+            raise ScenarioError("landmark coordinates must be finite")
+        if not all(math.isfinite(wx) and math.isfinite(wy) for wx, wy in self.waypoints):
+            raise ScenarioError("waypoint coordinates must be finite")
+        if self.duration * self.control_rate <= 0.5:  # run_once runs round(...) ticks
+            raise ScenarioError("duration must span at least one control tick")
         ratio = self.control_rate / self.observe_rate
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("control_rate must be an integer multiple of observe_rate")
@@ -229,28 +239,51 @@ class WaypointDriver:
         self._index = 0
         self.reached = 0
 
+    def steer(self, x: float, y: float, phi: float) -> float:
+        """Clean steer angle from pose (x, y, phi) toward the active waypoint.
+
+        Advances to the next waypoint first when the pose is inside
+        WAYPOINT_RADIUS of the active one; the angle is clamped to the
+        vehicle limit.
+        """
+        wx, wy = self._waypoints[self._index]
+        if math.hypot(wx - x, wy - y) <= WAYPOINT_RADIUS:
+            self._index = (self._index + 1) % len(self._waypoints)
+            self.reached += 1
+            wx, wy = self._waypoints[self._index]
+        steer = models.wrap_angle(math.atan2(wy - y, wx - x) - phi)
+        return min(max(steer, -self._gamma_max), self._gamma_max)
+
     def drive(
         self, truth: Pose, rng: np.random.Generator, noise: NoiseSpec
     ) -> tuple[ControlInput, ControlInput]:
         """Command for one tick: (clean, noise-perturbed).
 
-        The clean command steers toward the active waypoint with the steer
-        angle clamped to the vehicle limit; the noisy command adds one
-        Gaussian draw per channel and is what the true vehicle executes.
+        The clean command is (speed, steer(truth)); the noisy command adds
+        one Gaussian draw per channel and is what the true vehicle executes.
         """
-        wx, wy = self._waypoints[self._index]
-        if math.hypot(wx - truth.x, wy - truth.y) <= WAYPOINT_RADIUS:
-            self._index = (self._index + 1) % len(self._waypoints)
-            self.reached += 1
-            wx, wy = self._waypoints[self._index]
-        steer = models.wrap_angle(math.atan2(wy - truth.y, wx - truth.x) - truth.phi)
-        steer = min(max(steer, -self._gamma_max), self._gamma_max)
-        clean = ControlInput(self._speed, steer)
+        clean = ControlInput(self._speed, self.steer(truth.x, truth.y, truth.phi))
         noisy = ControlInput(
             clean.v + rng.normal(0.0, noise.sigma_v),
             clean.gamma + rng.normal(0.0, noise.sigma_gamma),
         )
         return clean, noisy
+
+
+def _control_noise(
+    rng: np.random.Generator, noise: NoiseSpec, n: int
+) -> Iterator[tuple[float, float]]:
+    """n (dv, dgamma) control-noise pairs, drawn CONTROL_NOISE_BLOCK pairs at a time.
+
+    The values and the order of the draws are those of one
+    rng.normal(0.0, sigma_v) then one rng.normal(0.0, sigma_gamma) per tick,
+    as WaypointDriver.drive draws them.
+    """
+    sigmas = (noise.sigma_v, noise.sigma_gamma)
+    for start in range(0, n, CONTROL_NOISE_BLOCK):
+        size = (min(CONTROL_NOISE_BLOCK, n - start), 2)
+        draws = iter(memoryview(rng.normal(0.0, sigmas, size=size)).cast("B").cast("d"))
+        yield from zip(draws, draws)
 
 
 def sense(
@@ -381,7 +414,7 @@ def run_once(
 
     dt = scenario.dt
     wheelbase = scenario.wheelbase
-    true_noise = scenario.true_noise
+    speed = scenario.speed
     ratio = scenario.ticks_per_observation
     n = int(round(scenario.duration * scenario.control_rate))
 
@@ -400,32 +433,53 @@ def run_once(
     nees_arr = np.empty(n)
     n_meas = np.zeros(n, dtype=int)
     n_gated = np.zeros(n, dtype=int)
-    # R and Q change only when the adapter runs. Their diagonals in force are
-    # kept as floats and written as one slice per change: rows [filled, i)
-    # get the values in force before tick i.
+    # R and Q change only when the adapter runs. R's diagonal and Q's entries
+    # in force are kept as floats, and the diagonals are written as one slice
+    # per change: rows [filled, i) get the values in force before tick i.
     r_diag = np.empty((n, 2))
     q_diag = np.empty((n, 2))
-    r_in_force, q_in_force = _cov_diag(cov)
+    r_in_force = cov.R.diagonal().tolist()
+    (q00, q01), (q10, q11) = cov.Q.tolist()
     filled = 0
     dom_diag = np.full((n, 2), np.nan)
     delta_dom_diag = np.full((n, 2), np.nan)
     applied_delta_r = np.full((n, 2), np.nan)
     q_factor = np.full(n, np.nan)
 
-    for i in range(n):
-        clean, noisy = driver.drive(truth, control_rng, true_noise)
-        truth = models.motion_step(
-            truth, clean, dt, wheelbase,
-            noise=(noisy.v - clean.v, noisy.gamma - clean.gamma),
+    # Between scans the truth pose and the belief (mean and P's upper
+    # triangle) live as floats, and each tick's row goes straight into the
+    # arrays above through flat views. Scan ticks rebuild a GaussianState
+    # for ekf.step and the adapter.
+    tx, ty, tphi = truth.x, truth.y, truth.phi
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    truth_out, est_out, p_out = (memoryview(a).cast("B").cast("d") for a in (truth_arr, est_arr, p_diag))
+    nees_out = memoryview(nees_arr)
+    steer_toward = driver.steer
+    motion_floats, wrap_angle = models.motion_floats, models.wrap_angle
+    predict_floats, nees_floats = ekf.predict_floats, metrics.nees_floats
+
+    for i, (dv, dgamma) in enumerate(_control_noise(control_rng, scenario.true_noise, n)):
+        steer = steer_toward(tx, ty, tphi)
+        # the truth's command is drive's noisy one, clean + draw, applied as
+        # motion_step(clean, noise=noisy - clean) applies it, rounding included
+        tx, ty, tphi = motion_floats(
+            tx, ty, tphi, speed + ((speed + dv) - speed), steer + ((steer + dgamma) - steer),
+            dt, wheelbase,
         )
-        obs_tick = (i + 1) % ratio == 0
-        scan = sense(truth, landmark_map, scenario, sensor_rng) if obs_tick else []
-        prior = state
-        state, records = ekf.step(
-            state, clean, scan, cov, landmark_map, dt, wheelbase,
-            gate_threshold=gate_threshold, timestep=i + 1,
-        )
-        if obs_tick:
+        tphi = wrap_angle(tphi)
+        if (i + 1) % ratio:
+            x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
+                x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q00, q01, q10, q11, dt, wheelbase,
+            )
+        else:
+            scan = sense(Pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
+            prior = ekf._belief(x, y, phi, p00, p01, p02, p11, p12, p22)
+            clean = ControlInput(speed, steer)
+            state, records = ekf.step(
+                prior, clean, scan, cov, landmark_map, dt, wheelbase,
+                gate_threshold=gate_threshold, timestep=i + 1,
+            )
             accepted = [rec.accepted for rec in records].count(True)
             n_meas[i] = accepted
             n_gated[i] = len(records) - accepted
@@ -433,20 +487,24 @@ def run_once(
                 G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase)
                 cov, trace = adapter.after_update(records, G_u, cov)
                 r_diag[filled:i] = r_in_force
-                q_diag[filled:i] = q_in_force
-                r_in_force, q_in_force = _cov_diag(cov)
+                q_diag[filled:i] = q00, q11
+                r_in_force = cov.R.diagonal().tolist()
+                (q00, q01), (q10, q11) = cov.Q.tolist()
                 filled = i
                 if trace.active:
                     dom_diag[i] = trace.dom_diag
                     delta_dom_diag[i] = trace.delta_dom_diag
                     applied_delta_r[i] = trace.applied_delta_r
                     q_factor[i] = trace.q_factor
-        truth_arr[i] = (truth.x, truth.y, truth.phi)
-        est_arr[i] = state.mean
-        p_diag[i] = state.P.diagonal()
-        nees_arr[i] = metrics.nees(truth, state)
+            x, y, phi = state.mean.tolist()
+            (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+        k = 3 * i
+        truth_out[k], truth_out[k + 1], truth_out[k + 2] = tx, ty, tphi
+        est_out[k], est_out[k + 1], est_out[k + 2] = x, y, phi
+        p_out[k], p_out[k + 1], p_out[k + 2] = p00, p11, p22
+        nees_out[i] = nees_floats(tx, ty, tphi, x, y, phi, p00, p01, p02, p01, p11, p12, p02, p12, p22)
     r_diag[filled:] = r_in_force
-    q_diag[filled:] = q_in_force
+    q_diag[filled:] = q00, q11
 
     return RunLog(
         variant=variant,
@@ -466,11 +524,6 @@ def run_once(
         q_factor=q_factor,
         timed_out=driver.reached == 0,
     )
-
-
-def _cov_diag(cov: CovPair) -> tuple[list[float], list[float]]:
-    """Diagonals of R and Q as floats."""
-    return cov.R.diagonal().tolist(), cov.Q.diagonal().tolist()
 
 
 def run_monte_carlo(

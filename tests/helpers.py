@@ -6,8 +6,9 @@ scalar loop for the fuzzy forward pass, a textbook Kalman filter with an
 explicit matrix inverse, the filter cycle as numpy matrix products with a
 LAPACK solve, a deterministic residual stream whose sample covariance is
 known in closed form, sensing with one noise-free and one noisy
-models.observe per landmark, and CSV rows formatted value by value through
-csv.writer.
+models.observe per landmark, CSV rows formatted value by value through
+csv.writer, a run loop that moves Pose/ControlInput/GaussianState objects
+through every tick, and the NEES elimination on row tuples.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import math
 
 import numpy as np
 
-from fuzzyloc import models, simulator
+from fuzzyloc import ekf, metrics, models, simulator
 from fuzzyloc.adaptation import AdaptationConfig, CovarianceAdapter
 from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
-from fuzzyloc.errors import SingularInnovationError
+from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError
 from fuzzyloc.models import ControlInput, Measurement, Pose, wrap_angle
 
 
@@ -189,6 +190,108 @@ def record_drive(scenario, seed):
             scan = simulator.sense(truth, landmark_map, scenario, sensor_rng)
         ticks.append((clean, scan))
     return ticks
+
+
+def run_once_object_loop(
+    scenario,
+    variant,
+    seed=None,
+    adaptation=None,
+    gate_threshold=ekf.DEFAULT_GATE_THRESHOLD,
+    p0_diag=simulator.DEFAULT_P0_DIAG,
+):
+    """simulator.run_once as a loop over objects: every tick goes through
+    WaypointDriver.drive, models.motion_step, ekf.step and metrics.nees,
+    with one scalar rng.normal per control-noise channel and tick."""
+    if variant not in simulator.VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    scenario.validate()
+    if seed is None:
+        seed = scenario.seed
+    control_rng, sensor_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+    )
+    dt, wheelbase = scenario.dt, scenario.wheelbase
+    ratio = scenario.ticks_per_observation
+    n = int(round(scenario.duration * scenario.control_rate))
+    landmark_map = models.LandmarkMap(scenario.landmarks)
+    truth = Pose(*scenario.start)
+    state = GaussianState(truth.as_array(), np.diag(p0_diag))
+    cov = CovPair.from_noise(scenario.assumed_noise)
+    driver = simulator.WaypointDriver(scenario)
+    mode = {"ekf": None, "anfekf-r": "r", "anfekf-q": "q", "anfekf-rq": "rq"}[variant]
+    adapter = CovarianceAdapter(mode, cov, adaptation) if mode else None
+
+    truth_arr, est_arr, p_diag = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    nees_arr = np.empty(n)
+    n_meas, n_gated = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    r_diag, q_diag = np.empty((n, 2)), np.empty((n, 2))
+    dom_diag, delta_dom_diag = np.full((n, 2), np.nan), np.full((n, 2), np.nan)
+    applied_delta_r, q_factor = np.full((n, 2), np.nan), np.full(n, np.nan)
+    for i in range(n):
+        clean, noisy = driver.drive(truth, control_rng, scenario.true_noise)
+        truth = models.motion_step(
+            truth, clean, dt, wheelbase, noise=(noisy.v - clean.v, noisy.gamma - clean.gamma),
+        )
+        obs_tick = (i + 1) % ratio == 0
+        scan = simulator.sense(truth, landmark_map, scenario, sensor_rng) if obs_tick else []
+        prior = state
+        state, records = ekf.step(
+            state, clean, scan, cov, landmark_map, dt, wheelbase,
+            gate_threshold=gate_threshold, timestep=i + 1,
+        )
+        if obs_tick:
+            n_meas[i] = sum(rec.accepted for rec in records)
+            n_gated[i] = len(records) - n_meas[i]
+            if adapter is not None:
+                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase)
+                cov, trace = adapter.after_update(records, G_u, cov)
+                if trace.active:
+                    dom_diag[i] = trace.dom_diag
+                    delta_dom_diag[i] = trace.delta_dom_diag
+                    applied_delta_r[i] = trace.applied_delta_r
+                    q_factor[i] = trace.q_factor
+        truth_arr[i] = (truth.x, truth.y, truth.phi)
+        est_arr[i] = state.mean
+        p_diag[i] = np.diag(state.P)
+        nees_arr[i] = metrics.nees(truth, state)
+        r_diag[i] = np.diag(cov.R)
+        q_diag[i] = np.diag(cov.Q)
+    return simulator.RunLog(
+        variant=variant, seed=seed, t=np.arange(1, n + 1) * dt,
+        truth=truth_arr, est_mean=est_arr, p_diag=p_diag, nees=nees_arr,
+        n_meas=n_meas, n_gated=n_gated, r_diag=r_diag, q_diag=q_diag,
+        dom_diag=dom_diag, delta_dom_diag=delta_dom_diag,
+        applied_delta_r=applied_delta_r, q_factor=q_factor,
+        timed_out=driver.reached == 0,
+    )
+
+
+def nees_row_tuples(truth, est):
+    """metrics.nees with each row of [P | e] held as a 4-tuple while pivoting."""
+    x, y, phi = est.mean.tolist()
+    e0, e1, e2 = truth.x - x, truth.y - y, wrap_angle(truth.phi - phi)
+    p0, p1, p2 = est.P.tolist()
+    r0, r1, r2 = (*p0, e0), (*p1, e1), (*p2, e2)
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    if r0[0] != 0.0:
+        l1, l2 = r1[0] / r0[0], r2[0] / r0[0]
+        s1 = (r1[1] - l1 * r0[1], r1[2] - l1 * r0[2], r1[3] - l1 * r0[3])
+        s2 = (r2[1] - l2 * r0[1], r2[2] - l2 * r0[2], r2[3] - l2 * r0[3])
+        if abs(s2[0]) > abs(s1[0]):
+            s1, s2 = s2, s1
+        if s1[0] != 0.0:
+            l3 = s2[0] / s1[0]
+            u22 = s2[1] - l3 * s1[1]
+            if u22 != 0.0:
+                x2 = (s2[2] - l3 * s1[2]) / u22
+                x1 = (s1[2] - s1[1] * x2) / s1[0]
+                x0 = (r0[3] - r0[2] * x2 - r0[1] * x1) / r0[0]
+                return max(e0 * x0 + e1 * x1 + e2 * x2, 0.0)
+    raise SingularCovarianceError("state covariance is singular")
 
 
 def alternating_residuals(sigma1: float, sigma2: float) -> list[np.ndarray]:

@@ -33,6 +33,7 @@ from fuzzyloc.adaptation import (
 from fuzzyloc.anfis import AnfisNet, net_to_params
 from fuzzyloc.ekf import CovPair, InnovationRecord
 from fuzzyloc.errors import WarmupError
+from fuzzyloc.simulator import run_once
 
 
 def make_record(residual, S, accepted=True, H=None, landmark_id=1, timestep=0):
@@ -380,6 +381,38 @@ class TestAdaptationConfig:
         assert cfg.scale_rel_floor == SCALE_REL_FLOOR
         assert cfg.q_floor_ratio == 0.01
         assert cfg.q_ceiling_ratio == 100.0
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("window", 1),
+            ("eta", -0.01), ("eta", math.nan), ("eta", math.inf),
+            ("r_floor", math.nan), ("r_floor", 0.0), ("r_floor", -1e-8), ("r_floor", math.inf),
+            ("delta_floor", math.nan), ("delta_floor", 0.0),
+            ("q_floor_ratio", math.nan), ("q_floor_ratio", 0.0),
+            ("q_ceiling_ratio", math.inf), ("q_ceiling_ratio", -1.0),
+            ("r_singleton_ratio", math.nan), ("q_singleton_ratio", 0.0),
+            ("q_floor", math.nan), ("q_floor", 0.0), ("q_floor", math.inf),
+            ("leak", 1.9), ("leak", -0.1), ("leak", math.nan),
+            ("scale_rel_floor", -1.0), ("scale_rel_floor", math.nan), ("scale_rel_floor", math.inf),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            AdaptationConfig(**{field: bad})
+
+    def test_floor_ratio_above_ceiling_rejected(self):
+        with pytest.raises(ValueError, match="q_floor_ratio"):
+            AdaptationConfig(q_floor_ratio=2.0, q_ceiling_ratio=1.0)
+
+    def test_boundary_values_accepted(self):
+        AdaptationConfig(window=2, eta=0.0, leak=0.0, scale_rel_floor=0.0)
+        AdaptationConfig(leak=1.0, q_floor=1e-12, q_floor_ratio=1.0, q_ceiling_ratio=1.0)
+
+    def test_nan_floor_rejected_before_a_run(self, tiny_scenario):
+        # max(x, nan) returns x, so a NaN r_floor used to vanish and let R go negative
+        with pytest.raises(ValueError, match="r_floor"):
+            run_once(tiny_scenario, "anfekf-r", adaptation=AdaptationConfig(r_floor=math.nan))
 
 
 class TestCovarianceAdapter:

@@ -137,6 +137,28 @@ class TestRun:
         assert "start" in err
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"waypoints": ((math.nan, 0.0),)}, "waypoint coordinates"),
+            ({"duration": 0.01}, "one control tick"),
+        ],
+    )
+    def test_scenario_without_a_runnable_tick_exits_2(self, tmp_path, tiny_scenario, capsys,
+                                                      change, message):
+        # both used to run: a NaN waypoint until a misleading SingularInnovationError,
+        # a 0.01 s duration to an empty RunLog and a NaN summary
+        path = tmp_path / "scenario.json"
+        save_scenario(dataclasses.replace(tiny_scenario, **change), path)
+        out = tmp_path / "o"
+        rc = main(["run", "--variant", "ekf", "--scenario", str(path), "--runs", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--eta", "0.0"],

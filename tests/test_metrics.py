@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from fuzzyloc.ekf import GaussianState
 from fuzzyloc.errors import SingularCovarianceError
 from fuzzyloc.metrics import (
@@ -109,6 +110,28 @@ class TestNees:
         cond = np.linalg.cond(est.P)
         # both sides carry a relative error of order cond * eps
         assert nees(truth, est) == pytest.approx(expected, rel=16.0 * cond * np.finfo(float).eps)
+
+    def test_scalar_pivoting_bitwise(self, rng):
+        """The scalar kernel against the row-tuple elimination it replaced: every
+        pivot order, general (not only symmetric) P, and the singular cases."""
+        cases = []
+        for _ in range(400):
+            P = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
+            cases.append(P)
+        for perm in ([0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]):
+            cases.append(np.diag([1.0, 2.0, 3.0])[perm] + 0.1)
+        cases += [np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0]), np.ones((3, 3))]
+        for P in cases:
+            est = GaussianState(rng.normal(size=3), np.eye(3))
+            est.P = P  # bypass __post_init__'s symmetrization
+            truth = Pose(*rng.normal(scale=4.0, size=3))
+            try:
+                expected = helpers.nees_row_tuples(truth, est)
+            except SingularCovarianceError:
+                with pytest.raises(SingularCovarianceError):
+                    nees(truth, est)
+                continue
+            assert nees(truth, est).hex() == expected.hex()
 
 
 class TestEnsembleSeries:

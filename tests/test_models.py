@@ -48,6 +48,20 @@ class TestWrapAngle:
             assert abs(math.sin(w) - math.sin(a)) < 1e-9
             assert abs(math.cos(w) - math.cos(a)) < 1e-9
 
+    def test_idempotent_bitwise(self, rng):
+        # run_once wraps a wrapped heading again when it builds a Pose or a
+        # GaussianState from floats; that must not move a single bit
+        angles = np.concatenate([
+            rng.uniform(-20.0, 20.0, 20000),
+            rng.uniform(-4.0, 4.0, 20000) * 10.0 ** rng.uniform(-20.0, 0.0, 20000),
+        ]).tolist()
+        for a in (math.pi, -math.pi, 2.0 * math.pi, 1e-300, -1e-300, 0.0, -0.0):
+            angles += [a, math.nextafter(a, 0.0), math.nextafter(a, 10.0), math.nextafter(a, -10.0)]
+        for a in angles:
+            w = wrap_angle(a)
+            assert wrap_angle(w).hex() == w.hex()
+            assert float(wrap_angle(np.float64(w))).hex() == w.hex()
+
 
 class TestPose:
     def test_heading_wrapped_on_construction(self):

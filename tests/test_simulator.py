@@ -77,6 +77,31 @@ class TestScenarioValidate:
             with pytest.raises(ScenarioError, match="start"):
                 dataclasses.replace(tiny_scenario, start=start).validate()
 
+    def test_non_finite_coordinates(self, tiny_scenario):
+        for bad in (math.nan, math.inf, -math.inf):
+            landmarks = (*tiny_scenario.landmarks[:-1], Landmark(99, 5.0, bad))
+            with pytest.raises(ScenarioError, match="landmark coordinates"):
+                dataclasses.replace(tiny_scenario, landmarks=landmarks).validate()
+            waypoints = (*tiny_scenario.waypoints, (bad, 0.0))
+            with pytest.raises(ScenarioError, match="waypoint coordinates"):
+                dataclasses.replace(tiny_scenario, waypoints=waypoints).validate()
+
+    def test_duration_shorter_than_one_tick(self, tiny_scenario):
+        # 40 Hz control: 0.01 s is 0.4 ticks and 0.0125 s rounds (half to even) to 0
+        for duration in (0.01, 0.0125):
+            with pytest.raises(ScenarioError, match="one control tick"):
+                dataclasses.replace(tiny_scenario, duration=duration).validate()
+        one_tick = dataclasses.replace(tiny_scenario, duration=0.025)
+        one_tick.validate()
+        assert len(run_once(one_tick, "ekf").t) == 1
+
+    def test_load_rejects_nan_waypoint(self, tmp_path, tiny_scenario):
+        path = tmp_path / "nan.json"
+        save_scenario(dataclasses.replace(tiny_scenario, waypoints=((math.nan, 0.0),)), path)
+        assert "NaN" in path.read_text()
+        with pytest.raises(ScenarioError, match="waypoint coordinates"):
+            load_scenario(path)
+
 
 class TestDefaultScenario:
     def test_core_values(self):
@@ -429,6 +454,127 @@ class TestRunOnce:
         # first tick is one prediction from the start: still near the prior
         assert log.p_diag[0, 0] > 3.0
         assert DEFAULT_P0_DIAG == (1e-6, 1e-6, 1e-6)
+
+
+def _assert_logs_equal(new, old):
+    """Every RunLog field equal, arrays byte for byte (NaN positions included)."""
+    for field in dataclasses.fields(RunLog):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def _setting(name):
+    """The default scenario (40 s) under the acceptance suite's noise settings."""
+    s = dataclasses.replace(default_scenario(), duration=40.0)
+    assumed = {
+        "default": {},
+        # criterion 3: sensor noise assumed 20x too large in range, 10x too small in bearing
+        "criterion-3": {"sigma_r": 2.0, "sigma_theta": math.radians(0.1)},
+        # criterion 4: control noise assumed 10x / 6x too small
+        "criterion-4": {"sigma_v": 0.03, "sigma_gamma": math.radians(0.5)},
+    }[name]
+    return dataclasses.replace(s, assumed_noise=dataclasses.replace(s.assumed_noise, **assumed))
+
+
+class TestRunOnceOracle:
+    """run_once on floats against the object loop of helpers.run_once_object_loop."""
+
+    @pytest.mark.parametrize("setting", ["default", "criterion-3", "criterion-4"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variants_and_settings(self, variant, setting):
+        scenario = _setting(setting)
+        _assert_logs_equal(run_once(scenario, variant, seed=1),
+                           helpers.run_once_object_loop(scenario, variant, seed=1))
+
+    @pytest.mark.parametrize("variant", ["anfekf-r", "anfekf-q", "anfekf-rq"])
+    def test_zero_eta(self, variant):
+        scenario = _setting("default")
+        cfg = AdaptationConfig(eta=0.0)
+        _assert_logs_equal(run_once(scenario, variant, seed=2, adaptation=cfg),
+                           helpers.run_once_object_loop(scenario, variant, seed=2, adaptation=cfg))
+
+    def test_custom_p0_and_gate(self):
+        scenario = _setting("criterion-3")
+        kwargs = dict(seed=3, gate_threshold=2.0, p0_diag=(0.5, 0.2, 0.01))
+        new = run_once(scenario, "anfekf-rq", **kwargs)
+        assert new.n_gated.sum() > 0
+        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-rq", **kwargs))
+
+    def test_timed_out_run(self, tiny_scenario):
+        scenario = dataclasses.replace(tiny_scenario, waypoints=((1e6, 0.0),), duration=5.0)
+        new = run_once(scenario, "anfekf-r", seed=4)
+        assert new.timed_out
+        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-r", seed=4))
+
+    @pytest.mark.parametrize("heading", [math.pi, -math.pi, math.nextafter(-math.pi, 0.0)])
+    def test_start_heading_at_pi(self, tiny_scenario, heading):
+        scenario = dataclasses.replace(tiny_scenario, start=(0.0, 0.0, heading))
+        _assert_logs_equal(run_once(scenario, "anfekf-q", seed=5),
+                           helpers.run_once_object_loop(scenario, "anfekf-q", seed=5))
+
+    def test_every_tick_is_a_scan(self, tiny_scenario):
+        scenario = dataclasses.replace(tiny_scenario, observe_rate=tiny_scenario.control_rate,
+                                       duration=3.0)
+        new = run_once(scenario, "anfekf-rq", seed=6)
+        assert np.all(new.n_meas + new.n_gated > 0)
+        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-rq", seed=6))
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 7), (1, 0), (1, 1), (2, 3)])
+    def test_duration_across_noise_blocks(self, tiny_scenario, blocks, extra):
+        n = blocks * simulator.CONTROL_NOISE_BLOCK + extra
+        scenario = dataclasses.replace(tiny_scenario, duration=n / tiny_scenario.control_rate)
+        new = run_once(scenario, "anfekf-r", seed=7)
+        assert len(new.t) == n
+        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-r", seed=7))
+
+
+class TestControlNoise:
+    def test_blocks_equal_scalar_draws(self):
+        noise = default_scenario().true_noise
+        n = 3 * simulator.CONTROL_NOISE_BLOCK + 5
+        scalar_rng, block_rng = np.random.default_rng(21), np.random.default_rng(21)
+        expected = [
+            [scalar_rng.normal(0.0, noise.sigma_v), scalar_rng.normal(0.0, noise.sigma_gamma)]
+            for _ in range(n)
+        ]
+        drawn = list(simulator._control_noise(block_rng, noise, n))
+        assert len(drawn) == n
+        assert [[v.hex() for v in pair] for pair in drawn] == \
+            [[v.hex() for v in pair] for pair in expected]
+        assert all(type(v) is float for pair in drawn for v in pair)
+        # both streams stop at the same state: nothing is drawn past tick n
+        assert block_rng.normal() == scalar_rng.normal()
+
+    def test_empty(self):
+        rng = np.random.default_rng(0)
+        assert list(simulator._control_noise(rng, default_scenario().true_noise, 0)) == []
+
+
+class TestTickLoopGuard:
+    """Non-scan ticks stay on floats: a call-count guard, free of timing."""
+
+    def test_step_once_per_scan_and_no_drive(self, tiny_scenario, monkeypatch):
+        calls = {"step": 0, "drive": 0}
+        step, drive = simulator.ekf.step, WaypointDriver.drive
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step(*args, **kwargs)
+
+        def counted_drive(self, *args, **kwargs):
+            calls["drive"] += 1
+            return drive(self, *args, **kwargs)
+
+        monkeypatch.setattr(simulator.ekf, "step", counted_step)
+        monkeypatch.setattr(WaypointDriver, "drive", counted_drive)
+        log = run_once(tiny_scenario, "anfekf-rq", seed=0)
+        scans = len(log.t) // tiny_scenario.ticks_per_observation
+        assert scans > 0
+        assert calls == {"step": scans, "drive": 0}
 
 
 class TestMonteCarlo:
