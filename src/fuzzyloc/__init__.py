@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adaptation import (
-    AdaptationConfig,
-    CovarianceAdapter,
-    DomState,
-    ResidualWindow,
-    compute_dom,
-    estimate_actual_cov,
-)
+from .adaptation import AdaptationConfig, CovarianceAdapter
 from .anfis import AnfisNet
 from .ekf import CovPair, GaussianState, InnovationRecord
 from .errors import FuzzylocError
@@ -49,7 +42,6 @@ __all__ = [
     "ControlInput",
     "CovPair",
     "CovarianceAdapter",
-    "DomState",
     "EnsembleReport",
     "FuzzylocError",
     "GaussianState",
@@ -59,7 +51,6 @@ __all__ = [
     "Measurement",
     "NoiseSpec",
     "Pose",
-    "ResidualWindow",
     "RunLog",
     "Scenario",
     "VARIANTS",
@@ -67,9 +58,7 @@ __all__ = [
     "build_report",
     "chi2_band",
     "chi2_ppf",
-    "compute_dom",
     "default_scenario",
-    "estimate_actual_cov",
     "in_band_fraction",
     "load_scenario",
     "nees",

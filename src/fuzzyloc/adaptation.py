@@ -1,23 +1,29 @@
 """Innovation-based covariance matching that drives the fuzzy adapters.
 
-A moving window of accepted innovation residuals yields a sample estimate of
-the actual innovation covariance. Its mismatch against the filter's
-theoretical covariance (and the step-to-step change of that mismatch) feeds
-small fuzzy networks that rewrite the measurement covariance additively and
-the process covariance multiplicatively, then take one training step each.
+A moving window of innovation residuals yields a sample estimate of the
+actual innovation covariance. Its mismatch against the filter's theoretical
+covariance (and the step-to-step change of that mismatch) feeds one stack of
+small fuzzy networks: one net per R channel rewrites the measurement
+covariance additively, one net rewrites the process covariance
+multiplicatively, and the whole stack then takes one training step.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .anfis import DEFAULT_DELTA_FLOOR, N_TERMS, AnfisNet, ForwardTrace, net_to_params
+from .anfis import (
+    DEFAULT_DELTA_FLOOR,
+    N_TERMS,
+    AnfisNet,
+    ForwardTrace,
+    net_from_params,
+    net_to_params,
+)
 from .ekf import CovPair, InnovationRecord
-from .errors import WarmupError
 
 DEFAULT_WINDOW = 15
 DEFAULT_ETA = 0.01
@@ -45,59 +51,6 @@ INPUT_SATURATION_WIDTHS = 12.0
 _NAN2 = (float("nan"), float("nan"))
 
 
-class ResidualWindow:
-    """Ring buffer of the most recent accepted innovation residuals."""
-
-    def __init__(self, capacity: int):
-        if capacity < 2:
-            raise ValueError("window capacity must be at least 2")
-        self.capacity = capacity
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
-
-    def push(self, residual: np.ndarray) -> None:
-        self._entries.append(np.asarray(residual, dtype=float).copy())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) == self.capacity
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self._entries)
-
-
-def estimate_actual_cov(window: ResidualWindow) -> np.ndarray:
-    """Windowed sample innovation covariance: mean of residual outer products.
-
-    Raises WarmupError until the window is full; a partial window would bias
-    the estimate low at startup.
-    """
-    if not window.is_full:
-        raise WarmupError(f"window holds {len(window)} of {window.capacity} residuals")
-    arr = window.as_array()
-    return arr.T @ arr / window.capacity
-
-
-@dataclass
-class DomState:
-    """Covariance mismatch S - C_hat and its change since the last evaluation."""
-
-    dom: np.ndarray | None = None
-    delta_dom: np.ndarray | None = None
-
-
-def compute_dom(S: np.ndarray, c_hat: np.ndarray, prev: DomState) -> DomState:
-    """Next mismatch state; the delta is zero on the first evaluation."""
-    dom = np.asarray(S, dtype=float) - np.asarray(c_hat, dtype=float)
-    if prev.dom is None:
-        delta = np.zeros_like(dom)
-    else:
-        delta = dom - prev.dom
-    return DomState(dom=dom, delta_dom=delta)
-
-
 #: Term centers in units of the input scale, which is also every term's
 #: width: adjacent terms overlap at 1/e.
 _TERM_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -106,8 +59,8 @@ _TERM_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 def _spread_net(
     scale1: float, scale2: float, singletons: np.ndarray, eta: float, delta_floor: float
 ) -> AnfisNet:
-    scales = np.array([[scale1], [scale2]])
-    return AnfisNet(_TERM_OFFSETS * scales, np.repeat(scales, N_TERMS, axis=1), singletons, eta, delta_floor)
+    scales = np.array([[[scale1], [scale2]]])
+    return AnfisNet(_TERM_OFFSETS * scales, np.repeat(scales, N_TERMS, axis=2), singletons[None], eta, delta_floor)
 
 
 def make_additive_net(
@@ -116,7 +69,7 @@ def make_additive_net(
     eta: float = DEFAULT_ETA,
     delta_floor: float = DEFAULT_DELTA_FLOOR,
 ) -> AnfisNet:
-    """Network for one R channel: mismatch in, additive correction out.
+    """Network (k = 1) for one R channel: mismatch in, additive correction out.
 
     Input 1 is the mismatch with membership scale input_scale; input 2 is
     its step change at half that scale. Singletons start at -3c..3c so a
@@ -133,7 +86,7 @@ def make_multiplicative_net(
     eta: float = DEFAULT_ETA,
     delta_floor: float = DEFAULT_DELTA_FLOOR,
 ) -> AnfisNet:
-    """Network for Q: both mismatch channels in, a scale factor out.
+    """Network (k = 1) for Q: both mismatch channels in, a scale factor out.
 
     Singletons start geometric, ratio^-3 .. ratio^3, so the center rule is
     exactly 1 (no change) and saturated labels multiply or divide by ratio^3.
@@ -142,78 +95,58 @@ def make_multiplicative_net(
     return _spread_net(scale1, scale2, singletons, eta, delta_floor)
 
 
-@dataclass
-class RAdapter:
-    """Two additive networks, one per diagonal channel of R."""
-
-    nets: tuple[AnfisNet, AnfisNet]
-    r_floor: float = DEFAULT_R_FLOOR
+#: Nets in the adapter's stack per mode: the two R channels first, then the Q net.
+MODE_NETS = {"r": 2, "q": 1, "rq": 3}
 
 
-@dataclass
-class QAdapter:
-    """One multiplicative network fed both diagonal mismatch channels."""
+def saturated_forward(net: AnfisNet, inputs) -> tuple[np.ndarray, ForwardTrace]:
+    """Stacked forward pass with every input clamped into its net's live region.
 
-    net: AnfisNet
-    q_floor: np.ndarray
-    q_ceiling: np.ndarray
-
-
-def saturated_forward(net: AnfisNet, in1: float, in2: float) -> tuple[float, ForwardTrace]:
-    """Forward pass with both inputs clamped into the net's live region."""
+    inputs holds one (in1, in2) row per net.
+    """
     clamped = []
-    for u, centers, widths in zip((in1, in2), net.centers.tolist(), net.widths.tolist()):
-        reach = INPUT_SATURATION_WIDTHS * max(widths)
-        clamped.append(min(max(float(u), min(centers) - reach), max(centers) + reach))
-    return net.forward(*clamped)
+    for (in1, in2), (c1, c2), (w1, w2) in zip(inputs, net.centers.tolist(), net.widths.tolist()):
+        for u, centers, widths in ((in1, c1, w1), (in2, c2, w2)):
+            reach = INPUT_SATURATION_WIDTHS * max(widths)
+            clamped.append(min(max(float(u), min(centers) - reach), max(centers) + reach))
+    return net.forward(clamped)
 
 
-def leak_toward(net: AnfisNet, anchor: np.ndarray | list[float], rate: float) -> AnfisNet:
+def leak_toward(net: AnfisNet, anchor, rate: float) -> AnfisNet:
     """Relax every trained parameter a fraction of the way to its anchor.
 
-    The anchor is a flat parameter sequence in net_to_params layout, normally
-    captured when the network was built. A zero rate is a no-op.
+    The anchor holds one row per net in net_to_params layout, normally
+    captured when the stack was built. A zero rate is a no-op.
     """
     if rate == 0.0:
         return net
-    params = np.concatenate((net.centers.ravel(), net.widths.ravel(), net.singletons))
-    params += rate * (np.asarray(anchor, dtype=float) - params)
-    net.centers, net.widths = params[:20].reshape(2, 2, N_TERMS)
+    net.params += rate * (np.asarray(anchor, dtype=float).reshape(net.params.shape) - net.params)
     np.maximum(net.widths, net.delta_floor, out=net.widths)
-    net.singletons = params[20:]
     return net
 
 
-def adapt_r(
-    adapter: RAdapter, dom_state: DomState, R: np.ndarray
-) -> tuple[np.ndarray, list[ForwardTrace]]:
-    """Additive per-channel rewrite of R's diagonal, floored at r_floor.
+def adapt_r(R: np.ndarray, delta, r_floor: float) -> np.ndarray:
+    """Additive rewrite of R's diagonal, floored at r_floor.
 
-    Channel i feeds (dom[i, i], delta_dom[i, i]) to its net and adds the
-    output to R[i, i]. Returns the new R and the forward traces needed to
-    train the nets afterwards.
+    delta[i] is the output of channel i's net, which is fed
+    (dom[i, i], delta_dom[i, i]).
     """
     R_new = np.array(R, dtype=float, copy=True)
-    traces = []
-    for i, net in enumerate(adapter.nets):
-        delta, trace = saturated_forward(net, float(dom_state.dom[i, i]), float(dom_state.delta_dom[i, i]))
-        R_new[i, i] = max(R[i, i] + delta, adapter.r_floor)
-        traces.append(trace)
-    return R_new, traces
+    for i in range(2):
+        R_new[i, i] = max(R[i, i] + delta[i], r_floor)
+    return R_new
 
 
-def adapt_q(
-    adapter: QAdapter, dom_state: DomState, Q: np.ndarray
-) -> tuple[np.ndarray, ForwardTrace]:
+def adapt_q(Q: np.ndarray, factor: float, q_floor: np.ndarray, q_ceiling: np.ndarray) -> np.ndarray:
     """Multiplicative rewrite of Q's diagonal, clamped to [floor, ceiling].
 
-    One shared factor from (dom[0, 0], dom[1, 1]) scales both channels.
+    One shared factor, the Q net's output for (dom[0, 0], dom[1, 1]), scales
+    both channels.
     """
-    factor, trace = saturated_forward(adapter.net, float(dom_state.dom[0, 0]), float(dom_state.dom[1, 1]))
     Q_new = np.array(Q, dtype=float, copy=True)
     for i in range(2):
-        Q_new[i, i] = min(max(Q[i, i] * factor, adapter.q_floor[i]), adapter.q_ceiling[i])
-    return Q_new, trace
+        Q_new[i, i] = min(max(Q[i, i] * factor, q_floor[i]), q_ceiling[i])
+    return Q_new
 
 
 def q_factor_sensitivity(
@@ -235,29 +168,30 @@ def q_factor_sensitivity(
 
 
 def train_adapters(
-    adapter: RAdapter | QAdapter,
-    dom_state: DomState,
-    traces: list[ForwardTrace] | ForwardTrace,
+    net: AnfisNet,
+    trace: ForwardTrace,
+    dom_diag: tuple[float, float],
     q_sensitivity: np.ndarray | None = None,
-) -> RAdapter | QAdapter:
-    """One gradient step per network against the current mismatch.
+) -> AnfisNet:
+    """One gradient step of the whole stack against the current mismatch.
 
-    R nets treat their channel's dom entry as the error with unit output
-    sensitivity. The Q net collapses both channels: the error and the
-    S-to-factor sensitivity are each averaged across channels.
+    The stack is laid out as MODE_NETS says: k = 2 holds the two R nets,
+    k = 1 the Q net, k = 3 both with the Q net last. An R net treats its
+    channel's mismatch as the error with unit output sensitivity. The Q net
+    collapses both channels: the error and the S-to-factor sensitivity are
+    each averaged across channels.
     """
-    if isinstance(adapter, RAdapter):
-        for i, (net, trace) in enumerate(zip(adapter.nets, traces)):
-            net.train_step(trace, float(dom_state.dom[i, i]), 1.0)
-    elif isinstance(adapter, QAdapter):
+    k = len(net)
+    if k not in MODE_NETS.values():
+        raise ValueError(f"a stack of {k} nets fits no adaptation mode")
+    d00, d11 = dom_diag
+    e, ds = ([d00, d11], [1.0, 1.0]) if k > 1 else ([], [])
+    if k != 2:
         if q_sensitivity is None:
             raise ValueError("training the Q net requires q_sensitivity")
-        e = 0.5 * float(dom_state.dom[0, 0] + dom_state.dom[1, 1])
-        ds = 0.5 * float(q_sensitivity[0] + q_sensitivity[1])
-        adapter.net.train_step(traces, e, ds)
-    else:
-        raise TypeError(f"unknown adapter type {type(adapter).__name__}")
-    return adapter
+        e.append(0.5 * (d00 + d11))
+        ds.append(0.5 * (q_sensitivity[0] + q_sensitivity[1]))
+    return net.train_step(trace, e, ds)
 
 
 @dataclass(frozen=True)
@@ -265,7 +199,9 @@ class AdaptationConfig:
     """Tunable covariance-matching parameters.
 
     q_floor is an absolute floor for both Q channels; when None the floor
-    and ceiling are derived from the initial Q by the two ratios.
+    is derived from the initial Q by q_floor_ratio. The ceiling is always
+    q_ceiling_ratio times the initial Q, and CovarianceAdapter rejects an
+    absolute floor above it.
     """
 
     window: int = DEFAULT_WINDOW
@@ -317,77 +253,79 @@ class StepTrace:
 
 
 class CovarianceAdapter:
-    """Stateful per-run driver wiring window, mismatch, networks, and training.
+    """Stateful per-run driver of the residual window and the net stack.
 
     mode selects which covariances are rewritten: 'r', 'q', or 'rq'. The
-    networks are built lazily on the first full-window step so membership
-    scales can be set from the observed spread of the innovation covariance
-    diagonal. A zero learning rate disables rewriting and training entirely,
-    which reproduces the unadapted filter bit for bit.
+    window is a (window, 2) array of the latest residuals, oldest first. The
+    stack of MODE_NETS[mode] nets is built lazily on the first full-window
+    step so membership scales can be set from the observed spread of the
+    innovation covariance diagonal. A zero learning rate disables rewriting
+    and training entirely, which reproduces the unadapted filter bit for bit.
+
+    Raises ValueError when an absolute q_floor lies above the Q ceiling
+    (q_ceiling_ratio times the initial Q) of either channel in a mode that
+    rewrites Q.
     """
 
     def __init__(self, mode: str, initial_cov: CovPair, config: AdaptationConfig | None = None):
-        if mode not in ("r", "q", "rq"):
+        if mode not in MODE_NETS:
             raise ValueError(f"unknown adaptation mode {mode!r}")
         self.mode = mode
-        self.config = config if config is not None else AdaptationConfig()
-        self.window = ResidualWindow(self.config.window)
-        self.dom_state = DomState()
-        self.r_adapter: RAdapter | None = None
-        self.q_adapter: QAdapter | None = None
-        self._built = False
+        self.config = cfg = config if config is not None else AdaptationConfig()
+        self.window = np.zeros((cfg.window, 2))
+        self.filled = 0
+        self.net: AnfisNet | None = None
+        self._anchor: np.ndarray | None = None
+        self._dom: np.ndarray | None = None
         self._s_samples: list[np.ndarray] = []
         self._initial_r = np.diag(initial_cov.R).copy()
-        self._initial_q = np.diag(initial_cov.Q).copy()
-        self._r_anchors: list[np.ndarray] = []
-        self._q_anchor: np.ndarray | None = None
+        initial_q = np.diag(initial_cov.Q)
+        self._q_ceiling = cfg.q_ceiling_ratio * initial_q
+        if cfg.q_floor is not None:
+            self._q_floor = np.full(2, float(cfg.q_floor))
+        else:
+            self._q_floor = cfg.q_floor_ratio * initial_q
+        if "q" in mode and np.any(self._q_floor > self._q_ceiling):
+            raise ValueError(
+                f"q_floor {cfg.q_floor} lies above the Q ceiling {self._q_ceiling.tolist()} "
+                f"(q_ceiling_ratio x initial Q)"
+            )
 
     def _input_scale(self, samples: np.ndarray) -> float:
         spread = float(np.std(samples))
         floor = self.config.scale_rel_floor * float(np.mean(np.abs(samples)))
         return max(spread, floor, 1e-12)
 
-    def _build_nets(self) -> None:
+    def _build_net(self) -> None:
         cfg = self.config
         samples = np.array(self._s_samples)
         scales = (self._input_scale(samples[:, 0]), self._input_scale(samples[:, 1]))
-        if self.mode in ("r", "rq"):
-            nets = tuple(
-                make_additive_net(
-                    scales[i],
-                    cfg.r_singleton_ratio * self._initial_r[i],
-                    eta=cfg.eta,
-                    delta_floor=cfg.delta_floor,
-                )
-                for i in range(2)
-            )
-            self.r_adapter = RAdapter(nets, r_floor=cfg.r_floor)
-            self._r_anchors = [np.array(net_to_params(net)) for net in nets]
-        if self.mode in ("q", "rq"):
-            net = make_multiplicative_net(
-                scales[0],
-                scales[1],
-                ratio=cfg.q_singleton_ratio,
-                eta=cfg.eta,
-                delta_floor=cfg.delta_floor,
-            )
-            if cfg.q_floor is not None:
-                q_floor = np.full(2, float(cfg.q_floor))
-            else:
-                q_floor = cfg.q_floor_ratio * self._initial_q
-            self.q_adapter = QAdapter(net, q_floor, cfg.q_ceiling_ratio * self._initial_q)
-            self._q_anchor = np.array(net_to_params(net))
-        self._built = True
+        nets = []
+        if "r" in self.mode:
+            nets += [make_additive_net(scale, cfg.r_singleton_ratio * r0)
+                     for scale, r0 in zip(scales, self._initial_r)]
+        if "q" in self.mode:
+            nets.append(make_multiplicative_net(*scales, ratio=cfg.q_singleton_ratio))
+        self._anchor = np.concatenate([net_to_params(net) for net in nets])
+        self.net = net_from_params(self._anchor, cfg.eta, cfg.delta_floor)
 
-    def _apply_leak(self) -> None:
-        rate = self.config.leak
-        if not self._built or rate == 0.0:
-            return
-        if self.r_adapter is not None:
-            for net, anchor in zip(self.r_adapter.nets, self._r_anchors):
-                leak_toward(net, anchor, rate)
-        if self.q_adapter is not None:
-            leak_toward(self.q_adapter.net, self._q_anchor, rate)
+    def _push(self, records: list[InnovationRecord]) -> None:
+        """Shift the scan's residuals into the window in arrival order."""
+        w = len(self.window)
+        rows = [rec.residual for rec in records[-w:]]
+        m = len(rows)
+        if m < w:
+            self.window[:-m] = self.window[m:]
+        self.window[w - m:] = rows
+        self.filled = min(self.filled + len(records), w)
+
+    def actual_cov(self) -> np.ndarray:
+        """Windowed sample innovation covariance: mean of residual outer products.
+
+        No mean is subtracted. It is the actual covariance only once the
+        window is full.
+        """
+        return self.window.T @ self.window / len(self.window)
 
     def after_update(
         self, records: list[InnovationRecord], G_u: np.ndarray, cov: CovPair
@@ -408,42 +346,47 @@ class CovarianceAdapter:
         would otherwise never unwind a trained offset.
         """
         trace = StepTrace()
-        self._apply_leak()
+        cfg = self.config
+        if self.net is not None:
+            leak_toward(self.net, self._anchor, cfg.leak)
         if not records:
             return cov, trace
-        for rec in records:
-            self.window.push(rec.residual)
+        self._push(records)
         # the mean summed in arrival order, as np.mean over axis 0 does
         S_scan = sum((rec.S for rec in records[1:]), records[0].S) / len(records)
         accepted = [rec for rec in records if rec.accepted]
         if not accepted:
             return cov, trace
-        if not self._built and self.config.eta != 0.0:
+        if self.net is None and cfg.eta != 0.0:
             self._s_samples.append(S_scan.diagonal().copy())
-        if not self.window.is_full:
+        if self.filled < len(self.window):
             return cov, trace
-        c_hat = estimate_actual_cov(self.window)
-        self.dom_state = compute_dom(S_scan, c_hat, self.dom_state)
+        dom = S_scan - self.actual_cov()
+        delta_dom = np.zeros_like(dom) if self._dom is None else dom - self._dom
+        self._dom = dom
         trace.active = True
-        (d00, _), (_, d11) = self.dom_state.dom.tolist()
-        (dd00, _), (_, dd11) = self.dom_state.delta_dom.tolist()
+        (d00, _), (_, d11) = dom.tolist()
+        (dd00, _), (_, dd11) = delta_dom.tolist()
         trace.dom_diag = (d00, d11)
         trace.delta_dom_diag = (dd00, dd11)
-        if self.config.eta == 0.0:
+        if cfg.eta == 0.0:
             return cov, trace
-        if not self._built:
-            self._build_nets()
-        R_next, Q_next = cov.R, cov.Q
-        if self.r_adapter is not None:
-            R_next, r_traces = adapt_r(self.r_adapter, self.dom_state, cov.R)
-            train_adapters(self.r_adapter, self.dom_state, r_traces)
+        if self.net is None:
+            self._build_net()
+        inputs = [(d00, dd00), (d11, dd11)] if "r" in self.mode else []
+        if "q" in self.mode:
+            inputs.append((d00, d11))
+        out, fwd = saturated_forward(self.net, inputs)
+        R_next, Q_next, sens = cov.R, cov.Q, None
+        if "r" in self.mode:
+            R_next = adapt_r(cov.R, out, cfg.r_floor)
             trace.applied_delta_r = (
                 float(R_next[0, 0] - cov.R[0, 0]),
                 float(R_next[1, 1] - cov.R[1, 1]),
             )
-        if self.q_adapter is not None:
+        if "q" in self.mode:
             sens = q_factor_sensitivity(accepted, G_u, cov.Q)
-            Q_next, q_trace = adapt_q(self.q_adapter, self.dom_state, cov.Q)
-            train_adapters(self.q_adapter, self.dom_state, q_trace, q_sensitivity=sens)
-            trace.q_factor = float(q_trace.out)
+            trace.q_factor = float(out[-1])
+            Q_next = adapt_q(cov.Q, trace.q_factor, self._q_floor, self._q_ceiling)
+        train_adapters(self.net, fwd, (d00, d11), sens)
         return CovPair(Q_next, R_next), trace

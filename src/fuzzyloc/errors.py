@@ -21,10 +21,6 @@ class UnknownLandmarkError(FuzzylocError, KeyError):
     """A measurement references a landmark id that is not in the map."""
 
 
-class WarmupError(FuzzylocError):
-    """Residual window is not full; the sample covariance is undefined."""
-
-
 class ZeroFiringError(FuzzylocError):
     """Total rule firing strength underflowed to zero."""
 

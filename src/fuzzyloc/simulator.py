@@ -295,7 +295,9 @@ def sense(
     landmarks depends only on the true pose. Measured ranges are floored at
     zero, matching a physical rangefinder. The geometry is computed once per
     landmark; the noisy bearing adds its noise to the unwrapped bearing and
-    wraps once, exactly as models.observe does.
+    wraps once, exactly as models.observe does. A landmark more than the
+    range away along either axis is skipped before any geometry: hypot never
+    returns less than the larger of |dx| and |dy|.
     """
     half_fov = 0.5 * scenario.sensor_fov
     max_range = scenario.sensor_range
@@ -304,6 +306,8 @@ def sense(
     x, y, phi = truth.x, truth.y, truth.phi
     scan: list[Measurement] = []
     for lm in landmark_map:
+        if abs(lm.x - x) > max_range or abs(lm.y - y) > max_range:
+            continue
         r, theta = models.range_bearing(x, y, phi, lm)
         if r > max_range or abs(models.wrap_angle(theta)) > half_fov:
             continue

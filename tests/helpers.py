@@ -8,21 +8,31 @@ LAPACK solve, a deterministic residual stream whose sample covariance is
 known in closed form, sensing with one noise-free and one noisy
 models.observe per landmark, CSV rows formatted value by value through
 csv.writer, a run loop that moves Pose/ControlInput/GaussianState objects
-through every tick, and the NEES elimination on row tuples.
+through every tick, the NEES elimination on row tuples, and the covariance
+adapter as one AnfisNet object per fuzzy network with a deque residual
+window.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from fuzzyloc import ekf, metrics, models, simulator
-from fuzzyloc.adaptation import AdaptationConfig, CovarianceAdapter
-from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
+from fuzzyloc.adaptation import (
+    INPUT_SATURATION_WIDTHS,
+    AdaptationConfig,
+    CovarianceAdapter,
+    StepTrace,
+    q_factor_sensitivity,
+)
+from fuzzyloc.anfis import CONSEQUENT, AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
-from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError
+from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError, ZeroFiringError
 from fuzzyloc.models import ControlInput, Measurement, Pose, wrap_angle
 
 
@@ -46,31 +56,32 @@ def fd_jacobian(f, x, h=1e-6, wrap_rows=()):
 
 
 def anfis_forward_brute(net: AnfisNet, in1: float, in2: float) -> float:
-    """Rule-by-rule forward pass, written independently of the array code."""
+    """Rule-by-rule forward pass of net 0 of a stack, written independently
+    of the array code."""
     num = 0.0
     den = 0.0
     for i in range(1, 6):
-        m1, d1 = float(net.centers[0, i - 1]), float(net.widths[0, i - 1])
+        m1, d1 = float(net.centers[0, 0, i - 1]), float(net.widths[0, 0, i - 1])
         mu1 = math.exp(-(((in1 - m1) / d1) ** 2))
         for j in range(1, 6):
-            m2, d2 = float(net.centers[1, j - 1]), float(net.widths[1, j - 1])
+            m2, d2 = float(net.centers[0, 1, j - 1]), float(net.widths[0, 1, j - 1])
             mu2 = math.exp(-(((in2 - m2) / d2) ** 2))
             firing = mu1 * mu2
             label = min(max(10 - i - j, 1), 7)  # anti-diagonal rule table, 1-based
-            num += firing * float(net.singletons[label - 1])
+            num += firing * float(net.singletons[0, label - 1])
             den += firing
     return num / den
 
 
 def anfis_analytic_gradients(net: AnfisNet, trace) -> np.ndarray:
-    """Analytic output gradients flattened into the 27-scalar param layout."""
+    """Analytic output gradients of a one-net stack in the 27-scalar param layout."""
     d_w, d_centers, d_widths = net.output_gradients(trace)
-    return np.concatenate([d_centers.ravel(), d_widths.ravel(), d_w])
+    return np.concatenate([d_centers.ravel(), d_widths.ravel(), d_w.ravel()])
 
 
 def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -> np.ndarray:
-    """Output gradients w.r.t. all 27 parameters by central differences."""
-    params = net_to_params(net)
+    """Output gradients of a one-net stack w.r.t. all 27 parameters by central differences."""
+    params = net_to_params(net)[0].tolist()
     grads = np.zeros(len(params))
     for k in range(len(params)):
         hk = h * max(1.0, abs(params[k]))
@@ -78,18 +89,18 @@ def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -
         lo = list(params)
         hi[k] += hk
         lo[k] -= hk
-        out_hi, _ = net_from_params(hi, eta=net.eta, delta_floor=net.delta_floor).forward(in1, in2)
-        out_lo, _ = net_from_params(lo, eta=net.eta, delta_floor=net.delta_floor).forward(in1, in2)
-        grads[k] = (out_hi - out_lo) / (2.0 * hk)
+        out_hi, _ = net_from_params(hi, eta=net.eta, delta_floor=net.delta_floor).forward([in1, in2])
+        out_lo, _ = net_from_params(lo, eta=net.eta, delta_floor=net.delta_floor).forward([in1, in2])
+        grads[k] = (out_hi[0] - out_lo[0]) / (2.0 * hk)
     return grads
 
 
-def random_net(rng, singleton_span: float = 2.0) -> AnfisNet:
-    """Well-conditioned random network: ordered centers, moderate widths."""
-    m1, d1 = np.sort(rng.uniform(-3.0, 3.0, 5)), rng.uniform(0.6, 2.0, 5)
-    m2, d2 = np.sort(rng.uniform(-3.0, 3.0, 5)), rng.uniform(0.6, 2.0, 5)
-    singletons = rng.uniform(-singleton_span, singleton_span, 7)
-    return AnfisNet([m1, m2], [d1, d2], singletons)
+def random_net(rng, singleton_span: float = 2.0, k: int = 1) -> AnfisNet:
+    """Stack of k well-conditioned random networks: ordered centers, moderate widths."""
+    centers = np.sort(rng.uniform(-3.0, 3.0, (k, 2, 5)), axis=2)
+    widths = rng.uniform(0.6, 2.0, (k, 2, 5))
+    singletons = rng.uniform(-singleton_span, singleton_span, (k, 7))
+    return AnfisNet(centers, widths, singletons)
 
 
 def random_pose(rng, span: float = 50.0) -> Pose:
@@ -414,3 +425,237 @@ def compare_rows(rep_a, rep_b):
             rep_a.avg_nees[i], rep_b.avg_nees[i],
             rep_a.band[0], rep_a.band[1],
         )
+
+
+# -- The covariance adapter before its nets were stacked --------------------
+# One AnfisNet object per fuzzy network with (2, 5) centers and widths and
+# (7,) singletons, a deque residual window re-stacked on every scan, and the
+# R and Q adapters trained through an isinstance dispatch. It is the
+# byte-equality oracle of fuzzyloc.adaptation.CovarianceAdapter.
+
+
+@dataclass
+class LegacyForwardTrace:
+    in1: float
+    in2: float
+    mu: np.ndarray  # (2, 5)
+    firing: np.ndarray  # (5, 5)
+    total: float
+    normalized: np.ndarray  # (5, 5)
+    out: float
+
+
+@dataclass
+class LegacyAnfisNet:
+    """One two-input network: centers and widths (2, 5), singletons (7,)."""
+
+    centers: np.ndarray
+    widths: np.ndarray
+    singletons: np.ndarray
+    eta: float = 0.01
+    delta_floor: float = 1e-4
+
+    def __post_init__(self) -> None:
+        self.centers = np.array(self.centers, dtype=float)
+        self.widths = np.array(self.widths, dtype=float)
+        self.singletons = np.asarray(self.singletons, dtype=float).copy()
+
+    def forward(self, in1: float, in2: float) -> tuple[float, LegacyForwardTrace]:
+        z = (np.array([[in1], [in2]]) - self.centers) / self.widths
+        mu = np.exp(-z * z)
+        firing = mu[0, :, None] * mu[1]
+        total = float(firing.sum())
+        if total < 1e-300:
+            raise ZeroFiringError(f"zero total firing at inputs ({in1}, {in2})")
+        normalized = firing / total
+        out = float((normalized * self.singletons[CONSEQUENT]).sum())
+        return out, LegacyForwardTrace(in1, in2, mu, firing, total, normalized, out)
+
+    def output_gradients(self, trace: LegacyForwardTrace):
+        d_w = np.bincount(CONSEQUENT.ravel(), trace.normalized.ravel(), 7)
+        excess = self.singletons[CONSEQUENT] - trace.out
+        g_mu = np.array([excess @ trace.mu[1], excess.T @ trace.mu[0]]) / trace.total
+        diff = np.array([[trace.in1], [trace.in2]]) - self.centers
+        d_mu = g_mu * trace.mu * 2.0
+        d_centers = d_mu * diff / self.widths**2
+        d_widths = d_mu * diff**2 / self.widths**3
+        return d_w, d_centers, d_widths
+
+    def train_step(self, trace: LegacyForwardTrace, e: float, ds_dout: float) -> "LegacyAnfisNet":
+        g = self.eta * e * ds_dout
+        if g == 0.0:
+            return self
+        d_w, d_centers, d_widths = self.output_gradients(trace)
+        self.singletons -= g * d_w
+        self.centers -= g * d_centers
+        self.widths = np.maximum(self.widths - g * d_widths, self.delta_floor)
+        return self
+
+
+def legacy_params(net: LegacyAnfisNet) -> list[float]:
+    """10 centers, 10 widths, 7 singletons."""
+    return np.concatenate((net.centers.ravel(), net.widths.ravel(), net.singletons)).tolist()
+
+
+def _legacy_spread_net(scale1, scale2, singletons, eta, delta_floor) -> LegacyAnfisNet:
+    scales = np.array([[scale1], [scale2]])
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    return LegacyAnfisNet(offsets * scales, np.repeat(scales, 5, axis=1), singletons, eta, delta_floor)
+
+
+def legacy_saturated_forward(net: LegacyAnfisNet, in1: float, in2: float):
+    clamped = []
+    for u, centers, widths in zip((in1, in2), net.centers.tolist(), net.widths.tolist()):
+        reach = INPUT_SATURATION_WIDTHS * max(widths)
+        clamped.append(min(max(float(u), min(centers) - reach), max(centers) + reach))
+    return net.forward(*clamped)
+
+
+def legacy_leak_toward(net: LegacyAnfisNet, anchor, rate: float) -> LegacyAnfisNet:
+    if rate == 0.0:
+        return net
+    params = np.concatenate((net.centers.ravel(), net.widths.ravel(), net.singletons))
+    params += rate * (np.asarray(anchor, dtype=float) - params)
+    net.centers, net.widths = params[:20].reshape(2, 2, 5)
+    np.maximum(net.widths, net.delta_floor, out=net.widths)
+    net.singletons = params[20:]
+    return net
+
+
+@dataclass
+class _LegacyRAdapter:
+    nets: tuple
+    r_floor: float
+
+
+@dataclass
+class _LegacyQAdapter:
+    net: LegacyAnfisNet
+    q_floor: np.ndarray
+    q_ceiling: np.ndarray
+
+
+def _legacy_train(adapter, dom, traces, q_sensitivity=None):
+    if isinstance(adapter, _LegacyRAdapter):
+        for i, (net, trace) in enumerate(zip(adapter.nets, traces)):
+            net.train_step(trace, float(dom[i, i]), 1.0)
+    elif isinstance(adapter, _LegacyQAdapter):
+        e = 0.5 * float(dom[0, 0] + dom[1, 1])
+        ds = 0.5 * float(q_sensitivity[0] + q_sensitivity[1])
+        adapter.net.train_step(traces, e, ds)
+    else:
+        raise TypeError(f"unknown adapter type {type(adapter).__name__}")
+
+
+class LegacyCovarianceAdapter:
+    """CovarianceAdapter with per-net objects, a deque window and per-net leaks."""
+
+    def __init__(self, mode, initial_cov, config=None):
+        if mode not in ("r", "q", "rq"):
+            raise ValueError(f"unknown adaptation mode {mode!r}")
+        self.mode = mode
+        self.config = config if config is not None else AdaptationConfig()
+        self.window = deque(maxlen=self.config.window)
+        self.dom = None
+        self.delta_dom = None
+        self.r_adapter = None
+        self.q_adapter = None
+        self._built = False
+        self._s_samples = []
+        self._initial_r = np.diag(initial_cov.R).copy()
+        self._initial_q = np.diag(initial_cov.Q).copy()
+        self._r_anchors = []
+        self._q_anchor = None
+
+    def _input_scale(self, samples):
+        spread = float(np.std(samples))
+        floor = self.config.scale_rel_floor * float(np.mean(np.abs(samples)))
+        return max(spread, floor, 1e-12)
+
+    def _build_nets(self):
+        cfg = self.config
+        samples = np.array(self._s_samples)
+        scales = (self._input_scale(samples[:, 0]), self._input_scale(samples[:, 1]))
+        if self.mode in ("r", "rq"):
+            nets = tuple(
+                _legacy_spread_net(scales[i], 0.5 * scales[i],
+                                   cfg.r_singleton_ratio * self._initial_r[i] * np.arange(-3.0, 4.0),
+                                   cfg.eta, cfg.delta_floor)
+                for i in range(2)
+            )
+            self.r_adapter = _LegacyRAdapter(nets, cfg.r_floor)
+            self._r_anchors = [np.array(legacy_params(net)) for net in nets]
+        if self.mode in ("q", "rq"):
+            net = _legacy_spread_net(scales[0], scales[1], cfg.q_singleton_ratio ** np.arange(-3.0, 4.0),
+                                     cfg.eta, cfg.delta_floor)
+            if cfg.q_floor is not None:
+                q_floor = np.full(2, float(cfg.q_floor))
+            else:
+                q_floor = cfg.q_floor_ratio * self._initial_q
+            self.q_adapter = _LegacyQAdapter(net, q_floor, cfg.q_ceiling_ratio * self._initial_q)
+            self._q_anchor = np.array(legacy_params(net))
+        self._built = True
+
+    def _apply_leak(self):
+        rate = self.config.leak
+        if not self._built or rate == 0.0:
+            return
+        if self.r_adapter is not None:
+            for net, anchor in zip(self.r_adapter.nets, self._r_anchors):
+                legacy_leak_toward(net, anchor, rate)
+        if self.q_adapter is not None:
+            legacy_leak_toward(self.q_adapter.net, self._q_anchor, rate)
+
+    def after_update(self, records, G_u, cov):
+        trace = StepTrace()
+        self._apply_leak()
+        if not records:
+            return cov, trace
+        for rec in records:
+            self.window.append(np.asarray(rec.residual, dtype=float).copy())
+        S_scan = sum((rec.S for rec in records[1:]), records[0].S) / len(records)
+        accepted = [rec for rec in records if rec.accepted]
+        if not accepted:
+            return cov, trace
+        if not self._built and self.config.eta != 0.0:
+            self._s_samples.append(S_scan.diagonal().copy())
+        if len(self.window) < self.config.window:
+            return cov, trace
+        arr = np.array(self.window)
+        c_hat = arr.T @ arr / self.config.window
+        dom = np.asarray(S_scan, dtype=float) - np.asarray(c_hat, dtype=float)
+        self.delta_dom = np.zeros_like(dom) if self.dom is None else dom - self.dom
+        self.dom = dom
+        trace.active = True
+        (d00, _), (_, d11) = self.dom.tolist()
+        (dd00, _), (_, dd11) = self.delta_dom.tolist()
+        trace.dom_diag = (d00, d11)
+        trace.delta_dom_diag = (dd00, dd11)
+        if self.config.eta == 0.0:
+            return cov, trace
+        if not self._built:
+            self._build_nets()
+        R_next, Q_next = cov.R, cov.Q
+        if self.r_adapter is not None:
+            R_next = np.array(cov.R, dtype=float, copy=True)
+            r_traces = []
+            for i, net in enumerate(self.r_adapter.nets):
+                delta, t = legacy_saturated_forward(net, float(self.dom[i, i]), float(self.delta_dom[i, i]))
+                R_next[i, i] = max(cov.R[i, i] + delta, self.r_adapter.r_floor)
+                r_traces.append(t)
+            _legacy_train(self.r_adapter, self.dom, r_traces)
+            trace.applied_delta_r = (
+                float(R_next[0, 0] - cov.R[0, 0]),
+                float(R_next[1, 1] - cov.R[1, 1]),
+            )
+        if self.q_adapter is not None:
+            sens = q_factor_sensitivity(accepted, G_u, cov.Q)
+            factor, q_trace = legacy_saturated_forward(
+                self.q_adapter.net, float(self.dom[0, 0]), float(self.dom[1, 1]))
+            Q_next = np.array(cov.Q, dtype=float, copy=True)
+            for i in range(2):
+                Q_next[i, i] = min(max(cov.Q[i, i] * factor, self.q_adapter.q_floor[i]),
+                                   self.q_adapter.q_ceiling[i])
+            _legacy_train(self.q_adapter, self.dom, q_trace, q_sensitivity=sens)
+            trace.q_factor = float(q_trace.out)
+        return CovPair(Q_next, R_next), trace

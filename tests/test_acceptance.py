@@ -15,7 +15,7 @@ import pytest
 
 import helpers
 from fuzzyloc import ekf, models
-from fuzzyloc.adaptation import ResidualWindow, estimate_actual_cov
+from fuzzyloc.adaptation import AdaptationConfig, CovarianceAdapter
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.metrics import build_report, chi2_band
 from fuzzyloc.models import ControlInput, Landmark, LandmarkMap, Pose
@@ -167,11 +167,13 @@ def _window_estimator_worst_gap(rng) -> float:
         n = int(rng.integers(2, 40))
         scale = float(rng.uniform(0.1, 3.0))
         residuals = rng.normal(size=(n, 2)) * scale
-        window = ResidualWindow(n)
+        cov = CovPair(np.eye(2), np.eye(2))
+        adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=n, eta=0.0))
         for r in residuals:
-            window.push(r)
+            record = InnovationRecord(residual=r, S=np.eye(2), landmark_id=1, timestep=0, accepted=True)
+            adapter.after_update([record], np.zeros((3, 2)), cov)
         brute = sum(np.outer(r, r) for r in residuals) / n
-        worst = max(worst, float(np.abs(estimate_actual_cov(window) - brute).max()))
+        worst = max(worst, float(np.abs(adapter.actual_cov() - brute).max()))
     return worst
 
 
@@ -218,7 +220,7 @@ def _anfis_gradients_match(rng, n_configs=200) -> bool:
         net = helpers.random_net(rng)
         in1 = float(rng.uniform(-3.5, 3.5))
         in2 = float(rng.uniform(-3.5, 3.5))
-        _, trace = net.forward(in1, in2)
+        _, trace = net.forward([in1, in2])
         analytic = helpers.anfis_analytic_gradients(net, trace)
         fd = helpers.anfis_fd_gradients(net, in1, in2)
         if not np.allclose(analytic, fd, rtol=1e-5, atol=1e-8):
@@ -276,10 +278,10 @@ def _soak_invariants() -> tuple[bool, float]:
 def _network_bounds_hold(rng, n_configs=300) -> bool:
     for _ in range(n_configs):
         net = helpers.random_net(rng)
-        _, trace = net.forward(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+        _, trace = net.forward([float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))])
         if abs(float(trace.normalized.sum()) - 1.0) > 1e-12 or np.any(trace.normalized < 0.0):
             return False
-        if not (net.singletons.min() - 1e-12 <= trace.out <= net.singletons.max() + 1e-12):
+        if not (net.singletons.min() - 1e-12 <= trace.out[0] <= net.singletons.max() + 1e-12):
             return False
     return True
 

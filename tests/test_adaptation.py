@@ -14,15 +14,9 @@ from fuzzyloc.adaptation import (
     SCALE_REL_FLOOR,
     AdaptationConfig,
     CovarianceAdapter,
-    DomState,
-    QAdapter,
-    RAdapter,
-    ResidualWindow,
     StepTrace,
     adapt_q,
     adapt_r,
-    compute_dom,
-    estimate_actual_cov,
     leak_toward,
     make_additive_net,
     make_multiplicative_net,
@@ -30,10 +24,11 @@ from fuzzyloc.adaptation import (
     saturated_forward,
     train_adapters,
 )
-from fuzzyloc.anfis import AnfisNet, net_to_params
+from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, InnovationRecord
-from fuzzyloc.errors import WarmupError
 from fuzzyloc.simulator import run_once
+
+DEFAULT_COV = CovPair(np.diag([0.09, 0.0027]), np.diag([0.04, 0.001]))
 
 
 def make_record(residual, S, accepted=True, H=None, landmark_id=1, timestep=0):
@@ -47,179 +42,198 @@ def make_record(residual, S, accepted=True, H=None, landmark_id=1, timestep=0):
     )
 
 
+def push(adapter, residual, S=np.eye(2)):
+    """One scan of one accepted record; returns the adapter's StepTrace."""
+    return adapter.after_update([make_record(residual, S)], np.zeros((3, 2)), DEFAULT_COV)[1]
+
+
+def stack(*nets):
+    """One AnfisNet holding the given one-net stacks in order."""
+    return net_from_params(np.concatenate([net_to_params(net) for net in nets]),
+                           eta=nets[0].eta, delta_floor=nets[0].delta_floor)
+
+
 class TestResidualWindow:
+    """The adapter's (window, 2) residual array, oldest row first."""
+
     def test_capacity_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            ResidualWindow(1)
+        with pytest.raises(ValueError, match="window"):
+            CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=1))
 
     def test_fills_and_evicts(self):
-        w = ResidualWindow(3)
-        assert len(w) == 0 and not w.is_full
+        adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=3, eta=0.0))
+        assert adapter.filled == 0
         for k in range(5):
-            w.push(np.array([float(k), 0.0]))
-        assert len(w) == 3 and w.is_full
-        np.testing.assert_allclose(w.as_array()[:, 0], [2.0, 3.0, 4.0])
+            push(adapter, [float(k), 0.0])
+        assert adapter.filled == 3
+        np.testing.assert_allclose(adapter.window[:, 0], [2.0, 3.0, 4.0])
 
     def test_push_copies(self):
-        w = ResidualWindow(2)
+        adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=2, eta=0.0))
         r = np.array([1.0, 2.0])
-        w.push(r)
+        push(adapter, r)
         r[0] = 99.0
-        assert w.as_array()[0, 0] == 1.0
+        assert adapter.window[-1, 0] == 1.0
 
 
 class TestEstimateActualCov:
+    """CovarianceAdapter.actual_cov, and no mismatch until the window is full."""
+
     def test_warmup_error_until_full(self):
-        w = ResidualWindow(4)
+        adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=4, eta=0.0))
         for _ in range(3):
-            w.push(np.array([1.0, 0.0]))
-            with pytest.raises(WarmupError):
-                estimate_actual_cov(w)
+            trace = push(adapter, [1.0, 0.0])
+            assert not trace.active and adapter.filled < 4
+        assert push(adapter, [1.0, 0.0]).active
 
     def test_matches_brute_force(self, rng):
         """Criterion: windowed estimate equals outer-product recomputation."""
         for _ in range(50):
             n = int(rng.integers(2, 30))
-            w = ResidualWindow(n)
+            adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=n, eta=0.0))
             residuals = rng.normal(size=(n, 2))
             for r in residuals:
-                w.push(r)
+                push(adapter, r)
             brute = sum(np.outer(r, r) for r in residuals) / n
-            np.testing.assert_allclose(estimate_actual_cov(w), brute, atol=1e-12)
+            np.testing.assert_allclose(adapter.actual_cov(), brute, atol=1e-12)
 
     def test_no_mean_subtraction(self):
         # a constant residual stream must read as its full outer product,
         # not as zero variance
-        w = ResidualWindow(3)
+        adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=3, eta=0.0))
         for _ in range(3):
-            w.push(np.array([2.0, -1.0]))
+            push(adapter, [2.0, -1.0])
         np.testing.assert_allclose(
-            estimate_actual_cov(w), np.array([[4.0, -2.0], [-2.0, 1.0]]), atol=1e-15
+            adapter.actual_cov(), np.array([[4.0, -2.0], [-2.0, 1.0]]), atol=1e-15
         )
 
 
 class TestComputeDom:
+    """The mismatch S - C_hat and its change, as the adapter's StepTrace reports them."""
+
+    def _adapter(self):
+        # residuals (1, 1), (1, -1), (1, 1), ... keep C_hat = I in a window of two
+        adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=2, eta=0.0))
+        push(adapter, [1.0, 1.0], S=np.diag([4.0, 1.0]))
+        return adapter
+
     def test_first_delta_is_zero(self):
-        S = np.diag([4.0, 1.0])
-        c_hat = np.diag([1.0, 1.0])
-        state = compute_dom(S, c_hat, DomState())
-        np.testing.assert_allclose(state.dom, np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(state.delta_dom, np.zeros((2, 2)))
+        trace = push(self._adapter(), [1.0, -1.0], S=np.diag([4.0, 1.0]))
+        assert trace.dom_diag == (3.0, 0.0)
+        assert trace.delta_dom_diag == (0.0, 0.0)
 
     def test_delta_tracks_change(self):
-        s0 = compute_dom(np.diag([4.0, 1.0]), np.eye(2), DomState())
-        s1 = compute_dom(np.diag([3.0, 1.0]), np.eye(2), s0)
-        np.testing.assert_allclose(s1.delta_dom, np.diag([-1.0, 0.0]))
+        adapter = self._adapter()
+        push(adapter, [1.0, -1.0], S=np.diag([4.0, 1.0]))
+        trace = push(adapter, [1.0, 1.0], S=np.diag([3.0, 1.0]))
+        assert trace.delta_dom_diag == (-1.0, 0.0)
 
 
 class TestNetBuilders:
     def test_additive_net_layout(self):
         net = make_additive_net(input_scale=2.0, output_scale=0.1)
-        assert net.centers[0].tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
-        assert net.widths[0].tolist() == [2.0] * 5
-        assert net.centers[1].tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
-        assert net.widths[1].tolist() == [1.0] * 5
-        np.testing.assert_allclose(net.singletons, 0.1 * np.arange(-3, 4))
+        assert len(net) == 1
+        assert net.centers[0, 0].tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
+        assert net.widths[0, 0].tolist() == [2.0] * 5
+        assert net.centers[0, 1].tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert net.widths[0, 1].tolist() == [1.0] * 5
+        np.testing.assert_allclose(net.singletons[0], 0.1 * np.arange(-3, 4))
 
     def test_multiplicative_net_is_geometric_with_unit_center(self):
         net = make_multiplicative_net(1.0, 1.0, ratio=1.5)
-        np.testing.assert_allclose(net.singletons, 1.5 ** np.arange(-3.0, 4.0))
-        assert net.singletons[3] == 1.0
+        np.testing.assert_allclose(net.singletons[0], 1.5 ** np.arange(-3.0, 4.0))
+        assert net.singletons[0, 3] == 1.0
 
 
 class TestLeakToward:
     def test_zero_rate_noop(self, rng):
-        net = helpers.random_net(rng)
-        anchor = [v + 1.0 for v in net_to_params(net)]
-        before = net_to_params(net)
+        net = helpers.random_net(rng, k=2)
+        anchor = net_to_params(net) + 1.0
+        before = net_to_params(net).tolist()
         leak_toward(net, anchor, 0.0)
-        assert net_to_params(net) == before
+        assert net_to_params(net).tolist() == before
 
     def test_unit_rate_snaps_to_anchor(self, rng):
         net = helpers.random_net(rng)
-        anchor = net_to_params(helpers.random_net(rng))
+        anchor = net_to_params(helpers.random_net(rng))[0].tolist()
         leak_toward(net, anchor, 1.0)
-        np.testing.assert_allclose(net_to_params(net), anchor, atol=1e-15)
+        np.testing.assert_allclose(net_to_params(net)[0], anchor, atol=1e-15)
 
     def test_partial_rate_interpolates(self, rng):
-        net = helpers.random_net(rng)
-        start = np.array(net_to_params(net))
-        anchor = start + 2.0
-        leak_toward(net, list(anchor), 0.25)
+        net = helpers.random_net(rng, k=3)
+        start = net_to_params(net)
+        leak_toward(net, start + 2.0, 0.25)
         np.testing.assert_allclose(net_to_params(net), start + 0.5, atol=1e-12)
 
     def test_width_floor_respected(self):
         net = make_additive_net(1.0, 0.1)
         anchor = net_to_params(net)
-        net.widths[0] = net.delta_floor
-        bad_anchor = list(anchor)
-        for k in range(10, 15):
-            bad_anchor[k] = 0.0  # anchor widths of zero must not pull below floor
+        net.widths[0, 0] = net.delta_floor
+        bad_anchor = anchor.copy()
+        bad_anchor[0, 10:15] = 0.0  # anchor widths of zero must not pull below floor
         leak_toward(net, bad_anchor, 0.9)
-        assert np.all(net.widths[0] >= net.delta_floor)
+        assert np.all(net.widths[0, 0] >= net.delta_floor)
+
+
+def r_rewrite(dom_diag, R, scale=1.0, c=0.05, r_floor=1e-8):
+    """The R half of a scan: two stacked additive nets fed (dom_ii, 0), then adapt_r."""
+    net = stack(make_additive_net(scale, c), make_additive_net(scale, c))
+    out, trace = saturated_forward(net, [(dom_diag[0], 0.0), (dom_diag[1], 0.0)])
+    return adapt_r(R, out, r_floor), trace
 
 
 class TestAdaptR:
-    def _adapter(self, scale=1.0, c=0.05):
-        nets = (make_additive_net(scale, c), make_additive_net(scale, c))
-        return RAdapter(nets, r_floor=1e-8)
-
     def test_zero_mismatch_zero_change(self):
-        adapter = self._adapter()
-        dom = DomState(dom=np.zeros((2, 2)), delta_dom=np.zeros((2, 2)))
         R = np.diag([0.5, 0.1])
-        R_new, traces = adapt_r(adapter, dom, R)
+        R_new, trace = r_rewrite((0.0, 0.0), R)
         # the rule table is antisymmetric around the center and the initial
         # singletons mirror it, so the zero-input response is exactly zero
         np.testing.assert_allclose(R_new, R, atol=1e-14)
-        assert len(traces) == 2
+        assert len(trace.out) == 2
 
     def test_positive_mismatch_shrinks_r(self):
-        adapter = self._adapter(scale=1.0)
-        dom = DomState(dom=np.diag([2.0, 2.0]), delta_dom=np.zeros((2, 2)))
         R = np.diag([0.5, 0.1])
-        R_new, _ = adapt_r(adapter, dom, R)
+        R_new, _ = r_rewrite((2.0, 2.0), R)
         assert R_new[0, 0] < R[0, 0]
         assert R_new[1, 1] < R[1, 1]
 
     def test_negative_mismatch_grows_r(self):
-        adapter = self._adapter(scale=1.0)
-        dom = DomState(dom=np.diag([-2.0, -2.0]), delta_dom=np.zeros((2, 2)))
         R = np.diag([0.5, 0.1])
-        R_new, _ = adapt_r(adapter, dom, R)
+        R_new, _ = r_rewrite((-2.0, -2.0), R)
         assert R_new[0, 0] > R[0, 0]
         assert R_new[1, 1] > R[1, 1]
 
     def test_channels_independent(self):
-        adapter = self._adapter(scale=1.0)
-        dom = DomState(dom=np.diag([2.0, 0.0]), delta_dom=np.zeros((2, 2)))
         R = np.diag([0.5, 0.1])
-        R_new, _ = adapt_r(adapter, dom, R)
+        R_new, _ = r_rewrite((2.0, 0.0), R)
         assert R_new[0, 0] < R[0, 0]
         assert R_new[1, 1] == pytest.approx(R[1, 1], abs=1e-14)
 
     def test_floor_clamps_exactly(self):
-        adapter = self._adapter(scale=1.0, c=0.05)
-        dom = DomState(dom=np.diag([3.0, 3.0]), delta_dom=np.zeros((2, 2)))
         R = np.diag([1e-8, 1e-8])  # any negative correction hits the floor
-        R_new, _ = adapt_r(adapter, dom, R)
+        R_new, _ = r_rewrite((3.0, 3.0), R, c=0.05)
         assert R_new[0, 0] == 1e-8
         assert R_new[1, 1] == 1e-8
 
     def test_saturated_forward_handles_huge_inputs(self):
         net = make_additive_net(1.0, 0.05)
-        out, _ = saturated_forward(net, 1e9, -1e9)
-        assert math.isfinite(out)
-        ref, _ = saturated_forward(net, 50.0, -50.0)
-        assert out == pytest.approx(ref, rel=1e-9)
+        out, _ = saturated_forward(net, [(1e9, -1e9)])
+        assert math.isfinite(out[0])
+        ref, _ = saturated_forward(net, [(50.0, -50.0)])
+        assert out[0] == pytest.approx(ref[0], rel=1e-9)
 
 
-def narrow_q_adapter(ratio=1.5, q_floor=(1e-6, 1e-6), q_ceiling=(1e6, 1e6)):
-    """Q adapter whose membership widths are a tenth of the spacing, so the
+def narrow_q_net(ratio=1.5):
+    """Q net whose membership widths are a tenth of the spacing, so the
     center rule dominates completely at zero input."""
     centers = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    net = AnfisNet([centers, centers], np.full((2, 5), 0.1), ratio ** np.arange(-3.0, 4.0))
-    return QAdapter(net, np.asarray(q_floor, dtype=float), np.asarray(q_ceiling, dtype=float))
+    return AnfisNet([[centers, centers]], np.full((1, 2, 5), 0.1), [ratio ** np.arange(-3.0, 4.0)])
+
+
+def q_rewrite(dom_diag, Q, q_floor=(1e-6, 1e-6), q_ceiling=(1e6, 1e6)):
+    """The Q half of a scan: the narrow Q net fed (dom_00, dom_11), then adapt_q."""
+    out, trace = saturated_forward(narrow_q_net(), [dom_diag])
+    return adapt_q(Q, float(out[0]), np.asarray(q_floor), np.asarray(q_ceiling)), trace
 
 
 class TestAdaptQ:
@@ -227,45 +241,34 @@ class TestAdaptQ:
         # note: with default (wide) memberships the factor at zero input sits
         # slightly above 1 because the geometric singletons are convex; the
         # dominant-rule construction isolates the center consequent
-        adapter = narrow_q_adapter()
-        dom = DomState(dom=np.zeros((2, 2)), delta_dom=np.zeros((2, 2)))
         Q = np.diag([0.09, 0.0027])
-        Q_new, trace = adapt_q(adapter, dom, Q)
+        Q_new, trace = q_rewrite((0.0, 0.0), Q)
         np.testing.assert_allclose(np.diag(Q_new), np.diag(Q), rtol=1e-3)
-        assert trace.out == pytest.approx(1.0, rel=1e-3)
+        assert trace.out[0] == pytest.approx(1.0, rel=1e-3)
 
     def test_positive_mismatch_shrinks_q(self):
-        adapter = narrow_q_adapter()
-        dom = DomState(dom=np.diag([2.0, 2.0]), delta_dom=np.zeros((2, 2)))
         Q = np.diag([1.0, 1.0])
-        Q_new, trace = adapt_q(adapter, dom, Q)
-        assert trace.out == pytest.approx(1.5 ** -3, rel=1e-3)
+        Q_new, trace = q_rewrite((2.0, 2.0), Q)
+        assert trace.out[0] == pytest.approx(1.5 ** -3, rel=1e-3)
         assert Q_new[0, 0] < Q[0, 0]
 
     def test_negative_mismatch_grows_q(self):
-        adapter = narrow_q_adapter()
-        dom = DomState(dom=np.diag([-2.0, -2.0]), delta_dom=np.zeros((2, 2)))
         Q = np.diag([1.0, 1.0])
-        Q_new, trace = adapt_q(adapter, dom, Q)
-        assert trace.out == pytest.approx(1.5 ** 3, rel=1e-3)
+        Q_new, trace = q_rewrite((-2.0, -2.0), Q)
+        assert trace.out[0] == pytest.approx(1.5 ** 3, rel=1e-3)
         assert Q_new[0, 0] > Q[0, 0]
 
     def test_shared_factor_scales_both_channels(self):
-        adapter = narrow_q_adapter()
-        dom = DomState(dom=np.diag([-1.0, -1.0]), delta_dom=np.zeros((2, 2)))
         Q = np.diag([0.5, 0.002])
-        Q_new, trace = adapt_q(adapter, dom, Q)
+        Q_new, trace = q_rewrite((-1.0, -1.0), Q)
         assert Q_new[0, 0] / Q[0, 0] == pytest.approx(Q_new[1, 1] / Q[1, 1], rel=1e-12)
-        assert Q_new[0, 0] / Q[0, 0] == pytest.approx(trace.out, rel=1e-12)
+        assert Q_new[0, 0] / Q[0, 0] == pytest.approx(trace.out[0], rel=1e-12)
 
     def test_floor_and_ceiling_clamp_exactly(self):
-        adapter = narrow_q_adapter(q_floor=(0.9, 0.9), q_ceiling=(1.1, 1.1))
         Q = np.diag([1.0, 1.0])
-        down = DomState(dom=np.diag([2.0, 2.0]), delta_dom=np.zeros((2, 2)))
-        Q_new, _ = adapt_q(adapter, down, Q)
+        Q_new, _ = q_rewrite((2.0, 2.0), Q, q_floor=(0.9, 0.9), q_ceiling=(1.1, 1.1))
         assert Q_new[0, 0] == 0.9 and Q_new[1, 1] == 0.9
-        up = DomState(dom=np.diag([-2.0, -2.0]), delta_dom=np.zeros((2, 2)))
-        Q_new, _ = adapt_q(adapter, up, Q)
+        Q_new, _ = q_rewrite((-2.0, -2.0), Q, q_floor=(0.9, 0.9), q_ceiling=(1.1, 1.1))
         assert Q_new[0, 0] == 1.1 and Q_new[1, 1] == 1.1
 
 
@@ -323,10 +326,10 @@ class TestGoldenTrajectory:
         for k in range(20):
             in1 = 2.5 * math.sin(0.7 * k + 0.3) + (40.0 if k == 11 else 0.0)
             in2 = 1.3 * math.cos(1.1 * k) - (1e6 if k == 6 else 0.0)
-            out, trace = saturated_forward(net, in1, in2)
-            net.train_step(trace, in1 - 0.2 * out, ds)
+            out, trace = saturated_forward(net, [(in1, in2)])
+            net.train_step(trace, in1 - 0.2 * out[0], ds)
             leak_toward(net, anchor, 0.05)
-        return [v.hex() for v in net_to_params(net)]
+        return [v.hex() for v in net_to_params(net)[0].tolist()]
 
     def test_additive_net_bitwise(self):
         net = make_additive_net(0.8, 0.05, eta=0.05)
@@ -337,38 +340,68 @@ class TestGoldenTrajectory:
         assert self._trajectory(net, 0.3) == self.MULTIPLICATIVE
 
 
+class TestStackOracle:
+    """A stack of k nets against k single nets of helpers.LegacyAnfisNet, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_saturated_forward_train_and_leak(self, rng, k):
+        net = helpers.random_net(rng, k=k)
+        net.eta = 0.1
+        olds = [helpers.LegacyAnfisNet(net.centers[n], net.widths[n], net.singletons[n], eta=0.1)
+                for n in range(k)]
+        anchor = net_to_params(net)
+        for step in range(400):
+            inputs = rng.normal(scale=3.0, size=(k, 2))
+            if step % 37 == 0:
+                inputs[0, 0] = 1e6  # saturated
+            e, ds = rng.normal(size=k), rng.normal(size=k)
+            if step % 11 == 0:
+                ds[-1] = 0.0  # a zero step leaves its net untouched
+            out, trace = saturated_forward(net, inputs)
+            net.train_step(trace, e, ds)
+            leak_toward(net, anchor, 0.05)
+            for n, old in enumerate(olds):
+                old_out, old_trace = helpers.legacy_saturated_forward(old, *inputs[n])
+                assert out[n].hex() == old_out.hex(), (step, n)
+                old.train_step(old_trace, float(e[n]), float(ds[n]))
+                helpers.legacy_leak_toward(old, anchor[n], 0.05)
+        for n, old in enumerate(olds):
+            assert net_to_params(net)[n].tolist() == helpers.legacy_params(old)
+
+
 class TestTrainAdapters:
     def test_r_training_moves_output_against_error(self):
-        nets = (make_additive_net(1.0, 0.05, eta=0.05), make_additive_net(1.0, 0.05, eta=0.05))
-        adapter = RAdapter(nets)
-        dom = DomState(dom=np.diag([1.5, -1.5]), delta_dom=np.zeros((2, 2)))
-        before = [saturated_forward(net, dom.dom[i, i], 0.0)[0] for i, net in enumerate(nets)]
-        _, traces = adapt_r(adapter, dom, np.diag([1.0, 1.0]))
-        train_adapters(adapter, dom, traces)
-        after = [saturated_forward(net, dom.dom[i, i], 0.0)[0] for i, net in enumerate(nets)]
+        net = stack(make_additive_net(1.0, 0.05, eta=0.05), make_additive_net(1.0, 0.05, eta=0.05))
+        inputs = [(1.5, 0.0), (-1.5, 0.0)]
+        before, trace = saturated_forward(net, inputs)
+        train_adapters(net, trace, (1.5, -1.5))
+        after, _ = saturated_forward(net, inputs)
         # positive error trains the response downward, negative upward
         assert after[0] < before[0]
         assert after[1] > before[1]
 
     def test_q_training_requires_sensitivity(self):
-        adapter = narrow_q_adapter()
-        dom = DomState(dom=np.diag([1.0, 1.0]), delta_dom=np.zeros((2, 2)))
-        _, trace = adapt_q(adapter, dom, np.diag([1.0, 1.0]))
+        net = narrow_q_net()
+        _, trace = saturated_forward(net, [(1.0, 1.0)])
         with pytest.raises(ValueError, match="sensitivity"):
-            train_adapters(adapter, dom, trace)
+            train_adapters(net, trace, (1.0, 1.0))
 
     def test_q_training_with_sensitivity_moves_params(self):
-        adapter = narrow_q_adapter()
-        adapter.net.eta = 0.05
-        dom = DomState(dom=np.diag([1.0, 1.0]), delta_dom=np.zeros((2, 2)))
-        before = net_to_params(adapter.net)
-        _, trace = adapt_q(adapter, dom, np.diag([1.0, 1.0]))
-        train_adapters(adapter, dom, trace, q_sensitivity=np.array([0.5, 0.5]))
-        assert net_to_params(adapter.net) != before
+        net = narrow_q_net()
+        net.eta = 0.05
+        before = net_to_params(net).tolist()
+        _, trace = saturated_forward(net, [(1.0, 1.0)])
+        train_adapters(net, trace, (1.0, 1.0), q_sensitivity=np.array([0.5, 0.5]))
+        assert net_to_params(net).tolist() != before
 
-    def test_unknown_adapter_type_rejected(self):
+    def test_unknown_adapter_type_rejected(self, rng):
         with pytest.raises(TypeError):
-            train_adapters(object(), DomState(), [])
+            train_adapters(object(), None, (0.0, 0.0))
+        # a stack whose size is no mode's
+        net = helpers.random_net(rng, k=4)
+        _, trace = net.forward(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="no adaptation mode"):
+            train_adapters(net, trace, (0.0, 0.0), q_sensitivity=np.ones(2))
 
 
 class TestAdaptationConfig:
@@ -451,9 +484,9 @@ class TestCovarianceAdapter:
         cov = self._cov()
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=4))
         self._tick(adapter, cov, [0.1, 0.01])
-        before = len(adapter.window)
+        before = adapter.filled
         cov_out, trace = self._tick(adapter, cov, [9.0, 9.0], accepted=False)
-        assert len(adapter.window) == before + 1
+        assert adapter.filled == before + 1
         assert not trace.active
         np.testing.assert_array_equal(cov_out.R, cov.R)
 
@@ -465,7 +498,7 @@ class TestCovarianceAdapter:
             make_record([5.0, 1.0], cov.R, accepted=False),
         ]
         adapter.after_update(recs, np.zeros((3, 2)), cov)
-        assert len(adapter.window) == 2
+        assert adapter.filled == 2
 
     def test_zero_eta_never_builds_or_rewrites(self):
         cov = self._cov()
@@ -475,7 +508,7 @@ class TestCovarianceAdapter:
             np.testing.assert_array_equal(cov_out.R, cov.R)
             np.testing.assert_array_equal(cov_out.Q, cov.Q)
         assert trace.active  # mismatch is still evaluated and logged
-        assert adapter.r_adapter is None
+        assert adapter.net is None
 
     def test_zero_eta_collects_no_scale_samples(self):
         # the samples only size the nets, which are never built at eta=0
@@ -491,9 +524,8 @@ class TestCovarianceAdapter:
         for _ in range(3):
             cov, trace = self._tick(adapter, cov, [0.25, 0.02])
         assert trace.active
-        assert adapter.r_adapter is not None and adapter.q_adapter is not None
-        assert len(adapter._r_anchors) == 2
-        assert adapter._q_anchor is not None
+        assert len(adapter.net) == 3  # two R nets, then the Q net
+        assert adapter._anchor.shape == (3, 27)
 
     def test_r_mode_leaves_q_untouched(self):
         cov0 = self._cov()
@@ -502,7 +534,7 @@ class TestCovarianceAdapter:
         for _ in range(8):
             cov, _ = self._tick(adapter, cov, [0.5, 0.05])
         np.testing.assert_array_equal(cov.Q, cov0.Q)
-        assert adapter.q_adapter is None
+        assert len(adapter.net) == 2
 
     def test_input_scale_floor(self):
         cov = self._cov()
@@ -517,11 +549,10 @@ class TestCovarianceAdapter:
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=3, leak=0.5))
         for _ in range(3):
             cov, _ = self._tick(adapter, cov, [0.25, 0.02])
-        net = adapter.r_adapter.nets[0]
-        anchor_w = np.array(adapter._r_anchors[0][20:])
-        net.singletons = anchor_w + 1.0  # simulate wound-up consequents
+        anchor_w = adapter._anchor[0, 20:]
+        adapter.net.singletons[0] = anchor_w + 1.0  # simulate wound-up consequents
         self._tick(adapter, cov, [9.0, 9.0], accepted=False)
-        np.testing.assert_allclose(net.singletons, anchor_w + 0.5, atol=1e-12)
+        np.testing.assert_allclose(adapter.net.singletons[0], anchor_w + 0.5, atol=1e-12)
 
     def test_r_floor_never_violated_under_pressure(self):
         cov = self._cov(r=(0.04, 0.001))
@@ -544,6 +575,15 @@ class TestCovarianceAdapter:
             cov, _ = self._tick(adapter, cov, rng.normal(scale=scale, size=2))
             assert np.all(np.diag(cov.Q) >= 0.01 * q0 - 1e-15)
             assert np.all(np.diag(cov.Q) <= 100.0 * q0 + 1e-12)
+
+    @pytest.mark.parametrize("mode", ["q", "rq"])
+    def test_q_floor_above_ceiling_rejected(self, mode):
+        # the ceiling of Q22 = 0.0027 is 100 x 0.0027 = 0.27
+        cov = self._cov()
+        with pytest.raises(ValueError, match="q_floor"):
+            CovarianceAdapter(mode, cov, AdaptationConfig(q_floor=1.0))
+        CovarianceAdapter(mode, cov, AdaptationConfig(q_floor=100.0 * 0.0027))
+        CovarianceAdapter("r", cov, AdaptationConfig(q_floor=1.0))  # Q is not rewritten
 
     def test_step_trace_defaults(self):
         trace = StepTrace()

@@ -24,10 +24,10 @@ def grade(u: float, m: float, delta: float) -> float:
 
     Input 2 sits at its centers so the rule firing cannot underflow.
     """
-    net = AnfisNet(np.full((2, 5), m), np.full((2, 5), delta), np.zeros(7))
-    _, trace = net.forward(u, m)
-    assert trace.mu2[0] == 1.0
-    return float(trace.mu1[0])
+    net = AnfisNet(np.full((1, 2, 5), m), np.full((1, 2, 5), delta), np.zeros((1, 7)))
+    _, trace = net.forward([u, m])
+    assert trace.mu2[0, 0] == 1.0
+    return float(trace.mu1[0, 0])
 
 
 def label(i: int, j: int) -> int:
@@ -86,54 +86,58 @@ class TestForward:
             net = helpers.random_net(rng)
             in1 = float(rng.uniform(-4.0, 4.0))
             in2 = float(rng.uniform(-4.0, 4.0))
-            out, _ = net.forward(in1, in2)
-            assert out == pytest.approx(helpers.anfis_forward_brute(net, in1, in2), rel=1e-12)
+            out, _ = net.forward([in1, in2])
+            assert out[0] == pytest.approx(helpers.anfis_forward_brute(net, in1, in2), rel=1e-12)
 
     def test_normalization_sums_to_one(self, rng):
         for _ in range(100):
             net = helpers.random_net(rng)
-            _, trace = net.forward(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+            _, trace = net.forward(rng.uniform(-4, 4, 2))
             assert float(trace.normalized.sum()) == pytest.approx(1.0, abs=1e-12)
             assert np.all(trace.normalized >= 0.0)
 
     def test_output_bounded_by_singletons(self, rng):
         for _ in range(100):
-            net = helpers.random_net(rng)
-            out, _ = net.forward(float(rng.uniform(-6, 6)), float(rng.uniform(-6, 6)))
-            assert net.singletons.min() - 1e-12 <= out <= net.singletons.max() + 1e-12
+            net = helpers.random_net(rng, k=3)
+            out, _ = net.forward(rng.uniform(-6, 6, (3, 2)))
+            assert np.all(net.singletons.min(axis=1) - 1e-12 <= out)
+            assert np.all(out <= net.singletons.max(axis=1) + 1e-12)
 
     def test_dominant_rule_selects_its_singleton(self):
         # narrow widths at exact centers: one rule fires ~1, the rest ~0
         for i in (1, 3, 5):
             for j in (1, 2, 4):
                 net = AnfisNet(
-                    [CENTERS, CENTERS],
-                    np.full((2, 5), 0.05),
-                    np.linspace(-3.0, 3.0, 7),
+                    [[CENTERS, CENTERS]],
+                    np.full((1, 2, 5), 0.05),
+                    [np.linspace(-3.0, 3.0, 7)],
                 )
-                out, _ = net.forward(CENTERS[i - 1], CENTERS[j - 1])
-                expected = net.singletons[label(i, j) - 1]
-                assert out == pytest.approx(float(expected), abs=1e-9)
+                out, _ = net.forward([CENTERS[i - 1], CENTERS[j - 1]])
+                expected = net.singletons[0, label(i, j) - 1]
+                assert out[0] == pytest.approx(float(expected), abs=1e-9)
 
     def test_trace_layers_consistent(self, rng):
-        net = helpers.random_net(rng)
-        out, trace = net.forward(0.3, -0.8)
-        np.testing.assert_allclose(trace.firing, np.outer(trace.mu1, trace.mu2), rtol=1e-15)
-        assert trace.total == pytest.approx(float(trace.firing.sum()), rel=1e-15)
-        assert out == trace.out
+        net = helpers.random_net(rng, k=2)
+        out, trace = net.forward([(0.3, -0.8), (-1.1, 0.4)])
+        for n in range(2):
+            np.testing.assert_allclose(trace.firing[n], np.outer(trace.mu1[n], trace.mu2[n]), rtol=1e-15)
+            assert trace.total[n] == pytest.approx(float(trace.firing[n].sum()), rel=1e-15)
+        assert out is trace.out
 
     def test_zero_firing_raises(self):
-        net = AnfisNet(np.zeros((2, 5)), np.full((2, 5), 1e-4), np.zeros(7))
+        net = AnfisNet(np.zeros((2, 2, 5)), np.full((2, 2, 5), 1e-4), np.zeros((2, 7)))
         with pytest.raises(ZeroFiringError):
-            net.forward(1e6, 1e6)
+            net.forward([(0.0, 0.0), (1e6, 1e6)])  # one dead net is enough
 
     def test_wrong_term_count_rejected(self):
         with pytest.raises(ValueError, match="5 membership terms"):
-            AnfisNet(np.zeros((2, 4)), np.ones((2, 4)), np.zeros(7))
+            AnfisNet(np.zeros((1, 2, 4)), np.ones((1, 2, 4)), np.zeros((1, 7)))
         with pytest.raises(ValueError, match="5 membership terms"):
-            AnfisNet(np.zeros((2, 5)), np.ones((1, 5)), np.zeros(7))
+            AnfisNet(np.zeros((1, 2, 5)), np.ones((1, 1, 5)), np.zeros((1, 7)))
+        with pytest.raises(ValueError, match="5 membership terms"):
+            AnfisNet(np.zeros((2, 5)), np.ones((2, 5)), np.zeros(7))  # no net axis
         with pytest.raises(ValueError):
-            AnfisNet(np.zeros((2, 5)), np.ones((2, 5)), np.zeros(6))
+            AnfisNet(np.zeros((1, 2, 5)), np.ones((1, 2, 5)), np.zeros((1, 6)))
 
 
 class TestGradients:
@@ -143,7 +147,7 @@ class TestGradients:
             net = helpers.random_net(rng)
             in1 = float(rng.uniform(-3.0, 3.0))
             in2 = float(rng.uniform(-3.0, 3.0))
-            _, trace = net.forward(in1, in2)
+            _, trace = net.forward([in1, in2])
             analytic = helpers.anfis_analytic_gradients(net, trace)
             fd = helpers.anfis_fd_gradients(net, in1, in2, h=1e-6)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
@@ -151,49 +155,59 @@ class TestGradients:
     def test_singleton_gradients_sum_to_one(self, rng):
         # each rule routes to exactly one singleton, so d(out)/d(w) sums to 1
         for _ in range(50):
-            net = helpers.random_net(rng)
-            _, trace = net.forward(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
+            net = helpers.random_net(rng, k=3)
+            _, trace = net.forward(rng.uniform(-3, 3, (3, 2)))
             d_w = net.output_gradients(trace)[0]
-            assert float(d_w.sum()) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(d_w.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(d_w >= 0.0)
 
 
 class TestTraining:
     def test_zero_error_is_noop(self, rng):
         net = helpers.random_net(rng)
-        before = net_to_params(net)
-        _, trace = net.forward(0.5, -0.5)
+        before = net_to_params(net).tolist()
+        _, trace = net.forward([0.5, -0.5])
         net.train_step(trace, 0.0, 1.0)
-        assert net_to_params(net) == before
+        assert net_to_params(net).tolist() == before
 
     def test_zero_sensitivity_is_noop(self, rng):
         net = helpers.random_net(rng)
-        before = net_to_params(net)
-        _, trace = net.forward(0.5, -0.5)
+        before = net_to_params(net).tolist()
+        _, trace = net.forward([0.5, -0.5])
         net.train_step(trace, 2.0, 0.0)
-        assert net_to_params(net) == before
+        assert net_to_params(net).tolist() == before
 
     def test_zero_learning_rate_is_noop(self, rng):
         net = helpers.random_net(rng)
         net.eta = 0.0
-        before = net_to_params(net)
-        _, trace = net.forward(0.5, -0.5)
+        before = net_to_params(net).tolist()
+        _, trace = net.forward([0.5, -0.5])
         net.train_step(trace, 2.0, 1.0)
-        assert net_to_params(net) == before
+        assert net_to_params(net).tolist() == before
+
+    def test_zero_step_leaves_its_net_untouched(self, rng):
+        net = helpers.random_net(rng, k=2)
+        net.widths[1] = 0.5 * net.delta_floor  # below the floor: a step would raise them
+        before = net_to_params(net)
+        _, trace = net.forward([(0.5, -0.5), tuple(net.centers[1, :, 2])])
+        net.train_step(trace, [2.0, 0.0], 1.0)
+        after = net_to_params(net)
+        assert after[1].tobytes() == before[1].tobytes()
+        assert after[0].tolist() != before[0].tolist()
 
     def test_first_order_output_change(self, rng):
         # a small step changes the output by about -eta * e * ds * ||grad||^2
         for _ in range(20):
             net = helpers.random_net(rng)
             net.eta = 1e-6
-            in1, in2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-            out0, trace = net.forward(in1, in2)
+            inputs = rng.uniform(-2, 2, 2)
+            out0, trace = net.forward(inputs)
             g = helpers.anfis_analytic_gradients(net, trace)
             e, ds = 1.5, 0.8
             net.train_step(trace, e, ds)
-            out1, _ = net.forward(in1, in2)
+            out1, _ = net.forward(inputs)
             predicted = -net.eta * e * ds * float(g @ g)
-            assert out1 - out0 == pytest.approx(predicted, rel=1e-3, abs=1e-15)
+            assert out1[0] - out0[0] == pytest.approx(predicted, rel=1e-3, abs=1e-15)
 
     def test_regression_converges_monotonically(self, rng):
         # classic supervised check: error e = out - target with unit
@@ -204,8 +218,8 @@ class TestTraining:
         in1, in2 = 0.4, -0.3
         errors = []
         for _ in range(400):
-            out, trace = net.forward(in1, in2)
-            e = out - target
+            out, trace = net.forward([in1, in2])
+            e = out[0] - target
             errors.append(abs(e))
             net.train_step(trace, e, 1.0)
         assert errors[-1] < 0.05 * errors[0]
@@ -214,34 +228,34 @@ class TestTraining:
 
     def test_width_floor_respected(self):
         net = AnfisNet(
-            [CENTERS, CENTERS],
-            np.full((2, 5), 2e-4),
-            np.linspace(-3, 3, 7),
+            [[CENTERS, CENTERS]],
+            np.full((1, 2, 5), 2e-4),
+            [np.linspace(-3, 3, 7)],
             eta=0.5,
         )
         for _ in range(50):
-            _, trace = net.forward(0.1e-4, -0.1e-4)
+            _, trace = net.forward([0.1e-4, -0.1e-4])
             net.train_step(trace, 5.0, 1.0)
             assert np.all(net.widths >= DEFAULT_DELTA_FLOOR)
 
 
 class TestSerialization:
     def test_round_trip_preserves_behavior(self, rng):
-        net = helpers.random_net(rng)
+        net = helpers.random_net(rng, k=2)
         params = net_to_params(net)
-        assert len(params) == N_PARAMS
+        assert params.shape == (2, N_PARAMS)
         clone = net_from_params(params, eta=net.eta, delta_floor=net.delta_floor)
         for _ in range(20):
-            in1, in2 = float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))
-            assert clone.forward(in1, in2)[0] == net.forward(in1, in2)[0]
+            inputs = rng.uniform(-4, 4, (2, 2))
+            assert clone.forward(inputs)[0].tolist() == net.forward(inputs)[0].tolist()
 
     def test_round_trip_after_training(self, rng):
         net = helpers.random_net(rng)
         for _ in range(10):
-            _, trace = net.forward(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+            _, trace = net.forward(rng.uniform(-2, 2, 2))
             net.train_step(trace, float(rng.normal()), 1.0)
         clone = net_from_params(net_to_params(net))
-        assert net_to_params(clone) == net_to_params(net)
+        assert net_to_params(clone).tolist() == net_to_params(net).tolist()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="27"):

@@ -182,6 +182,18 @@ class TestRun:
         flag_name = flags[0].split("=")[0]
         assert flag_name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_q_floor_above_q_ceiling_exits_2(self, tmp_path, scenario_file, capsys, workers):
+        # the default Q22 = 0.0027 has a ceiling of 100 x 0.0027 = 0.27
+        out = tmp_path / "o"
+        rc = main([
+            "run", "--variant", "anfekf-q", "--scenario", str(scenario_file),
+            "--runs", "2", "--workers", workers, "--out", str(out), "--q-floor", "1.0",
+        ])
+        assert rc == 2
+        assert "q_floor" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -336,6 +336,21 @@ class TestSenseOracle:
         assert [z.landmark_id for z in new] == [1, 2]
         assert _scan_bits(new) == _scan_bits(old)
 
+    def test_landmark_exactly_at_range_on_an_axis(self, tiny_scenario):
+        # |dx| equals the range: the pre-test keeps it and hypot says visible
+        rng_ = tiny_scenario.sensor_range
+        s = dataclasses.replace(tiny_scenario, landmarks=(Landmark(1, 2.0 + rng_, -3.0),))
+        new, old = self._both(Pose(2.0, -3.0, 0.0), s, lambda: np.random.default_rng(2))
+        assert [z.landmark_id for z in new] == [1]
+        assert _scan_bits(new) == _scan_bits(old)
+
+    def test_landmark_just_beyond_range_on_an_axis(self, tiny_scenario):
+        beyond = math.nextafter(tiny_scenario.sensor_range, math.inf)
+        s = dataclasses.replace(tiny_scenario, landmarks=(Landmark(1, beyond, 0.0), Landmark(2, 5.0, 0.0)))
+        new, old = self._both(Pose(0.0, 0.0, 0.0), s, lambda: np.random.default_rng(3))
+        assert [z.landmark_id for z in new] == [2]
+        assert _scan_bits(new) == _scan_bits(old)
+
     def test_landmark_at_robot_position(self, tiny_scenario):
         s = dataclasses.replace(tiny_scenario, landmarks=(Landmark(1, 3.0, 4.0),))
         for fn in (sense, helpers.sense_observe_twice):
@@ -530,6 +545,43 @@ class TestRunOnceOracle:
         new = run_once(scenario, "anfekf-r", seed=7)
         assert len(new.t) == n
         _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-r", seed=7))
+
+
+class TestAdapterOracle:
+    """run_once with the stacked CovarianceAdapter against the same loop driving
+    helpers.LegacyCovarianceAdapter, one AnfisNet object per fuzzy network."""
+
+    @staticmethod
+    def _both(monkeypatch, scenario, variant, **kwargs):
+        new = run_once(scenario, variant, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "CovarianceAdapter", helpers.LegacyCovarianceAdapter)
+            old = run_once(scenario, variant, **kwargs)
+        return new, old
+
+    @pytest.mark.parametrize("setting", ["default", "criterion-3", "criterion-4"])
+    @pytest.mark.parametrize("variant", ["anfekf-r", "anfekf-q", "anfekf-rq"])
+    def test_variants_and_settings(self, monkeypatch, variant, setting):
+        new, old = self._both(monkeypatch, _setting(setting), variant, seed=8)
+        assert np.isfinite(new.q_factor).any() == (variant != "anfekf-r")
+        _assert_logs_equal(new, old)
+
+    @pytest.mark.parametrize("variant", ["anfekf-r", "anfekf-q", "anfekf-rq"])
+    def test_zero_eta(self, monkeypatch, variant):
+        new, old = self._both(monkeypatch, _setting("default"), variant, seed=9,
+                              adaptation=AdaptationConfig(eta=0.0))
+        _assert_logs_equal(new, old)
+
+    @pytest.mark.parametrize("sensor_range, most", [(20.0, 2), (40.0, 3)])
+    @pytest.mark.parametrize("variant", ["anfekf-r", "anfekf-q", "anfekf-rq"])
+    def test_window_shorter_than_a_scan(self, monkeypatch, variant, sensor_range, most):
+        # scans on the default map carry at most two records, which fill a
+        # window of two at once; a 40 m sensor range sees three at a time
+        scenario = dataclasses.replace(_setting("default"), sensor_range=sensor_range)
+        new, old = self._both(monkeypatch, scenario, variant, seed=10,
+                              adaptation=AdaptationConfig(window=2))
+        assert (new.n_meas + new.n_gated).max() == most
+        _assert_logs_equal(new, old)
 
 
 class TestControlNoise:
