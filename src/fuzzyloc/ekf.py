@@ -5,10 +5,16 @@ passed in every step so an external adapter can rewrite them between steps.
 Measurements are processed sequentially with a Mahalanobis acceptance gate.
 
 The state is 3-dimensional and a measurement 2-dimensional, so every step is
-written out entry by entry on Python floats; no step calls LAPACK. Gate and
-update share one closed-form 2x2 inverse of the innovation covariance S: it
-rejects S unless all four entries are finite and its 2-norm condition number,
-sigma_max^2 / |det| after scaling S by its largest |entry|, is at most 1e12.
+written out entry by entry on Python floats; no step calls LAPACK. Each
+formula is one float kernel (predict_floats, innovation_cov_floats,
+innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
+array-level predict, predict_measurement, innovation, gate and update are
+thin wrappers over them. step calls the kernels directly, so the belief stays
+on floats through a whole scan, and each measurement takes one closed-form
+2x2 inverse of its innovation covariance S, shared by the gate and the
+update. The inverse rejects S unless all four entries are finite and its
+2-norm condition number, sigma_max^2 / |det| after scaling S by its largest
+|entry|, is at most 1e12.
 """
 
 from __future__ import annotations
@@ -89,8 +95,8 @@ class InnovationRecord:
     H: np.ndarray | None = None  # observation Jacobian, kept for adaptation
 
 
-def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
-    """Entries of S^-1, row-major, by the adjugate, after the conditioning test.
+def inverse_2x2_floats(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """S^-1 of S = [[a, b], [c, d]], row-major, by the adjugate, after the conditioning test.
 
     S is first divided by its largest |entry|, so neither the determinant
     nor the Frobenius norm can overflow or underflow. For a 2x2 matrix
@@ -100,7 +106,6 @@ def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
     Raises:
         SingularInnovationError: an entry is not finite, or cond(S) > 1e12.
     """
-    (a, b), (c, d) = S.tolist()
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise SingularInnovationError("innovation covariance is not finite")
     scale = max(abs(a), abs(b), abs(c), abs(d))
@@ -113,6 +118,12 @@ def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
             k = 1.0 / det / scale
             return d * k, -b * k, -c * k, a * k
     raise SingularInnovationError("innovation covariance is ill-conditioned")
+
+
+def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
+    """inverse_2x2_floats of a 2x2 array."""
+    (a, b), (c, d) = S.tolist()
+    return inverse_2x2_floats(a, b, c, d)
 
 
 def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
@@ -187,60 +198,55 @@ def predict(
     return _belief(x, y, phi, p00, p01, p02, p11, p12, p22)
 
 
-def predict_measurement(
-    state: GaussianState, landmark: Landmark, R: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predicted (range, bearing), innovation covariance, and Jacobian.
+def innovation_cov_floats(
+    p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
+    h00: float, h01: float, h10: float, h11: float,
+    r00: float, r01: float, r10: float, r11: float,
+) -> tuple[float, float, float]:
+    """S = H P H^T + R on floats: (s00, s01, s11).
 
-    Returns:
-        zhat: (2,) predicted measurement at the current mean.
-        S: 2x2 H P H^T + R, computed from one off-diagonal entry, so it is
-            exactly symmetric.
-        H: 2x3 observation Jacobian at the current mean.
+    P is given by its upper triangle, H by the entries of its (x, y) columns
+    (its phi column is (0, -1)) and R by its four entries, whose off-diagonal
+    pair is averaged. S is computed with one off-diagonal entry, so it is
+    exactly symmetric.
     """
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    (r00, r01), (r10, r11) = R.tolist()
-    r, bearing = models.range_bearing(x, y, phi, landmark)
-    h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
     # rows of H P, with H's phi column (0, -1)
     a0, a1, a2 = h00 * p00 + h01 * p01, h00 * p01 + h01 * p11, h00 * p02 + h01 * p12
     b0 = h10 * p00 + h11 * p01 - p02
     b1 = h10 * p01 + h11 * p11 - p12
     b2 = h10 * p02 + h11 * p12 - p22
-    s01 = a0 * h10 + a1 * h11 - a2 + 0.5 * (r01 + r10)
     return (
-        np.array((r, models.wrap_angle(bearing))),
-        np.array(((a0 * h00 + a1 * h01 + r00, s01), (s01, b0 * h10 + b1 * h11 - b2 + r11))),
-        np.array(((h00, h01, 0.0), (h10, h11, -1.0))),
+        a0 * h00 + a1 * h01 + r00,
+        a0 * h10 + a1 * h11 - a2 + 0.5 * (r01 + r10),
+        b0 * h10 + b1 * h11 - b2 + r11,
     )
 
 
-def innovation(z: Measurement, zhat: np.ndarray) -> np.ndarray:
-    """Residual z - zhat with the bearing difference wrapped."""
-    r, theta = zhat.tolist()
-    return np.array((z.r - r, models.wrap_angle(z.theta - theta)))
+def innovation_floats(z: Measurement, r: float, theta: float) -> tuple[float, float]:
+    """Residual z - (r, theta) with the bearing difference wrapped."""
+    return z.r - r, models.wrap_angle(z.theta - theta)
 
 
-def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
-    """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
-    i00, i01, i10, i11 = _inverse_2x2(S)
-    v0, v1 = residual.tolist()
+def gate_floats(v0: float, v1: float, i00: float, i01: float, i10: float, i11: float,
+                threshold: float) -> bool:
+    """Mahalanobis acceptance test v^T S^-1 v <= threshold, given S^-1's entries."""
     return v0 * (i00 * v0 + i01 * v1) + v1 * (i10 * v0 + i11 * v1) <= threshold
 
 
-def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
-    """Measurement update with gain K = P H^T S^-1.
+def update_floats(
+    x: float, y: float, phi: float,
+    p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
+    v0: float, v1: float,
+    h00: float, h01: float, h02: float, h10: float, h11: float, h12: float,
+    i00: float, i01: float, i10: float, i11: float,
+) -> tuple[float, float, float, float, float, float, float, float, float]:
+    """update on floats: the posterior mean (heading wrapped) and P's upper triangle.
 
-    With K^T = S^-1 H P the covariance is P - K (H P). Only its upper
-    triangle is evaluated and then mirrored: for the symmetric S that
-    predict_measurement produces, K H P is symmetric.
+    Takes the residual v, the six entries of a general 2x3 H and the entries
+    of S^-1, row-major. With K^T = S^-1 H P the covariance is P - K (H P).
+    Only its upper triangle is evaluated: for a symmetric S, K H P is
+    symmetric.
     """
-    i00, i01, i10, i11 = _inverse_2x2(record.S)
-    v0, v1 = record.residual.tolist()
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    (h00, h01, h02), (h10, h11, h12) = H.tolist()
     # rows of H P
     a0, a1, a2 = (h00 * p00 + h01 * p01 + h02 * p02, h00 * p01 + h01 * p11 + h02 * p12,
                   h00 * p02 + h01 * p12 + h02 * p22)
@@ -249,7 +255,7 @@ def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> Gau
     # rows of K^T = S^-1 H P
     k0, k1, k2 = i00 * a0 + i01 * b0, i00 * a1 + i01 * b1, i00 * a2 + i01 * b2
     l0, l1, l2 = i10 * a0 + i11 * b0, i10 * a1 + i11 * b1, i10 * a2 + i11 * b2
-    return _belief(
+    return (
         x + k0 * v0 + l0 * v1,
         y + k1 * v0 + l1 * v1,
         models.wrap_angle(phi + k2 * v0 + l2 * v1),
@@ -260,6 +266,57 @@ def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> Gau
         p12 - (k1 * a2 + l1 * b2),
         p22 - (k2 * a2 + l2 * b2),
     )
+
+
+def predict_measurement(
+    state: GaussianState, landmark: Landmark, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted (range, bearing), innovation covariance, and Jacobian.
+
+    Returns:
+        zhat: (2,) predicted measurement at the current mean.
+        S: 2x2 H P H^T + R from innovation_cov_floats, exactly symmetric.
+        H: 2x3 observation Jacobian at the current mean.
+    """
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    (r00, r01), (r10, r11) = R.tolist()
+    r, bearing = models.range_bearing(x, y, phi, landmark)
+    h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
+    s00, s01, s11 = innovation_cov_floats(
+        p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, r00, r01, r10, r11,
+    )
+    return (
+        np.array((r, models.wrap_angle(bearing))),
+        np.array(((s00, s01), (s01, s11))),
+        np.array(((h00, h01, 0.0), (h10, h11, -1.0))),
+    )
+
+
+def innovation(z: Measurement, zhat: np.ndarray) -> np.ndarray:
+    """Residual z - zhat with the bearing difference wrapped."""
+    r, theta = zhat.tolist()
+    return np.array(innovation_floats(z, r, theta))
+
+
+def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
+    """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
+    i00, i01, i10, i11 = _inverse_2x2(S)
+    v0, v1 = residual.tolist()
+    return gate_floats(v0, v1, i00, i01, i10, i11, threshold)
+
+
+def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
+    """Measurement update with gain K = P H^T S^-1; the arithmetic is update_floats'."""
+    i00, i01, i10, i11 = _inverse_2x2(record.S)
+    v0, v1 = record.residual.tolist()
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    (h00, h01, h02), (h10, h11, h12) = H.tolist()
+    return _belief(*update_floats(
+        x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
+        h00, h01, h02, h10, h11, h12, i00, i01, i10, i11,
+    ))
 
 
 def step(
@@ -279,18 +336,52 @@ def step(
     against the belief updated by its predecessors. Rejected measurements are
     recorded with accepted=False and leave the belief untouched.
 
+    The belief stays on Python floats from the prediction to the last
+    measurement: each measurement takes one inverse of its S, shared by the
+    gate and the update, and one GaussianState is built at the end. The
+    records' residual, S and H are row views of one array per kind and scan.
+    The arithmetic is that of predict, predict_measurement, innovation, gate
+    and update, through the same float kernels, so the result is bit for bit
+    theirs.
+
     Returns:
         The posterior state and one InnovationRecord per input measurement.
     """
-    state = predict(state, u, cov.Q, dt, wheelbase)
-    records: list[InnovationRecord] = []
+    x, y, phi = state.mean.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    (q00, q01), (q10, q11) = cov.Q.tolist()
+    x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
+        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, q00, q01, q10, q11, dt, wheelbase,
+    )
+    if not measurements:
+        return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), []
+    (r00, r01), (r10, r11) = cov.R.tolist()
+    residuals, covs, jacobians, verdicts = [], [], [], []  # verdicts: (landmark_id, accepted)
     for z in measurements:
         landmark = landmark_map[z.landmark_id]
-        zhat, S, H = predict_measurement(state, landmark, cov.R)
-        residual = innovation(z, zhat)
-        accepted = gate(residual, S, gate_threshold)
-        record = InnovationRecord(residual, S, z.landmark_id, timestep, accepted, H)
+        r, bearing = models.range_bearing(x, y, phi, landmark)
+        h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
+        s00, s01, s11 = innovation_cov_floats(
+            p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, r00, r01, r10, r11,
+        )
+        v0, v1 = innovation_floats(z, r, models.wrap_angle(bearing))
+        i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s01, s11)
+        accepted = gate_floats(v0, v1, i00, i01, i10, i11, gate_threshold)
+        residuals += v0, v1
+        covs += s00, s01, s01, s11
+        jacobians += h00, h01, 0.0, h10, h11, -1.0
+        verdicts.append((z.landmark_id, accepted))
         if accepted:
-            state = update(state, record, H)
-        records.append(record)
-    return state, records
+            x, y, phi, p00, p01, p02, p11, p12, p22 = update_floats(
+                x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
+                h00, h01, 0.0, h10, h11, -1.0, i00, i01, i10, i11,
+            )
+    n = len(verdicts)
+    V = np.array(residuals).reshape(n, 2)
+    S = np.array(covs).reshape(n, 2, 2)
+    H = np.array(jacobians).reshape(n, 2, 3)
+    records = [
+        InnovationRecord(V[i], S[i], landmark_id, timestep, accepted, H[i])
+        for i, (landmark_id, accepted) in enumerate(verdicts)
+    ]
+    return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), records

@@ -4,7 +4,8 @@ Everything here recomputes quantities by a different route than the package
 code: central finite differences for Jacobians and gradients, a rule-by-rule
 scalar loop for the fuzzy forward pass, a textbook Kalman filter with an
 explicit matrix inverse, the filter cycle as numpy matrix products with a
-LAPACK solve, a deterministic residual stream whose sample covariance is
+LAPACK solve, the filter step as a chain of the array-level ekf functions,
+a deterministic residual stream whose sample covariance is
 known in closed form, sensing with one noise-free and one noisy
 models.observe per landmark, CSV rows formatted value by value through
 csv.writer, a run loop that moves Pose/ControlInput/GaussianState objects
@@ -174,6 +175,27 @@ def numpy_update(state, record, H):
     mean = state.mean + K @ record.residual
     P = (np.eye(3) - K @ H) @ state.P
     return GaussianState(mean, P)
+
+
+def step_object_chain(
+    state, u, measurements, cov, landmark_map, dt, wheelbase,
+    gate_threshold=ekf.DEFAULT_GATE_THRESHOLD, timestep=0,
+):
+    """ekf.step as a chain of the array-level functions: predict, then
+    predict_measurement, innovation, gate and update for each measurement,
+    a GaussianState between every two of them."""
+    state = ekf.predict(state, u, cov.Q, dt, wheelbase)
+    records = []
+    for z in measurements:
+        landmark = landmark_map[z.landmark_id]
+        zhat, S, H = ekf.predict_measurement(state, landmark, cov.R)
+        residual = ekf.innovation(z, zhat)
+        accepted = ekf.gate(residual, S, gate_threshold)
+        record = InnovationRecord(residual, S, z.landmark_id, timestep, accepted, H)
+        if accepted:
+            state = ekf.update(state, record, H)
+        records.append(record)
+    return state, records
 
 
 def record_drive(scenario, seed):

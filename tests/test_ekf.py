@@ -1,5 +1,6 @@
 """Filter-cycle tests: linear-oracle equivalence, gating, and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,12 @@ from fuzzyloc.ekf import (
     step,
     update,
 )
-from fuzzyloc.errors import SingularInnovationError, UnknownLandmarkError
+from fuzzyloc.errors import (
+    DegenerateGeometryError,
+    FuzzylocError,
+    SingularInnovationError,
+    UnknownLandmarkError,
+)
 from fuzzyloc.models import (
     ControlInput,
     Landmark,
@@ -32,6 +38,7 @@ from fuzzyloc.models import (
     Pose,
     motion_jacobian_control,
     observe,
+    wrap_angle,
 )
 from fuzzyloc.simulator import DEFAULT_P0_DIAG, default_scenario
 
@@ -286,6 +293,221 @@ class TestNoLapack:
         out, records = step(state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0)
         assert len(records) == 3 and all(rec.accepted for rec in records)
         assert metrics.nees(truth, out) >= 0.0
+
+
+def _assert_same_array(ours, theirs):
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def _assert_same_step(ours, theirs):
+    """Posterior mean and P, and every record, equal bit for bit."""
+    (state, records), (their_state, their_records) = ours, theirs
+    _assert_same_array(state.mean, their_state.mean)
+    _assert_same_array(state.P, their_state.P)
+    assert len(records) == len(their_records)
+    for rec, their in zip(records, their_records):
+        for name in ("residual", "S", "H"):
+            _assert_same_array(getattr(rec, name), getattr(their, name))
+        assert type(rec.accepted) is type(their.accepted)
+        assert (rec.accepted, rec.landmark_id, rec.timestep) == (
+            their.accepted, their.landmark_id, their.timestep)
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result, None), or (None, (error type, message)) for a package error."""
+    try:
+        return fn(*args, **kwargs), None
+    except FuzzylocError as exc:
+        return None, (type(exc), str(exc))
+
+
+class _LoggedMap(LandmarkMap):
+    """A LandmarkMap that logs every id it is asked for."""
+
+    def __init__(self, landmarks):
+        super().__init__(landmarks)
+        self.asked = []
+
+    def __getitem__(self, landmark_id):
+        self.asked.append(landmark_id)
+        return super().__getitem__(landmark_id)
+
+
+class TestStepOracle:
+    """The float-native step against the chain of array-level functions it
+    replaced (helpers.step_object_chain), fed the same state every tick."""
+
+    @staticmethod
+    def _replay(scenario, seed, gate_threshold=DEFAULT_GATE_THRESHOLD):
+        lmap = LandmarkMap(scenario.landmarks)
+        cov = CovPair.from_noise(scenario.assumed_noise)
+        state = GaussianState(np.array(scenario.start, dtype=float), np.diag(DEFAULT_P0_DIAG))
+        accepted = rejected = largest_scan = 0
+        for k, (u, scan) in enumerate(helpers.record_drive(scenario, seed), start=1):
+            args = (state, u, scan, cov, lmap, scenario.dt, scenario.wheelbase)
+            ours = step(*args, gate_threshold=gate_threshold, timestep=k)
+            _assert_same_step(
+                ours, helpers.step_object_chain(*args, gate_threshold=gate_threshold, timestep=k),
+            )
+            state = ours[0]
+            n = [rec.accepted for rec in ours[1]].count(True)
+            accepted, rejected = accepted + n, rejected + len(scan) - n
+            largest_scan = max(largest_scan, len(scan))
+        return accepted, rejected, largest_scan
+
+    def test_default_drive(self):
+        accepted, rejected, _ = self._replay(default_scenario(), seed=0)
+        assert accepted > 400 and rejected > 0
+
+    def test_dense_360_degree_drive(self):
+        scenario = dataclasses.replace(
+            default_scenario(), sensor_range=35.0, sensor_fov=2.0 * math.pi, duration=60.0,
+        )
+        accepted, rejected, largest_scan = self._replay(scenario, seed=3)
+        assert accepted > 1000 and rejected > 0 and largest_scan >= 5
+
+    @pytest.mark.parametrize("threshold", [0.0, math.inf])
+    def test_gate_threshold_extremes(self, threshold):
+        scenario = dataclasses.replace(default_scenario(), duration=40.0)
+        accepted, rejected, _ = self._replay(scenario, seed=0, gate_threshold=threshold)
+        assert (accepted == 0) if threshold == 0.0 else (rejected == 0)
+        assert accepted + rejected > 100
+
+
+class TestStepErrorParity:
+    """step raises what the chain raises, at the same measurement."""
+
+    LANDMARKS = [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, 5e-10, 0.0)]
+
+    def _assert_same_raise(self, scan, cov, error):
+        outcomes, asked = [], []
+        for fn in (step, helpers.step_object_chain):
+            lmap = _LoggedMap(self.LANDMARKS)
+            state = GaussianState(np.zeros(3), np.diag([0.1, 0.1, 0.02]))
+            # zero speed keeps the predicted mean at the origin
+            outcomes.append(_outcome(fn, state, ControlInput(0.0, 0.0), scan, cov, lmap, 0.1, 4.0))
+            asked.append(lmap.asked)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][0] is error
+        assert asked[0] == asked[1]
+        return asked[0]
+
+    @staticmethod
+    def _cov(R=((0.01, 0.0), (0.0, 0.0003))):
+        return CovPair(np.diag([0.09, 0.003]), np.array(R))
+
+    def test_unknown_landmark_after_fused_ones(self):
+        scan = [Measurement(1, 9.9, 0.01), Measurement(2, 10.1, 1.56), Measurement(99, 5.0, 0.0)]
+        assert self._assert_same_raise(scan, self._cov(), UnknownLandmarkError) == [1, 2, 99]
+
+    def test_degenerate_geometry_after_fused_ones(self):
+        # readings equal to the prediction leave the mean on the origin,
+        # 5e-10 m from landmark 3
+        scan = [Measurement(1, 10.0, 0.0), Measurement(2, 10.0, math.pi / 2), Measurement(3, 1.0, 0.0)]
+        assert self._assert_same_raise(scan, self._cov(), DegenerateGeometryError) == [1, 2, 3]
+
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r(self, bad, index):
+        R = np.array([[0.01, 0.0], [0.0, 0.0003]])
+        R[index] = bad
+        scan = [Measurement(2, 10.0, math.pi / 2), Measurement(1, 10.0, 0.0)]
+        assert self._assert_same_raise(scan, self._cov(R), SingularInnovationError) == [2]
+
+
+def _positive(draw, lo, hi):
+    return 10.0 ** draw(st.floats(lo, hi))
+
+
+def _noise_cov(draw, lo, hi):
+    """A 2x2 covariance with a random, possibly asymmetric off-diagonal pair."""
+    d0, d1 = _positive(draw, lo, hi), _positive(draw, lo, hi)
+    rho = st.floats(-0.9, 0.9)
+    scale = math.sqrt(d0 * d1)
+    return np.array([[d0, draw(rho) * scale], [draw(rho) * scale, d1]])
+
+
+@st.composite
+def _step_case(draw):
+    coord = st.floats(-60.0, 60.0)
+    x, y = draw(coord), draw(coord)
+    phi = draw(st.floats(-math.pi, math.pi))
+    L = np.zeros((3, 3))
+    L[np.tril_indices(3, -1)] = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    L[np.diag_indices(3)] = [_positive(draw, -4.0, 1.0) for _ in range(3)]
+    state = GaussianState(np.array([x, y, phi]), L @ L.T)
+    u = ControlInput(draw(st.floats(-5.0, 5.0)), draw(st.floats(-0.5, 0.5)))
+    if draw(st.booleans()):
+        u = ControlInput(0.0, u.gamma)  # the mean stays put: landmark 5 is degenerate
+    cov = CovPair(_noise_cov(draw, -6.0, 0.0), _noise_cov(draw, -6.0, 0.0))
+    if draw(st.integers(0, 9)) == 0:
+        cov.R[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    landmarks = [Landmark(i, draw(coord), draw(coord)) for i in range(1, 5)]
+    landmarks.append(Landmark(5, x + draw(st.floats(-1e-9, 1e-9)), y))
+    scan = []
+    for _ in range(draw(st.integers(0, 6))):
+        landmark_id = draw(st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 5, 99]))
+        if landmark_id <= 4 and draw(st.booleans()):
+            # a reading near the truth at the prior pose, so that some pass the gate
+            lm = landmarks[landmark_id - 1]
+            r, bearing = math.hypot(lm.x - x, lm.y - y), math.atan2(lm.y - y, lm.x - x) - phi
+            noise = st.floats(-0.5, 0.5)
+            scan.append(Measurement(landmark_id, r + draw(noise), wrap_angle(bearing + draw(noise))))
+        else:
+            scan.append(Measurement(landmark_id, draw(st.floats(0.0, 80.0)),
+                                    draw(st.floats(-math.pi, math.pi))))
+    threshold = draw(st.sampled_from([DEFAULT_GATE_THRESHOLD, 0.0, math.inf, 1e3]))
+    return state, u, scan, cov, LandmarkMap(landmarks), threshold
+
+
+class TestStepProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_step_case())
+    def test_equals_chain_or_raises_the_same(self, case):
+        state, u, scan, cov, lmap, threshold = case
+        args = (state, u, scan, cov, lmap, 0.025, 4.0)
+        ours, our_error = _outcome(step, *args, gate_threshold=threshold, timestep=7)
+        theirs, their_error = _outcome(
+            helpers.step_object_chain, *args, gate_threshold=threshold, timestep=7,
+        )
+        assert our_error == their_error
+        if our_error is None:
+            _assert_same_step(ours, theirs)
+
+
+class TestStepCallGuard:
+    """step runs on the float kernels: a call-count guard, free of timing."""
+
+    NAMES = ("predict", "predict_measurement", "innovation", "gate", "update")
+
+    def test_scan_calls_no_array_level_function(self, monkeypatch):
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            original = getattr(ekf, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ekf, name, counted)
+        lmap = LandmarkMap(
+            [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, -8.0, -6.0),
+             Landmark(4, 6.0, -9.0)]
+        )
+        state = GaussianState(np.zeros(3), np.diag([0.1, 0.1, 0.02]))
+        cov = CovPair(np.diag([0.09, 0.003]), np.diag([0.01, 0.0003]))
+        truth = Pose(0.1, 0.0, 0.0)
+        scan = [observe(truth, lm) for lm in lmap]
+        args = (state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0)
+        _, records = step(*args)
+        assert len(records) == 4 and all(rec.accepted for rec in records)
+        assert calls == dict.fromkeys(self.NAMES, 0)
+        # the counters see the array-level chain
+        helpers.step_object_chain(*args)
+        assert calls == {"predict": 1, "predict_measurement": 4, "innovation": 4,
+                         "gate": 4, "update": 4}
 
 
 class TestLinearOracle:
