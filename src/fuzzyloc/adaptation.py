@@ -17,6 +17,7 @@ import numpy as np
 
 from .anfis import (
     DEFAULT_DELTA_FLOOR,
+    DEFAULT_ETA,
     N_TERMS,
     AnfisNet,
     ForwardTrace,
@@ -26,8 +27,17 @@ from .anfis import (
 from .ekf import CovPair, InnovationRecord
 
 DEFAULT_WINDOW = 15
-DEFAULT_ETA = 0.01
 DEFAULT_R_FLOOR = 1e-8
+
+#: Q floor (when no absolute q_floor is given) and Q ceiling, as multiples
+#: of the initial Q diagonal.
+Q_FLOOR_RATIO = 0.01
+Q_CEILING_RATIO = 100.0
+
+#: Initial singleton spread: an R net's singletons step by this fraction of
+#: its channel's initial R, the Q net's by this factor.
+R_SINGLETON_RATIO = 0.05
+Q_SINGLETON_RATIO = 1.5
 
 #: Per-step relaxation of trained network parameters toward their build-time
 #: values. Gradient training integrates the mismatch, so a long one-sided
@@ -56,18 +66,13 @@ _NAN2 = (float("nan"), float("nan"))
 _TERM_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def _spread_net(
-    scale1: float, scale2: float, singletons: np.ndarray, eta: float, delta_floor: float
-) -> AnfisNet:
+def _spread_net(scale1: float, scale2: float, singletons: np.ndarray, eta: float) -> AnfisNet:
     scales = np.array([[[scale1], [scale2]]])
-    return AnfisNet(_TERM_OFFSETS * scales, np.repeat(scales, N_TERMS, axis=2), singletons[None], eta, delta_floor)
+    return AnfisNet(_TERM_OFFSETS * scales, np.repeat(scales, N_TERMS, axis=2), singletons[None], eta)
 
 
 def make_additive_net(
-    input_scale: float,
-    output_scale: float,
-    eta: float = DEFAULT_ETA,
-    delta_floor: float = DEFAULT_DELTA_FLOOR,
+    input_scale: float, output_scale: float, eta: float = DEFAULT_ETA
 ) -> AnfisNet:
     """Network (k = 1) for one R channel: mismatch in, additive correction out.
 
@@ -76,23 +81,18 @@ def make_additive_net(
     saturated mismatch maps to a correction of 3 output_scale per step.
     """
     singletons = output_scale * np.arange(-3.0, 4.0)
-    return _spread_net(input_scale, 0.5 * input_scale, singletons, eta, delta_floor)
+    return _spread_net(input_scale, 0.5 * input_scale, singletons, eta)
 
 
-def make_multiplicative_net(
-    scale1: float,
-    scale2: float,
-    ratio: float = 1.5,
-    eta: float = DEFAULT_ETA,
-    delta_floor: float = DEFAULT_DELTA_FLOOR,
-) -> AnfisNet:
+def make_multiplicative_net(scale1: float, scale2: float, eta: float = DEFAULT_ETA) -> AnfisNet:
     """Network (k = 1) for Q: both mismatch channels in, a scale factor out.
 
-    Singletons start geometric, ratio^-3 .. ratio^3, so the center rule is
-    exactly 1 (no change) and saturated labels multiply or divide by ratio^3.
+    Singletons start geometric, Q_SINGLETON_RATIO^-3 .. ^3, so the center
+    rule is exactly 1 (no change) and saturated labels multiply or divide by
+    Q_SINGLETON_RATIO^3.
     """
-    singletons = ratio ** np.arange(-3.0, 4.0)
-    return _spread_net(scale1, scale2, singletons, eta, delta_floor)
+    singletons = Q_SINGLETON_RATIO ** np.arange(-3.0, 4.0)
+    return _spread_net(scale1, scale2, singletons, eta)
 
 
 #: Nets in the adapter's stack per mode: the two R channels first, then the Q net.
@@ -121,7 +121,7 @@ def leak_toward(net: AnfisNet, anchor, rate: float) -> AnfisNet:
     if rate == 0.0:
         return net
     net.params += rate * (np.asarray(anchor, dtype=float).reshape(net.params.shape) - net.params)
-    np.maximum(net.widths, net.delta_floor, out=net.widths)
+    np.maximum(net.widths, DEFAULT_DELTA_FLOOR, out=net.widths)
     return net
 
 
@@ -199,22 +199,16 @@ class AdaptationConfig:
     """Tunable covariance-matching parameters.
 
     q_floor is an absolute floor for both Q channels; when None the floor
-    is derived from the initial Q by q_floor_ratio. The ceiling is always
-    q_ceiling_ratio times the initial Q, and CovarianceAdapter rejects an
-    absolute floor above it.
+    is Q_FLOOR_RATIO times the initial Q. The ceiling is always
+    Q_CEILING_RATIO times the initial Q, and CovarianceAdapter rejects an
+    absolute floor above it. The rest of the fuzzy design is fixed by this
+    module's constants and anfis.DEFAULT_DELTA_FLOOR.
     """
 
     window: int = DEFAULT_WINDOW
     eta: float = DEFAULT_ETA
     r_floor: float = DEFAULT_R_FLOOR
     q_floor: float | None = None
-    q_floor_ratio: float = 0.01
-    q_ceiling_ratio: float = 100.0
-    r_singleton_ratio: float = 0.05
-    q_singleton_ratio: float = 1.5
-    scale_rel_floor: float = SCALE_REL_FLOOR
-    delta_floor: float = DEFAULT_DELTA_FLOOR
-    leak: float = DEFAULT_LEAK
 
     def __post_init__(self) -> None:
         """Raise ValueError on a parameter the adapter cannot honour.
@@ -226,19 +220,10 @@ class AdaptationConfig:
             raise ValueError("window must be at least 2")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError("eta must be finite and nonnegative")
-        for name in ("r_floor", "delta_floor", "q_floor_ratio", "q_ceiling_ratio",
-                     "r_singleton_ratio", "q_singleton_ratio"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not self.q_floor_ratio <= self.q_ceiling_ratio:
-            raise ValueError("q_floor_ratio must not exceed q_ceiling_ratio")
+        if not (math.isfinite(self.r_floor) and self.r_floor > 0.0):
+            raise ValueError("r_floor must be positive and finite")
         if self.q_floor is not None and not (math.isfinite(self.q_floor) and self.q_floor > 0.0):
             raise ValueError("q_floor must be None or positive and finite")
-        if not 0.0 <= self.leak <= 1.0:
-            raise ValueError("leak must lie in [0, 1]")
-        if not (math.isfinite(self.scale_rel_floor) and self.scale_rel_floor >= 0.0):
-            raise ValueError("scale_rel_floor must be finite and nonnegative")
 
 
 @dataclass
@@ -263,7 +248,7 @@ class CovarianceAdapter:
     and training entirely, which reproduces the unadapted filter bit for bit.
 
     Raises ValueError when an absolute q_floor lies above the Q ceiling
-    (q_ceiling_ratio times the initial Q) of either channel in a mode that
+    (Q_CEILING_RATIO times the initial Q) of either channel in a mode that
     rewrites Q.
     """
 
@@ -280,34 +265,33 @@ class CovarianceAdapter:
         self._s_samples: list[np.ndarray] = []
         self._initial_r = np.diag(initial_cov.R).copy()
         initial_q = np.diag(initial_cov.Q)
-        self._q_ceiling = cfg.q_ceiling_ratio * initial_q
+        self._q_ceiling = Q_CEILING_RATIO * initial_q
         if cfg.q_floor is not None:
             self._q_floor = np.full(2, float(cfg.q_floor))
         else:
-            self._q_floor = cfg.q_floor_ratio * initial_q
+            self._q_floor = Q_FLOOR_RATIO * initial_q
         if "q" in mode and np.any(self._q_floor > self._q_ceiling):
             raise ValueError(
                 f"q_floor {cfg.q_floor} lies above the Q ceiling {self._q_ceiling.tolist()} "
-                f"(q_ceiling_ratio x initial Q)"
+                f"({Q_CEILING_RATIO:g} x initial Q)"
             )
 
     def _input_scale(self, samples: np.ndarray) -> float:
         spread = float(np.std(samples))
-        floor = self.config.scale_rel_floor * float(np.mean(np.abs(samples)))
+        floor = SCALE_REL_FLOOR * float(np.mean(np.abs(samples)))
         return max(spread, floor, 1e-12)
 
     def _build_net(self) -> None:
-        cfg = self.config
         samples = np.array(self._s_samples)
         scales = (self._input_scale(samples[:, 0]), self._input_scale(samples[:, 1]))
         nets = []
         if "r" in self.mode:
-            nets += [make_additive_net(scale, cfg.r_singleton_ratio * r0)
+            nets += [make_additive_net(scale, R_SINGLETON_RATIO * r0)
                      for scale, r0 in zip(scales, self._initial_r)]
         if "q" in self.mode:
-            nets.append(make_multiplicative_net(*scales, ratio=cfg.q_singleton_ratio))
+            nets.append(make_multiplicative_net(*scales))
         self._anchor = np.concatenate([net_to_params(net) for net in nets])
-        self.net = net_from_params(self._anchor, cfg.eta, cfg.delta_floor)
+        self.net = net_from_params(self._anchor, self.config.eta)
 
     def _push(self, records: list[InnovationRecord]) -> None:
         """Shift the scan's residuals into the window in arrival order."""
@@ -348,7 +332,7 @@ class CovarianceAdapter:
         trace = StepTrace()
         cfg = self.config
         if self.net is not None:
-            leak_toward(self.net, self._anchor, cfg.leak)
+            leak_toward(self.net, self._anchor, DEFAULT_LEAK)
         if not records:
             return cov, trace
         self._push(records)

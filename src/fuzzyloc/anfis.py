@@ -26,10 +26,12 @@ N_TERMS = 5
 N_RULES = N_TERMS * N_TERMS
 N_SINGLETONS = 7
 
-#: Lower bound that keeps membership widths positive through training.
+#: Lower bound that keeps membership widths positive through training and
+#: leaking; it is absolute, in input units.
 DEFAULT_DELTA_FLOOR = 1e-4
 
-DEFAULT_LEARNING_RATE = 0.01
+#: Steepest-descent learning rate of a net built without one.
+DEFAULT_ETA = 0.01
 
 #: Totals below this are reported as a zero firing strength.
 _FIRING_FLOOR = 1e-300
@@ -81,18 +83,17 @@ class AnfisNet:
 
     Row [n, i] of centers and widths holds the five Gaussian terms of input
     i of net n; a term's grade is exp(-((u - m) / delta)^2), so delta is the
-    distance at which the grade falls to 1/e. The nets share eta and
-    delta_floor and nothing else. All parameters live in one (k, 27) array,
-    params, in net_to_params layout; centers, widths and singletons are views
-    into it. A single instance belongs to one adapter; training mutates it in
-    place.
+    distance at which the grade falls to 1/e. The nets share eta and nothing
+    else; training floors every width at DEFAULT_DELTA_FLOOR. All parameters
+    live in one (k, 27) array, params, in net_to_params layout; centers,
+    widths and singletons are views into it. A single instance belongs to one
+    adapter; training mutates it in place.
     """
 
     centers: np.ndarray  # (k, 2, 5)
     widths: np.ndarray  # (k, 2, 5)
     singletons: np.ndarray  # (k, 7)
-    eta: float = DEFAULT_LEARNING_RATE
-    delta_floor: float = DEFAULT_DELTA_FLOOR
+    eta: float = DEFAULT_ETA
 
     def __post_init__(self) -> None:
         centers = np.asarray(self.centers, dtype=float)
@@ -183,7 +184,7 @@ class AnfisNet:
         self.singletons -= g[:, None] * d_w
         g = g[:, None, None]
         self.centers -= g * d_centers
-        np.maximum(self.widths - g * d_widths, self.delta_floor, out=self.widths)
+        np.maximum(self.widths - g * d_widths, DEFAULT_DELTA_FLOOR, out=self.widths)
         if idle is not None:
             self.params[idle] = kept
         return self
@@ -194,11 +195,7 @@ def net_to_params(net: AnfisNet) -> np.ndarray:
     return net.params.copy()
 
 
-def net_from_params(
-    params,
-    eta: float = DEFAULT_LEARNING_RATE,
-    delta_floor: float = DEFAULT_DELTA_FLOOR,
-) -> AnfisNet:
+def net_from_params(params, eta: float = DEFAULT_ETA) -> AnfisNet:
     """Rebuild a stack from the layout produced by net_to_params; a flat
     sequence of 27 values is one net."""
     p = np.asarray(params, dtype=float)
@@ -206,4 +203,4 @@ def net_from_params(
         raise ValueError(f"expected {N_PARAMS} parameters per net, got shape {p.shape}")
     p = p.reshape(-1, N_PARAMS)
     k = len(p)
-    return AnfisNet(p[:, :10].reshape(k, 2, N_TERMS), p[:, 10:20].reshape(k, 2, N_TERMS), p[:, 20:], eta, delta_floor)
+    return AnfisNet(p[:, :10].reshape(k, 2, N_TERMS), p[:, 10:20].reshape(k, 2, N_TERMS), p[:, 20:], eta)

@@ -106,6 +106,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n_runs < 1:
             raise ValueError("--runs must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError("--seed must be nonnegative")
         if self.window is not None and self.window < 2:
             raise ValueError("--window must be at least 2")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:

@@ -210,48 +210,34 @@ def motion_jacobian_control(
     return np.array(g).reshape(3, 2)
 
 
-def observe(
-    pose: Pose,
-    landmark: Landmark,
-    noise: tuple[float, float] = (0.0, 0.0),
-    epsilon_range: float = DEFAULT_EPSILON_RANGE,
-) -> Measurement:
+def observe(pose: Pose, landmark: Landmark, noise: tuple[float, float] = (0.0, 0.0)) -> Measurement:
     """Range-bearing observation of a landmark from a pose.
 
     noise = (dr, dtheta) is added exactly; the bearing is wrapped after the
     noise is applied.
     """
-    r, theta = range_bearing(pose.x, pose.y, pose.phi, landmark, epsilon_range)
+    r, theta = range_bearing(pose.x, pose.y, pose.phi, landmark)
     return Measurement(landmark.id, r + noise[0], wrap_angle(theta + noise[1]))
 
 
-def _degenerate(landmark: Landmark, epsilon_range: float) -> DegenerateGeometryError:
+def _degenerate(landmark: Landmark) -> DegenerateGeometryError:
     return DegenerateGeometryError(
-        f"landmark {landmark.id} within {epsilon_range} m of the robot"
+        f"landmark {landmark.id} within {DEFAULT_EPSILON_RANGE} m of the robot"
     )
 
 
-def range_bearing(
-    x: float,
-    y: float,
-    phi: float,
-    landmark: Landmark,
-    epsilon_range: float = DEFAULT_EPSILON_RANGE,
-) -> tuple[float, float]:
+def range_bearing(x: float, y: float, phi: float, landmark: Landmark) -> tuple[float, float]:
     """Noise-free (range, bearing) of a landmark on plain floats, bearing not wrapped."""
     dx = landmark.x - x
     dy = landmark.y - y
     r = math.hypot(dx, dy)
-    if r < epsilon_range:
-        raise _degenerate(landmark, epsilon_range)
+    if r < DEFAULT_EPSILON_RANGE:
+        raise _degenerate(landmark)
     return r, math.atan2(dy, dx) - phi
 
 
 def range_bearing_jacobian(
-    x: float,
-    y: float,
-    landmark: Landmark,
-    epsilon_range: float = DEFAULT_EPSILON_RANGE,
+    x: float, y: float, landmark: Landmark
 ) -> tuple[float, float, float, float]:
     """The pose-dependent entries of observation_jacobian, row-major.
 
@@ -261,21 +247,17 @@ def range_bearing_jacobian(
     dy = landmark.y - y
     q = dx * dx + dy * dy
     r = math.sqrt(q)
-    if r < epsilon_range:
-        raise _degenerate(landmark, epsilon_range)
+    if r < DEFAULT_EPSILON_RANGE:
+        raise _degenerate(landmark)
     return -dx / r, -dy / r, dy / q, -dx / q
 
 
-def observation_jacobian(
-    pose: Pose,
-    landmark: Landmark,
-    epsilon_range: float = DEFAULT_EPSILON_RANGE,
-) -> np.ndarray:
+def observation_jacobian(pose: Pose, landmark: Landmark) -> np.ndarray:
     """Jacobian of (range, bearing) w.r.t. (x, y, phi).
 
     Rows are (range, bearing); d(bearing)/d(phi) is exactly -1.
     """
-    h00, h01, h10, h11 = range_bearing_jacobian(pose.x, pose.y, landmark, epsilon_range)
+    h00, h01, h10, h11 = range_bearing_jacobian(pose.x, pose.y, landmark)
     return np.array(
         [
             [h00, h01, 0.0],

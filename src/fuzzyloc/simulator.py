@@ -96,6 +96,8 @@ class Scenario:
             raise ScenarioError("landmark coordinates must be finite")
         if not all(math.isfinite(wx) and math.isfinite(wy) for wx, wy in self.waypoints):
             raise ScenarioError("waypoint coordinates must be finite")
+        if not self.seed >= 0:
+            raise ScenarioError("seed must be nonnegative")
         if self.duration * self.control_rate <= 0.5:  # run_once runs round(...) ticks
             raise ScenarioError("duration must span at least one control tick")
         ratio = self.control_rate / self.observe_rate
@@ -185,6 +187,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Inverse of scenario_to_dict; validates the result."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"malformed scenario: expected a JSON object, got {type(data).__name__}")
     schema = data.get("schema")
     if schema != SCENARIO_SCHEMA:
         raise ScenarioError(f"unsupported scenario schema: {schema!r} (expected {SCENARIO_SCHEMA!r})")

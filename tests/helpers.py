@@ -25,13 +25,19 @@ import numpy as np
 
 from fuzzyloc import ekf, metrics, models, simulator
 from fuzzyloc.adaptation import (
+    DEFAULT_LEAK,
     INPUT_SATURATION_WIDTHS,
+    Q_CEILING_RATIO,
+    Q_FLOOR_RATIO,
+    Q_SINGLETON_RATIO,
+    R_SINGLETON_RATIO,
+    SCALE_REL_FLOOR,
     AdaptationConfig,
     CovarianceAdapter,
     StepTrace,
     q_factor_sensitivity,
 )
-from fuzzyloc.anfis import CONSEQUENT, AnfisNet, net_from_params, net_to_params
+from fuzzyloc.anfis import CONSEQUENT, DEFAULT_DELTA_FLOOR, AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError, ZeroFiringError
 from fuzzyloc.models import ControlInput, Measurement, Pose, wrap_angle
@@ -90,8 +96,8 @@ def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -
         lo = list(params)
         hi[k] += hk
         lo[k] -= hk
-        out_hi, _ = net_from_params(hi, eta=net.eta, delta_floor=net.delta_floor).forward([in1, in2])
-        out_lo, _ = net_from_params(lo, eta=net.eta, delta_floor=net.delta_floor).forward([in1, in2])
+        out_hi, _ = net_from_params(hi, eta=net.eta).forward([in1, in2])
+        out_lo, _ = net_from_params(lo, eta=net.eta).forward([in1, in2])
         grads[k] = (out_hi[0] - out_lo[0]) / (2.0 * hk)
     return grads
 
@@ -591,7 +597,7 @@ class LegacyCovarianceAdapter:
 
     def _input_scale(self, samples):
         spread = float(np.std(samples))
-        floor = self.config.scale_rel_floor * float(np.mean(np.abs(samples)))
+        floor = SCALE_REL_FLOOR * float(np.mean(np.abs(samples)))
         return max(spread, floor, 1e-12)
 
     def _build_nets(self):
@@ -601,25 +607,25 @@ class LegacyCovarianceAdapter:
         if self.mode in ("r", "rq"):
             nets = tuple(
                 _legacy_spread_net(scales[i], 0.5 * scales[i],
-                                   cfg.r_singleton_ratio * self._initial_r[i] * np.arange(-3.0, 4.0),
-                                   cfg.eta, cfg.delta_floor)
+                                   R_SINGLETON_RATIO * self._initial_r[i] * np.arange(-3.0, 4.0),
+                                   cfg.eta, DEFAULT_DELTA_FLOOR)
                 for i in range(2)
             )
             self.r_adapter = _LegacyRAdapter(nets, cfg.r_floor)
             self._r_anchors = [np.array(legacy_params(net)) for net in nets]
         if self.mode in ("q", "rq"):
-            net = _legacy_spread_net(scales[0], scales[1], cfg.q_singleton_ratio ** np.arange(-3.0, 4.0),
-                                     cfg.eta, cfg.delta_floor)
+            net = _legacy_spread_net(scales[0], scales[1], Q_SINGLETON_RATIO ** np.arange(-3.0, 4.0),
+                                     cfg.eta, DEFAULT_DELTA_FLOOR)
             if cfg.q_floor is not None:
                 q_floor = np.full(2, float(cfg.q_floor))
             else:
-                q_floor = cfg.q_floor_ratio * self._initial_q
-            self.q_adapter = _LegacyQAdapter(net, q_floor, cfg.q_ceiling_ratio * self._initial_q)
+                q_floor = Q_FLOOR_RATIO * self._initial_q
+            self.q_adapter = _LegacyQAdapter(net, q_floor, Q_CEILING_RATIO * self._initial_q)
             self._q_anchor = np.array(legacy_params(net))
         self._built = True
 
     def _apply_leak(self):
-        rate = self.config.leak
+        rate = DEFAULT_LEAK
         if not self._built or rate == 0.0:
             return
         if self.r_adapter is not None:

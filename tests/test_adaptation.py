@@ -11,6 +11,8 @@ from fuzzyloc.adaptation import (
     DEFAULT_LEAK,
     DEFAULT_R_FLOOR,
     DEFAULT_WINDOW,
+    Q_CEILING_RATIO,
+    Q_FLOOR_RATIO,
     SCALE_REL_FLOOR,
     AdaptationConfig,
     CovarianceAdapter,
@@ -24,7 +26,7 @@ from fuzzyloc.adaptation import (
     saturated_forward,
     train_adapters,
 )
-from fuzzyloc.anfis import AnfisNet, net_from_params, net_to_params
+from fuzzyloc.anfis import DEFAULT_DELTA_FLOOR, AnfisNet, net_from_params, net_to_params
 from fuzzyloc.ekf import CovPair, InnovationRecord
 from fuzzyloc.simulator import run_once
 
@@ -49,8 +51,7 @@ def push(adapter, residual, S=np.eye(2)):
 
 def stack(*nets):
     """One AnfisNet holding the given one-net stacks in order."""
-    return net_from_params(np.concatenate([net_to_params(net) for net in nets]),
-                           eta=nets[0].eta, delta_floor=nets[0].delta_floor)
+    return net_from_params(np.concatenate([net_to_params(net) for net in nets]), eta=nets[0].eta)
 
 
 class TestResidualWindow:
@@ -140,7 +141,7 @@ class TestNetBuilders:
         np.testing.assert_allclose(net.singletons[0], 0.1 * np.arange(-3, 4))
 
     def test_multiplicative_net_is_geometric_with_unit_center(self):
-        net = make_multiplicative_net(1.0, 1.0, ratio=1.5)
+        net = make_multiplicative_net(1.0, 1.0)
         np.testing.assert_allclose(net.singletons[0], 1.5 ** np.arange(-3.0, 4.0))
         assert net.singletons[0, 3] == 1.0
 
@@ -168,11 +169,11 @@ class TestLeakToward:
     def test_width_floor_respected(self):
         net = make_additive_net(1.0, 0.1)
         anchor = net_to_params(net)
-        net.widths[0, 0] = net.delta_floor
+        net.widths[0, 0] = DEFAULT_DELTA_FLOOR
         bad_anchor = anchor.copy()
         bad_anchor[0, 10:15] = 0.0  # anchor widths of zero must not pull below floor
         leak_toward(net, bad_anchor, 0.9)
-        assert np.all(net.widths[0, 0] >= net.delta_floor)
+        assert np.all(net.widths[0, 0] >= DEFAULT_DELTA_FLOOR)
 
 
 def r_rewrite(dom_diag, R, scale=1.0, c=0.05, r_floor=1e-8):
@@ -336,7 +337,7 @@ class TestGoldenTrajectory:
         assert self._trajectory(net, 1.0) == self.ADDITIVE
 
     def test_multiplicative_net_bitwise(self):
-        net = make_multiplicative_net(0.6, 0.4, ratio=1.5, eta=0.05)
+        net = make_multiplicative_net(0.6, 0.4, eta=0.05)
         assert self._trajectory(net, 0.3) == self.MULTIPLICATIVE
 
 
@@ -410,10 +411,11 @@ class TestAdaptationConfig:
         assert cfg.window == DEFAULT_WINDOW == 15
         assert cfg.eta == DEFAULT_ETA == 0.01
         assert cfg.r_floor == DEFAULT_R_FLOOR == 1e-8
-        assert cfg.leak == DEFAULT_LEAK
-        assert cfg.scale_rel_floor == SCALE_REL_FLOOR
-        assert cfg.q_floor_ratio == 0.01
-        assert cfg.q_ceiling_ratio == 100.0
+        assert cfg.q_floor is None
+        assert DEFAULT_LEAK == 0.05
+        assert SCALE_REL_FLOOR == 1.0
+        assert Q_FLOOR_RATIO == 0.01
+        assert Q_CEILING_RATIO == 100.0
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -421,26 +423,16 @@ class TestAdaptationConfig:
             ("window", 1),
             ("eta", -0.01), ("eta", math.nan), ("eta", math.inf),
             ("r_floor", math.nan), ("r_floor", 0.0), ("r_floor", -1e-8), ("r_floor", math.inf),
-            ("delta_floor", math.nan), ("delta_floor", 0.0),
-            ("q_floor_ratio", math.nan), ("q_floor_ratio", 0.0),
-            ("q_ceiling_ratio", math.inf), ("q_ceiling_ratio", -1.0),
-            ("r_singleton_ratio", math.nan), ("q_singleton_ratio", 0.0),
             ("q_floor", math.nan), ("q_floor", 0.0), ("q_floor", math.inf),
-            ("leak", 1.9), ("leak", -0.1), ("leak", math.nan),
-            ("scale_rel_floor", -1.0), ("scale_rel_floor", math.nan), ("scale_rel_floor", math.inf),
         ],
     )
     def test_invalid_field_rejected(self, field, bad):
         with pytest.raises(ValueError, match=field):
             AdaptationConfig(**{field: bad})
 
-    def test_floor_ratio_above_ceiling_rejected(self):
-        with pytest.raises(ValueError, match="q_floor_ratio"):
-            AdaptationConfig(q_floor_ratio=2.0, q_ceiling_ratio=1.0)
-
     def test_boundary_values_accepted(self):
-        AdaptationConfig(window=2, eta=0.0, leak=0.0, scale_rel_floor=0.0)
-        AdaptationConfig(leak=1.0, q_floor=1e-12, q_floor_ratio=1.0, q_ceiling_ratio=1.0)
+        AdaptationConfig(window=2, eta=0.0)
+        AdaptationConfig(q_floor=1e-12)
 
     def test_nan_floor_rejected_before_a_run(self, tiny_scenario):
         # max(x, nan) returns x, so a NaN r_floor used to vanish and let R go negative
@@ -538,21 +530,21 @@ class TestCovarianceAdapter:
 
     def test_input_scale_floor(self):
         cov = self._cov()
-        adapter = CovarianceAdapter("r", cov, AdaptationConfig(scale_rel_floor=1.0))
+        adapter = CovarianceAdapter("r", cov)
         samples = np.array([3.0, 3.0, 3.0])
-        assert adapter._input_scale(samples) == 3.0  # zero spread hits the floor
+        assert adapter._input_scale(samples) == SCALE_REL_FLOOR * 3.0  # zero spread hits the floor
         wild = np.array([0.0, 10.0, -10.0])
         assert adapter._input_scale(wild) == pytest.approx(float(np.std(wild)))
 
     def test_leak_applies_on_suspended_ticks(self):
         cov = self._cov()
-        adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=3, leak=0.5))
+        adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=3))
         for _ in range(3):
             cov, _ = self._tick(adapter, cov, [0.25, 0.02])
         anchor_w = adapter._anchor[0, 20:]
         adapter.net.singletons[0] = anchor_w + 1.0  # simulate wound-up consequents
         self._tick(adapter, cov, [9.0, 9.0], accepted=False)
-        np.testing.assert_allclose(adapter.net.singletons[0], anchor_w + 0.5, atol=1e-12)
+        np.testing.assert_allclose(adapter.net.singletons[0], anchor_w + 1.0 - DEFAULT_LEAK, atol=1e-12)
 
     def test_r_floor_never_violated_under_pressure(self):
         cov = self._cov(r=(0.04, 0.001))

@@ -187,7 +187,7 @@ class TestTraining:
 
     def test_zero_step_leaves_its_net_untouched(self, rng):
         net = helpers.random_net(rng, k=2)
-        net.widths[1] = 0.5 * net.delta_floor  # below the floor: a step would raise them
+        net.widths[1] = 0.5 * DEFAULT_DELTA_FLOOR  # below the floor: a step would raise them
         before = net_to_params(net)
         _, trace = net.forward([(0.5, -0.5), tuple(net.centers[1, :, 2])])
         net.train_step(trace, [2.0, 0.0], 1.0)
@@ -244,7 +244,7 @@ class TestSerialization:
         net = helpers.random_net(rng, k=2)
         params = net_to_params(net)
         assert params.shape == (2, N_PARAMS)
-        clone = net_from_params(params, eta=net.eta, delta_floor=net.delta_floor)
+        clone = net_from_params(params, eta=net.eta)
         for _ in range(20):
             inputs = rng.uniform(-4, 4, (2, 2))
             assert clone.forward(inputs)[0].tolist() == net.forward(inputs)[0].tolist()

@@ -20,7 +20,9 @@ from fuzzyloc.cli import (
     RUNS_COLUMNS,
     RUNS_SCHEMA,
     ExperimentSpec,
+    _spec_from_args,
     _write_csv,
+    build_parser,
     main,
 )
 from fuzzyloc.metrics import build_report
@@ -136,6 +138,18 @@ class TestRun:
         assert err.startswith("error:")
         assert "start" in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+    def test_non_object_scenario_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["run", "--variant", "ekf", "--scenario", str(path), "--runs", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario")
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -166,6 +180,7 @@ class TestRun:
             ["--window", "1"],
             ["--runs", "0"],
             ["--workers", "0"],
+            ["--seed", "-1"],
             ["--r-floor=-1e-9"],
             ["--r-floor", "nan"],
             ["--r-floor", "inf"],
@@ -181,6 +196,26 @@ class TestRun:
         assert rc == 2
         flag_name = flags[0].split("=")[0]
         assert flag_name in capsys.readouterr().err
+
+    def test_negative_seed_creates_no_output(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "o"
+        rc = main(["run", "--variant", "ekf", "--scenario", str(scenario_file),
+                   "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_adaptation_setting_has_a_run_flag(self):
+        # an adapter setting added without a CLI flag fails here
+        names = {field.name for field in dataclasses.fields(AdaptationConfig)}
+        assert names == {"window", "eta", "r_floor", "q_floor"}
+        for name in names:
+            args = build_parser().parse_args([
+                "run", "--variant", "anfekf-rq", "--scenario", "s.json", "--out", "o",
+                "--" + name.replace("_", "-"), "2",
+            ])
+            cfg = _spec_from_args(args, args.variant).adaptation_config()
+            assert getattr(cfg, name) == 2
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_q_floor_above_q_ceiling_exits_2(self, tmp_path, scenario_file, capsys, workers):

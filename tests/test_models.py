@@ -196,12 +196,6 @@ class TestObserve:
         with pytest.raises(DegenerateGeometryError):
             observe(Pose(2.0, 3.0, 0.0), Landmark(1, 2.0, 3.0))
 
-    def test_epsilon_range_configurable(self):
-        pose, lm = Pose(0.0, 0.0, 0.0), Landmark(1, 0.5, 0.0)
-        assert observe(pose, lm).r == pytest.approx(0.5)
-        with pytest.raises(DegenerateGeometryError):
-            observe(pose, lm, epsilon_range=1.0)
-
 
 class TestObservationJacobian:
     def test_matches_fd(self, rng):

@@ -77,6 +77,13 @@ class TestScenarioValidate:
             with pytest.raises(ScenarioError, match="start"):
                 dataclasses.replace(tiny_scenario, start=start).validate()
 
+    def test_negative_seed(self, tiny_scenario):
+        dataclasses.replace(tiny_scenario, seed=0).validate()
+        with pytest.raises(ScenarioError, match="seed"):
+            dataclasses.replace(tiny_scenario, seed=-1).validate()
+        with pytest.raises(ScenarioError, match="seed"):
+            run_once(dataclasses.replace(tiny_scenario, seed=-3), "ekf")
+
     def test_non_finite_coordinates(self, tiny_scenario):
         for bad in (math.nan, math.inf, -math.inf):
             landmarks = (*tiny_scenario.landmarks[:-1], Landmark(99, 5.0, bad))
@@ -167,6 +174,15 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match="schema"):
             load_scenario(path)
         assert SCENARIO_SCHEMA == "fuzzyloc-scenario-v1"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"scenario"'])
+    def test_top_level_not_an_object(self, tmp_path, text):
+        path = tmp_path / "array.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="malformed scenario"):
+            load_scenario(path)
+        with pytest.raises(ScenarioError, match="malformed scenario"):
+            scenario_from_dict(json.loads(text))
 
     def test_missing_field(self, tmp_path, tiny_scenario):
         path = tmp_path / "missing.json"
