@@ -6,23 +6,36 @@ covariance (and the step-to-step change of that mismatch) feeds one stack of
 small fuzzy networks: one net per R channel rewrites the measurement
 covariance additively, one net rewrites the process covariance
 multiplicatively, and the whole stack then takes one training step.
+
+Per scan the adapter runs on Python floats in one fixed order: the window
+covariance is summed oldest residual first, the Q sensitivity goes through
+models.control_cov_floats and range_bearing_cov_diag_floats, and each net
+is a list of 27 floats driven by the anfis kernels. It calls no numpy
+routine beyond reading its inputs with tolist and building the two arrays
+of the CovPair it returns, so its bits do not depend on the BLAS kernel.
+The array-level functions below wrap the same kernels.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .anfis import (
-    DEFAULT_DELTA_FLOOR,
     DEFAULT_ETA,
     N_TERMS,
     AnfisNet,
     ForwardTrace,
-    net_from_params,
+    forward_floats,
+    leak_floats,
     net_to_params,
+    saturate_floats,
+    train_step_floats,
 )
 from .ekf import CovPair, InnovationRecord
 
@@ -52,11 +65,6 @@ DEFAULT_LEAK = 0.05
 #: mismatch must be judged against the size of S itself; a smaller scale
 #: would let pure sampling noise fire strong corrections.
 SCALE_REL_FLOOR = 1.0
-
-#: Net inputs are saturated this many widths beyond the outer centers so the
-#: Gaussian terms cannot underflow to a zero total firing strength. Outputs
-#: are already flat out there, so saturation does not change the response.
-INPUT_SATURATION_WIDTHS = 12.0
 
 _NAN2 = (float("nan"), float("nan"))
 
@@ -102,51 +110,78 @@ MODE_NETS = {"r": 2, "q": 1, "rq": 3}
 def saturated_forward(net: AnfisNet, inputs) -> tuple[np.ndarray, ForwardTrace]:
     """Stacked forward pass with every input clamped into its net's live region.
 
-    inputs holds one (in1, in2) row per net.
+    inputs holds one (in1, in2) row per net; anfis.saturate_floats clamps it.
     """
-    clamped = []
-    for (in1, in2), (c1, c2), (w1, w2) in zip(inputs, net.centers.tolist(), net.widths.tolist()):
-        for u, centers, widths in ((in1, c1, w1), (in2, c2, w2)):
-            reach = INPUT_SATURATION_WIDTHS * max(widths)
-            clamped.append(min(max(float(u), min(centers) - reach), max(centers) + reach))
+    rows = np.asarray(inputs, dtype=float).reshape(-1, 2).tolist()
+    clamped = [saturate_floats(p, in1, in2) for p, (in1, in2) in zip(net.params.tolist(), rows)]
     return net.forward(clamped)
 
 
 def leak_toward(net: AnfisNet, anchor, rate: float) -> AnfisNet:
-    """Relax every trained parameter a fraction of the way to its anchor.
+    """Relax every trained parameter a fraction of the way to its anchor (anfis.leak_floats).
 
     The anchor holds one row per net in net_to_params layout, normally
     captured when the stack was built. A zero rate is a no-op.
     """
-    if rate == 0.0:
-        return net
-    net.params += rate * (np.asarray(anchor, dtype=float).reshape(net.params.shape) - net.params)
-    np.maximum(net.widths, DEFAULT_DELTA_FLOOR, out=net.widths)
+    anchors = np.asarray(anchor, dtype=float).reshape(net.params.shape).tolist()
+    net.params[:] = [leak_floats(p, a, rate) for p, a in zip(net.params.tolist(), anchors)]
     return net
 
 
+def adapt_r_floats(r00: float, r11: float, delta0: float, delta1: float,
+                   r_floor: float) -> tuple[float, float]:
+    """Additive rewrite of R's diagonal (r00, r11), floored at r_floor."""
+    return max(r00 + delta0, r_floor), max(r11 + delta1, r_floor)
+
+
 def adapt_r(R: np.ndarray, delta, r_floor: float) -> np.ndarray:
-    """Additive rewrite of R's diagonal, floored at r_floor.
+    """adapt_r_floats on R's diagonal; the off-diagonal is kept.
 
     delta[i] is the output of channel i's net, which is fed
     (dom[i, i], delta_dom[i, i]).
     """
     R_new = np.array(R, dtype=float, copy=True)
-    for i in range(2):
-        R_new[i, i] = max(R[i, i] + delta[i], r_floor)
+    R_new[0, 0], R_new[1, 1] = adapt_r_floats(
+        float(R_new[0, 0]), float(R_new[1, 1]), float(delta[0]), float(delta[1]), r_floor,
+    )
     return R_new
 
 
-def adapt_q(Q: np.ndarray, factor: float, q_floor: np.ndarray, q_ceiling: np.ndarray) -> np.ndarray:
-    """Multiplicative rewrite of Q's diagonal, clamped to [floor, ceiling].
+def adapt_q_floats(q00: float, q11: float, factor: float, q_floor, q_ceiling) -> tuple[float, float]:
+    """Multiplicative rewrite of Q's diagonal (q00, q11), clamped per channel to
+    [q_floor[i], q_ceiling[i]]."""
+    return (min(max(q00 * factor, q_floor[0]), q_ceiling[0]),
+            min(max(q11 * factor, q_floor[1]), q_ceiling[1]))
+
+
+def adapt_q(Q: np.ndarray, factor: float, q_floor, q_ceiling) -> np.ndarray:
+    """adapt_q_floats on Q's diagonal; the off-diagonal is kept.
 
     One shared factor, the Q net's output for (dom[0, 0], dom[1, 1]), scales
     both channels.
     """
     Q_new = np.array(Q, dtype=float, copy=True)
-    for i in range(2):
-        Q_new[i, i] = min(max(Q[i, i] * factor, q_floor[i]), q_ceiling[i])
+    Q_new[0, 0], Q_new[1, 1] = adapt_q_floats(
+        float(Q_new[0, 0]), float(Q_new[1, 1]), float(factor),
+        np.asarray(q_floor, dtype=float).tolist(), np.asarray(q_ceiling, dtype=float).tolist(),
+    )
     return Q_new
+
+
+def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[float, float]:
+    """q_factor_sensitivity on floats, given G Q G^T's upper triangle
+    (models.control_cov_floats); records are summed in order."""
+    s0 = s1 = 0.0
+    n = 0
+    for rec in records:
+        if rec.accepted and rec.H is not None:
+            (h00, h01, _), (h10, h11, _) = rec.H.tolist()
+            d0, d1 = models.range_bearing_cov_diag_floats(h00, h01, h10, h11, *gqg)
+            s0 += d0
+            s1 += d1
+            n += 1
+    n = max(n, 1)
+    return s0 / n, s1 / n
 
 
 def q_factor_sensitivity(
@@ -155,16 +190,28 @@ def q_factor_sensitivity(
     """Diagonal sensitivity of S to the multiplicative Q factor, at factor 1.
 
     d(S_ii)/d(factor) = [H G Q G^T H^T]_ii, averaged over the accepted
-    records of the scan.
+    records of the scan. Each record's H has the phi column (0, -1), as
+    ekf.step records it.
     """
-    GQG = G_u @ Q @ G_u.T
-    sens = np.zeros(2)
-    n = 0
-    for rec in records:
-        if rec.accepted and rec.H is not None:
-            sens += (rec.H @ GQG @ rec.H.T).diagonal()
-            n += 1
-    return sens / max(n, 1)
+    (g00, g01), (g10, g11), (g20, g21) = np.asarray(G_u, dtype=float).tolist()
+    (q00, q01), (q10, q11) = np.asarray(Q, dtype=float).tolist()
+    gqg = models.control_cov_floats(g00, g01, g10, g11, g20, g21, q00, q01, q10, q11)
+    return np.array(q_sensitivity_floats(records, gqg))
+
+
+def _training_signals(k: int, dom_diag: tuple[float, float],
+                      q_sensitivity=None) -> tuple[list[float], list[float]]:
+    """The error and the output sensitivity of each net of a k-net stack; see train_adapters."""
+    if k not in MODE_NETS.values():
+        raise ValueError(f"a stack of {k} nets fits no adaptation mode")
+    d00, d11 = dom_diag
+    e, ds = ([d00, d11], [1.0, 1.0]) if k > 1 else ([], [])
+    if k != 2:
+        if q_sensitivity is None:
+            raise ValueError("training the Q net requires q_sensitivity")
+        e.append(0.5 * (d00 + d11))
+        ds.append(0.5 * (q_sensitivity[0] + q_sensitivity[1]))
+    return e, ds
 
 
 def train_adapters(
@@ -181,17 +228,8 @@ def train_adapters(
     collapses both channels: the error and the S-to-factor sensitivity are
     each averaged across channels.
     """
-    k = len(net)
-    if k not in MODE_NETS.values():
-        raise ValueError(f"a stack of {k} nets fits no adaptation mode")
-    d00, d11 = dom_diag
-    e, ds = ([d00, d11], [1.0, 1.0]) if k > 1 else ([], [])
-    if k != 2:
-        if q_sensitivity is None:
-            raise ValueError("training the Q net requires q_sensitivity")
-        e.append(0.5 * (d00 + d11))
-        ds.append(0.5 * (q_sensitivity[0] + q_sensitivity[1]))
-    return net.train_step(trace, e, ds)
+    errors, sensitivities = _training_signals(len(net), dom_diag, q_sensitivity)
+    return net.train_step(trace, errors, sensitivities)
 
 
 @dataclass(frozen=True)
@@ -216,6 +254,8 @@ class AdaptationConfig:
         Every bound is checked with a comparison that NaN fails: a NaN floor
         would otherwise vanish silently inside max().
         """
+        if not isinstance(self.window, numbers.Integral):  # a bool is below 2 as well
+            raise ValueError(f"window must be an integer, got {self.window!r}")
         if not self.window >= 2:
             raise ValueError("window must be at least 2")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
@@ -241,11 +281,13 @@ class CovarianceAdapter:
     """Stateful per-run driver of the residual window and the net stack.
 
     mode selects which covariances are rewritten: 'r', 'q', or 'rq'. The
-    window is a (window, 2) array of the latest residuals, oldest first. The
-    stack of MODE_NETS[mode] nets is built lazily on the first full-window
-    step so membership scales can be set from the observed spread of the
-    innovation covariance diagonal. A zero learning rate disables rewriting
-    and training entirely, which reproduces the unadapted filter bit for bit.
+    window holds the latest residuals as (dr, dtheta) lists, oldest first.
+    net holds MODE_NETS[mode] nets, R channels first, each a list of 27
+    floats in net_to_params layout, and _anchor their build-time values. The
+    nets are built lazily on the first full-window step so membership scales
+    can be set from the observed spread of the innovation covariance
+    diagonal. A zero learning rate disables rewriting and training entirely,
+    which reproduces the unadapted filter bit for bit.
 
     Raises ValueError when an absolute q_floor lies above the Q ceiling
     (Q_CEILING_RATIO times the initial Q) of either channel in a mode that
@@ -257,24 +299,29 @@ class CovarianceAdapter:
             raise ValueError(f"unknown adaptation mode {mode!r}")
         self.mode = mode
         self.config = cfg = config if config is not None else AdaptationConfig()
-        self.window = np.zeros((cfg.window, 2))
-        self.filled = 0
-        self.net: AnfisNet | None = None
-        self._anchor: np.ndarray | None = None
-        self._dom: np.ndarray | None = None
-        self._s_samples: list[np.ndarray] = []
-        self._initial_r = np.diag(initial_cov.R).copy()
-        initial_q = np.diag(initial_cov.Q)
-        self._q_ceiling = Q_CEILING_RATIO * initial_q
+        self.window: deque[list[float]] = deque(maxlen=cfg.window)
+        self.net: list[list[float]] | None = None
+        self._anchor: list[list[float]] | None = None
+        self._dom: tuple[float, float] | None = None
+        self._s_samples: list[tuple[float, float]] = []
+        (r00, _), (_, r11) = initial_cov.R.tolist()
+        (q00, _), (_, q11) = initial_cov.Q.tolist()
+        self._initial_r = (r00, r11)
+        self._q_ceiling = (Q_CEILING_RATIO * q00, Q_CEILING_RATIO * q11)
         if cfg.q_floor is not None:
-            self._q_floor = np.full(2, float(cfg.q_floor))
+            self._q_floor = (float(cfg.q_floor), float(cfg.q_floor))
         else:
-            self._q_floor = Q_FLOOR_RATIO * initial_q
-        if "q" in mode and np.any(self._q_floor > self._q_ceiling):
+            self._q_floor = (Q_FLOOR_RATIO * q00, Q_FLOOR_RATIO * q11)
+        if "q" in mode and any(f > c for f, c in zip(self._q_floor, self._q_ceiling)):
             raise ValueError(
-                f"q_floor {cfg.q_floor} lies above the Q ceiling {self._q_ceiling.tolist()} "
+                f"q_floor {cfg.q_floor} lies above the Q ceiling {list(self._q_ceiling)} "
                 f"({Q_CEILING_RATIO:g} x initial Q)"
             )
+
+    @property
+    def filled(self) -> int:
+        """Residuals in the window, at most its length."""
+        return len(self.window)
 
     def _input_scale(self, samples: np.ndarray) -> float:
         spread = float(np.std(samples))
@@ -290,26 +337,28 @@ class CovarianceAdapter:
                      for scale, r0 in zip(scales, self._initial_r)]
         if "q" in self.mode:
             nets.append(make_multiplicative_net(*scales))
-        self._anchor = np.concatenate([net_to_params(net) for net in nets])
-        self.net = net_from_params(self._anchor, self.config.eta)
+        self._anchor = np.concatenate([net_to_params(net) for net in nets]).tolist()
+        self.net = [list(p) for p in self._anchor]
 
-    def _push(self, records: list[InnovationRecord]) -> None:
-        """Shift the scan's residuals into the window in arrival order."""
-        w = len(self.window)
-        rows = [rec.residual for rec in records[-w:]]
-        m = len(rows)
-        if m < w:
-            self.window[:-m] = self.window[m:]
-        self.window[w - m:] = rows
-        self.filled = min(self.filled + len(records), w)
+    def actual_cov_floats(self) -> tuple[float, float, float]:
+        """(c00, c01, c11) of the windowed sample innovation covariance.
+
+        The mean of the residual outer products, each entry summed in window
+        order, oldest first. No mean is subtracted. It is the actual
+        covariance only once the window is full.
+        """
+        c00 = c01 = c11 = 0.0
+        for r0, r1 in self.window:
+            c00 += r0 * r0
+            c01 += r0 * r1
+            c11 += r1 * r1
+        w = self.window.maxlen
+        return c00 / w, c01 / w, c11 / w
 
     def actual_cov(self) -> np.ndarray:
-        """Windowed sample innovation covariance: mean of residual outer products.
-
-        No mean is subtracted. It is the actual covariance only once the
-        window is full.
-        """
-        return self.window.T @ self.window / len(self.window)
+        """actual_cov_floats as a 2x2 array."""
+        c00, c01, c11 = self.actual_cov_floats()
+        return np.array(((c00, c01), (c01, c11)))
 
     def after_update(
         self, records: list[InnovationRecord], G_u: np.ndarray, cov: CovPair
@@ -320,10 +369,11 @@ class CovarianceAdapter:
         protects the state update, but censoring the window would bias the
         sample covariance low (the gate cuts off exactly the large residuals)
         and make a matched filter look pessimistic forever. The scan's
-        theoretical S is the mean over all records. Adaptation stays
-        suspended on ticks where nothing passed the gate and until the window
-        is full. The mismatch is evaluated before any rewrite, so training
-        always sees the covariances the scan was actually filtered with.
+        theoretical S is the mean over all records, summed in arrival order.
+        Adaptation stays suspended on ticks where nothing passed the gate and
+        until the window is full. The mismatch is evaluated before any
+        rewrite, so training always sees the covariances the scan was
+        actually filtered with.
 
         Trained parameters are leaked toward their build-time values on every
         scan tick, suspended or not; a wedged filter that rejects everything
@@ -332,25 +382,30 @@ class CovarianceAdapter:
         trace = StepTrace()
         cfg = self.config
         if self.net is not None:
-            leak_toward(self.net, self._anchor, DEFAULT_LEAK)
+            self.net = [leak_floats(p, a, DEFAULT_LEAK) for p, a in zip(self.net, self._anchor)]
         if not records:
             return cov, trace
-        self._push(records)
-        # the mean summed in arrival order, as np.mean over axis 0 does
-        S_scan = sum((rec.S for rec in records[1:]), records[0].S) / len(records)
+        window = self.window
+        s00 = s11 = 0.0
+        for rec in records:
+            window.append(rec.residual.tolist())
+            (a, _), (_, d) = rec.S.tolist()
+            s00 += a
+            s11 += d
+        s00 /= len(records)
+        s11 /= len(records)
         accepted = [rec for rec in records if rec.accepted]
         if not accepted:
             return cov, trace
         if self.net is None and cfg.eta != 0.0:
-            self._s_samples.append(S_scan.diagonal().copy())
-        if self.filled < len(self.window):
+            self._s_samples.append((s00, s11))
+        if len(window) < window.maxlen:
             return cov, trace
-        dom = S_scan - self.actual_cov()
-        delta_dom = np.zeros_like(dom) if self._dom is None else dom - self._dom
-        self._dom = dom
+        c00, _, c11 = self.actual_cov_floats()
+        d00, d11 = s00 - c00, s11 - c11
+        dd00, dd11 = (0.0, 0.0) if self._dom is None else (d00 - self._dom[0], d11 - self._dom[1])
+        self._dom = (d00, d11)
         trace.active = True
-        (d00, _), (_, d11) = dom.tolist()
-        (dd00, _), (_, dd11) = delta_dom.tolist()
         trace.dom_diag = (d00, d11)
         trace.delta_dom_diag = (dd00, dd11)
         if cfg.eta == 0.0:
@@ -360,17 +415,24 @@ class CovarianceAdapter:
         inputs = [(d00, dd00), (d11, dd11)] if "r" in self.mode else []
         if "q" in self.mode:
             inputs.append((d00, d11))
-        out, fwd = saturated_forward(self.net, inputs)
+        fwd = [forward_floats(p, *saturate_floats(p, in1, in2))
+               for p, (in1, in2) in zip(self.net, inputs)]
         R_next, Q_next, sens = cov.R, cov.Q, None
         if "r" in self.mode:
-            R_next = adapt_r(cov.R, out, cfg.r_floor)
-            trace.applied_delta_r = (
-                float(R_next[0, 0] - cov.R[0, 0]),
-                float(R_next[1, 1] - cov.R[1, 1]),
-            )
+            (r00, r01), (r10, r11) = cov.R.tolist()
+            n00, n11 = adapt_r_floats(r00, r11, fwd[0][4], fwd[1][4], cfg.r_floor)
+            trace.applied_delta_r = (n00 - r00, n11 - r11)
+            R_next = np.array(((n00, r01), (r10, n11)))
         if "q" in self.mode:
-            sens = q_factor_sensitivity(accepted, G_u, cov.Q)
-            trace.q_factor = float(out[-1])
-            Q_next = adapt_q(cov.Q, trace.q_factor, self._q_floor, self._q_ceiling)
-        train_adapters(self.net, fwd, (d00, d11), sens)
+            (g00, g01), (g10, g11), (g20, g21) = G_u.tolist()
+            (q00, q01), (q10, q11) = cov.Q.tolist()
+            sens = q_sensitivity_floats(
+                accepted, models.control_cov_floats(g00, g01, g10, g11, g20, g21, q00, q01, q10, q11),
+            )
+            trace.q_factor = fwd[-1][4]
+            n00, n11 = adapt_q_floats(q00, q11, trace.q_factor, self._q_floor, self._q_ceiling)
+            Q_next = np.array(((n00, q01), (q10, n11)))
+        errors, sensitivities = _training_signals(len(self.net), (d00, d11), sens)
+        self.net = [train_step_floats(p, t, cfg.eta, e, ds)
+                    for p, t, e, ds in zip(self.net, fwd, errors, sensitivities)]
         return CovPair(Q_next, R_next), trace

@@ -5,18 +5,25 @@ input), product rule firing (25 rules), normalization over all rules, and
 a weighted sum of singleton consequents. Centers, widths, and singletons
 are all free parameters trained by steepest descent on a squared error.
 
+Each formula is a float kernel over one net's 27 parameters, a list of
+Python floats in net_to_params layout (10 centers, 10 widths, 7
+singletons): saturate_floats, forward_floats, gradient_floats,
+train_step_floats and leak_floats. They sum in one fixed order and call no
+numpy, so their bits do not depend on the BLAS kernel numpy picks for the
+CPU. The covariance adapter keeps its nets as such lists between scans.
+
 One AnfisNet holds a stack of k independent networks as plain arrays with a
 leading net axis: centers and widths (k, 2, 5) with row [n, i] for input i
 of net n, singletons (k, 7), all views into one (k, 27) parameter array.
-Every pass runs all k nets at once, and net n's numbers are bit for bit
-those it would get alone. The fixed rule table CONSEQUENT maps each of the
-5 x 5 term pairs to a singleton index.
+Its methods run the kernels net by net, so net n's numbers are bit for bit
+those the kernels give it alone. The fixed rule table CONSEQUENT maps each
+of the 5 x 5 term pairs to a singleton index.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from math import exp
 
 import numpy as np
 
@@ -39,25 +46,134 @@ _FIRING_FLOOR = 1e-300
 #: Flat parameter layout of one net: 10 centers, then 10 widths, then 7 singletons.
 N_PARAMS = 27
 
+#: Net inputs are saturated this many widths beyond the outer centers so the
+#: Gaussian terms cannot underflow to a zero total firing strength. Outputs
+#: are already flat out there, so saturation does not change the response.
+INPUT_SATURATION_WIDTHS = 12.0
+
 
 #: 0-based singleton index of the rule for input-1 term i and input-2 term j.
 #: Entries are constant along anti-diagonals: the consequent depends only on
 #: the combined level i + j of the two input terms, falling from the last
 #: singleton at (0, 0) to the first at (4, 4).
 CONSEQUENT = np.clip(7 - np.add.outer(np.arange(N_TERMS), np.arange(N_TERMS)), 0, N_SINGLETONS - 1)
-_CONSEQUENT_FLAT = CONSEQUENT.ravel()
+
+
+def saturate_floats(p: list[float], in1: float, in2: float) -> tuple[float, float]:
+    """(in1, in2) clamped to INPUT_SATURATION_WIDTHS of the widest term beyond the outer centers."""
+    c1, c2, w1, w2 = p[0:5], p[5:10], p[10:15], p[15:20]
+    reach1 = INPUT_SATURATION_WIDTHS * max(w1)
+    reach2 = INPUT_SATURATION_WIDTHS * max(w2)
+    return (
+        min(max(in1, min(c1) - reach1), max(c1) + reach1),
+        min(max(in2, min(c2) - reach2), max(c2) + reach2),
+    )
+
+
+def forward_floats(p: list[float], in1: float, in2: float) -> tuple:
+    """One net's forward pass on floats; returns its trace, whose last entry is the output.
+
+    The trace is (z, mu, total, weights, out): the ten z-scores (u - m) / delta
+    and membership grades, input 1's terms first, the total firing, the
+    normalized firing routed to each singleton, which is also d(out)/d(singleton),
+    and the output. Rule (i, j) fires mu1_i * mu2_j; the 25 firings are summed
+    along the anti-diagonals i + j, on which CONSEQUENT is constant.
+
+    Raises ZeroFiringError if every rule firing strength underflowed;
+    callers are expected to keep inputs within a sane multiple of the
+    membership widths.
+    """
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, *singletons = p
+    z = ((in1 - c0) / w0, (in1 - c1) / w1, (in1 - c2) / w2, (in1 - c3) / w3, (in1 - c4) / w4,
+         (in2 - c5) / w5, (in2 - c6) / w6, (in2 - c7) / w7, (in2 - c8) / w8, (in2 - c9) / w9)
+    mu = a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = [exp(-v * v) for v in z]
+    f0 = a0 * b0
+    f1 = a0 * b1 + a1 * b0
+    f2 = a0 * b2 + a1 * b1 + a2 * b0
+    f3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    f4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0
+    f5 = a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1
+    f6 = a2 * b4 + a3 * b3 + a4 * b2
+    f7 = a3 * b4 + a4 * b3
+    f8 = a4 * b4
+    total = f0 + f1 + f2 + f3 + f4 + f5 + f6 + f7 + f8
+    if total < _FIRING_FLOOR:
+        raise ZeroFiringError(f"zero total firing at inputs ({in1}, {in2})")
+    # CONSEQUENT routes level i + j to singleton 7 - (i + j), clipped to 0..6
+    weights = [(f7 + f8) / total, f6 / total, f5 / total, f4 / total, f3 / total, f2 / total,
+               (f0 + f1) / total]
+    r0, r1, r2, r3, r4, r5, r6 = weights
+    s0, s1, s2, s3, s4, s5, s6 = singletons
+    out = r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3 + r4 * s4 + r5 * s5 + r6 * s6
+    return z, mu, total, weights, out
+
+
+def gradient_floats(p: list[float], trace: tuple) -> list[float]:
+    """d(out)/d(parameter) at a forward_floats trace, in net_to_params layout."""
+    z, mu, total, weights, out = trace
+    a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = mu
+    z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 = z
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, s0, s1, s2, s3, s4, s5, s6 = p[10:]
+    # each singleton less the output; rule (i, j) uses singleton 7 - (i + j), clipped
+    e0, e1, e2, e3, e4, e5, e6 = s0 - out, s1 - out, s2 - out, s3 - out, s4 - out, s5 - out, s6 - out
+    # d(out)/d(center): the quotient rule against the normalization layer
+    # gives d(out)/d(mu1_i) = sum_j (w_ij - out) mu2_j / total (and the same
+    # over i for mu2_j), and d(mu)/d(center) = 2 mu z / delta
+    k = 2.0 / total
+    d_centers = [
+        (e6 * b0 + e6 * b1 + e5 * b2 + e4 * b3 + e3 * b4) * a0 * k * z0 / w0,
+        (e6 * b0 + e5 * b1 + e4 * b2 + e3 * b3 + e2 * b4) * a1 * k * z1 / w1,
+        (e5 * b0 + e4 * b1 + e3 * b2 + e2 * b3 + e1 * b4) * a2 * k * z2 / w2,
+        (e4 * b0 + e3 * b1 + e2 * b2 + e1 * b3 + e0 * b4) * a3 * k * z3 / w3,
+        (e3 * b0 + e2 * b1 + e1 * b2 + e0 * b3 + e0 * b4) * a4 * k * z4 / w4,
+        (e6 * a0 + e6 * a1 + e5 * a2 + e4 * a3 + e3 * a4) * b0 * k * z5 / w5,
+        (e6 * a0 + e5 * a1 + e4 * a2 + e3 * a3 + e2 * a4) * b1 * k * z6 / w6,
+        (e5 * a0 + e4 * a1 + e3 * a2 + e2 * a3 + e1 * a4) * b2 * k * z7 / w7,
+        (e4 * a0 + e3 * a1 + e2 * a2 + e1 * a3 + e0 * a4) * b3 * k * z8 / w8,
+        (e3 * a0 + e2 * a1 + e1 * a2 + e0 * a3 + e0 * a4) * b4 * k * z9 / w9,
+    ]
+    # d(mu)/d(delta) = 2 mu z^2 / delta, so d(out)/d(delta) is z times d(out)/d(center)
+    return d_centers + [d * v for d, v in zip(d_centers, z)] + weights
+
+
+def _floor_widths(p: list[float]) -> list[float]:
+    p[10:20] = [DEFAULT_DELTA_FLOOR if w < DEFAULT_DELTA_FLOOR else w for w in p[10:20]]
+    return p
+
+
+def train_step_floats(p: list[float], trace: tuple, eta: float, e: float, ds_dout: float) -> list[float]:
+    """One steepest-descent step of one net on E = e^2 / 2, widths floored.
+
+    Returns the new parameters; a zero step (eta, e or ds_dout zero) returns p
+    itself, every parameter untouched.
+    """
+    g = eta * e * ds_dout
+    if g == 0.0:
+        return p
+    return _floor_widths([v - g * d for v, d in zip(p, gradient_floats(p, trace))])
+
+
+def leak_floats(p: list[float], anchor: list[float], rate: float) -> list[float]:
+    """Every parameter moved a fraction rate of the way to its anchor, widths floored.
+
+    A zero rate returns p itself.
+    """
+    if rate == 0.0:
+        return p
+    return _floor_widths([v + rate * (a - v) for v, a in zip(p, anchor)])
 
 
 @dataclass
 class ForwardTrace:
-    """Layer-by-layer values of one stacked forward pass, retained for training."""
+    """One stacked forward pass, retained for training.
 
-    inputs: np.ndarray  # (k, 2, 1) the two inputs of each net
+    nets holds each net's forward_floats trace; the arrays repeat its
+    layer values with a leading net axis.
+    """
+
+    nets: list[tuple]
     mu: np.ndarray  # (k, 2, 5) membership grades, row [n, i] for input i
-    firing: np.ndarray  # (k, 5, 5) rule firing strengths
     total: np.ndarray  # (k,) sum of each net's 25 firing strengths
-    normalized: np.ndarray  # (k, 5, 5), each net's sums to 1
-    table: np.ndarray  # (k, 5, 5) singleton of each rule, C-contiguous
     out: np.ndarray  # (k,)
 
     @property
@@ -68,13 +184,15 @@ class ForwardTrace:
     def mu2(self) -> np.ndarray:
         return self.mu[:, 1]
 
+    @property
+    def firing(self) -> np.ndarray:
+        """(k, 5, 5) rule firing strengths."""
+        return self.mu[:, 0, :, None] * self.mu[:, 1, None, :]
 
-@functools.cache
-def _singleton_bins(k: int) -> np.ndarray:
-    """Bin of every rule of a k-net stack: net n's rules go to bins 7n..7n+6."""
-    bins = (_CONSEQUENT_FLAT + N_SINGLETONS * np.arange(k)[:, None]).ravel()
-    bins.flags.writeable = False  # shared by every stack of k nets
-    return bins
+    @property
+    def normalized(self) -> np.ndarray:
+        """(k, 5, 5) firing strengths, each net's summing to 1."""
+        return self.firing / self.total[:, None, None]
 
 
 @dataclass
@@ -114,25 +232,18 @@ class AnfisNet:
         return len(self.params)
 
     def forward(self, inputs) -> tuple[np.ndarray, ForwardTrace]:
-        """Evaluate every net on its (in1, in2) row and keep the trace for training.
+        """Evaluate every net on its (in1, in2) row with forward_floats and keep the trace.
 
         Raises ZeroFiringError if every rule firing strength of some net
-        underflowed; callers are expected to keep inputs within a sane
-        multiple of the membership widths.
+        underflowed, and ValueError unless there is one row per net.
         """
-        u = np.asarray(inputs, dtype=float).reshape(-1, 2, 1)
-        z = (u - self.centers) / self.widths
-        mu = np.exp(-z * z)
-        firing = mu[:, 0, :, None] * mu[:, 1, None, :]
-        total = firing.reshape(-1, N_RULES).sum(axis=1)
-        if any(t < _FIRING_FLOOR for t in total.tolist()):
-            raise ZeroFiringError(f"zero total firing at inputs {u.reshape(-1, 2).tolist()}")
-        normalized = firing / total[:, None, None]
-        # a C-contiguous table: the fancy-indexed singletons[:, CONSEQUENT] is
-        # not, and the gradient's matmul would then round differently
-        table = np.take(self.singletons, _CONSEQUENT_FLAT, axis=1).reshape(-1, N_TERMS, N_TERMS)
-        out = (normalized * table).reshape(-1, N_RULES).sum(axis=1)
-        return out, ForwardTrace(u, mu, firing, total, normalized, table, out)
+        rows = np.asarray(inputs, dtype=float).reshape(-1, 2).tolist()
+        if len(rows) != len(self):
+            raise ValueError(f"expected one input row per net ({len(self)}), got {len(rows)}")
+        nets = [forward_floats(p, in1, in2) for p, (in1, in2) in zip(self.params.tolist(), rows)]
+        out = np.array([t[4] for t in nets])
+        mu = np.array([t[1] for t in nets]).reshape(-1, 2, N_TERMS)
+        return out, ForwardTrace(nets, mu, np.array([t[2] for t in nets]), out)
 
     def output_gradients(self, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradients of each net's output w.r.t. its free parameters at the trace.
@@ -140,26 +251,12 @@ class AnfisNet:
         Returns:
             (d_singletons, d_centers, d_widths) with shapes (k, 7), (k, 2, 5), (k, 2, 5).
         """
-        k = len(self)
-        # d(out)/d(w_l): total normalized firing routed to singleton l, summed
-        # in ravel order.
-        d_w = np.bincount(_singleton_bins(k), trace.normalized.ravel(), N_SINGLETONS * k)
-
-        # d(out)/d(mu): quotient rule against the normalization layer.
-        excess = trace.table - trace.out[:, None, None]
-        g_mu = np.concatenate((
-            np.matmul(excess, trace.mu[:, 1, :, None]),
-            np.matmul(excess.transpose(0, 2, 1), trace.mu[:, 0, :, None]),
-        ), axis=2).transpose(0, 2, 1) / trace.total[:, None, None]
-
-        diff = trace.inputs - self.centers
-        d_mu = g_mu * trace.mu * 2.0
-        d_centers = d_mu * diff / self.widths**2
-        d_widths = d_mu * diff**2 / self.widths**3
-        return d_w.reshape(k, N_SINGLETONS), d_centers, d_widths
+        grads = np.array([gradient_floats(p, t) for p, t in zip(self.params.tolist(), trace.nets)])
+        k = len(grads)
+        return grads[:, 20:], grads[:, :10].reshape(k, 2, N_TERMS), grads[:, 10:20].reshape(k, 2, N_TERMS)
 
     def train_step(self, trace: ForwardTrace, e, ds_dout) -> "AnfisNet":
-        """One steepest-descent step of each net on E = e^2 / 2.
+        """One train_step_floats step of each net on E = e^2 / 2.
 
         Args:
             trace: the forward pass the errors were observed at.
@@ -171,22 +268,13 @@ class AnfisNet:
             self, updated in place. A net whose step is zero (e or ds_dout
             zero, or a zero learning rate) keeps every parameter untouched.
         """
-        g = self.eta * np.asarray(e, dtype=float) * np.asarray(ds_dout, dtype=float)
-        if g.ndim == 0:
-            g = np.full(len(self), g)
-        steps = g.tolist()
-        if not any(steps):
-            return self
-        d_w, d_centers, d_widths = self.output_gradients(trace)
-        idle = g == 0.0 if 0.0 in steps else None
-        if idle is not None:
-            kept = self.params[idle]
-        self.singletons -= g[:, None] * d_w
-        g = g[:, None, None]
-        self.centers -= g * d_centers
-        np.maximum(self.widths - g * d_widths, DEFAULT_DELTA_FLOOR, out=self.widths)
-        if idle is not None:
-            self.params[idle] = kept
+        k = len(self)
+        errors = np.broadcast_to(np.asarray(e, dtype=float), k).tolist()
+        sensitivities = np.broadcast_to(np.asarray(ds_dout, dtype=float), k).tolist()
+        self.params[:] = [
+            train_step_floats(p, t, self.eta, en, ds)
+            for p, t, en, ds in zip(self.params.tolist(), trace.nets, errors, sensitivities)
+        ]
         return self
 
 

@@ -182,6 +182,27 @@ def control_jacobian_floats(
     )
 
 
+def control_cov_floats(
+    g00: float, g01: float, g10: float, g11: float, g20: float, g21: float,
+    q00: float, q01: float, q10: float, q11: float,
+) -> tuple[float, float, float, float, float, float]:
+    """G Q G^T on floats: its upper triangle (m00, m01, m02, m11, m12, m22), row by row.
+
+    G is the 3x2 control Jacobian, row-major (control_jacobian_floats), and
+    Q's off-diagonal pair is averaged, as ekf.predict_floats does.
+    """
+    q01 = 0.5 * (q01 + q10)
+    # rows of G Q
+    w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
+    w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
+    w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
+    return (
+        w00 * g00 + w01 * g01, w00 * g10 + w01 * g11, w00 * g20 + w01 * g21,
+        w10 * g10 + w11 * g11, w10 * g20 + w11 * g21,
+        w20 * g20 + w21 * g21,
+    )
+
+
 def motion_jacobian_state(pose: Pose, u: ControlInput, dt: float) -> np.ndarray:
     """Jacobian of the noise-free motion step w.r.t. (x, y, phi).
 
@@ -264,3 +285,20 @@ def observation_jacobian(pose: Pose, landmark: Landmark) -> np.ndarray:
             [h10, h11, -1.0],
         ]
     )
+
+
+def range_bearing_cov_diag_floats(
+    h00: float, h01: float, h10: float, h11: float,
+    m00: float, m01: float, m02: float, m11: float, m12: float, m22: float,
+) -> tuple[float, float]:
+    """The diagonal of H M H^T on floats, for a symmetric 3x3 M given by its upper triangle.
+
+    H is given by the entries of its (x, y) columns, as range_bearing_jacobian
+    returns them; its phi column is (0, -1).
+    """
+    # the range row of H M, then the bearing row, with H's phi column (0, -1)
+    a0, a1 = h00 * m00 + h01 * m01, h00 * m01 + h01 * m11
+    b0 = h10 * m00 + h11 * m01 - m02
+    b1 = h10 * m01 + h11 * m11 - m12
+    b2 = h10 * m02 + h11 * m12 - m22
+    return a0 * h00 + a1 * h01, b0 * h10 + b1 * h11 - b2

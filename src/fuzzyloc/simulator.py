@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -384,6 +385,21 @@ class RunLog:
         )
 
 
+def _check_run_arguments(
+    seed_name: str, seed: int | None, gate_threshold: float, p0_diag: tuple[float, float, float],
+) -> None:
+    """Raise ValueError, naming the argument, on a seed that is not a nonnegative
+    integer, a gate threshold that is NaN or negative, or a p0_diag that is
+    not three positive finite values. A gate threshold of 0 or inf is legal."""
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"{seed_name} must be a nonnegative integer, got {seed!r}")
+    if not gate_threshold >= 0.0:
+        raise ValueError(f"gate_threshold must be nonnegative, got {gate_threshold!r}")
+    p0 = np.asarray(p0_diag, dtype=float)
+    if p0.shape != (3,) or not all(math.isfinite(v) and v > 0.0 for v in p0.tolist()):
+        raise ValueError(f"p0_diag must be 3 positive finite values, got {p0_diag!r}")
+
+
 def run_once(
     scenario: Scenario,
     variant: str,
@@ -410,9 +426,13 @@ def run_once(
 
     Returns:
         A RunLog with one row per control tick.
+
+    Raises:
+        ValueError: an unknown variant, or an argument _check_run_arguments rejects.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    _check_run_arguments("seed", seed, gate_threshold, p0_diag)
     scenario.validate()
     if seed is None:
         seed = scenario.seed
@@ -549,9 +569,11 @@ def run_monte_carlo(
     Results are ordered by run index regardless of worker scheduling, so a
     parallel invocation is interchangeable with a serial one. The pool never
     has more workers than runs: it starts all of them at the first submit.
+    The arguments are checked as run_once checks them before a pool starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    _check_run_arguments("base_seed", base_seed, gate_threshold, p0_diag)
     runs = (repeat(scenario), repeat(variant), range(base_seed, base_seed + n_runs),
             repeat(adaptation), repeat(gate_threshold), repeat(p0_diag))
     workers = min(max_workers, n_runs)

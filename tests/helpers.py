@@ -9,9 +9,10 @@ a deterministic residual stream whose sample covariance is
 known in closed form, sensing with one noise-free and one noisy
 models.observe per landmark, CSV rows formatted value by value through
 csv.writer, a run loop that moves Pose/ControlInput/GaussianState objects
-through every tick, the NEES elimination on row tuples, and the covariance
+through every tick, the NEES elimination on row tuples, the covariance
 adapter as one AnfisNet object per fuzzy network with a deque residual
-window.
+window, and the stacked fuzzy network and Q sensitivity as numpy array
+expressions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from fuzzyloc import ekf, metrics, models, simulator
 from fuzzyloc.adaptation import (
     DEFAULT_LEAK,
-    INPUT_SATURATION_WIDTHS,
     Q_CEILING_RATIO,
     Q_FLOOR_RATIO,
     Q_SINGLETON_RATIO,
@@ -35,9 +35,19 @@ from fuzzyloc.adaptation import (
     AdaptationConfig,
     CovarianceAdapter,
     StepTrace,
-    q_factor_sensitivity,
 )
-from fuzzyloc.anfis import CONSEQUENT, DEFAULT_DELTA_FLOOR, AnfisNet, net_from_params, net_to_params
+from fuzzyloc.anfis import (
+    CONSEQUENT,
+    DEFAULT_DELTA_FLOOR,
+    INPUT_SATURATION_WIDTHS,
+    N_PARAMS,
+    N_RULES,
+    N_SINGLETONS,
+    N_TERMS,
+    AnfisNet,
+    net_from_params,
+    net_to_params,
+)
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError, ZeroFiringError
 from fuzzyloc.models import ControlInput, Measurement, Pose, wrap_angle
@@ -677,7 +687,7 @@ class LegacyCovarianceAdapter:
                 float(R_next[1, 1] - cov.R[1, 1]),
             )
         if self.q_adapter is not None:
-            sens = q_factor_sensitivity(accepted, G_u, cov.Q)
+            sens = numpy_q_factor_sensitivity(accepted, G_u, cov.Q)
             factor, q_trace = legacy_saturated_forward(
                 self.q_adapter.net, float(self.dom[0, 0]), float(self.dom[1, 1]))
             Q_next = np.array(cov.Q, dtype=float, copy=True)
@@ -687,3 +697,86 @@ class LegacyCovarianceAdapter:
             _legacy_train(self.q_adapter, self.dom, q_trace, q_sensitivity=sens)
             trace.q_factor = float(q_trace.out)
         return CovPair(Q_next, R_next), trace
+
+
+# -- The fuzzy network stack and Q sensitivity as numpy expressions ----------
+# The package's array code before the adapter moved to float kernels: one
+# (k, 27) parameter array per stack, every pass a batched numpy expression,
+# the gradient's products through matmul and bincount, and G Q G^T and
+# H G Q G^T H^T as matrix products. Its BLAS calls may round differently
+# under another OpenBLAS kernel, so it is a reference within tolerances.
+
+
+def numpy_q_factor_sensitivity(records, G_u, Q):
+    """[H G Q G^T H^T]_ii averaged over the accepted records with an H."""
+    GQG = G_u @ Q @ G_u.T
+    sens = np.zeros(2)
+    n = 0
+    for rec in records:
+        if rec.accepted and rec.H is not None:
+            sens += (rec.H @ GQG @ rec.H.T).diagonal()
+            n += 1
+    return sens / max(n, 1)
+
+
+@dataclass
+class NumpyForwardTrace:
+    inputs: np.ndarray  # (k, 2, 1)
+    mu: np.ndarray  # (k, 2, 5)
+    total: np.ndarray  # (k,)
+    normalized: np.ndarray  # (k, 5, 5)
+    table: np.ndarray  # (k, 5, 5), C-contiguous
+    out: np.ndarray  # (k,)
+
+
+class NumpyAnfisNet:
+    """A stack of k nets held as one (k, 27) array in net_to_params layout."""
+
+    def __init__(self, params, eta=0.01):
+        self.params = np.array(params, dtype=float).reshape(-1, N_PARAMS)
+        self.eta = eta
+        k = len(self.params)
+        self.centers = self.params[:, :10].reshape(k, 2, N_TERMS)
+        self.widths = self.params[:, 10:20].reshape(k, 2, N_TERMS)
+        self.singletons = self.params[:, 20:]
+
+    def forward(self, inputs):
+        u = np.asarray(inputs, dtype=float).reshape(-1, 2, 1)
+        z = (u - self.centers) / self.widths
+        mu = np.exp(-z * z)
+        firing = mu[:, 0, :, None] * mu[:, 1, None, :]
+        total = firing.reshape(-1, N_RULES).sum(axis=1)
+        if any(t < 1e-300 for t in total.tolist()):
+            raise ZeroFiringError(f"zero total firing at inputs {u.reshape(-1, 2).tolist()}")
+        normalized = firing / total[:, None, None]
+        table = np.take(self.singletons, CONSEQUENT.ravel(), axis=1).reshape(-1, N_TERMS, N_TERMS)
+        out = (normalized * table).reshape(-1, N_RULES).sum(axis=1)
+        return out, NumpyForwardTrace(u, mu, total, normalized, table, out)
+
+    def output_gradients(self, trace):
+        k = len(self.params)
+        bins = (CONSEQUENT.ravel() + N_SINGLETONS * np.arange(k)[:, None]).ravel()
+        d_w = np.bincount(bins, trace.normalized.ravel(), N_SINGLETONS * k)
+        excess = trace.table - trace.out[:, None, None]
+        g_mu = np.concatenate((
+            np.matmul(excess, trace.mu[:, 1, :, None]),
+            np.matmul(excess.transpose(0, 2, 1), trace.mu[:, 0, :, None]),
+        ), axis=2).transpose(0, 2, 1) / trace.total[:, None, None]
+        diff = trace.inputs - self.centers
+        d_mu = g_mu * trace.mu * 2.0
+        d_centers = d_mu * diff / self.widths**2
+        d_widths = d_mu * diff**2 / self.widths**3
+        return d_w.reshape(k, N_SINGLETONS), d_centers, d_widths
+
+    def train_step(self, trace, e, ds_dout):
+        g = self.eta * np.asarray(e, dtype=float) * np.asarray(ds_dout, dtype=float)
+        g = np.broadcast_to(g, len(self.params))
+        idle = g == 0.0
+        kept = self.params[idle]
+        d_w, d_centers, d_widths = self.output_gradients(trace)
+        self.singletons -= g[:, None] * d_w
+        g = g[:, None, None]
+        self.centers -= g * d_centers
+        np.maximum(self.widths - g * d_widths, DEFAULT_DELTA_FLOOR, out=self.widths)
+        self.params[idle] = kept
+        return self

@@ -260,3 +260,35 @@ class TestSerialization:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="27"):
             net_from_params([0.0] * 26)
+
+
+class TestNumpyStackReference:
+    """The array wrappers against helpers.NumpyAnfisNet, the stacked numpy
+    passes the float kernels replaced, for a stack of three nets."""
+
+    def test_forward_and_gradients(self, rng):
+        for _ in range(50):
+            net = helpers.random_net(rng, k=3)
+            ref = helpers.NumpyAnfisNet(net_to_params(net), eta=net.eta)
+            inputs = rng.uniform(-4.0, 4.0, (3, 2))
+            out, trace = net.forward(inputs)
+            ref_out, ref_trace = ref.forward(inputs)
+            np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(trace.mu, ref_trace.mu, rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(trace.total, ref_trace.total, rtol=1e-14)
+            np.testing.assert_allclose(trace.normalized, ref_trace.normalized, rtol=1e-12, atol=1e-300)
+            for got, want in zip(net.output_gradients(trace), ref.output_gradients(ref_trace)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_train_step(self, rng):
+        for _ in range(50):
+            net = helpers.random_net(rng, k=3)
+            ref = helpers.NumpyAnfisNet(net_to_params(net), eta=0.1)
+            net.eta = 0.1
+            inputs = rng.uniform(-3.0, 3.0, (3, 2))
+            e, ds = rng.normal(size=3), np.array([0.7, 0.0, -1.3])
+            net.train_step(net.forward(inputs)[1], e, ds)
+            ref.train_step(ref.forward(inputs)[1], e, ds)
+            np.testing.assert_allclose(net_to_params(net), ref.params, rtol=1e-12, atol=1e-14)
+            assert net_to_params(net)[1].tobytes() == ref.params[1].tobytes()  # the zero step
