@@ -361,9 +361,12 @@ class CovarianceAdapter:
         return np.array(((c00, c01), (c01, c11)))
 
     def after_update(
-        self, records: list[InnovationRecord], G_u: np.ndarray, cov: CovPair
+        self, records: list[InnovationRecord], G_u: np.ndarray | None, cov: CovPair
     ) -> tuple[CovPair, StepTrace]:
         """Feed one scan's innovation records; returns the covariances to use next.
+
+        G_u, the control Jacobian of the scan's prediction, is read only in
+        the Q modes; the R mode takes None.
 
         Every residual of the scan enters the window, gated or not: the gate
         protects the state update, but censoring the window would bias the

@@ -24,8 +24,10 @@ from .simulator import (
     VARIANTS,
     RunLog,
     default_scenario,
+    fan_out,
     load_scenario,
     run_monte_carlo,
+    run_once,
     save_scenario,
     scenario_to_dict,
 )
@@ -133,37 +135,68 @@ class ExperimentSpec:
         return replace(cfg, **overrides) if overrides else cfg
 
 
-#: Rows formatted per write: bounds the transient memory of a long runs.csv.
+#: Rows formatted per block: bounds the transient lists of one table's text.
 _CSV_BLOCK_ROWS = 32
 
 
-def _write_csv(path: Path, schema: str, header: list[str], tables) -> None:
-    """Write the '# schema=' line, the header row, then the rows of each table.
+def _format_rows(columns) -> str:
+    """The CSV rows of one table, a list of equal-length 1-D columns.
 
-    A table is a list of equal-length 1-D columns. Integer columns are written
-    with %d and float columns with %.12g, each row ending in \\r\\n: the
-    bytes csv.writer gives for these values. Columns are read block by block
-    as Python scalars and each block is formatted with one row template.
+    Integer columns are written with %d and float columns with %.12g, each
+    row ending in \\r\\n: the bytes csv.writer gives for these values.
+    Columns are read block by block as Python scalars and each block is
+    formatted with one row template.
     """
+    template = ",".join("%d" if col.dtype.kind in "iu" else "%.12g" for col in columns) + "\r\n"
+    blocks = []
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns]
+        blocks.append("".join([template % row for row in zip(*block)]))
+    return "".join(blocks)
+
+
+def _write_csv(path: Path, schema: str, header: list[str], tables) -> None:
+    """Write the '# schema=' line, the header row, then the rows of each table."""
+    _write_csv_bodies(path, schema, header, map(_format_rows, tables))
+
+
+def _write_csv_bodies(path: Path, schema: str, header: list[str], bodies) -> None:
+    """Replace path with the '# schema=' line, the header row, then each body.
+
+    A body is the text _format_rows gives for one table.
+    """
+    _unlink(path)
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={schema}\n")
         fh.write(",".join(header) + "\r\n")
-        for columns in tables:
-            template = ",".join("%d" if col.dtype.kind in "iu" else "%.12g" for col in columns) + "\r\n"
-            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns]
-                fh.write("".join([template % row for row in zip(*block)]))
+        fh.writelines(bodies)
 
 
-def _runs_tables(logs: list[RunLog]):
-    for run_idx, log in enumerate(logs):
-        n = len(log.t)
-        yield [
-            np.full(n, run_idx), np.arange(1, n + 1), log.t,
-            *log.truth.T, *log.est_mean.T, *log.p_diag.T,
-            log.nees, log.n_meas, log.n_gated,
-            *log.r_diag.T, *log.q_diag.T, *log.dom_diag.T,
-        ]
+def _unlink(path: Path) -> None:
+    """Remove an earlier output, so that it is replaced, not rewritten in place.
+
+    On ext4 with its default auto_da_alloc option, truncating a file whose
+    last contents are still being written back waits for that writeback, so
+    re-running into the same --out waited on every output; creating a new
+    file does not wait. A reader or hard link of the old file keeps its bytes.
+    """
+    path.unlink(missing_ok=True)
+
+
+def _runs_columns(run_idx: int, log: RunLog) -> list[np.ndarray]:
+    n = len(log.t)
+    return [
+        np.full(n, run_idx), np.arange(1, n + 1), log.t,
+        *log.truth.T, *log.est_mean.T, *log.p_diag.T,
+        log.nees, log.n_meas, log.n_gated,
+        *log.r_diag.T, *log.q_diag.T, *log.dom_diag.T,
+    ]
+
+
+def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunLog, str]:
+    """One run and its runs.csv rows; module-level, so a worker process can run it."""
+    log = run_once(scenario, variant, seed, adaptation)
+    return log, _format_rows(_runs_columns(run_idx, log))
 
 
 def _report_table(report: EnsembleReport) -> list[np.ndarray]:
@@ -198,6 +231,7 @@ def _summary_dict(report) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    _unlink(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -211,23 +245,30 @@ def _metadata(spec_fields: dict, scenario) -> dict:
     }
 
 
-def _run_ensemble(scenario, spec: ExperimentSpec) -> tuple[list[RunLog], EnsembleReport]:
-    """Monte Carlo runs of one spec and their aggregate report."""
+def _ensemble_report(scenario, spec: ExperimentSpec) -> EnsembleReport:
+    """Aggregate report of the Monte Carlo runs of one spec."""
     logs = run_monte_carlo(
         scenario, spec.variant, spec.n_runs, spec.base_seed,
         max_workers=spec.workers, adaptation=spec.adaptation_config(),
     )
-    return logs, build_report(logs)
+    return build_report(logs)
 
 
 def cmd_run(spec: ExperimentSpec) -> int:
-    """Run one variant; write runs.csv, report.csv, summary.json, metadata.json."""
+    """Run one variant; write runs.csv, report.csv, summary.json, metadata.json.
+
+    Each run's runs.csv rows are formatted where the run ran, in a worker
+    with --workers above 1. No output is written until every run returned.
+    """
     spec.validate()
     scenario = load_scenario(spec.scenario_path)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    logs, report = _run_ensemble(scenario, spec)
-    _write_csv(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, _runs_tables(logs))
+    adaptation = spec.adaptation_config()
+    jobs = [(scenario, spec.variant, spec.base_seed + i, adaptation, i) for i in range(spec.n_runs)]
+    logs, bodies = zip(*fan_out(_run_and_format, jobs, spec.workers))
+    report = build_report(list(logs))
+    _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies)
     _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)])
     _write_json(out / "summary.json", _summary_dict(report))
     _write_json(out / "metadata.json", _metadata(vars(spec).copy(), scenario))
@@ -244,7 +285,7 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     scenario = load_scenario(spec_a.scenario_path)
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep_a, rep_b = (_run_ensemble(scenario, spec)[1] for spec in (spec_a, spec_b))
+    rep_a, rep_b = (_ensemble_report(scenario, spec) for spec in (spec_a, spec_b))
     steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
     table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
     _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, [table])

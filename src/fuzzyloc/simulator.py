@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from multiprocessing import Pipe, Process
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -453,6 +452,7 @@ def run_once(
     driver = WaypointDriver(scenario)
     mode = _VARIANT_MODE[variant]
     adapter = CovarianceAdapter(mode, cov, adaptation) if mode else None
+    q_mode = mode is not None and "q" in mode
 
     t = np.arange(1, n + 1) * dt
     truth_arr = np.empty((n, 3))
@@ -512,7 +512,7 @@ def run_once(
             n_meas[i] = accepted
             n_gated[i] = len(records) - accepted
             if adapter is not None:
-                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase)
+                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase) if q_mode else None
                 cov, trace = adapter.after_update(records, G_u, cov)
                 r_diag[filled:i] = r_in_force
                 q_diag[filled:i] = q00, q11
@@ -554,6 +554,72 @@ def run_once(
     )
 
 
+def _fan_out_worker(job: Callable, items: list[tuple], conn) -> None:
+    """Send (True, job(*args)) for each args in items, or (False, exception) and stop."""
+    try:
+        for args in items:
+            conn.send((True, job(*args)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def fan_out(job: Callable, items: list[tuple], workers: int) -> list:
+    """[job(*args) for args in items], spread over min(workers, len(items)) processes.
+
+    Worker w runs items w, w + W, ... and sends each result down its own
+    one-way pipe. The calling thread receives them in item order, so the
+    list equals the serial one. No helper thread receives anything: a
+    result unpickled on another thread would fill that thread's malloc
+    arena, which this process keeps and every later forked worker inherits.
+    With one worker or one item the calls run in this process. job must be
+    a module-level function, so that a spawned worker can unpickle it.
+
+    An exception raised by job is raised here, with its type and message;
+    a worker that exits without sending its results raises RuntimeError.
+    Every worker is joined before this returns or raises; on a failure the
+    workers still running are terminated first.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [job(*args) for args in items]
+    procs, conns = [], []
+    try:
+        for w in range(workers):
+            receiver, sender = Pipe(duplex=False)
+            conns.append(receiver)
+            proc = Process(target=_fan_out_worker, args=(job, items[w::workers], sender))
+            proc.start()
+            procs.append(proc)
+            # Only the worker holds the sending end now, so its exit ends the pipe.
+            sender.close()
+        results = []
+        for i in range(len(items)):
+            try:
+                ok, value = conns[i % workers].recv()
+            except EOFError:
+                proc = procs[i % workers]
+                proc.join()
+                raise RuntimeError(
+                    f"worker process {proc.pid} exited with code {proc.exitcode} "
+                    f"before returning item {i}"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
 def run_monte_carlo(
     scenario: Scenario,
     variant: str,
@@ -567,17 +633,13 @@ def run_monte_carlo(
     """Run n_runs independent simulations seeded base_seed + run index.
 
     Results are ordered by run index regardless of worker scheduling, so a
-    parallel invocation is interchangeable with a serial one. The pool never
-    has more workers than runs: it starts all of them at the first submit.
-    The arguments are checked as run_once checks them before a pool starts.
+    parallel invocation is interchangeable with a serial one. fan_out starts
+    at most one worker process per run, and none for a single worker or run.
+    The arguments are checked as run_once checks them before any process starts.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     _check_run_arguments("base_seed", base_seed, gate_threshold, p0_diag)
-    runs = (repeat(scenario), repeat(variant), range(base_seed, base_seed + n_runs),
-            repeat(adaptation), repeat(gate_threshold), repeat(p0_diag))
-    workers = min(max_workers, n_runs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_once, *runs))
-    return list(map(run_once, *runs))
+    runs = [(scenario, variant, seed, adaptation, gate_threshold, p0_diag)
+            for seed in range(base_seed, base_seed + n_runs)]
+    return fan_out(run_once, runs, max_workers)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -228,6 +229,34 @@ class TestRun:
         assert rc == 2
         assert "q_floor" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_outputs_replaced_not_rewritten(self, tmp_path, scenario_file):
+        # a hard link to each first output must keep the first run's bytes
+        out, links = tmp_path / "o", tmp_path / "links"
+        links.mkdir()
+        names = ("runs.csv", "report.csv", "summary.json", "metadata.json")
+        argv = ["run", "--variant", "anfekf-r", "--scenario", str(scenario_file),
+                "--runs", "2", "--workers", "2", "--out", str(out)]
+        assert main(argv + ["--seed", "3"]) == 0
+        first = {}
+        for name in names:
+            os.link(out / name, links / name)
+            first[name] = (out / name).read_bytes()
+        assert main(argv + ["--seed", "4"]) == 0
+        for name in names:
+            assert (links / name).read_bytes() == first[name], name
+            assert not os.path.samefile(links / name, out / name), name
+            assert (out / name).read_bytes() != first[name], name
+
+    def test_failed_run_leaves_earlier_outputs(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "o"
+        argv = ["run", "--variant", "anfekf-q", "--scenario", str(scenario_file),
+                "--runs", "2", "--workers", "2", "--out", str(out)]
+        assert main(argv) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(argv + ["--q-floor", "1.0"]) == 2
+        assert "q_floor" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_unknown_variant_rejected_by_parser(self, tmp_path, scenario_file):
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,7 @@ import pytest
 import helpers
 from fuzzyloc import models, simulator
 from fuzzyloc.adaptation import AdaptationConfig
-from fuzzyloc.errors import DegenerateGeometryError, ScenarioError
+from fuzzyloc.errors import DegenerateGeometryError, FuzzylocError, ScenarioError
 from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose, wrap_angle
 from fuzzyloc.simulator import (
     DEFAULT_P0_DIAG,
@@ -500,11 +505,11 @@ class TestRunOnce:
         def no_rng(*args, **kwargs):
             raise AssertionError("an rng was built before the arguments were checked")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started before the arguments were checked")
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started before the arguments were checked")
 
         monkeypatch.setattr(simulator.np.random, "SeedSequence", no_rng)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simulator, "Process", no_process)
         with pytest.raises(ValueError, match=f"^{argument} "):
             if call == "run_once":
                 run_once(tiny_scenario, "anfekf-r", **{argument: value})
@@ -768,34 +773,117 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(a.r_diag, b.r_diag)
 
     def test_pool_never_larger_than_run_count(self, tiny_scenario, monkeypatch):
-        # a stand-in pool that runs in this process and records its size
-        sizes = []
+        # the real worker processes, each one recorded as it is created
+        started = []
+        real_process = simulator.Process
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_process(*args, **kwargs):
+            proc = real_process(*args, **kwargs)
+            started.append(proc)
+            return proc
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulator, "Process", recording_process)
         logs = run_monte_carlo(tiny_scenario, "ekf", n_runs=2, base_seed=3, max_workers=64)
-        assert sizes == [2]
+        assert len(started) == 2
         assert [log.seed for log in logs] == [3, 4]
         run_monte_carlo(tiny_scenario, "ekf", n_runs=1, base_seed=3, max_workers=64)
-        assert sizes == [2]  # one run needs no pool
+        assert len(started) == 2  # one run needs no process
         run_monte_carlo(tiny_scenario, "ekf", n_runs=3, base_seed=3, max_workers=2)
-        assert sizes == [2, 2]
+        assert len(started) == 4
 
     def test_zero_runs_rejected(self, tiny_scenario):
         with pytest.raises(ValueError):
             run_monte_carlo(tiny_scenario, "ekf", n_runs=0)
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def _raise_on(x, bad, exc_type):
+    if x == bad:
+        raise exc_type(f"item {x} failed")
+    return x
+
+
+def _exit_on(x, bad):
+    if x == bad:
+        os._exit(1)
+    return x
+
+
+def _fail_first_or_sleep(x):
+    if x == 0:
+        raise ValueError("item 0 failed")
+    time.sleep(60.0)
+    return x
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the block with TimeoutError if it has not finished after seconds."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestFanOut:
+    """simulator.fan_out: item order, errors, dead workers and clean-up."""
+
+    def test_results_in_item_order_from_at_most_workers_processes(self):
+        results = simulator.fan_out(_square_and_pid, [(i,) for i in range(7)], 3)
+        assert [square for square, _ in results] == [i * i for i in range(7)]
+        pids = {pid for _, pid in results}
+        assert len(pids) == 3 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_runs_in_this_process(self):
+        results = simulator.fan_out(_square_and_pid, [(2,), (3,)], 1)
+        assert results == [(4, os.getpid()), (9, os.getpid())]
+
+    @pytest.mark.parametrize("exc_type", [ValueError, FuzzylocError, ScenarioError])
+    def test_worker_exception_reaches_caller(self, exc_type):
+        with _deadline(60), pytest.raises(exc_type, match="^item 3 failed$"):
+            simulator.fan_out(_raise_on, [(i, 3, exc_type) for i in range(5)], 2)
+        assert multiprocessing.active_children() == []
+
+    def test_run_monte_carlo_worker_error_reaches_caller(self, tiny_scenario):
+        # the adapter rejects the floor in the worker, when the run starts
+        with _deadline(60), pytest.raises(ValueError, match="^q_floor 1.0 lies above the Q ceiling"):
+            run_monte_carlo(tiny_scenario, "anfekf-q", n_runs=2, max_workers=2,
+                            adaptation=AdaptationConfig(q_floor=1.0))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [0, 3])  # the first item of worker 0, the last of worker 1
+    def test_dead_worker_raises_instead_of_hanging(self, bad):
+        with _deadline(60), pytest.raises(RuntimeError, match=f"exited with code 1 before returning item {bad}$"):
+            simulator.fan_out(_exit_on, [(i, bad) for i in range(4)], 2)
+        assert multiprocessing.active_children() == []
+
+    def test_failure_terminates_the_other_workers(self):
+        t0 = time.perf_counter()
+        with _deadline(30), pytest.raises(ValueError, match="^item 0 failed$"):
+            simulator.fan_out(_fail_first_or_sleep, [(0,), (1,)], 2)
+        assert time.perf_counter() - t0 < 20.0  # the sleeping worker did not run out its 60 s
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_run_starts_no_thread(self, tiny_scenario, monkeypatch):
+        # A result received on a helper thread lands in that thread's malloc
+        # arena; fan_out receives every result on the calling thread.
+        def no_thread(self):
+            raise AssertionError(f"a thread was started: {self!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        logs = run_monte_carlo(tiny_scenario, "ekf", n_runs=3, base_seed=5, max_workers=2)
+        assert [log.seed for log in logs] == [5, 6, 7]
+        assert multiprocessing.active_children() == []
 
 
 def test_variant_registry():
