@@ -7,13 +7,15 @@ small fuzzy networks: one net per R channel rewrites the measurement
 covariance additively, one net rewrites the process covariance
 multiplicatively, and the whole stack then takes one training step.
 
-Per scan the adapter runs on Python floats in one fixed order: the window
-covariance is summed oldest residual first, the Q sensitivity goes through
-models.control_cov_floats and range_bearing_cov_diag_floats, and each net
-is a list of 27 floats driven by the anfis kernels. It calls no numpy
-routine beyond reading its inputs with tolist and building the two arrays
-of the CovPair it returns, so its bits do not depend on the BLAS kernel.
-The array-level functions below wrap the same kernels.
+Per scan CovarianceAdapter.after_update runs the steps below in one fixed
+order: leak_toward, saturated_forward, adapt_r and adapt_q, then
+train_adapters. The nets are one anfis.AnfisNet, a row of 27 floats per
+net driven by the anfis kernels; the window covariance is summed oldest
+residual first, and the Q sensitivity goes through
+models.control_cov_floats and range_bearing_cov_diag_floats. The adapter
+calls no numpy routine beyond reading its inputs with tolist and building
+the two arrays of the CovPair it returns, so its bits do not depend on the
+BLAS kernel.
 """
 
 from __future__ import annotations
@@ -26,17 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .anfis import (
-    DEFAULT_ETA,
-    N_TERMS,
-    AnfisNet,
-    ForwardTrace,
-    forward_floats,
-    leak_floats,
-    net_to_params,
-    saturate_floats,
-    train_step_floats,
-)
+from .anfis import DEFAULT_ETA, N_TERMS, AnfisNet, leak_floats, saturate_floats
 from .ekf import CovPair, InnovationRecord
 
 DEFAULT_WINDOW = 15
@@ -71,106 +63,86 @@ _NAN2 = (float("nan"), float("nan"))
 
 #: Term centers in units of the input scale, which is also every term's
 #: width: adjacent terms overlap at 1/e.
-_TERM_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_TERM_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+
+#: Singleton levels: the output of a saturated mismatch is level 3 or -3.
+_LEVELS = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
 
-def _spread_net(scale1: float, scale2: float, singletons: np.ndarray, eta: float) -> AnfisNet:
-    scales = np.array([[[scale1], [scale2]]])
-    return AnfisNet(_TERM_OFFSETS * scales, np.repeat(scales, N_TERMS, axis=2), singletons[None], eta)
+def _spread_net(scale1: float, scale2: float, singletons: list[float]) -> list[float]:
+    return ([o * scale1 for o in _TERM_OFFSETS] + [o * scale2 for o in _TERM_OFFSETS]
+            + [scale1] * N_TERMS + [scale2] * N_TERMS + singletons)
 
 
-def make_additive_net(
-    input_scale: float, output_scale: float, eta: float = DEFAULT_ETA
-) -> AnfisNet:
-    """Network (k = 1) for one R channel: mismatch in, additive correction out.
+def make_additive_net(input_scale: float, output_scale: float) -> list[float]:
+    """Parameter row of the net for one R channel: mismatch in, additive correction out.
 
     Input 1 is the mismatch with membership scale input_scale; input 2 is
     its step change at half that scale. Singletons start at -3c..3c so a
     saturated mismatch maps to a correction of 3 output_scale per step.
     """
-    singletons = output_scale * np.arange(-3.0, 4.0)
-    return _spread_net(input_scale, 0.5 * input_scale, singletons, eta)
+    return _spread_net(input_scale, 0.5 * input_scale, [output_scale * v for v in _LEVELS])
 
 
-def make_multiplicative_net(scale1: float, scale2: float, eta: float = DEFAULT_ETA) -> AnfisNet:
-    """Network (k = 1) for Q: both mismatch channels in, a scale factor out.
+def make_multiplicative_net(scale1: float, scale2: float) -> list[float]:
+    """Parameter row of the net for Q: both mismatch channels in, a scale factor out.
 
     Singletons start geometric, Q_SINGLETON_RATIO^-3 .. ^3, so the center
     rule is exactly 1 (no change) and saturated labels multiply or divide by
     Q_SINGLETON_RATIO^3.
     """
-    singletons = Q_SINGLETON_RATIO ** np.arange(-3.0, 4.0)
-    return _spread_net(scale1, scale2, singletons, eta)
+    return _spread_net(scale1, scale2, [Q_SINGLETON_RATIO ** v for v in _LEVELS])
 
 
 #: Nets in the adapter's stack per mode: the two R channels first, then the Q net.
 MODE_NETS = {"r": 2, "q": 1, "rq": 3}
 
 
-def saturated_forward(net: AnfisNet, inputs) -> tuple[np.ndarray, ForwardTrace]:
-    """Stacked forward pass with every input clamped into its net's live region.
-
-    inputs holds one (in1, in2) row per net; anfis.saturate_floats clamps it.
-    """
-    rows = np.asarray(inputs, dtype=float).reshape(-1, 2).tolist()
-    clamped = [saturate_floats(p, in1, in2) for p, (in1, in2) in zip(net.params.tolist(), rows)]
-    return net.forward(clamped)
+def saturated_forward(net: AnfisNet, rows) -> tuple[list[float], list[tuple]]:
+    """AnfisNet.forward with every (in1, in2) row clamped into its net's live
+    region by anfis.saturate_floats."""
+    return net.forward([saturate_floats(p, in1, in2) for p, (in1, in2) in zip(net.params, rows)])
 
 
-def leak_toward(net: AnfisNet, anchor, rate: float) -> AnfisNet:
+def leak_toward(net: AnfisNet, anchor: list[list[float]], rate: float) -> AnfisNet:
     """Relax every trained parameter a fraction of the way to its anchor (anfis.leak_floats).
 
-    The anchor holds one row per net in net_to_params layout, normally
-    captured when the stack was built. A zero rate is a no-op.
+    The anchor holds one row per net, normally captured when the stack was
+    built. A zero rate is a no-op.
     """
-    anchors = np.asarray(anchor, dtype=float).reshape(net.params.shape).tolist()
-    net.params[:] = [leak_floats(p, a, rate) for p, a in zip(net.params.tolist(), anchors)]
+    net.params = [leak_floats(p, a, rate) for p, a in zip(net.params, anchor)]
     return net
 
 
-def adapt_r_floats(r00: float, r11: float, delta0: float, delta1: float,
-                   r_floor: float) -> tuple[float, float]:
-    """Additive rewrite of R's diagonal (r00, r11), floored at r_floor."""
+def adapt_r(r00: float, r11: float, delta0: float, delta1: float,
+            r_floor: float) -> tuple[float, float]:
+    """Additive rewrite of R's diagonal (r00, r11), floored at r_floor.
+
+    delta0 and delta1 are the outputs of the two R nets, fed
+    (dom_00, delta_dom_00) and (dom_11, delta_dom_11).
+    """
     return max(r00 + delta0, r_floor), max(r11 + delta1, r_floor)
 
 
-def adapt_r(R: np.ndarray, delta, r_floor: float) -> np.ndarray:
-    """adapt_r_floats on R's diagonal; the off-diagonal is kept.
-
-    delta[i] is the output of channel i's net, which is fed
-    (dom[i, i], delta_dom[i, i]).
-    """
-    R_new = np.array(R, dtype=float, copy=True)
-    R_new[0, 0], R_new[1, 1] = adapt_r_floats(
-        float(R_new[0, 0]), float(R_new[1, 1]), float(delta[0]), float(delta[1]), r_floor,
-    )
-    return R_new
-
-
-def adapt_q_floats(q00: float, q11: float, factor: float, q_floor, q_ceiling) -> tuple[float, float]:
+def adapt_q(q00: float, q11: float, factor: float, q_floor, q_ceiling) -> tuple[float, float]:
     """Multiplicative rewrite of Q's diagonal (q00, q11), clamped per channel to
-    [q_floor[i], q_ceiling[i]]."""
+    [q_floor[i], q_ceiling[i]].
+
+    One shared factor, the Q net's output for (dom_00, dom_11), scales both
+    channels.
+    """
     return (min(max(q00 * factor, q_floor[0]), q_ceiling[0]),
             min(max(q11 * factor, q_floor[1]), q_ceiling[1]))
 
 
-def adapt_q(Q: np.ndarray, factor: float, q_floor, q_ceiling) -> np.ndarray:
-    """adapt_q_floats on Q's diagonal; the off-diagonal is kept.
-
-    One shared factor, the Q net's output for (dom[0, 0], dom[1, 1]), scales
-    both channels.
-    """
-    Q_new = np.array(Q, dtype=float, copy=True)
-    Q_new[0, 0], Q_new[1, 1] = adapt_q_floats(
-        float(Q_new[0, 0]), float(Q_new[1, 1]), float(factor),
-        np.asarray(q_floor, dtype=float).tolist(), np.asarray(q_ceiling, dtype=float).tolist(),
-    )
-    return Q_new
-
-
 def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[float, float]:
-    """q_factor_sensitivity on floats, given G Q G^T's upper triangle
-    (models.control_cov_floats); records are summed in order."""
+    """Diagonal sensitivity of S to the multiplicative Q factor, at factor 1.
+
+    d(S_ii)/d(factor) = [H G Q G^T H^T]_ii, averaged in order over the
+    accepted records of the scan, given G Q G^T's upper triangle
+    (models.control_cov_floats). Each record's H has the phi column
+    (0, -1), as ekf.step records it.
+    """
     s0 = s1 = 0.0
     n = 0
     for rec in records:
@@ -184,41 +156,11 @@ def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[f
     return s0 / n, s1 / n
 
 
-def q_factor_sensitivity(
-    records: list[InnovationRecord], G_u: np.ndarray, Q: np.ndarray
-) -> np.ndarray:
-    """Diagonal sensitivity of S to the multiplicative Q factor, at factor 1.
-
-    d(S_ii)/d(factor) = [H G Q G^T H^T]_ii, averaged over the accepted
-    records of the scan. Each record's H has the phi column (0, -1), as
-    ekf.step records it.
-    """
-    (g00, g01), (g10, g11), (g20, g21) = np.asarray(G_u, dtype=float).tolist()
-    (q00, q01), (q10, q11) = np.asarray(Q, dtype=float).tolist()
-    gqg = models.control_cov_floats(g00, g01, g10, g11, g20, g21, q00, q01, q10, q11)
-    return np.array(q_sensitivity_floats(records, gqg))
-
-
-def _training_signals(k: int, dom_diag: tuple[float, float],
-                      q_sensitivity=None) -> tuple[list[float], list[float]]:
-    """The error and the output sensitivity of each net of a k-net stack; see train_adapters."""
-    if k not in MODE_NETS.values():
-        raise ValueError(f"a stack of {k} nets fits no adaptation mode")
-    d00, d11 = dom_diag
-    e, ds = ([d00, d11], [1.0, 1.0]) if k > 1 else ([], [])
-    if k != 2:
-        if q_sensitivity is None:
-            raise ValueError("training the Q net requires q_sensitivity")
-        e.append(0.5 * (d00 + d11))
-        ds.append(0.5 * (q_sensitivity[0] + q_sensitivity[1]))
-    return e, ds
-
-
 def train_adapters(
     net: AnfisNet,
-    trace: ForwardTrace,
+    traces: list[tuple],
     dom_diag: tuple[float, float],
-    q_sensitivity: np.ndarray | None = None,
+    q_sensitivity: tuple[float, float] | None = None,
 ) -> AnfisNet:
     """One gradient step of the whole stack against the current mismatch.
 
@@ -228,8 +170,17 @@ def train_adapters(
     collapses both channels: the error and the S-to-factor sensitivity are
     each averaged across channels.
     """
-    errors, sensitivities = _training_signals(len(net), dom_diag, q_sensitivity)
-    return net.train_step(trace, errors, sensitivities)
+    k = len(net)
+    if k not in MODE_NETS.values():
+        raise ValueError(f"a stack of {k} nets fits no adaptation mode")
+    d00, d11 = dom_diag
+    errors, sensitivities = ([d00, d11], [1.0, 1.0]) if k > 1 else ([], [])
+    if k != 2:
+        if q_sensitivity is None:
+            raise ValueError("training the Q net requires q_sensitivity")
+        errors.append(0.5 * (d00 + d11))
+        sensitivities.append(0.5 * (q_sensitivity[0] + q_sensitivity[1]))
+    return net.train_step(traces, errors, sensitivities)
 
 
 @dataclass(frozen=True)
@@ -282,12 +233,12 @@ class CovarianceAdapter:
 
     mode selects which covariances are rewritten: 'r', 'q', or 'rq'. The
     window holds the latest residuals as (dr, dtheta) lists, oldest first.
-    net holds MODE_NETS[mode] nets, R channels first, each a list of 27
-    floats in net_to_params layout, and _anchor their build-time values. The
-    nets are built lazily on the first full-window step so membership scales
-    can be set from the observed spread of the innovation covariance
-    diagonal. A zero learning rate disables rewriting and training entirely,
-    which reproduces the unadapted filter bit for bit.
+    net is an AnfisNet of MODE_NETS[mode] nets, R channels first, and
+    _anchor holds their build-time parameter rows. The nets are built
+    lazily on the first full-window step so membership scales can be set
+    from the observed spread of the innovation covariance diagonal. A zero
+    learning rate disables rewriting and training entirely, which
+    reproduces the unadapted filter bit for bit.
 
     Raises ValueError when an absolute q_floor lies above the Q ceiling
     (Q_CEILING_RATIO times the initial Q) of either channel in a mode that
@@ -300,7 +251,7 @@ class CovarianceAdapter:
         self.mode = mode
         self.config = cfg = config if config is not None else AdaptationConfig()
         self.window: deque[list[float]] = deque(maxlen=cfg.window)
-        self.net: list[list[float]] | None = None
+        self.net: AnfisNet | None = None
         self._anchor: list[list[float]] | None = None
         self._dom: tuple[float, float] | None = None
         self._s_samples: list[tuple[float, float]] = []
@@ -331,14 +282,14 @@ class CovarianceAdapter:
     def _build_net(self) -> None:
         samples = np.array(self._s_samples)
         scales = (self._input_scale(samples[:, 0]), self._input_scale(samples[:, 1]))
-        nets = []
+        rows = []
         if "r" in self.mode:
-            nets += [make_additive_net(scale, R_SINGLETON_RATIO * r0)
+            rows += [make_additive_net(scale, R_SINGLETON_RATIO * r0)
                      for scale, r0 in zip(scales, self._initial_r)]
         if "q" in self.mode:
-            nets.append(make_multiplicative_net(*scales))
-        self._anchor = np.concatenate([net_to_params(net) for net in nets]).tolist()
-        self.net = [list(p) for p in self._anchor]
+            rows.append(make_multiplicative_net(*scales))
+        self._anchor = rows
+        self.net = AnfisNet(rows, self.config.eta)
 
     def actual_cov_floats(self) -> tuple[float, float, float]:
         """(c00, c01, c11) of the windowed sample innovation covariance.
@@ -355,18 +306,14 @@ class CovarianceAdapter:
         w = self.window.maxlen
         return c00 / w, c01 / w, c11 / w
 
-    def actual_cov(self) -> np.ndarray:
-        """actual_cov_floats as a 2x2 array."""
-        c00, c01, c11 = self.actual_cov_floats()
-        return np.array(((c00, c01), (c01, c11)))
-
     def after_update(
-        self, records: list[InnovationRecord], G_u: np.ndarray | None, cov: CovPair
+        self, records: list[InnovationRecord], G_u: tuple[float, ...] | None, cov: CovPair
     ) -> tuple[CovPair, StepTrace]:
         """Feed one scan's innovation records; returns the covariances to use next.
 
-        G_u, the control Jacobian of the scan's prediction, is read only in
-        the Q modes; the R mode takes None.
+        G_u holds the six entries of the control Jacobian of the scan's
+        prediction, row-major (models.control_jacobian_floats). It is read
+        only in the Q modes; the R mode takes None.
 
         Every residual of the scan enters the window, gated or not: the gate
         protects the state update, but censoring the window would bias the
@@ -385,7 +332,7 @@ class CovarianceAdapter:
         trace = StepTrace()
         cfg = self.config
         if self.net is not None:
-            self.net = [leak_floats(p, a, DEFAULT_LEAK) for p, a in zip(self.net, self._anchor)]
+            leak_toward(self.net, self._anchor, DEFAULT_LEAK)
         if not records:
             return cov, trace
         window = self.window
@@ -418,24 +365,18 @@ class CovarianceAdapter:
         inputs = [(d00, dd00), (d11, dd11)] if "r" in self.mode else []
         if "q" in self.mode:
             inputs.append((d00, d11))
-        fwd = [forward_floats(p, *saturate_floats(p, in1, in2))
-               for p, (in1, in2) in zip(self.net, inputs)]
+        outputs, traces = saturated_forward(self.net, inputs)
         R_next, Q_next, sens = cov.R, cov.Q, None
         if "r" in self.mode:
             (r00, r01), (r10, r11) = cov.R.tolist()
-            n00, n11 = adapt_r_floats(r00, r11, fwd[0][4], fwd[1][4], cfg.r_floor)
+            n00, n11 = adapt_r(r00, r11, outputs[0], outputs[1], cfg.r_floor)
             trace.applied_delta_r = (n00 - r00, n11 - r11)
             R_next = np.array(((n00, r01), (r10, n11)))
         if "q" in self.mode:
-            (g00, g01), (g10, g11), (g20, g21) = G_u.tolist()
             (q00, q01), (q10, q11) = cov.Q.tolist()
-            sens = q_sensitivity_floats(
-                accepted, models.control_cov_floats(g00, g01, g10, g11, g20, g21, q00, q01, q10, q11),
-            )
-            trace.q_factor = fwd[-1][4]
-            n00, n11 = adapt_q_floats(q00, q11, trace.q_factor, self._q_floor, self._q_ceiling)
+            sens = q_sensitivity_floats(accepted, models.control_cov_floats(*G_u, q00, q01, q10, q11))
+            trace.q_factor = outputs[-1]
+            n00, n11 = adapt_q(q00, q11, trace.q_factor, self._q_floor, self._q_ceiling)
             Q_next = np.array(((n00, q01), (q10, n11)))
-        errors, sensitivities = _training_signals(len(self.net), (d00, d11), sens)
-        self.net = [train_step_floats(p, t, cfg.eta, e, ds)
-                    for p, t, e, ds in zip(self.net, fwd, errors, sensitivities)]
+        train_adapters(self.net, traces, (d00, d11), sens)
         return CovPair(Q_next, R_next), trace

@@ -6,23 +6,21 @@ a weighted sum of singleton consequents. Centers, widths, and singletons
 are all free parameters trained by steepest descent on a squared error.
 
 Each formula is a float kernel over one net's 27 parameters, a list of
-Python floats in net_to_params layout (10 centers, 10 widths, 7
-singletons): saturate_floats, forward_floats, gradient_floats,
-train_step_floats and leak_floats. They sum in one fixed order and call no
-numpy, so their bits do not depend on the BLAS kernel numpy picks for the
-CPU. The covariance adapter keeps its nets as such lists between scans.
+Python floats in the N_PARAMS layout (input 1's 5 centers, input 2's 5
+centers, their 10 widths in the same order, 7 singletons):
+saturate_floats, forward_floats, gradient_floats, train_step_floats and
+leak_floats. They sum in one fixed order and call no numpy, so their bits
+do not depend on the BLAS kernel numpy picks for the CPU.
 
-One AnfisNet holds a stack of k independent networks as plain arrays with a
-leading net axis: centers and widths (k, 2, 5) with row [n, i] for input i
-of net n, singletons (k, 7), all views into one (k, 27) parameter array.
-Its methods run the kernels net by net, so net n's numbers are bit for bit
-those the kernels give it alone. The fixed rule table CONSEQUENT maps each
-of the 5 x 5 term pairs to a singleton index.
+One AnfisNet holds a stack of k independent networks as k such rows; its
+forward and train_step run the kernels net by net, so net n's numbers are
+bit for bit those the kernels give it alone. The covariance adapter keeps
+its nets in one AnfisNet between scans. The fixed rule table CONSEQUENT
+maps each of the 5 x 5 term pairs to a singleton index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 
 import numpy as np
@@ -109,7 +107,7 @@ def forward_floats(p: list[float], in1: float, in2: float) -> tuple:
 
 
 def gradient_floats(p: list[float], trace: tuple) -> list[float]:
-    """d(out)/d(parameter) at a forward_floats trace, in net_to_params layout."""
+    """d(out)/d(parameter) at a forward_floats trace, in the N_PARAMS layout."""
     z, mu, total, weights, out = trace
     a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = mu
     z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 = z
@@ -163,132 +161,57 @@ def leak_floats(p: list[float], anchor: list[float], rate: float) -> list[float]
     return _floor_widths([v + rate * (a - v) for v, a in zip(p, anchor)])
 
 
-@dataclass
-class ForwardTrace:
-    """One stacked forward pass, retained for training.
-
-    nets holds each net's forward_floats trace; the arrays repeat its
-    layer values with a leading net axis.
-    """
-
-    nets: list[tuple]
-    mu: np.ndarray  # (k, 2, 5) membership grades, row [n, i] for input i
-    total: np.ndarray  # (k,) sum of each net's 25 firing strengths
-    out: np.ndarray  # (k,)
-
-    @property
-    def mu1(self) -> np.ndarray:
-        return self.mu[:, 0]
-
-    @property
-    def mu2(self) -> np.ndarray:
-        return self.mu[:, 1]
-
-    @property
-    def firing(self) -> np.ndarray:
-        """(k, 5, 5) rule firing strengths."""
-        return self.mu[:, 0, :, None] * self.mu[:, 1, None, :]
-
-    @property
-    def normalized(self) -> np.ndarray:
-        """(k, 5, 5) firing strengths, each net's summing to 1."""
-        return self.firing / self.total[:, None, None]
-
-
-@dataclass
 class AnfisNet:
-    """A stack of k trainable two-input/one-output networks.
+    """A stack of trainable two-input/one-output networks.
 
-    Row [n, i] of centers and widths holds the five Gaussian terms of input
-    i of net n; a term's grade is exp(-((u - m) / delta)^2), so delta is the
-    distance at which the grade falls to 1/e. The nets share eta and nothing
-    else; training floors every width at DEFAULT_DELTA_FLOOR. All parameters
-    live in one (k, 27) array, params, in net_to_params layout; centers,
-    widths and singletons are views into it. A single instance belongs to one
-    adapter; training mutates it in place.
+    params holds one row of N_PARAMS floats per net in the kernels' layout.
+    A term's grade is exp(-((u - m) / delta)^2), so delta is the distance at
+    which the grade falls to 1/e. The nets share eta and nothing else;
+    training floors every width at DEFAULT_DELTA_FLOOR. A single instance
+    belongs to one adapter; training replaces its rows.
+
+    Raises ValueError unless there is at least one net of N_PARAMS values.
     """
 
-    centers: np.ndarray  # (k, 2, 5)
-    widths: np.ndarray  # (k, 2, 5)
-    singletons: np.ndarray  # (k, 7)
-    eta: float = DEFAULT_ETA
-
-    def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
-        singletons = np.asarray(self.singletons, dtype=float)
-        k = len(singletons)
-        if centers.shape != (k, 2, N_TERMS) or widths.shape != (k, 2, N_TERMS):
-            raise ValueError(f"each input needs exactly {N_TERMS} membership terms")
-        if singletons.shape != (k, N_SINGLETONS) or k == 0:
-            raise ValueError(f"expected {N_SINGLETONS} consequent singletons per net")
-        self.params = np.concatenate((centers.reshape(k, 10), widths.reshape(k, 10), singletons), axis=1)
-        self.centers = self.params[:, :10].reshape(k, 2, N_TERMS)
-        self.widths = self.params[:, 10:20].reshape(k, 2, N_TERMS)
-        self.singletons = self.params[:, 20:]
+    def __init__(self, params, eta: float = DEFAULT_ETA):
+        self.params = [[float(v) for v in p] for p in params]
+        if not self.params or any(len(p) != N_PARAMS for p in self.params):
+            raise ValueError(
+                f"each net needs {N_PARAMS} parameters: {N_TERMS} membership terms "
+                f"per input and {N_SINGLETONS} singletons"
+            )
+        self.eta = eta
 
     def __len__(self) -> int:
         """Number of stacked nets."""
         return len(self.params)
 
-    def forward(self, inputs) -> tuple[np.ndarray, ForwardTrace]:
-        """Evaluate every net on its (in1, in2) row with forward_floats and keep the trace.
+    def forward(self, rows) -> tuple[list[float], list[tuple]]:
+        """forward_floats of every net on its (in1, in2) row: (outputs, traces).
 
         Raises ZeroFiringError if every rule firing strength of some net
         underflowed, and ValueError unless there is one row per net.
         """
-        rows = np.asarray(inputs, dtype=float).reshape(-1, 2).tolist()
-        if len(rows) != len(self):
-            raise ValueError(f"expected one input row per net ({len(self)}), got {len(rows)}")
-        nets = [forward_floats(p, in1, in2) for p, (in1, in2) in zip(self.params.tolist(), rows)]
-        out = np.array([t[4] for t in nets])
-        mu = np.array([t[1] for t in nets]).reshape(-1, 2, N_TERMS)
-        return out, ForwardTrace(nets, mu, np.array([t[2] for t in nets]), out)
+        if len(rows) != len(self.params):
+            raise ValueError(f"expected one input row per net ({len(self.params)}), got {len(rows)}")
+        traces = [forward_floats(p, in1, in2) for p, (in1, in2) in zip(self.params, rows)]
+        return [t[4] for t in traces], traces
 
-    def output_gradients(self, trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gradients of each net's output w.r.t. its free parameters at the trace.
-
-        Returns:
-            (d_singletons, d_centers, d_widths) with shapes (k, 7), (k, 2, 5), (k, 2, 5).
-        """
-        grads = np.array([gradient_floats(p, t) for p, t in zip(self.params.tolist(), trace.nets)])
-        k = len(grads)
-        return grads[:, 20:], grads[:, :10].reshape(k, 2, N_TERMS), grads[:, 10:20].reshape(k, 2, N_TERMS)
-
-    def train_step(self, trace: ForwardTrace, e, ds_dout) -> "AnfisNet":
+    def train_step(self, traces: list[tuple], errors: list[float], sensitivities: list[float]) -> "AnfisNet":
         """One train_step_floats step of each net on E = e^2 / 2.
 
         Args:
-            trace: the forward pass the errors were observed at.
-            e: signed training error, one per net (a scalar serves every net).
-            ds_dout: sensitivity of each error signal to its net's output,
-                chained into every parameter gradient.
+            traces: the forward pass the errors were observed at.
+            errors: signed training error, one per net.
+            sensitivities: sensitivity of each error signal to its net's
+                output, chained into every parameter gradient.
 
         Returns:
-            self, updated in place. A net whose step is zero (e or ds_dout
-            zero, or a zero learning rate) keeps every parameter untouched.
+            self, its rows replaced. A net whose step is zero (its error or
+            sensitivity zero, or a zero learning rate) keeps its row untouched.
         """
-        k = len(self)
-        errors = np.broadcast_to(np.asarray(e, dtype=float), k).tolist()
-        sensitivities = np.broadcast_to(np.asarray(ds_dout, dtype=float), k).tolist()
-        self.params[:] = [
-            train_step_floats(p, t, self.eta, en, ds)
-            for p, t, en, ds in zip(self.params.tolist(), trace.nets, errors, sensitivities)
+        self.params = [
+            train_step_floats(p, t, self.eta, e, ds)
+            for p, t, e, ds in zip(self.params, traces, errors, sensitivities)
         ]
         return self
-
-
-def net_to_params(net: AnfisNet) -> np.ndarray:
-    """(k, 27) parameters: per net 10 centers, 10 widths, 7 singletons."""
-    return net.params.copy()
-
-
-def net_from_params(params, eta: float = DEFAULT_ETA) -> AnfisNet:
-    """Rebuild a stack from the layout produced by net_to_params; a flat
-    sequence of 27 values is one net."""
-    p = np.asarray(params, dtype=float)
-    if p.size == 0 or p.shape[-1] != N_PARAMS:
-        raise ValueError(f"expected {N_PARAMS} parameters per net, got shape {p.shape}")
-    p = p.reshape(-1, N_PARAMS)
-    k = len(p)
-    return AnfisNet(p[:, :10].reshape(k, 2, N_TERMS), p[:, 10:20].reshape(k, 2, N_TERMS), p[:, 20:], eta)

@@ -512,7 +512,7 @@ def run_once(
             n_meas[i] = accepted
             n_gated[i] = len(records) - accepted
             if adapter is not None:
-                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase) if q_mode else None
+                G_u = models.control_jacobian_floats(phi, speed, steer, dt, wheelbase) if q_mode else None
                 cov, trace = adapter.after_update(records, G_u, cov)
                 r_diag[filled:i] = r_in_force
                 q_diag[filled:i] = q00, q11

@@ -45,8 +45,7 @@ from fuzzyloc.anfis import (
     N_SINGLETONS,
     N_TERMS,
     AnfisNet,
-    net_from_params,
-    net_to_params,
+    gradient_floats,
 )
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError, ZeroFiringError
@@ -74,31 +73,31 @@ def fd_jacobian(f, x, h=1e-6, wrap_rows=()):
 
 def anfis_forward_brute(net: AnfisNet, in1: float, in2: float) -> float:
     """Rule-by-rule forward pass of net 0 of a stack, written independently
-    of the array code."""
+    of the float kernels."""
+    p = net.params[0]
     num = 0.0
     den = 0.0
     for i in range(1, 6):
-        m1, d1 = float(net.centers[0, 0, i - 1]), float(net.widths[0, 0, i - 1])
+        m1, d1 = p[i - 1], p[10 + i - 1]
         mu1 = math.exp(-(((in1 - m1) / d1) ** 2))
         for j in range(1, 6):
-            m2, d2 = float(net.centers[0, 1, j - 1]), float(net.widths[0, 1, j - 1])
+            m2, d2 = p[5 + j - 1], p[15 + j - 1]
             mu2 = math.exp(-(((in2 - m2) / d2) ** 2))
             firing = mu1 * mu2
             label = min(max(10 - i - j, 1), 7)  # anti-diagonal rule table, 1-based
-            num += firing * float(net.singletons[0, label - 1])
+            num += firing * p[20 + label - 1]
             den += firing
     return num / den
 
 
-def anfis_analytic_gradients(net: AnfisNet, trace) -> np.ndarray:
+def anfis_analytic_gradients(net: AnfisNet, traces) -> np.ndarray:
     """Analytic output gradients of a one-net stack in the 27-scalar param layout."""
-    d_w, d_centers, d_widths = net.output_gradients(trace)
-    return np.concatenate([d_centers.ravel(), d_widths.ravel(), d_w.ravel()])
+    return np.array(gradient_floats(net.params[0], traces[0]))
 
 
 def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -> np.ndarray:
     """Output gradients of a one-net stack w.r.t. all 27 parameters by central differences."""
-    params = net_to_params(net)[0].tolist()
+    params = net.params[0]
     grads = np.zeros(len(params))
     for k in range(len(params)):
         hk = h * max(1.0, abs(params[k]))
@@ -106,8 +105,8 @@ def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -
         lo = list(params)
         hi[k] += hk
         lo[k] -= hk
-        out_hi, _ = net_from_params(hi, eta=net.eta).forward([in1, in2])
-        out_lo, _ = net_from_params(lo, eta=net.eta).forward([in1, in2])
+        out_hi, _ = AnfisNet([hi], net.eta).forward([(in1, in2)])
+        out_lo, _ = AnfisNet([lo], net.eta).forward([(in1, in2)])
         grads[k] = (out_hi[0] - out_lo[0]) / (2.0 * hk)
     return grads
 
@@ -117,7 +116,7 @@ def random_net(rng, singleton_span: float = 2.0, k: int = 1) -> AnfisNet:
     centers = np.sort(rng.uniform(-3.0, 3.0, (k, 2, 5)), axis=2)
     widths = rng.uniform(0.6, 2.0, (k, 2, 5))
     singletons = rng.uniform(-singleton_span, singleton_span, (k, 7))
-    return AnfisNet(centers, widths, singletons)
+    return AnfisNet(np.concatenate((centers.reshape(k, 10), widths.reshape(k, 10), singletons), axis=1).tolist())
 
 
 def random_pose(rng, span: float = 50.0) -> Pose:
@@ -293,7 +292,7 @@ def run_once_object_loop(
             n_meas[i] = sum(rec.accepted for rec in records)
             n_gated[i] = len(records) - n_meas[i]
             if adapter is not None:
-                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase)
+                G_u = models.motion_jacobian_control(prior.pose, clean, dt, wheelbase).ravel().tolist()
                 cov, trace = adapter.after_update(records, G_u, cov)
                 if trace.active:
                     dom_diag[i] = trace.dom_diag
@@ -377,7 +376,7 @@ def drive_r_adapter(
     cov = CovPair(np.diag([0.09, 0.0027]), np.diag(np.asarray(r0_diag, dtype=float)))
     adapter = CovarianceAdapter("r", cov, config)
     pattern = alternating_residuals(*true_sigmas)
-    G_u = np.zeros((3, 2))
+    G_u = (0.0,) * 6
     doms = np.full((n_steps, 2), np.nan)
     rs = np.empty((n_steps, 2))
     for k in range(n_steps):
@@ -687,7 +686,7 @@ class LegacyCovarianceAdapter:
                 float(R_next[1, 1] - cov.R[1, 1]),
             )
         if self.q_adapter is not None:
-            sens = numpy_q_factor_sensitivity(accepted, G_u, cov.Q)
+            sens = numpy_q_factor_sensitivity(accepted, np.reshape(G_u, (3, 2)), cov.Q)
             factor, q_trace = legacy_saturated_forward(
                 self.q_adapter.net, float(self.dom[0, 0]), float(self.dom[1, 1]))
             Q_next = np.array(cov.Q, dtype=float, copy=True)
@@ -730,7 +729,7 @@ class NumpyForwardTrace:
 
 
 class NumpyAnfisNet:
-    """A stack of k nets held as one (k, 27) array in net_to_params layout."""
+    """A stack of k nets held as one (k, 27) array, a row per net."""
 
     def __init__(self, params, eta=0.01):
         self.params = np.array(params, dtype=float).reshape(-1, N_PARAMS)

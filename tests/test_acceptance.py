@@ -171,9 +171,9 @@ def _window_estimator_worst_gap(rng) -> float:
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=n, eta=0.0))
         for r in residuals:
             record = InnovationRecord(residual=r, S=np.eye(2), landmark_id=1, timestep=0, accepted=True)
-            adapter.after_update([record], np.zeros((3, 2)), cov)
+            adapter.after_update([record], (0.0,) * 6, cov)
         brute = sum(np.outer(r, r) for r in residuals) / n
-        worst = max(worst, float(np.abs(adapter.actual_cov() - brute).max()))
+        worst = max(worst, float(np.abs(np.array(adapter.actual_cov_floats()) - brute[np.triu_indices(2)]).max()))
     return worst
 
 
@@ -220,8 +220,8 @@ def _anfis_gradients_match(rng, n_configs=200) -> bool:
         net = helpers.random_net(rng)
         in1 = float(rng.uniform(-3.5, 3.5))
         in2 = float(rng.uniform(-3.5, 3.5))
-        _, trace = net.forward([in1, in2])
-        analytic = helpers.anfis_analytic_gradients(net, trace)
+        _, traces = net.forward([(in1, in2)])
+        analytic = helpers.anfis_analytic_gradients(net, traces)
         fd = helpers.anfis_fd_gradients(net, in1, in2)
         if not np.allclose(analytic, fd, rtol=1e-5, atol=1e-8):
             return False
@@ -278,10 +278,13 @@ def _soak_invariants() -> tuple[bool, float]:
 def _network_bounds_hold(rng, n_configs=300) -> bool:
     for _ in range(n_configs):
         net = helpers.random_net(rng)
-        _, trace = net.forward([float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))])
-        if abs(float(trace.normalized.sum()) - 1.0) > 1e-12 or np.any(trace.normalized < 0.0):
+        out, traces = net.forward([(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))])
+        _, mu, total, _, _ = traces[0]
+        normalized = np.outer(mu[:5], mu[5:]) / total
+        if abs(float(normalized.sum()) - 1.0) > 1e-12 or np.any(normalized < 0.0):
             return False
-        if not (net.singletons.min() - 1e-12 <= trace.out[0] <= net.singletons.max() + 1e-12):
+        singletons = net.params[0][20:]
+        if not (min(singletons) - 1e-12 <= out[0] <= max(singletons) + 1e-12):
             return False
     return True
 

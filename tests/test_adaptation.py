@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from fuzzyloc import adaptation, anfis, models
 from fuzzyloc.adaptation import (
     DEFAULT_ETA,
     DEFAULT_LEAK,
@@ -13,6 +14,7 @@ from fuzzyloc.adaptation import (
     DEFAULT_WINDOW,
     Q_CEILING_RATIO,
     Q_FLOOR_RATIO,
+    Q_SINGLETON_RATIO,
     SCALE_REL_FLOOR,
     AdaptationConfig,
     CovarianceAdapter,
@@ -22,7 +24,7 @@ from fuzzyloc.adaptation import (
     leak_toward,
     make_additive_net,
     make_multiplicative_net,
-    q_factor_sensitivity,
+    q_sensitivity_floats,
     saturated_forward,
     train_adapters,
 )
@@ -31,8 +33,6 @@ from fuzzyloc.anfis import (
     AnfisNet,
     forward_floats,
     leak_floats,
-    net_from_params,
-    net_to_params,
     saturate_floats,
     train_step_floats,
 )
@@ -40,6 +40,9 @@ from fuzzyloc.ekf import CovPair, InnovationRecord
 from fuzzyloc.simulator import run_once
 
 DEFAULT_COV = CovPair(np.diag([0.09, 0.0027]), np.diag([0.04, 0.001]))
+
+#: A control Jacobian of zeros, as the six floats after_update takes.
+ZERO_G = (0.0,) * 6
 
 
 def make_record(residual, S, accepted=True, H=None, landmark_id=1, timestep=0):
@@ -55,12 +58,15 @@ def make_record(residual, S, accepted=True, H=None, landmark_id=1, timestep=0):
 
 def push(adapter, residual, S=np.eye(2)):
     """One scan of one accepted record; returns the adapter's StepTrace."""
-    return adapter.after_update([make_record(residual, S)], np.zeros((3, 2)), DEFAULT_COV)[1]
+    return adapter.after_update([make_record(residual, S)], ZERO_G, DEFAULT_COV)[1]
 
 
-def stack(*nets):
-    """One AnfisNet holding the given one-net stacks in order."""
-    return net_from_params(np.concatenate([net_to_params(net) for net in nets]), eta=nets[0].eta)
+def copy_rows(net: AnfisNet) -> list[list[float]]:
+    return [list(p) for p in net.params]
+
+
+def hexes(row) -> list[str]:
+    return [float(v).hex() for v in row]
 
 
 class TestResidualWindow:
@@ -87,7 +93,7 @@ class TestResidualWindow:
 
 
 class TestEstimateActualCov:
-    """CovarianceAdapter.actual_cov, and no mismatch until the window is full."""
+    """CovarianceAdapter.actual_cov_floats, and no mismatch until the window is full."""
 
     def test_warmup_error_until_full(self):
         adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=4, eta=0.0))
@@ -105,7 +111,7 @@ class TestEstimateActualCov:
             for r in residuals:
                 push(adapter, r)
             brute = sum(np.outer(r, r) for r in residuals) / n
-            np.testing.assert_allclose(adapter.actual_cov(), brute, atol=1e-12)
+            np.testing.assert_allclose(adapter.actual_cov_floats(), brute[np.triu_indices(2)], atol=1e-12)
 
     def test_no_mean_subtraction(self):
         # a constant residual stream must read as its full outer product,
@@ -113,9 +119,7 @@ class TestEstimateActualCov:
         adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=3, eta=0.0))
         for _ in range(3):
             push(adapter, [2.0, -1.0])
-        np.testing.assert_allclose(
-            adapter.actual_cov(), np.array([[4.0, -2.0], [-2.0, 1.0]]), atol=1e-15
-        )
+        np.testing.assert_allclose(adapter.actual_cov_floats(), (4.0, -2.0, 1.0), atol=1e-15)
 
 
 class TestComputeDom:
@@ -141,55 +145,66 @@ class TestComputeDom:
 
 class TestNetBuilders:
     def test_additive_net_layout(self):
-        net = make_additive_net(input_scale=2.0, output_scale=0.1)
-        assert len(net) == 1
-        assert net.centers[0, 0].tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
-        assert net.widths[0, 0].tolist() == [2.0] * 5
-        assert net.centers[0, 1].tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
-        assert net.widths[0, 1].tolist() == [1.0] * 5
-        np.testing.assert_allclose(net.singletons[0], 0.1 * np.arange(-3, 4))
+        row = make_additive_net(input_scale=2.0, output_scale=0.1)
+        assert len(row) == 27
+        assert row[0:5] == [-4.0, -2.0, 0.0, 2.0, 4.0]
+        assert row[10:15] == [2.0] * 5
+        assert row[5:10] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert row[15:20] == [1.0] * 5
+        np.testing.assert_allclose(row[20:], 0.1 * np.arange(-3, 4))
 
     def test_multiplicative_net_is_geometric_with_unit_center(self):
-        net = make_multiplicative_net(1.0, 1.0)
-        np.testing.assert_allclose(net.singletons[0], 1.5 ** np.arange(-3.0, 4.0))
-        assert net.singletons[0, 3] == 1.0
+        row = make_multiplicative_net(1.0, 1.0)
+        np.testing.assert_allclose(row[20:], 1.5 ** np.arange(-3.0, 4.0))
+        assert row[23] == 1.0
+
+    def test_rows_equal_the_numpy_construction_bitwise(self, rng):
+        # the builders take 1.5 ** v per level where the numpy construction
+        # took 1.5 ** np.arange(-3.0, 4.0), which a SIMD power may round differently
+        for _ in range(200):
+            s1, s2, c = np.exp(rng.uniform(-12.0, 6.0, 3)).tolist()
+            legacy = helpers._legacy_spread_net(s1, 0.5 * s1, c * np.arange(-3.0, 4.0),
+                                                DEFAULT_ETA, DEFAULT_DELTA_FLOOR)
+            assert hexes(make_additive_net(s1, c)) == hexes(helpers.legacy_params(legacy))
+            legacy = helpers._legacy_spread_net(s1, s2, Q_SINGLETON_RATIO ** np.arange(-3.0, 4.0),
+                                                DEFAULT_ETA, DEFAULT_DELTA_FLOOR)
+            assert hexes(make_multiplicative_net(s1, s2)) == hexes(helpers.legacy_params(legacy))
 
 
 class TestLeakToward:
     def test_zero_rate_noop(self, rng):
         net = helpers.random_net(rng, k=2)
-        anchor = net_to_params(net) + 1.0
-        before = net_to_params(net).tolist()
+        anchor = (np.array(net.params) + 1.0).tolist()
+        before = copy_rows(net)
         leak_toward(net, anchor, 0.0)
-        assert net_to_params(net).tolist() == before
+        assert net.params == before
 
     def test_unit_rate_snaps_to_anchor(self, rng):
         net = helpers.random_net(rng)
-        anchor = net_to_params(helpers.random_net(rng))[0].tolist()
+        anchor = helpers.random_net(rng).params
         leak_toward(net, anchor, 1.0)
-        np.testing.assert_allclose(net_to_params(net)[0], anchor, atol=1e-15)
+        np.testing.assert_allclose(net.params[0], anchor[0], atol=1e-15)
 
     def test_partial_rate_interpolates(self, rng):
         net = helpers.random_net(rng, k=3)
-        start = net_to_params(net)
-        leak_toward(net, start + 2.0, 0.25)
-        np.testing.assert_allclose(net_to_params(net), start + 0.5, atol=1e-12)
+        start = np.array(net.params)
+        leak_toward(net, (start + 2.0).tolist(), 0.25)
+        np.testing.assert_allclose(net.params, start + 0.5, atol=1e-12)
 
     def test_width_floor_respected(self):
-        net = make_additive_net(1.0, 0.1)
-        anchor = net_to_params(net)
-        net.widths[0, 0] = DEFAULT_DELTA_FLOOR
-        bad_anchor = anchor.copy()
-        bad_anchor[0, 10:15] = 0.0  # anchor widths of zero must not pull below floor
+        row = make_additive_net(1.0, 0.1)
+        net = AnfisNet([row])
+        net.params[0][10:15] = [DEFAULT_DELTA_FLOOR] * 5
+        bad_anchor = [row[:10] + [0.0] * 5 + row[15:]]  # anchor widths of zero must not pull below floor
         leak_toward(net, bad_anchor, 0.9)
-        assert np.all(net.widths[0, 0] >= DEFAULT_DELTA_FLOOR)
+        assert min(net.params[0][10:15]) >= DEFAULT_DELTA_FLOOR
 
 
 def r_rewrite(dom_diag, R, scale=1.0, c=0.05, r_floor=1e-8):
     """The R half of a scan: two stacked additive nets fed (dom_ii, 0), then adapt_r."""
-    net = stack(make_additive_net(scale, c), make_additive_net(scale, c))
-    out, trace = saturated_forward(net, [(dom_diag[0], 0.0), (dom_diag[1], 0.0)])
-    return adapt_r(R, out, r_floor), trace
+    net = AnfisNet([make_additive_net(scale, c), make_additive_net(scale, c)])
+    out, traces = saturated_forward(net, [(dom_diag[0], 0.0), (dom_diag[1], 0.0)])
+    return np.diag(adapt_r(R[0, 0], R[1, 1], out[0], out[1], r_floor)), traces
 
 
 class TestAdaptR:
@@ -199,7 +214,7 @@ class TestAdaptR:
         # the rule table is antisymmetric around the center and the initial
         # singletons mirror it, so the zero-input response is exactly zero
         np.testing.assert_allclose(R_new, R, atol=1e-14)
-        assert len(trace.out) == 2
+        assert len(trace) == 2
 
     def test_positive_mismatch_shrinks_r(self):
         R = np.diag([0.5, 0.1])
@@ -226,7 +241,7 @@ class TestAdaptR:
         assert R_new[1, 1] == 1e-8
 
     def test_saturated_forward_handles_huge_inputs(self):
-        net = make_additive_net(1.0, 0.05)
+        net = AnfisNet([make_additive_net(1.0, 0.05)])
         out, _ = saturated_forward(net, [(1e9, -1e9)])
         assert math.isfinite(out[0])
         ref, _ = saturated_forward(net, [(50.0, -50.0)])
@@ -237,13 +252,14 @@ def narrow_q_net(ratio=1.5):
     """Q net whose membership widths are a tenth of the spacing, so the
     center rule dominates completely at zero input."""
     centers = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    return AnfisNet([[centers, centers]], np.full((1, 2, 5), 0.1), [ratio ** np.arange(-3.0, 4.0)])
+    return AnfisNet([centers + centers + [0.1] * 10 + (ratio ** np.arange(-3.0, 4.0)).tolist()])
 
 
 def q_rewrite(dom_diag, Q, q_floor=(1e-6, 1e-6), q_ceiling=(1e6, 1e6)):
-    """The Q half of a scan: the narrow Q net fed (dom_00, dom_11), then adapt_q."""
-    out, trace = saturated_forward(narrow_q_net(), [dom_diag])
-    return adapt_q(Q, float(out[0]), np.asarray(q_floor), np.asarray(q_ceiling)), trace
+    """The Q half of a scan: the narrow Q net fed (dom_00, dom_11), then adapt_q;
+    returns the new Q and the net's output, the factor."""
+    out, _ = saturated_forward(narrow_q_net(), [dom_diag])
+    return np.diag(adapt_q(Q[0, 0], Q[1, 1], out[0], q_floor, q_ceiling)), out[0]
 
 
 class TestAdaptQ:
@@ -252,27 +268,27 @@ class TestAdaptQ:
         # slightly above 1 because the geometric singletons are convex; the
         # dominant-rule construction isolates the center consequent
         Q = np.diag([0.09, 0.0027])
-        Q_new, trace = q_rewrite((0.0, 0.0), Q)
+        Q_new, factor = q_rewrite((0.0, 0.0), Q)
         np.testing.assert_allclose(np.diag(Q_new), np.diag(Q), rtol=1e-3)
-        assert trace.out[0] == pytest.approx(1.0, rel=1e-3)
+        assert factor == pytest.approx(1.0, rel=1e-3)
 
     def test_positive_mismatch_shrinks_q(self):
         Q = np.diag([1.0, 1.0])
-        Q_new, trace = q_rewrite((2.0, 2.0), Q)
-        assert trace.out[0] == pytest.approx(1.5 ** -3, rel=1e-3)
+        Q_new, factor = q_rewrite((2.0, 2.0), Q)
+        assert factor == pytest.approx(1.5 ** -3, rel=1e-3)
         assert Q_new[0, 0] < Q[0, 0]
 
     def test_negative_mismatch_grows_q(self):
         Q = np.diag([1.0, 1.0])
-        Q_new, trace = q_rewrite((-2.0, -2.0), Q)
-        assert trace.out[0] == pytest.approx(1.5 ** 3, rel=1e-3)
+        Q_new, factor = q_rewrite((-2.0, -2.0), Q)
+        assert factor == pytest.approx(1.5 ** 3, rel=1e-3)
         assert Q_new[0, 0] > Q[0, 0]
 
     def test_shared_factor_scales_both_channels(self):
         Q = np.diag([0.5, 0.002])
-        Q_new, trace = q_rewrite((-1.0, -1.0), Q)
+        Q_new, factor = q_rewrite((-1.0, -1.0), Q)
         assert Q_new[0, 0] / Q[0, 0] == pytest.approx(Q_new[1, 1] / Q[1, 1], rel=1e-12)
-        assert Q_new[0, 0] / Q[0, 0] == pytest.approx(trace.out[0], rel=1e-12)
+        assert Q_new[0, 0] / Q[0, 0] == pytest.approx(factor, rel=1e-12)
 
     def test_floor_and_ceiling_clamp_exactly(self):
         Q = np.diag([1.0, 1.0])
@@ -280,6 +296,11 @@ class TestAdaptQ:
         assert Q_new[0, 0] == 0.9 and Q_new[1, 1] == 0.9
         Q_new, _ = q_rewrite((-2.0, -2.0), Q, q_floor=(0.9, 0.9), q_ceiling=(1.1, 1.1))
         assert Q_new[0, 0] == 1.1 and Q_new[1, 1] == 1.1
+
+
+def q_sensitivity(records, G, Q):
+    """q_sensitivity_floats for a 3x2 G and a 2x2 Q."""
+    return q_sensitivity_floats(records, models.control_cov_floats(*G.ravel().tolist(), *Q.ravel().tolist()))
 
 
 class TestQFactorSensitivity:
@@ -296,11 +317,11 @@ class TestQFactorSensitivity:
         ]
         GQG = G @ Q @ G.T
         expected = 0.5 * (np.diag(H1 @ GQG @ H1.T) + np.diag(H2 @ GQG @ H2.T))
-        np.testing.assert_allclose(q_factor_sensitivity(recs, G, Q), expected, rtol=1e-12)
+        np.testing.assert_allclose(q_sensitivity(recs, G, Q), expected, rtol=1e-12)
 
     def test_no_usable_records_gives_zero(self):
         G = np.zeros((3, 2))
-        assert np.all(q_factor_sensitivity([], G, np.eye(2)) == 0.0)
+        assert np.all(np.array(q_sensitivity([], G, np.eye(2))) == 0.0)
 
 
 class TestGoldenTrajectory:
@@ -333,23 +354,22 @@ class TestGoldenTrajectory:
     ]
 
     @staticmethod
-    def _trajectory(net, ds):
-        anchor = net_to_params(net)
+    def _trajectory(row, ds):
+        net = AnfisNet([row], eta=0.05)
+        anchor = [row]
         for k in range(20):
             in1 = 2.5 * math.sin(0.7 * k + 0.3) + (40.0 if k == 11 else 0.0)
             in2 = 1.3 * math.cos(1.1 * k) - (1e6 if k == 6 else 0.0)
-            out, trace = saturated_forward(net, [(in1, in2)])
-            net.train_step(trace, in1 - 0.2 * out[0], ds)
+            out, traces = saturated_forward(net, [(in1, in2)])
+            net.train_step(traces, [in1 - 0.2 * out[0]], [ds])
             leak_toward(net, anchor, 0.05)
-        return [v.hex() for v in net_to_params(net)[0].tolist()]
+        return hexes(net.params[0])
 
     def test_additive_net_bitwise(self):
-        net = make_additive_net(0.8, 0.05, eta=0.05)
-        assert self._trajectory(net, 1.0) == self.ADDITIVE
+        assert self._trajectory(make_additive_net(0.8, 0.05), 1.0) == self.ADDITIVE
 
     def test_multiplicative_net_bitwise(self):
-        net = make_multiplicative_net(0.6, 0.4, eta=0.05)
-        assert self._trajectory(net, 0.3) == self.MULTIPLICATIVE
+        assert self._trajectory(make_multiplicative_net(0.6, 0.4), 0.3) == self.MULTIPLICATIVE
 
 
 class TestStackOracle:
@@ -361,10 +381,10 @@ class TestStackOracle:
     def test_saturated_forward_train_and_leak(self, rng, k):
         net = helpers.random_net(rng, k=k)
         net.eta = 0.1
-        olds = [helpers.LegacyAnfisNet(net.centers[n], net.widths[n], net.singletons[n], eta=0.1)
-                for n in range(k)]
-        anchor = net_to_params(net)
-        singles = anchor.tolist()
+        olds = [helpers.LegacyAnfisNet(np.reshape(p[:10], (2, 5)), np.reshape(p[10:20], (2, 5)), p[20:], eta=0.1)
+                for p in net.params]
+        anchor = copy_rows(net)
+        singles = copy_rows(net)
         for step in range(400):
             inputs = rng.normal(scale=3.0, size=(k, 2))
             if step % 37 == 0:
@@ -372,29 +392,29 @@ class TestStackOracle:
             e, ds = rng.normal(size=k), rng.normal(size=k)
             if step % 11 == 0:
                 ds[-1] = 0.0  # a zero step leaves its net untouched
-            out, trace = saturated_forward(net, inputs)
-            net.train_step(trace, e, ds)
+            out, traces = saturated_forward(net, inputs.tolist())
+            net.train_step(traces, e.tolist(), ds.tolist())
             leak_toward(net, anchor, 0.05)
             for n, old in enumerate(olds):
                 single = forward_floats(singles[n], *saturate_floats(singles[n], *inputs[n].tolist()))
                 assert single[4].hex() == out[n].hex(), (step, n)
                 singles[n] = leak_floats(train_step_floats(singles[n], single, 0.1, float(e[n]), float(ds[n])),
-                                         anchor[n].tolist(), 0.05)
+                                         anchor[n], 0.05)
                 old_out, old_trace = helpers.legacy_saturated_forward(old, *inputs[n])
                 assert abs(out[n] - old_out) <= 1e-9 * np.abs(old.singletons).max(), (step, n)
                 old.train_step(old_trace, float(e[n]), float(ds[n]))
                 helpers.legacy_leak_toward(old, anchor[n], 0.05)
-        assert net_to_params(net).tolist() == singles
+        assert net.params == singles
         for n, old in enumerate(olds):
-            np.testing.assert_allclose(net_to_params(net)[n], helpers.legacy_params(old), rtol=1e-9)
+            np.testing.assert_allclose(net.params[n], helpers.legacy_params(old), rtol=1e-9)
 
 
 class TestTrainAdapters:
     def test_r_training_moves_output_against_error(self):
-        net = stack(make_additive_net(1.0, 0.05, eta=0.05), make_additive_net(1.0, 0.05, eta=0.05))
+        net = AnfisNet([make_additive_net(1.0, 0.05), make_additive_net(1.0, 0.05)], eta=0.05)
         inputs = [(1.5, 0.0), (-1.5, 0.0)]
-        before, trace = saturated_forward(net, inputs)
-        train_adapters(net, trace, (1.5, -1.5))
+        before, traces = saturated_forward(net, inputs)
+        train_adapters(net, traces, (1.5, -1.5))
         after, _ = saturated_forward(net, inputs)
         # positive error trains the response downward, negative upward
         assert after[0] < before[0]
@@ -402,26 +422,26 @@ class TestTrainAdapters:
 
     def test_q_training_requires_sensitivity(self):
         net = narrow_q_net()
-        _, trace = saturated_forward(net, [(1.0, 1.0)])
+        _, traces = saturated_forward(net, [(1.0, 1.0)])
         with pytest.raises(ValueError, match="sensitivity"):
-            train_adapters(net, trace, (1.0, 1.0))
+            train_adapters(net, traces, (1.0, 1.0))
 
     def test_q_training_with_sensitivity_moves_params(self):
         net = narrow_q_net()
         net.eta = 0.05
-        before = net_to_params(net).tolist()
-        _, trace = saturated_forward(net, [(1.0, 1.0)])
-        train_adapters(net, trace, (1.0, 1.0), q_sensitivity=np.array([0.5, 0.5]))
-        assert net_to_params(net).tolist() != before
+        before = copy_rows(net)
+        _, traces = saturated_forward(net, [(1.0, 1.0)])
+        train_adapters(net, traces, (1.0, 1.0), q_sensitivity=(0.5, 0.5))
+        assert net.params != before
 
     def test_unknown_adapter_type_rejected(self, rng):
         with pytest.raises(TypeError):
             train_adapters(object(), None, (0.0, 0.0))
         # a stack whose size is no mode's
         net = helpers.random_net(rng, k=4)
-        _, trace = net.forward(np.zeros((4, 2)))
+        _, traces = net.forward([(0.0, 0.0)] * 4)
         with pytest.raises(ValueError, match="no adaptation mode"):
-            train_adapters(net, trace, (0.0, 0.0), q_sensitivity=np.ones(2))
+            train_adapters(net, traces, (0.0, 0.0), q_sensitivity=(1.0, 1.0))
 
 
 class TestAdaptationConfig:
@@ -467,7 +487,7 @@ class TestCovarianceAdapter:
         S = cov.R if S is None else S
         rec = make_record(residual, S, accepted=accepted,
                           H=np.array([[-1.0, 0.0, 0.0], [0.0, -0.1, -1.0]]))
-        return adapter.after_update([rec], np.zeros((3, 2)), cov)
+        return adapter.after_update([rec], ZERO_G, cov)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -487,7 +507,7 @@ class TestCovarianceAdapter:
     def test_no_records_is_inactive(self):
         cov = self._cov()
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=2))
-        cov_out, trace = adapter.after_update([], np.zeros((3, 2)), cov)
+        cov_out, trace = adapter.after_update([], ZERO_G, cov)
         assert not trace.active
         assert cov_out is cov
 
@@ -508,7 +528,7 @@ class TestCovarianceAdapter:
             make_record([0.1, 0.01], cov.R, accepted=True),
             make_record([5.0, 1.0], cov.R, accepted=False),
         ]
-        adapter.after_update(recs, np.zeros((3, 2)), cov)
+        adapter.after_update(recs, ZERO_G, cov)
         assert adapter.filled == 2
 
     def test_zero_eta_never_builds_or_rewrites(self):
@@ -561,9 +581,9 @@ class TestCovarianceAdapter:
         for _ in range(3):
             cov, _ = self._tick(adapter, cov, [0.25, 0.02])
         anchor_w = np.array(adapter._anchor[0][20:])
-        adapter.net[0][20:] = (anchor_w + 1.0).tolist()  # simulate wound-up consequents
+        adapter.net.params[0][20:] = (anchor_w + 1.0).tolist()  # simulate wound-up consequents
         self._tick(adapter, cov, [9.0, 9.0], accepted=False)
-        np.testing.assert_allclose(adapter.net[0][20:], anchor_w + 1.0 - DEFAULT_LEAK, atol=1e-12)
+        np.testing.assert_allclose(adapter.net.params[0][20:], anchor_w + 1.0 - DEFAULT_LEAK, atol=1e-12)
 
     def test_r_floor_never_violated_under_pressure(self):
         cov = self._cov(r=(0.04, 0.001))
@@ -604,6 +624,32 @@ class TestCovarianceAdapter:
         assert math.isnan(trace.q_factor)
 
 
+class TestOnePath:
+    """after_update runs the stack through AnfisNet and the named adaptation
+    steps, the functions the benchmark tracer times."""
+
+    def test_every_step_runs_once_per_active_scan(self, monkeypatch, tiny_scenario):
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(anfis.AnfisNet, "forward", counting("forward", anfis.AnfisNet.forward))
+        monkeypatch.setattr(anfis.AnfisNet, "train_step", counting("train_step", anfis.AnfisNet.train_step))
+        for name in ("saturated_forward", "leak_toward", "adapt_r", "adapt_q", "train_adapters"):
+            monkeypatch.setattr(adaptation, name, counting(name, getattr(adaptation, name)))
+        log = run_once(tiny_scenario, "anfekf-rq", seed=3)
+        active = int(np.isfinite(log.dom_diag[:, 0]).sum())
+        assert active > 0
+        for name in ("forward", "train_step", "saturated_forward", "adapt_r", "adapt_q", "train_adapters"):
+            assert calls.get(name) == active, name
+        # the leak runs on every scan tick once the nets exist, suspended or not
+        assert calls.get("leak_toward", 0) >= active - 1
+
+
 class TestSurrogateConvergence:
     def test_inflated_s_mismatch_halves_within_200_steps(self):
         """Criterion: 4x inflated S against a frozen actual covariance; the
@@ -636,7 +682,7 @@ class TestSurrogateConvergence:
         for k in range(400):
             residual = rng.multivariate_normal(np.zeros(2), true_cov)
             rec = make_record(residual, cov.R)
-            cov, trace = adapter.after_update([rec], np.zeros((3, 2)), cov)
+            cov, trace = adapter.after_update([rec], ZERO_G, cov)
             if not trace.active:
                 continue
             for i in range(2):

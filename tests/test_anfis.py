@@ -9,10 +9,8 @@ import helpers
 from fuzzyloc.anfis import (
     CONSEQUENT,
     DEFAULT_DELTA_FLOOR,
-    N_PARAMS,
     AnfisNet,
-    net_from_params,
-    net_to_params,
+    gradient_floats,
 )
 from fuzzyloc.errors import ZeroFiringError
 
@@ -24,15 +22,32 @@ def grade(u: float, m: float, delta: float) -> float:
 
     Input 2 sits at its centers so the rule firing cannot underflow.
     """
-    net = AnfisNet(np.full((1, 2, 5), m), np.full((1, 2, 5), delta), np.zeros((1, 7)))
-    _, trace = net.forward([u, m])
-    assert trace.mu2[0, 0] == 1.0
-    return float(trace.mu1[0, 0])
+    net = AnfisNet([[m] * 10 + [delta] * 10 + [0.0] * 7])
+    _, traces = net.forward([(u, m)])
+    mu = traces[0][1]
+    assert mu[5] == 1.0
+    return mu[0]
 
 
 def label(i: int, j: int) -> int:
     """Singleton label 1..7 for input-1 term i and input-2 term j (1-based)."""
     return int(CONSEQUENT[i - 1, j - 1]) + 1
+
+
+def firing(trace) -> np.ndarray:
+    """(5, 5) rule firing strengths of one forward_floats trace."""
+    mu = trace[1]
+    return np.outer(mu[:5], mu[5:])
+
+
+def normalized(trace) -> np.ndarray:
+    """(5, 5) firing strengths of one trace, summing to 1."""
+    return firing(trace) / trace[2]
+
+
+def singletons(net: AnfisNet) -> np.ndarray:
+    """(k, 7) consequent singletons of a stack."""
+    return np.array(net.params)[:, 20:]
 
 
 class TestMembership:
@@ -86,58 +101,65 @@ class TestForward:
             net = helpers.random_net(rng)
             in1 = float(rng.uniform(-4.0, 4.0))
             in2 = float(rng.uniform(-4.0, 4.0))
-            out, _ = net.forward([in1, in2])
+            out, _ = net.forward([(in1, in2)])
             assert out[0] == pytest.approx(helpers.anfis_forward_brute(net, in1, in2), rel=1e-12)
 
     def test_normalization_sums_to_one(self, rng):
         for _ in range(100):
             net = helpers.random_net(rng)
-            _, trace = net.forward(rng.uniform(-4, 4, 2))
-            assert float(trace.normalized.sum()) == pytest.approx(1.0, abs=1e-12)
-            assert np.all(trace.normalized >= 0.0)
+            _, traces = net.forward([tuple(rng.uniform(-4, 4, 2))])
+            assert float(normalized(traces[0]).sum()) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(normalized(traces[0]) >= 0.0)
 
     def test_output_bounded_by_singletons(self, rng):
         for _ in range(100):
             net = helpers.random_net(rng, k=3)
-            out, _ = net.forward(rng.uniform(-6, 6, (3, 2)))
-            assert np.all(net.singletons.min(axis=1) - 1e-12 <= out)
-            assert np.all(out <= net.singletons.max(axis=1) + 1e-12)
+            out, _ = net.forward(rng.uniform(-6, 6, (3, 2)).tolist())
+            assert np.all(singletons(net).min(axis=1) - 1e-12 <= out)
+            assert np.all(out <= singletons(net).max(axis=1) + 1e-12)
 
     def test_dominant_rule_selects_its_singleton(self):
         # narrow widths at exact centers: one rule fires ~1, the rest ~0
         for i in (1, 3, 5):
             for j in (1, 2, 4):
-                net = AnfisNet(
-                    [[CENTERS, CENTERS]],
-                    np.full((1, 2, 5), 0.05),
-                    [np.linspace(-3.0, 3.0, 7)],
-                )
-                out, _ = net.forward([CENTERS[i - 1], CENTERS[j - 1]])
-                expected = net.singletons[0, label(i, j) - 1]
-                assert out[0] == pytest.approx(float(expected), abs=1e-9)
+                net = AnfisNet([CENTERS + CENTERS + [0.05] * 10 + np.linspace(-3.0, 3.0, 7).tolist()])
+                out, _ = net.forward([(CENTERS[i - 1], CENTERS[j - 1])])
+                expected = net.params[0][20 + label(i, j) - 1]
+                assert out[0] == pytest.approx(expected, abs=1e-9)
 
     def test_trace_layers_consistent(self, rng):
         net = helpers.random_net(rng, k=2)
-        out, trace = net.forward([(0.3, -0.8), (-1.1, 0.4)])
-        for n in range(2):
-            np.testing.assert_allclose(trace.firing[n], np.outer(trace.mu1[n], trace.mu2[n]), rtol=1e-15)
-            assert trace.total[n] == pytest.approx(float(trace.firing[n].sum()), rel=1e-15)
-        assert out is trace.out
+        out, traces = net.forward([(0.3, -0.8), (-1.1, 0.4)])
+        for n, trace in enumerate(traces):
+            z, mu, total, weights, out_n = trace
+            np.testing.assert_allclose(mu, np.exp(-np.square(z)), rtol=1e-15)
+            assert total == pytest.approx(float(firing(trace).sum()), rel=1e-15)
+            # each singleton's weight is the normalized firing of the rules routed to it
+            np.testing.assert_allclose(
+                weights, np.bincount(CONSEQUENT.ravel(), normalized(trace).ravel(), 7), rtol=1e-14,
+            )
+            assert out[n] == out_n
 
     def test_zero_firing_raises(self):
-        net = AnfisNet(np.zeros((2, 2, 5)), np.full((2, 2, 5), 1e-4), np.zeros((2, 7)))
+        net = AnfisNet([[0.0] * 10 + [1e-4] * 10 + [0.0] * 7] * 2)
         with pytest.raises(ZeroFiringError):
             net.forward([(0.0, 0.0), (1e6, 1e6)])  # one dead net is enough
 
     def test_wrong_term_count_rejected(self):
         with pytest.raises(ValueError, match="5 membership terms"):
-            AnfisNet(np.zeros((1, 2, 4)), np.ones((1, 2, 4)), np.zeros((1, 7)))
+            AnfisNet([[0.0] * 8 + [1.0] * 8 + [0.0] * 7])
         with pytest.raises(ValueError, match="5 membership terms"):
-            AnfisNet(np.zeros((1, 2, 5)), np.ones((1, 1, 5)), np.zeros((1, 7)))
+            AnfisNet([[0.0] * 10 + [1.0] * 5 + [0.0] * 7])
         with pytest.raises(ValueError, match="5 membership terms"):
-            AnfisNet(np.zeros((2, 5)), np.ones((2, 5)), np.zeros(7))  # no net axis
+            AnfisNet([[0.0] * 10, [1.0] * 10, [0.0] * 7])  # no net axis
         with pytest.raises(ValueError):
-            AnfisNet(np.zeros((1, 2, 5)), np.ones((1, 2, 5)), np.zeros((1, 6)))
+            AnfisNet([[0.0] * 10 + [1.0] * 10 + [0.0] * 6])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="27"):
+            AnfisNet([[0.0] * 26])
+        with pytest.raises(ValueError, match="27"):
+            AnfisNet([])
 
 
 class TestGradients:
@@ -147,8 +169,8 @@ class TestGradients:
             net = helpers.random_net(rng)
             in1 = float(rng.uniform(-3.0, 3.0))
             in2 = float(rng.uniform(-3.0, 3.0))
-            _, trace = net.forward([in1, in2])
-            analytic = helpers.anfis_analytic_gradients(net, trace)
+            _, traces = net.forward([(in1, in2)])
+            analytic = helpers.anfis_analytic_gradients(net, traces)
             fd = helpers.anfis_fd_gradients(net, in1, in2, h=1e-6)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
@@ -156,55 +178,58 @@ class TestGradients:
         # each rule routes to exactly one singleton, so d(out)/d(w) sums to 1
         for _ in range(50):
             net = helpers.random_net(rng, k=3)
-            _, trace = net.forward(rng.uniform(-3, 3, (3, 2)))
-            d_w = net.output_gradients(trace)[0]
+            _, traces = net.forward(rng.uniform(-3, 3, (3, 2)).tolist())
+            d_w = np.array([gradient_floats(p, t)[20:] for p, t in zip(net.params, traces)])
             np.testing.assert_allclose(d_w.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(d_w >= 0.0)
+
+
+def hexes(row: list[float]) -> list[str]:
+    return [v.hex() for v in row]
 
 
 class TestTraining:
     def test_zero_error_is_noop(self, rng):
         net = helpers.random_net(rng)
-        before = net_to_params(net).tolist()
-        _, trace = net.forward([0.5, -0.5])
-        net.train_step(trace, 0.0, 1.0)
-        assert net_to_params(net).tolist() == before
+        before = [list(p) for p in net.params]
+        _, traces = net.forward([(0.5, -0.5)])
+        net.train_step(traces, [0.0], [1.0])
+        assert net.params == before
 
     def test_zero_sensitivity_is_noop(self, rng):
         net = helpers.random_net(rng)
-        before = net_to_params(net).tolist()
-        _, trace = net.forward([0.5, -0.5])
-        net.train_step(trace, 2.0, 0.0)
-        assert net_to_params(net).tolist() == before
+        before = [list(p) for p in net.params]
+        _, traces = net.forward([(0.5, -0.5)])
+        net.train_step(traces, [2.0], [0.0])
+        assert net.params == before
 
     def test_zero_learning_rate_is_noop(self, rng):
         net = helpers.random_net(rng)
         net.eta = 0.0
-        before = net_to_params(net).tolist()
-        _, trace = net.forward([0.5, -0.5])
-        net.train_step(trace, 2.0, 1.0)
-        assert net_to_params(net).tolist() == before
+        before = [list(p) for p in net.params]
+        _, traces = net.forward([(0.5, -0.5)])
+        net.train_step(traces, [2.0], [1.0])
+        assert net.params == before
 
     def test_zero_step_leaves_its_net_untouched(self, rng):
         net = helpers.random_net(rng, k=2)
-        net.widths[1] = 0.5 * DEFAULT_DELTA_FLOOR  # below the floor: a step would raise them
-        before = net_to_params(net)
-        _, trace = net.forward([(0.5, -0.5), tuple(net.centers[1, :, 2])])
-        net.train_step(trace, [2.0, 0.0], 1.0)
-        after = net_to_params(net)
-        assert after[1].tobytes() == before[1].tobytes()
-        assert after[0].tolist() != before[0].tolist()
+        net.params[1][10:20] = [0.5 * DEFAULT_DELTA_FLOOR] * 10  # below the floor: a step would raise them
+        before = [list(p) for p in net.params]
+        _, traces = net.forward([(0.5, -0.5), (net.params[1][2], net.params[1][7])])
+        net.train_step(traces, [2.0, 0.0], [1.0, 1.0])
+        assert hexes(net.params[1]) == hexes(before[1])
+        assert net.params[0] != before[0]
 
     def test_first_order_output_change(self, rng):
         # a small step changes the output by about -eta * e * ds * ||grad||^2
         for _ in range(20):
             net = helpers.random_net(rng)
             net.eta = 1e-6
-            inputs = rng.uniform(-2, 2, 2)
-            out0, trace = net.forward(inputs)
-            g = helpers.anfis_analytic_gradients(net, trace)
+            inputs = [tuple(rng.uniform(-2, 2, 2))]
+            out0, traces = net.forward(inputs)
+            g = helpers.anfis_analytic_gradients(net, traces)
             e, ds = 1.5, 0.8
-            net.train_step(trace, e, ds)
+            net.train_step(traces, [e], [ds])
             out1, _ = net.forward(inputs)
             predicted = -net.eta * e * ds * float(g @ g)
             assert out1[0] - out0[0] == pytest.approx(predicted, rel=1e-3, abs=1e-15)
@@ -218,77 +243,53 @@ class TestTraining:
         in1, in2 = 0.4, -0.3
         errors = []
         for _ in range(400):
-            out, trace = net.forward([in1, in2])
+            out, traces = net.forward([(in1, in2)])
             e = out[0] - target
             errors.append(abs(e))
-            net.train_step(trace, e, 1.0)
+            net.train_step(traces, [e], [1.0])
         assert errors[-1] < 0.05 * errors[0]
         tail = errors[10:]
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
     def test_width_floor_respected(self):
-        net = AnfisNet(
-            [[CENTERS, CENTERS]],
-            np.full((1, 2, 5), 2e-4),
-            [np.linspace(-3, 3, 7)],
-            eta=0.5,
-        )
+        net = AnfisNet([CENTERS + CENTERS + [2e-4] * 10 + np.linspace(-3, 3, 7).tolist()], eta=0.5)
         for _ in range(50):
-            _, trace = net.forward([0.1e-4, -0.1e-4])
-            net.train_step(trace, 5.0, 1.0)
-            assert np.all(net.widths >= DEFAULT_DELTA_FLOOR)
-
-
-class TestSerialization:
-    def test_round_trip_preserves_behavior(self, rng):
-        net = helpers.random_net(rng, k=2)
-        params = net_to_params(net)
-        assert params.shape == (2, N_PARAMS)
-        clone = net_from_params(params, eta=net.eta)
-        for _ in range(20):
-            inputs = rng.uniform(-4, 4, (2, 2))
-            assert clone.forward(inputs)[0].tolist() == net.forward(inputs)[0].tolist()
-
-    def test_round_trip_after_training(self, rng):
-        net = helpers.random_net(rng)
-        for _ in range(10):
-            _, trace = net.forward(rng.uniform(-2, 2, 2))
-            net.train_step(trace, float(rng.normal()), 1.0)
-        clone = net_from_params(net_to_params(net))
-        assert net_to_params(clone).tolist() == net_to_params(net).tolist()
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="27"):
-            net_from_params([0.0] * 26)
+            _, traces = net.forward([(0.1e-4, -0.1e-4)])
+            net.train_step(traces, [5.0], [1.0])
+            assert min(net.params[0][10:20]) >= DEFAULT_DELTA_FLOOR
 
 
 class TestNumpyStackReference:
-    """The array wrappers against helpers.NumpyAnfisNet, the stacked numpy
-    passes the float kernels replaced, for a stack of three nets."""
+    """AnfisNet against helpers.NumpyAnfisNet, the stacked numpy passes the
+    float kernels replaced, for a stack of three nets."""
 
     def test_forward_and_gradients(self, rng):
         for _ in range(50):
             net = helpers.random_net(rng, k=3)
-            ref = helpers.NumpyAnfisNet(net_to_params(net), eta=net.eta)
+            ref = helpers.NumpyAnfisNet(net.params, eta=net.eta)
             inputs = rng.uniform(-4.0, 4.0, (3, 2))
-            out, trace = net.forward(inputs)
+            out, traces = net.forward(inputs.tolist())
             ref_out, ref_trace = ref.forward(inputs)
             np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(trace.mu, ref_trace.mu, rtol=1e-14, atol=1e-300)
-            np.testing.assert_allclose(trace.total, ref_trace.total, rtol=1e-14)
-            np.testing.assert_allclose(trace.normalized, ref_trace.normalized, rtol=1e-12, atol=1e-300)
-            for got, want in zip(net.output_gradients(trace), ref.output_gradients(ref_trace)):
-                assert got.shape == want.shape
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            mu = np.array([t[1] for t in traces]).reshape(3, 2, 5)
+            np.testing.assert_allclose(mu, ref_trace.mu, rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose([t[2] for t in traces], ref_trace.total, rtol=1e-14)
+            np.testing.assert_allclose([normalized(t) for t in traces], ref_trace.normalized,
+                                       rtol=1e-12, atol=1e-300)
+            grads = np.array([gradient_floats(p, t) for p, t in zip(net.params, traces)])
+            got = grads[:, 20:], grads[:, :10].reshape(3, 2, 5), grads[:, 10:20].reshape(3, 2, 5)
+            for g, want in zip(got, ref.output_gradients(ref_trace)):
+                assert g.shape == want.shape
+                np.testing.assert_allclose(g, want, rtol=1e-9, atol=1e-12)
 
     def test_train_step(self, rng):
         for _ in range(50):
             net = helpers.random_net(rng, k=3)
-            ref = helpers.NumpyAnfisNet(net_to_params(net), eta=0.1)
+            ref = helpers.NumpyAnfisNet(net.params, eta=0.1)
             net.eta = 0.1
             inputs = rng.uniform(-3.0, 3.0, (3, 2))
             e, ds = rng.normal(size=3), np.array([0.7, 0.0, -1.3])
-            net.train_step(net.forward(inputs)[1], e, ds)
+            net.train_step(net.forward(inputs.tolist())[1], e.tolist(), ds.tolist())
             ref.train_step(ref.forward(inputs)[1], e, ds)
-            np.testing.assert_allclose(net_to_params(net), ref.params, rtol=1e-12, atol=1e-14)
-            assert net_to_params(net)[1].tobytes() == ref.params[1].tobytes()  # the zero step
+            np.testing.assert_allclose(net.params, ref.params, rtol=1e-12, atol=1e-14)
+            assert np.array(net.params[1]).tobytes() == ref.params[1].tobytes()  # the zero step
