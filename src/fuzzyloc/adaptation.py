@@ -12,10 +12,11 @@ order: leak_toward, saturated_forward, adapt_r and adapt_q, then
 train_adapters. The nets are one anfis.AnfisNet, a row of 27 floats per
 net driven by the anfis kernels; the window covariance is summed oldest
 residual first, and the Q sensitivity goes through
-models.control_cov_floats and range_bearing_cov_diag_floats. The adapter
-calls no numpy routine beyond reading its inputs with tolist and building
-the two arrays of the CovPair it returns, so its bits do not depend on the
-BLAS kernel.
+models.control_cov_floats and range_bearing_cov_diag_floats. Per scan the
+adapter unpacks the records' floats and calls numpy only to read its CovPair
+with tolist and to build the one it returns; once per run _build_net takes
+np.std and np.mean of the S samples. None of this calls BLAS, so the
+adapter's bits do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[f
     n = 0
     for rec in records:
         if rec.accepted and rec.H is not None:
-            (h00, h01, _), (h10, h11, _) = rec.H.tolist()
+            (h00, h01, _), (h10, h11, _) = rec.H
             d0, d1 = models.range_bearing_cov_diag_floats(h00, h01, h10, h11, *gqg)
             s0 += d0
             s1 += d1
@@ -232,7 +233,7 @@ class CovarianceAdapter:
     """Stateful per-run driver of the residual window and the net stack.
 
     mode selects which covariances are rewritten: 'r', 'q', or 'rq'. The
-    window holds the latest residuals as (dr, dtheta) lists, oldest first.
+    window holds the latest residuals as (dr, dtheta) tuples, oldest first.
     net is an AnfisNet of MODE_NETS[mode] nets, R channels first, and
     _anchor holds their build-time parameter rows. The nets are built
     lazily on the first full-window step so membership scales can be set
@@ -250,7 +251,7 @@ class CovarianceAdapter:
             raise ValueError(f"unknown adaptation mode {mode!r}")
         self.mode = mode
         self.config = cfg = config if config is not None else AdaptationConfig()
-        self.window: deque[list[float]] = deque(maxlen=cfg.window)
+        self.window: deque[tuple[float, float]] = deque(maxlen=cfg.window)
         self.net: AnfisNet | None = None
         self._anchor: list[list[float]] | None = None
         self._dom: tuple[float, float] | None = None
@@ -338,8 +339,9 @@ class CovarianceAdapter:
         window = self.window
         s00 = s11 = 0.0
         for rec in records:
-            window.append(rec.residual.tolist())
-            (a, _), (_, d) = rec.S.tolist()
+            v0, v1 = rec.residual
+            window.append((v0, v1))
+            (a, _), (_, d) = rec.S
             s00 += a
             s11 += d
         s00 /= len(records)

@@ -9,12 +9,12 @@ written out entry by entry on Python floats; no step calls LAPACK. Each
 formula is one float kernel (predict_floats, innovation_cov_floats,
 innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
 array-level predict, predict_measurement, innovation, gate and update are
-thin wrappers over them. step calls the kernels directly, so the belief stays
-on floats through a whole scan, and each measurement takes one closed-form
-2x2 inverse of its innovation covariance S, shared by the gate and the
-update. The inverse rejects S unless all four entries are finite and its
-2-norm condition number, sigma_max^2 / |det| after scaling S by its largest
-|entry|, is at most 1e12.
+thin wrappers over them. step calls the kernels directly, so the belief and
+the records stay on floats through a whole scan, and each measurement takes
+one closed-form 2x2 inverse of its innovation covariance S, shared by the
+gate and the update. The inverse rejects S unless all four entries are
+finite and its 2-norm condition number, sigma_max^2 / |det| after scaling S
+by its largest |entry|, is at most 1e12.
 """
 
 from __future__ import annotations
@@ -85,14 +85,14 @@ class CovPair:
 
 @dataclass
 class InnovationRecord:
-    """One measurement's residual and the covariance it was judged against."""
+    """One measurement's residual and the covariance it was judged against, as float tuples."""
 
-    residual: np.ndarray  # (dr, dtheta), bearing component wrapped
-    S: np.ndarray  # 2x2 innovation covariance
+    residual: tuple  # (dr, dtheta), bearing component wrapped
+    S: tuple  # 2x2 innovation covariance, row by row
     landmark_id: int
     timestep: int
     accepted: bool = True
-    H: np.ndarray | None = None  # observation Jacobian, kept for adaptation
+    H: tuple | None = None  # 2x3 observation Jacobian row by row, kept for adaptation
 
 
 def inverse_2x2_floats(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -120,9 +120,9 @@ def inverse_2x2_floats(a: float, b: float, c: float, d: float) -> tuple[float, f
     raise SingularInnovationError("innovation covariance is ill-conditioned")
 
 
-def _inverse_2x2(S: np.ndarray) -> tuple[float, float, float, float]:
-    """inverse_2x2_floats of a 2x2 array."""
-    (a, b), (c, d) = S.tolist()
+def _inverse_2x2(S) -> tuple[float, float, float, float]:
+    """inverse_2x2_floats of a 2x2 array or nested tuple."""
+    (a, b), (c, d) = np.asarray(S, dtype=float).tolist()
     return inverse_2x2_floats(a, b, c, d)
 
 
@@ -302,17 +302,17 @@ def innovation(z: Measurement, zhat: np.ndarray) -> np.ndarray:
 def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
     """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
     i00, i01, i10, i11 = _inverse_2x2(S)
-    v0, v1 = residual.tolist()
+    v0, v1 = np.asarray(residual, dtype=float).tolist()
     return gate_floats(v0, v1, i00, i01, i10, i11, threshold)
 
 
 def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
     """Measurement update with gain K = P H^T S^-1; the arithmetic is update_floats'."""
     i00, i01, i10, i11 = _inverse_2x2(record.S)
-    v0, v1 = record.residual.tolist()
+    v0, v1 = np.asarray(record.residual, dtype=float).tolist()
     x, y, phi = state.mean.tolist()
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    (h00, h01, h02), (h10, h11, h12) = H.tolist()
+    (h00, h01, h02), (h10, h11, h12) = np.asarray(H, dtype=float).tolist()
     return _belief(*update_floats(
         x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
         h00, h01, h02, h10, h11, h12, i00, i01, i10, i11,
@@ -339,7 +339,7 @@ def step(
     The belief stays on Python floats from the prediction to the last
     measurement: each measurement takes one inverse of its S, shared by the
     gate and the update, and one GaussianState is built at the end. The
-    records' residual, S and H are row views of one array per kind and scan.
+    records' residual, S and H are the tuples of floats the loop computed.
     The arithmetic is that of predict, predict_measurement, innovation, gate
     and update, through the same float kernels, so the result is bit for bit
     theirs.
@@ -356,7 +356,7 @@ def step(
     if not measurements:
         return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), []
     (r00, r01), (r10, r11) = cov.R.tolist()
-    residuals, covs, jacobians, verdicts = [], [], [], []  # verdicts: (landmark_id, accepted)
+    records = []
     for z in measurements:
         landmark = landmark_map[z.landmark_id]
         r, bearing = models.range_bearing(x, y, phi, landmark)
@@ -367,21 +367,13 @@ def step(
         v0, v1 = innovation_floats(z, r, models.wrap_angle(bearing))
         i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s01, s11)
         accepted = gate_floats(v0, v1, i00, i01, i10, i11, gate_threshold)
-        residuals += v0, v1
-        covs += s00, s01, s01, s11
-        jacobians += h00, h01, 0.0, h10, h11, -1.0
-        verdicts.append((z.landmark_id, accepted))
+        records.append(InnovationRecord(
+            (v0, v1), ((s00, s01), (s01, s11)), z.landmark_id, timestep, accepted,
+            ((h00, h01, 0.0), (h10, h11, -1.0)),
+        ))
         if accepted:
             x, y, phi, p00, p01, p02, p11, p12, p22 = update_floats(
                 x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
                 h00, h01, 0.0, h10, h11, -1.0, i00, i01, i10, i11,
             )
-    n = len(verdicts)
-    V = np.array(residuals).reshape(n, 2)
-    S = np.array(covs).reshape(n, 2, 2)
-    H = np.array(jacobians).reshape(n, 2, 3)
-    records = [
-        InnovationRecord(V[i], S[i], landmark_id, timestep, accepted, H[i])
-        for i, (landmark_id, accepted) in enumerate(verdicts)
-    ]
     return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), records

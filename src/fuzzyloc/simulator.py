@@ -83,6 +83,9 @@ class Scenario:
         if not self.waypoints:
             raise ScenarioError("scenario has no waypoints")
         ids = [lm.id for lm in self.landmarks]
+        for i in ids:
+            if type(i) is bool or not isinstance(i, numbers.Integral):
+                raise ScenarioError(f"landmark ids must be integers, got {i!r}")
         if len(ids) != len(set(ids)):
             raise ScenarioError("landmark ids are not unique")
         for name in ("wheelbase", "speed", "gamma_max", "sensor_range", "sensor_fov",
@@ -96,8 +99,8 @@ class Scenario:
             raise ScenarioError("landmark coordinates must be finite")
         if not all(math.isfinite(wx) and math.isfinite(wy) for wx, wy in self.waypoints):
             raise ScenarioError("waypoint coordinates must be finite")
-        if not self.seed >= 0:
-            raise ScenarioError("seed must be nonnegative")
+        if type(self.seed) is bool or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.duration * self.control_rate <= 0.5:  # run_once runs round(...) ticks
             raise ScenarioError("duration must span at least one control tick")
         ratio = self.control_rate / self.observe_rate
@@ -194,7 +197,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unsupported scenario schema: {schema!r} (expected {SCENARIO_SCHEMA!r})")
     try:
         scenario = Scenario(
-            landmarks=tuple(Landmark(int(i), float(x), float(y)) for i, x, y in data["landmarks"]),
+            landmarks=tuple(Landmark(i, float(x), float(y)) for i, x, y in data["landmarks"]),
             waypoints=tuple((float(x), float(y)) for x, y in data["waypoints"]),
             wheelbase=float(data["wheelbase"]),
             speed=float(data["speed"]),
@@ -206,7 +209,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             true_noise=_noise_from_dict(data["true_noise"]),
             assumed_noise=_noise_from_dict(data["assumed_noise"]),
             duration=float(data["duration"]),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             start=tuple(float(v) for v in data.get("start", (0.0, 0.0, 0.0))),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -650,7 +650,8 @@ class LegacyCovarianceAdapter:
             return cov, trace
         for rec in records:
             self.window.append(np.asarray(rec.residual, dtype=float).copy())
-        S_scan = sum((rec.S for rec in records[1:]), records[0].S) / len(records)
+        S = [np.asarray(rec.S) for rec in records]
+        S_scan = sum(S[1:], S[0]) / len(S)
         accepted = [rec for rec in records if rec.accepted]
         if not accepted:
             return cov, trace
@@ -713,7 +714,8 @@ def numpy_q_factor_sensitivity(records, G_u, Q):
     n = 0
     for rec in records:
         if rec.accepted and rec.H is not None:
-            sens += (rec.H @ GQG @ rec.H.T).diagonal()
+            H = np.asarray(rec.H)
+            sens += (H @ GQG @ H.T).diagonal()
             n += 1
     return sens / max(n, 1)
 

@@ -27,7 +27,13 @@ from fuzzyloc.cli import (
     main,
 )
 from fuzzyloc.metrics import build_report
-from fuzzyloc.simulator import default_scenario, load_scenario, run_monte_carlo, save_scenario
+from fuzzyloc.simulator import (
+    default_scenario,
+    load_scenario,
+    run_monte_carlo,
+    save_scenario,
+    scenario_to_dict,
+)
 
 
 @pytest.fixture
@@ -171,6 +177,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+        assert not (out / "summary.json").exists()
+
+    def test_infinite_scenario_seed_exits_2(self, tmp_path, tiny_scenario, capsys):
+        # json reads Infinity as a float, which int() turned into an OverflowError traceback
+        data = scenario_to_dict(tiny_scenario)
+        data["seed"] = math.inf
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        rc = main(["run", "--variant", "ekf", "--scenario", str(path), "--runs", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be a nonnegative integer" in err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize(

@@ -308,7 +308,7 @@ def _assert_same_step(ours, theirs):
     assert len(records) == len(their_records)
     for rec, their in zip(records, their_records):
         for name in ("residual", "S", "H"):
-            _assert_same_array(getattr(rec, name), getattr(their, name))
+            _assert_same_array(np.asarray(getattr(rec, name)), np.asarray(getattr(their, name)))
         assert type(rec.accepted) is type(their.accepted)
         assert (rec.accepted, rec.landmark_id, rec.timestep) == (
             their.accepted, their.landmark_id, their.timestep)
@@ -509,6 +509,30 @@ class TestStepCallGuard:
         assert calls == {"predict": 1, "predict_measurement": 4, "innovation": 4,
                          "gate": 4, "update": 4}
 
+    def test_scan_builds_no_array_per_measurement(self, monkeypatch):
+        lmap = LandmarkMap(
+            [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, -8.0, -6.0),
+             Landmark(4, 6.0, -9.0)]
+        )
+        state = GaussianState(np.zeros(3), np.diag([0.1, 0.1, 0.02]))
+        cov = CovPair(np.diag([0.09, 0.003]), np.diag([0.01, 0.0003]))
+        scan = [observe(Pose(0.1, 0.0, 0.0), lm) for lm in lmap]
+        built = []
+        original = ekf.np.array
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ekf.np, "array", counted)
+        _, records = step(state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0)
+        assert len(records) == 4
+        assert len(built) <= 2  # the posterior's mean and P
+        for rec in records:
+            assert type(rec.S) is tuple and type(rec.H) is tuple
+            for row in (rec.residual, *rec.S, *rec.H):
+                assert type(row) is tuple and all(type(v) is float for v in row)
+
 
 class TestLinearOracle:
     """With zero speed the motion model is exactly linear (F = I), and update()
@@ -624,6 +648,16 @@ class TestStep:
         _, records = step(state, u, z, cov, lmap, 0.1, 4.0, timestep=42)
         assert [r.landmark_id for r in records] == [2, 1]
         assert all(r.timestep == 42 for r in records)
+
+    def test_array_wrappers_take_step_records(self):
+        # step's records hold float tuples; gate and update read them as they read arrays
+        lmap, state, cov, u = self._setup()
+        out, (rec,) = step(state, u, [observe(Pose(0.1, 0.0, 0.0), lmap[1])], cov, lmap, 0.1, 4.0)
+        verdict = gate(rec.residual, rec.S, DEFAULT_GATE_THRESHOLD)
+        assert type(verdict) is bool and verdict is rec.accepted is True
+        posterior = update(predict(state, u, cov.Q, 0.1, 4.0), rec, rec.H)
+        assert posterior.mean.tobytes() == out.mean.tobytes()
+        assert posterior.P.tobytes() == out.P.tobytes()
 
     def test_unknown_landmark_raises(self):
         lmap, state, cov, u = self._setup()

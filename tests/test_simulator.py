@@ -93,6 +93,12 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError, match="seed"):
             run_once(dataclasses.replace(tiny_scenario, seed=-3), "ekf")
 
+    def test_non_integer_seed(self, tiny_scenario):
+        dataclasses.replace(tiny_scenario, seed=np.int64(3)).validate()
+        for seed in (2.5, True, "3", math.inf, math.nan):
+            with pytest.raises(ScenarioError, match="seed must be a nonnegative integer"):
+                dataclasses.replace(tiny_scenario, seed=seed).validate()
+
     def test_non_finite_coordinates(self, tiny_scenario):
         for bad in (math.nan, math.inf, -math.inf):
             landmarks = (*tiny_scenario.landmarks[:-1], Landmark(99, 5.0, bad))
@@ -192,6 +198,23 @@ class TestScenarioSerialization:
             load_scenario(path)
         with pytest.raises(ScenarioError, match="malformed scenario"):
             scenario_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("field", ["seed", "landmark id"])
+    @pytest.mark.parametrize("value", [2.9, True, "2", math.inf])
+    def test_integer_fields_accept_only_json_integers(self, tmp_path, tiny_scenario, field, value):
+        # int() used to load a seed 2.9 as 2 and a landmark id 2.9 as a duplicate id 2,
+        # and raised OverflowError on Infinity
+        data = scenario_to_dict(tiny_scenario)
+        if field == "seed":
+            data["seed"] = value
+            message = "seed must be a nonnegative integer"
+        else:
+            data["landmarks"][0][0] = value
+            message = "landmark ids must be integers"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
 
     def test_missing_field(self, tmp_path, tiny_scenario):
         path = tmp_path / "missing.json"
