@@ -1,6 +1,7 @@
 """Simulation harness tests: scenario handling, driver, sensing, runs."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -728,6 +729,51 @@ class TestPortableBytes:
             assert proc.returncode == 0, proc.stderr
             hashes[coretype] = proc.stdout.strip()
         assert len(set(hashes.values())) == 1, hashes
+
+
+#: Assumed-noise overrides of the default scenario: matched, acceptance
+#: criterion 3 (sensor noise assumed 20x too large in range, 10x too small in
+#: bearing) and criterion 4 (control noise assumed 10x / 6x too small).
+_DIGEST_SETTINGS = {
+    "matched": {},
+    "criterion-3": {"sigma_r": 2.0, "sigma_theta": math.radians(0.1)},
+    "criterion-4": {"sigma_v": 0.03, "sigma_gamma": math.radians(0.5)},
+}
+
+_DIGEST_CONFIGS = {
+    "default": None,
+    "eta-0": AdaptationConfig(eta=0.0),
+    "window-30-q-floor": AdaptationConfig(window=30, q_floor=1e-6),
+}
+
+#: sha256 of the grid's RunLogs, recorded on the commit before the NEES pass
+#: left the tick loop. A change that moves output bits re-pins it and says why.
+_RUNLOG_GRID_SHA256 = "3aa82be8fab7d8f95afb4b339b66d82a42eb38d250683891c484091b7766121c"
+
+
+def runlog_grid_sha256() -> str:
+    """sha256 over every RunLog field of each variant x setting x config x seed
+    7000-7001, 20 s runs: arrays by their bytes, other fields by repr."""
+    base = dataclasses.replace(default_scenario(), duration=20.0)
+    digest = hashlib.sha256()
+    for variant in VARIANTS:
+        for assumed in _DIGEST_SETTINGS.values():
+            scenario = dataclasses.replace(
+                base, assumed_noise=dataclasses.replace(base.assumed_noise, **assumed))
+            for config in _DIGEST_CONFIGS.values():
+                for seed in (7000, 7001):
+                    log = run_once(scenario, variant, seed=seed, adaptation=config)
+                    for field in dataclasses.fields(log):
+                        value = getattr(log, field.name)
+                        digest.update(value.tobytes() if isinstance(value, np.ndarray)
+                                      else repr(value).encode())
+    return digest.hexdigest()
+
+
+class TestDeterminismDigest:
+    def test_runlog_grid_bytes_pinned(self):
+        """Every RunLog byte of the grid matches the recorded digest."""
+        assert runlog_grid_sha256() == _RUNLOG_GRID_SHA256
 
 
 class TestControlNoise:
