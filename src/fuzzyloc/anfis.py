@@ -59,12 +59,12 @@ CONSEQUENT = np.clip(7 - np.add.outer(np.arange(N_TERMS), np.arange(N_TERMS)), 0
 
 def saturate_floats(p: list[float], in1: float, in2: float) -> tuple[float, float]:
     """(in1, in2) clamped to INPUT_SATURATION_WIDTHS of the widest term beyond the outer centers."""
-    c1, c2, w1, w2 = p[0:5], p[5:10], p[10:15], p[15:20]
-    reach1 = INPUT_SATURATION_WIDTHS * max(w1)
-    reach2 = INPUT_SATURATION_WIDTHS * max(w2)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, *_ = p
+    reach1 = INPUT_SATURATION_WIDTHS * max(w0, w1, w2, w3, w4)
+    reach2 = INPUT_SATURATION_WIDTHS * max(w5, w6, w7, w8, w9)
     return (
-        min(max(in1, min(c1) - reach1), max(c1) + reach1),
-        min(max(in2, min(c2) - reach2), max(c2) + reach2),
+        min(max(in1, min(c0, c1, c2, c3, c4) - reach1), max(c0, c1, c2, c3, c4) + reach1),
+        min(max(in2, min(c5, c6, c7, c8, c9) - reach2), max(c5, c6, c7, c8, c9) + reach2),
     )
 
 
@@ -82,9 +82,12 @@ def forward_floats(p: list[float], in1: float, in2: float) -> tuple:
     membership widths.
     """
     c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, *singletons = p
-    z = ((in1 - c0) / w0, (in1 - c1) / w1, (in1 - c2) / w2, (in1 - c3) / w3, (in1 - c4) / w4,
-         (in2 - c5) / w5, (in2 - c6) / w6, (in2 - c7) / w7, (in2 - c8) / w8, (in2 - c9) / w9)
-    mu = a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = [exp(-v * v) for v in z]
+    z = z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 = (
+        (in1 - c0) / w0, (in1 - c1) / w1, (in1 - c2) / w2, (in1 - c3) / w3, (in1 - c4) / w4,
+        (in2 - c5) / w5, (in2 - c6) / w6, (in2 - c7) / w7, (in2 - c8) / w8, (in2 - c9) / w9)
+    mu = a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = (
+        exp(-z0 * z0), exp(-z1 * z1), exp(-z2 * z2), exp(-z3 * z3), exp(-z4 * z4),
+        exp(-z5 * z5), exp(-z6 * z6), exp(-z7 * z7), exp(-z8 * z8), exp(-z9 * z9))
     f0 = a0 * b0
     f1 = a0 * b1 + a1 * b0
     f2 = a0 * b2 + a1 * b1 + a2 * b0
@@ -118,7 +121,7 @@ def gradient_floats(p: list[float], trace: tuple) -> list[float]:
     # gives d(out)/d(mu1_i) = sum_j (w_ij - out) mu2_j / total (and the same
     # over i for mu2_j), and d(mu)/d(center) = 2 mu z / delta
     k = 2.0 / total
-    d_centers = [
+    dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9 = (
         (e6 * b0 + e6 * b1 + e5 * b2 + e4 * b3 + e3 * b4) * a0 * k * z0 / w0,
         (e6 * b0 + e5 * b1 + e4 * b2 + e3 * b3 + e2 * b4) * a1 * k * z1 / w1,
         (e5 * b0 + e4 * b1 + e3 * b2 + e2 * b3 + e1 * b4) * a2 * k * z2 / w2,
@@ -129,36 +132,65 @@ def gradient_floats(p: list[float], trace: tuple) -> list[float]:
         (e5 * a0 + e4 * a1 + e3 * a2 + e2 * a3 + e1 * a4) * b2 * k * z7 / w7,
         (e4 * a0 + e3 * a1 + e2 * a2 + e1 * a3 + e0 * a4) * b3 * k * z8 / w8,
         (e3 * a0 + e2 * a1 + e1 * a2 + e0 * a3 + e0 * a4) * b4 * k * z9 / w9,
-    ]
+    )
     # d(mu)/d(delta) = 2 mu z^2 / delta, so d(out)/d(delta) is z times d(out)/d(center)
-    return d_centers + [d * v for d, v in zip(d_centers, z)] + weights
-
-
-def _floor_widths(p: list[float]) -> list[float]:
-    p[10:20] = [DEFAULT_DELTA_FLOOR if w < DEFAULT_DELTA_FLOOR else w for w in p[10:20]]
-    return p
+    return [dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9,
+            dc0 * z0, dc1 * z1, dc2 * z2, dc3 * z3, dc4 * z4, dc5 * z5, dc6 * z6, dc7 * z7, dc8 * z8, dc9 * z9,
+            *weights]
 
 
 def train_step_floats(p: list[float], trace: tuple, eta: float, e: float, ds_dout: float) -> list[float]:
     """One steepest-descent step of one net on E = e^2 / 2, widths floored.
 
     Returns the new parameters; a zero step (eta, e or ds_dout zero) returns p
-    itself, every parameter untouched.
+    itself, every parameter untouched. Written out term by term, as the other
+    kernels are: a loop over the 27 parameters would cost as much again.
     """
     g = eta * e * ds_dout
     if g == 0.0:
         return p
-    return _floor_widths([v - g * d for v, d in zip(p, gradient_floats(p, trace))])
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, w0, w1, w2, w3, w4, w5, w6, w7, w8, w9,
+     s0, s1, s2, s3, s4, s5, s6) = p
+    (dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9, dw0, dw1, dw2, dw3, dw4, dw5, dw6, dw7, dw8, dw9,
+     ds0, ds1, ds2, ds3, ds4, ds5, ds6) = gradient_floats(p, trace)
+    f = DEFAULT_DELTA_FLOOR
+    return [
+        c0 - g * dc0, c1 - g * dc1, c2 - g * dc2, c3 - g * dc3, c4 - g * dc4,
+        c5 - g * dc5, c6 - g * dc6, c7 - g * dc7, c8 - g * dc8, c9 - g * dc9,
+        f if (w := w0 - g * dw0) < f else w, f if (w := w1 - g * dw1) < f else w,
+        f if (w := w2 - g * dw2) < f else w, f if (w := w3 - g * dw3) < f else w,
+        f if (w := w4 - g * dw4) < f else w, f if (w := w5 - g * dw5) < f else w,
+        f if (w := w6 - g * dw6) < f else w, f if (w := w7 - g * dw7) < f else w,
+        f if (w := w8 - g * dw8) < f else w, f if (w := w9 - g * dw9) < f else w,
+        s0 - g * ds0, s1 - g * ds1, s2 - g * ds2, s3 - g * ds3, s4 - g * ds4, s5 - g * ds5, s6 - g * ds6,
+    ]
 
 
 def leak_floats(p: list[float], anchor: list[float], rate: float) -> list[float]:
     """Every parameter moved a fraction rate of the way to its anchor, widths floored.
 
-    A zero rate returns p itself.
+    A zero rate returns p itself. Written out term by term, as
+    train_step_floats is.
     """
     if rate == 0.0:
         return p
-    return _floor_widths([v + rate * (a - v) for v, a in zip(p, anchor)])
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, w0, w1, w2, w3, w4, w5, w6, w7, w8, w9,
+     s0, s1, s2, s3, s4, s5, s6) = p
+    (ac0, ac1, ac2, ac3, ac4, ac5, ac6, ac7, ac8, ac9, aw0, aw1, aw2, aw3, aw4, aw5, aw6, aw7, aw8, aw9,
+     as0, as1, as2, as3, as4, as5, as6) = anchor
+    f = DEFAULT_DELTA_FLOOR
+    return [
+        c0 + rate * (ac0 - c0), c1 + rate * (ac1 - c1), c2 + rate * (ac2 - c2), c3 + rate * (ac3 - c3),
+        c4 + rate * (ac4 - c4), c5 + rate * (ac5 - c5), c6 + rate * (ac6 - c6), c7 + rate * (ac7 - c7),
+        c8 + rate * (ac8 - c8), c9 + rate * (ac9 - c9),
+        f if (w := w0 + rate * (aw0 - w0)) < f else w, f if (w := w1 + rate * (aw1 - w1)) < f else w,
+        f if (w := w2 + rate * (aw2 - w2)) < f else w, f if (w := w3 + rate * (aw3 - w3)) < f else w,
+        f if (w := w4 + rate * (aw4 - w4)) < f else w, f if (w := w5 + rate * (aw5 - w5)) < f else w,
+        f if (w := w6 + rate * (aw6 - w6)) < f else w, f if (w := w7 + rate * (aw7 - w7)) < f else w,
+        f if (w := w8 + rate * (aw8 - w8)) < f else w, f if (w := w9 + rate * (aw9 - w9)) < f else w,
+        s0 + rate * (as0 - s0), s1 + rate * (as1 - s1), s2 + rate * (as2 - s2), s3 + rate * (as3 - s3),
+        s4 + rate * (as4 - s4), s5 + rate * (as5 - s5), s6 + rate * (as6 - s6),
+    ]
 
 
 class AnfisNet:

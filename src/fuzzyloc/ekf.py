@@ -9,12 +9,15 @@ written out entry by entry on Python floats; no step calls LAPACK. Each
 formula is one float kernel (predict_floats, innovation_cov_floats,
 innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
 array-level predict, predict_measurement, innovation, gate and update are
-thin wrappers over them. step calls the kernels directly, so the belief and
-the records stay on floats through a whole scan, and each measurement takes
-one closed-form 2x2 inverse of its innovation covariance S, shared by the
-gate and the update. The inverse rejects S unless all four entries are
-finite and its 2-norm condition number, sigma_max^2 / |det| after scaling S
-by its largest |entry|, is at most 1e12.
+thin wrappers over them. predict_floats takes the next pose and the control
+Jacobian from one models kernel, motion_with_jacobian_floats, so a
+prediction evaluates two sines and two cosines. step calls the kernels
+directly, so the belief and the records stay on floats through a whole
+scan, and each measurement takes one closed-form 2x2 inverse of its
+innovation covariance S, shared by the gate and the update. The inverse
+rejects S unless all four entries are finite and its 2-norm condition
+number, sigma_max^2 / |det| after scaling S by its largest |entry|, is at
+most 1e12.
 """
 
 from __future__ import annotations
@@ -150,10 +153,12 @@ def predict_floats(
     P is given by its upper triangle (p00, p01, p02, p11, p12, p22) and Q by
     its four entries, whose off-diagonal pair is averaged; the result is in
     the same order as the arguments: x, y, phi, then P's upper triangle row
-    by row.
+    by row. The mean and G come from models.motion_with_jacobian_floats.
     """
     q01 = 0.5 * (q01 + q10)
-    g00, g01, g10, g11, g20, g21 = models.control_jacobian_floats(phi, v, gamma, dt, wheelbase)
+    x, y, phi, g00, g01, g10, g11, g20, g21 = models.motion_with_jacobian_floats(
+        x, y, phi, v, gamma, dt, wheelbase,
+    )
     fx, fy = g01, g11
     # F P F^T: third column first, it feeds the other entries
     n02 = p02 + fx * p22
@@ -162,7 +167,6 @@ def predict_floats(
     w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
     w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
     w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
-    x, y, phi = models.motion_floats(x, y, phi, v, gamma, dt, wheelbase)
     return (
         x, y, models.wrap_angle(phi),
         p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,

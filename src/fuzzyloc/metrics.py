@@ -1,12 +1,15 @@
 """Ensemble error and consistency metrics.
 
-The chi-square quantiles needed for consistency bands are computed here from
-the regularized incomplete gamma function, so the runtime has no dependency
-beyond numpy.
+NEES is computed by one kernel, nees_floats, on plain floats; nees_rows runs
+the same operations elementwise over a whole run's rows, so a run computes
+its NEES column in one pass after its tick loop. The chi-square quantiles
+needed for consistency bands are computed here from the regularized
+incomplete gamma function, so the runtime has no dependency beyond numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,9 +18,16 @@ import numpy as np
 
 from .ekf import GaussianState
 from .errors import SingularCovarianceError
-from .models import Pose, wrap_angle
+from .models import TWO_PI, Pose, wrap_angle
 
 STATE_DIM = 3
+
+#: Rows per nees_rows block; bounds the temporaries of one pass.
+NEES_BLOCK = 256
+
+#: Column of P's upper triangle (p00, p01, p02, p11, p12, p22) behind each
+#: entry of the full 3x3 P, row by row.
+_FULL_FROM_UPPER = (0, 1, 2, 1, 3, 4, 2, 4, 5)
 
 
 def nees(truth: Pose, est: GaussianState) -> float:
@@ -72,6 +82,61 @@ def nees_floats(
                 x0 = (a3 - a2 * x2 - a1 * x1) / a0
                 return max(e0 * x0 + e1 * x1 + e2 * x2, 0.0)
     raise SingularCovarianceError("state covariance is singular")
+
+
+def nees_rows(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """nees_floats of every row, bit for bit: truth and est are (n, 3) poses,
+    upper is (n, 6), the upper triangle of each row's P, row by row. Only a
+    NaN's sign may differ: from two NaN operands, numpy and CPython may pass
+    on different ones.
+
+    The rows are solved NEES_BLOCK at a time with nees_floats' operations
+    in its order: pivot swaps become selections, max(q, 0.0) keeps q unless
+    0.0 > q (so NaN and -0.0 pass as they do through max), and the heading
+    error is wrapped with np.remainder as RunLog.heading_error wraps it.
+
+    Raises:
+        SingularCovarianceError: some row has an exactly zero pivot.
+    """
+    truth, est, upper = (np.asarray(a, dtype=float) for a in (truth, est, upper))
+    out = np.empty(len(truth))
+    with np.errstate(all="ignore"):  # a singular row raises below; a NaN row stays NaN
+        for start in range(0, len(out), NEES_BLOCK):
+            stop = start + NEES_BLOCK
+            out[start:stop] = _nees_block(truth[start:stop], est[start:stop], upper[start:stop])
+    return out
+
+
+def _nees_block(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """nees_rows of one block: the augmented rows [P | e] eliminated as in nees_floats."""
+    e = truth - est
+    wrapped = np.remainder(e[:, 2], TWO_PI)
+    e[:, 2] = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
+    aug = np.empty((len(e), 3, 4))
+    aug[:, :, :3] = upper[:, _FULL_FROM_UPPER].reshape(-1, 3, 3)
+    aug[:, :, 3] = e
+    a, b, c = aug[:, 0], aug[:, 1], aug[:, 2]
+    swap = (np.abs(b[:, 0]) > np.abs(a[:, 0]))[:, None]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    swap = (np.abs(c[:, 0]) > np.abs(a[:, 0]))[:, None]
+    a, c = np.where(swap, c, a), np.where(swap, a, c)
+    a0, a1, a2, a3 = a.T
+    l1, l2 = b[:, 0] / a0, c[:, 0] / a0
+    # the 2x2 system left after eliminating column 0, rows s and t
+    s = b[:, 1:] - l1[:, None] * a[:, 1:]
+    t = c[:, 1:] - l2[:, None] * a[:, 1:]
+    swap = (np.abs(t[:, 0]) > np.abs(s[:, 0]))[:, None]
+    (s0, s1, s2), (t0, t1, t2) = np.where(swap, t, s).T, np.where(swap, s, t).T
+    l3 = t0 / s0
+    u22 = t1 - l3 * s1
+    if ((a0 == 0.0) | (s0 == 0.0) | (u22 == 0.0)).any():
+        raise SingularCovarianceError("state covariance is singular")
+    x2 = (t2 - l3 * s2) / u22
+    x1 = (s2 - s1 * x2) / s0
+    x0 = (a3 - a2 * x2 - a1 * x1) / a0
+    e0, e1, e2 = e.T
+    q = e0 * x0 + e1 * x1 + e2 * x2
+    return np.where(0.0 > q, 0.0, q)
 
 
 def _stack_nees(logs: Sequence) -> np.ndarray:
@@ -174,12 +239,14 @@ def chi2_ppf(p: float, dof: int) -> float:
     return 2.0 * _inv_reg_lower_gamma(0.5 * dof, p)
 
 
+@functools.lru_cache
 def chi2_band(n_runs: int, state_dim: int, confidence: float) -> tuple[float, float]:
     """Two-sided acceptance band for the per-timestep average NEES.
 
     The average of n_runs independent NEES values, scaled by n_runs, is
     chi-square with n_runs * state_dim degrees of freedom; the band is that
     distribution's central confidence interval divided back by n_runs.
+    The band depends on the arguments alone and is cached per argument tuple.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")

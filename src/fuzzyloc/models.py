@@ -4,6 +4,10 @@ Angles are radians wrapped to (-pi, pi]; distances are meters. The motion
 model is a discrete-time steered vehicle: the commanded speed and steer angle
 are corrupted by additive noise before they act on the pose, so process noise
 enters through the control channel rather than directly on the state.
+
+The float kernels compute the motion (motion_floats), its control Jacobian
+(control_jacobian_floats) and both at once (motion_with_jacobian_floats, the
+one the filter's prediction calls), each with the same products.
 """
 
 from __future__ import annotations
@@ -179,6 +183,31 @@ def control_jacobian_floats(
         *position_jacobian(phi, v, gamma, dt),
         dt * math.sin(gamma) / wheelbase,
         dt * v * math.cos(gamma) / wheelbase,
+    )
+
+
+def motion_with_jacobian_floats(
+    x: float, y: float, phi: float, v: float, gamma: float, dt: float, wheelbase: float
+) -> tuple[float, float, float, float, float, float, float, float, float]:
+    """motion_floats and control_jacobian_floats of one command in one call:
+    the next (x, y, phi), heading not wrapped, then G's six entries row-major.
+
+    Each of sin and cos is taken once of the heading and once of gamma, and
+    every product is the one motion_floats, position_jacobian and
+    control_jacobian_floats write, with dt * v computed once where it is
+    their left factor, so the nine floats are bit for bit theirs.
+    """
+    heading = phi + gamma
+    sin_h, cos_h = math.sin(heading), math.cos(heading)
+    sin_g, cos_g = math.sin(gamma), math.cos(gamma)
+    dtv = dt * v
+    return (
+        x + dtv * cos_h,
+        y + dtv * sin_h,
+        phi + dtv / wheelbase * sin_g,
+        dt * cos_h, -dt * v * sin_h,
+        dt * sin_h, dtv * cos_h,
+        dt * sin_g / wheelbase, dtv * cos_g / wheelbase,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import ekf, metrics, models
 from .adaptation import AdaptationConfig, CovarianceAdapter
 from .ekf import CovPair, GaussianState
-from .errors import ScenarioError
+from .errors import ScenarioError, SingularCovarianceError
 from .models import ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose
 
 VARIANTS = ("ekf", "anfekf-r", "anfekf-q", "anfekf-rq")
@@ -42,6 +42,11 @@ DEFAULT_P0_DIAG = (1e-6, 1e-6, 1e-6)
 SCENARIO_SCHEMA = "fuzzyloc-scenario-v1"
 
 _DEG = math.pi / 180.0
+
+
+def _is_seed(value) -> bool:
+    """Whether value can seed a run: a nonnegative integer that is not a bool."""
+    return type(value) is not bool and isinstance(value, numbers.Integral) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class Scenario:
             raise ScenarioError("landmark coordinates must be finite")
         if not all(math.isfinite(wx) and math.isfinite(wy) for wx, wy in self.waypoints):
             raise ScenarioError("waypoint coordinates must be finite")
-        if type(self.seed) is bool or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not _is_seed(self.seed):
             raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.duration * self.control_rate <= 0.5:  # run_once runs round(...) ticks
             raise ScenarioError("duration must span at least one control tick")
@@ -390,10 +395,11 @@ class RunLog:
 def _check_run_arguments(
     seed_name: str, seed: int | None, gate_threshold: float, p0_diag: tuple[float, float, float],
 ) -> None:
-    """Raise ValueError, naming the argument, on a seed that is not a nonnegative
-    integer, a gate threshold that is NaN or negative, or a p0_diag that is
-    not three positive finite values. A gate threshold of 0 or inf is legal."""
-    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+    """Raise ValueError, naming the argument, on a seed that _is_seed rejects
+    (the check Scenario.validate makes), a gate threshold that is NaN or
+    negative, or a p0_diag that is not three positive finite values. A gate
+    threshold of 0 or inf is legal."""
+    if seed is not None and not _is_seed(seed):
         raise ValueError(f"{seed_name} must be a nonnegative integer, got {seed!r}")
     if not gate_threshold >= 0.0:
         raise ValueError(f"gate_threshold must be nonnegative, got {gate_threshold!r}")
@@ -460,8 +466,7 @@ def run_once(
     t = np.arange(1, n + 1) * dt
     truth_arr = np.empty((n, 3))
     est_arr = np.empty((n, 3))
-    p_diag = np.empty((n, 3))
-    nees_arr = np.empty(n)
+    p_upper = np.empty((n, 6))  # P's upper triangle, row by row
     n_meas = np.zeros(n, dtype=int)
     n_gated = np.zeros(n, dtype=int)
     # R and Q change only when the adapter runs. R's diagonal and Q's entries
@@ -480,60 +485,76 @@ def run_once(
     # Between scans the truth pose and the belief (mean and P's upper
     # triangle) live as floats, and each tick's row goes straight into the
     # arrays above through flat views. Scan ticks rebuild a GaussianState
-    # for ekf.step and the adapter.
+    # for ekf.step and the adapter. NEES is computed once, after the loop.
     tx, ty, tphi = truth.x, truth.y, truth.phi
     x, y, phi = state.mean.tolist()
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    truth_out, est_out, p_out = (memoryview(a).cast("B").cast("d") for a in (truth_arr, est_arr, p_diag))
-    nees_out = memoryview(nees_arr)
+    truth_out, est_out, p_out, dom_out, delta_dom_out, applied_out, q_factor_out = (
+        memoryview(a).cast("B").cast("d")
+        for a in (truth_arr, est_arr, p_upper, dom_diag, delta_dom_diag, applied_delta_r, q_factor)
+    )
     steer_toward = driver.steer
     motion_floats, wrap_angle = models.motion_floats, models.wrap_angle
-    predict_floats, nees_floats = ekf.predict_floats, metrics.nees_floats
+    predict_floats = ekf.predict_floats
 
-    for i, (dv, dgamma) in enumerate(_control_noise(control_rng, scenario.true_noise, n)):
-        steer = steer_toward(tx, ty, tphi)
-        # the truth's command is drive's noisy one, clean + draw, applied as
-        # motion_step(clean, noise=noisy - clean) applies it, rounding included
-        tx, ty, tphi = motion_floats(
-            tx, ty, tphi, speed + ((speed + dv) - speed), steer + ((steer + dgamma) - steer),
-            dt, wheelbase,
-        )
-        tphi = wrap_angle(tphi)
-        if (i + 1) % ratio:
-            x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-                x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q00, q01, q10, q11, dt, wheelbase,
+    i = 0
+    try:
+        for i, (dv, dgamma) in enumerate(_control_noise(control_rng, scenario.true_noise, n)):
+            steer = steer_toward(tx, ty, tphi)
+            # the truth's command is drive's noisy one, clean + draw, applied as
+            # motion_step(clean, noise=noisy - clean) applies it, rounding included
+            tx, ty, tphi = motion_floats(
+                tx, ty, tphi, speed + ((speed + dv) - speed), steer + ((steer + dgamma) - steer),
+                dt, wheelbase,
             )
-        else:
-            scan = sense(Pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
-            prior = ekf._belief(x, y, phi, p00, p01, p02, p11, p12, p22)
-            clean = ControlInput(speed, steer)
-            state, records = ekf.step(
-                prior, clean, scan, cov, landmark_map, dt, wheelbase,
-                gate_threshold=gate_threshold, timestep=i + 1,
-            )
-            accepted = [rec.accepted for rec in records].count(True)
-            n_meas[i] = accepted
-            n_gated[i] = len(records) - accepted
-            if adapter is not None:
-                G_u = models.control_jacobian_floats(phi, speed, steer, dt, wheelbase) if q_mode else None
-                cov, trace = adapter.after_update(records, G_u, cov)
-                r_diag[filled:i] = r_in_force
-                q_diag[filled:i] = q00, q11
-                r_in_force = cov.R.diagonal().tolist()
-                (q00, q01), (q10, q11) = cov.Q.tolist()
-                filled = i
-                if trace.active:
-                    dom_diag[i] = trace.dom_diag
-                    delta_dom_diag[i] = trace.delta_dom_diag
-                    applied_delta_r[i] = trace.applied_delta_r
-                    q_factor[i] = trace.q_factor
-            x, y, phi = state.mean.tolist()
-            (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-        k = 3 * i
-        truth_out[k], truth_out[k + 1], truth_out[k + 2] = tx, ty, tphi
-        est_out[k], est_out[k + 1], est_out[k + 2] = x, y, phi
-        p_out[k], p_out[k + 1], p_out[k + 2] = p00, p11, p22
-        nees_out[i] = nees_floats(tx, ty, tphi, x, y, phi, p00, p01, p02, p01, p11, p12, p02, p12, p22)
+            tphi = wrap_angle(tphi)
+            if (i + 1) % ratio:
+                x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
+                    x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q00, q01, q10, q11, dt, wheelbase,
+                )
+            else:
+                scan = sense(Pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
+                prior = ekf._belief(x, y, phi, p00, p01, p02, p11, p12, p22)
+                clean = ControlInput(speed, steer)
+                state, records = ekf.step(
+                    prior, clean, scan, cov, landmark_map, dt, wheelbase,
+                    gate_threshold=gate_threshold, timestep=i + 1,
+                )
+                accepted = [rec.accepted for rec in records].count(True)
+                n_meas[i] = accepted
+                n_gated[i] = len(records) - accepted
+                if adapter is not None:
+                    G_u = (models.control_jacobian_floats(phi, speed, steer, dt, wheelbase)
+                           if q_mode else None)
+                    cov, trace = adapter.after_update(records, G_u, cov)
+                    r_diag[filled:i] = r_in_force
+                    q_diag[filled:i] = q00, q11
+                    r_in_force = cov.R.diagonal().tolist()
+                    (q00, q01), (q10, q11) = cov.Q.tolist()
+                    filled = i
+                    if trace.active:
+                        k = 2 * i
+                        dom_out[k], dom_out[k + 1] = trace.dom_diag
+                        delta_dom_out[k], delta_dom_out[k + 1] = trace.delta_dom_diag
+                        applied_out[k], applied_out[k + 1] = trace.applied_delta_r
+                        q_factor_out[i] = trace.q_factor
+                x, y, phi = state.mean.tolist()
+                (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+            k = 3 * i
+            truth_out[k], truth_out[k + 1], truth_out[k + 2] = tx, ty, tphi
+            est_out[k], est_out[k + 1], est_out[k + 2] = x, y, phi
+            k = 6 * i
+            p_out[k], p_out[k + 1], p_out[k + 2] = p00, p01, p02
+            p_out[k + 3], p_out[k + 4], p_out[k + 5] = p11, p12, p22
+    except Exception:
+        # An exactly singular P in a row logged before the failing tick i
+        # is reported instead of the failure, as a per-tick NEES would.
+        try:
+            metrics.nees_rows(truth_arr[:i], est_arr[:i], p_upper[:i])
+        except SingularCovarianceError as singular:
+            raise singular from None
+        raise
+    nees_arr = metrics.nees_rows(truth_arr, est_arr, p_upper)
     r_diag[filled:] = r_in_force
     q_diag[filled:] = q00, q11
 
@@ -543,7 +564,7 @@ def run_once(
         t=t,
         truth=truth_arr,
         est_mean=est_arr,
-        p_diag=p_diag,
+        p_diag=p_upper[:, (0, 3, 5)],
         nees=nees_arr,
         n_meas=n_meas,
         n_gated=n_gated,

@@ -10,7 +10,10 @@ from fuzzyloc.anfis import (
     CONSEQUENT,
     DEFAULT_DELTA_FLOOR,
     AnfisNet,
+    forward_floats,
     gradient_floats,
+    leak_floats,
+    train_step_floats,
 )
 from fuzzyloc.errors import ZeroFiringError
 
@@ -257,6 +260,41 @@ class TestTraining:
             _, traces = net.forward([(0.1e-4, -0.1e-4)])
             net.train_step(traces, [5.0], [1.0])
             assert min(net.params[0][10:20]) >= DEFAULT_DELTA_FLOOR
+
+
+def _floored(row: list[float]) -> list[float]:
+    """row with its widths floored at DEFAULT_DELTA_FLOOR, a NaN width kept."""
+    return row[:10] + [DEFAULT_DELTA_FLOOR if w < DEFAULT_DELTA_FLOOR else w for w in row[10:20]] + row[20:]
+
+
+class TestWrittenOutKernels:
+    """The written-out leak_floats and train_step_floats against the
+    elementwise loops they spell out, bit for bit."""
+
+    def test_leak_matches_loop(self, rng):
+        for i in range(300):
+            p = rng.normal(size=27).tolist()
+            anchor = rng.normal(size=27).tolist()
+            # widths on both sides of the floor, so some leak below it
+            p[10:20] = rng.uniform(-2e-4, 4e-4, 10).tolist()
+            anchor[10:20] = rng.uniform(-2e-4, 4e-4, 10).tolist()
+            if i % 10 == 0:
+                p[int(rng.integers(27))] = math.nan
+            rate = float(rng.uniform(0.0, 1.0))
+            expected = _floored([v + rate * (a - v) for v, a in zip(p, anchor)])
+            assert hexes(leak_floats(p, anchor, rate)) == hexes(expected)
+
+    def test_train_step_matches_loop(self, rng):
+        for _ in range(300):
+            p = helpers.random_net(rng).params[0]
+            trace = forward_floats(p, *rng.uniform(-2.0, 2.0, 2).tolist())
+            grad = gradient_floats(p, trace)
+            z = trace[0]
+            assert hexes(grad[10:20]) == hexes([d * v for d, v in zip(grad[:10], z)])
+            eta, e, ds = float(rng.uniform(0.0, 2.0)), float(rng.normal(scale=10.0)), 1.0
+            g = eta * e * ds
+            expected = _floored([v - g * d for v, d in zip(p, grad)])
+            assert hexes(train_step_floats(p, trace, eta, e, ds)) == hexes(expected)
 
 
 class TestNumpyStackReference:

@@ -15,6 +15,7 @@ import helpers
 from fuzzyloc.ekf import GaussianState
 from fuzzyloc.errors import SingularCovarianceError
 from fuzzyloc.metrics import (
+    NEES_BLOCK,
     STATE_DIM,
     EnsembleReport,
     _reg_lower_gamma,
@@ -26,6 +27,8 @@ from fuzzyloc.metrics import (
     heading_rmse,
     in_band_fraction,
     nees,
+    nees_floats,
+    nees_rows,
     rmse,
 )
 from fuzzyloc.models import Pose
@@ -134,6 +137,137 @@ class TestNees:
             assert nees(truth, est).hex() == expected.hex()
 
 
+def _nees_floats_rows(truth, est, upper):
+    """nees_floats of each row on Python floats: a float, or the exception it raised."""
+    out = []
+    for (tx, ty, tphi), (x, y, phi), (p00, p01, p02, p11, p12, p22) in zip(
+            truth.tolist(), est.tolist(), upper.tolist()):
+        try:
+            out.append(nees_floats(tx, ty, tphi, x, y, phi,
+                                   p00, p01, p02, p01, p11, p12, p02, p12, p22))
+        except SingularCovarianceError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_rows_match(truth, est, upper):
+    """nees_rows equals nees_floats row by row, bit for bit."""
+    expected = _nees_floats_rows(truth, est, upper)
+    assert all(isinstance(v, float) for v in expected)
+    got = nees_rows(truth, est, upper)
+    assert got.dtype == np.float64 and got.shape == (len(truth),)
+    assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+def _pivot_order(p00, p01, p02, p11, p12, p22):
+    """(first pivot row, second pivot row) that nees_floats' elimination picks for P."""
+    a, b, c = (p00, p01, 0), (p01, p11, 1), (p02, p12, 2)
+    if abs(b[0]) > abs(a[0]):
+        a, b = b, a
+    if abs(c[0]) > abs(a[0]):
+        a, c = c, a
+    s0 = b[1] - b[0] / a[0] * a[1]
+    t0 = c[1] - c[0] / a[0] * a[1]
+    return a[2], (c if abs(t0) > abs(s0) else b)[2]
+
+
+_UPPER = np.triu_indices(3)
+
+
+def _spd_uppers(rng, n, log_scale=0.0, log_cond=6.0):
+    """Upper triangles of n random SPD matrices with condition numbers up to 10^log_cond."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    eig = 10.0 ** -rng.uniform(0.0, log_cond, size=(n, 1, 3))
+    return (10.0**log_scale * (q * eig) @ q.transpose(0, 2, 1))[:, _UPPER[0], _UPPER[1]]
+
+
+def _general_uppers(rng, n):
+    """Upper triangles of n symmetric, mostly indefinite matrices, entries over six decades."""
+    return rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 6))
+
+
+class TestNeesRows:
+    """metrics.nees_rows against its oracle nees_floats, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3 * NEES_BLOCK + 1),
+        spd=st.booleans(),
+        log_scale=st.floats(-100.0, 100.0),
+    )
+    def test_matches_nees_floats_bitwise(self, seed, n, spd, log_scale):
+        rng = np.random.default_rng(seed)
+        upper = _spd_uppers(rng, n, log_scale) if spd else _general_uppers(rng, n)
+        truth = rng.normal(scale=4.0, size=(n, 3))
+        est = rng.normal(scale=4.0, size=(n, 3))
+        _assert_rows_match(truth, est, upper)
+
+    @pytest.mark.parametrize("kind", ["general", "spd"])
+    def test_every_pivot_order(self, rng, kind):
+        n = 4000
+        upper = _general_uppers(rng, n) if kind == "general" else _spd_uppers(rng, n)
+        orders = {_pivot_order(*row) for row in upper.tolist()}
+        assert orders == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
+        _assert_rows_match(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), upper)
+
+    @pytest.mark.parametrize("P", [
+        np.zeros((3, 3)),
+        np.diag([2.0, 0.0, 1.0]),
+        np.ones((3, 3)),
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.diag([-0.0, -0.0, 1.0]),
+    ])
+    def test_singular_row_raises_as_nees_floats_does(self, rng, P):
+        n = 2 * NEES_BLOCK + 1
+        truth, est = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        for row in (0, NEES_BLOCK - 1, NEES_BLOCK, 2 * NEES_BLOCK):
+            upper = _spd_uppers(rng, n)
+            upper[row] = P[_UPPER]
+            singular = _nees_floats_rows(truth, est, upper)[row]
+            assert isinstance(singular, SingularCovarianceError)
+            with pytest.raises(SingularCovarianceError) as raised:
+                nees_rows(truth, est, upper)
+            assert str(raised.value) == str(singular)
+
+    def test_nan_entries(self, rng):
+        """A NaN anywhere in a row gives NaN, as nees_floats does. Bits match
+        except for a NaN's sign: with two NaN operands, IEEE 754 leaves open
+        which one a sum or product returns."""
+        n = 3 * NEES_BLOCK
+        upper = _spd_uppers(rng, n)
+        truth, est = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        for arr in (upper, truth, est):
+            arr[rng.random(size=arr.shape) < 0.02] = np.nan
+        expected = np.array(_nees_floats_rows(truth, est, upper), dtype=float)
+        got = nees_rows(truth, est, upper)
+        nan = np.isnan(expected)
+        assert 0 < nan.sum() < n
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    def test_truth_equal_to_estimate(self, rng):
+        n = NEES_BLOCK + 3
+        truth = rng.normal(size=(n, 3))
+        upper = np.concatenate([_spd_uppers(rng, n // 2), _general_uppers(rng, n - n // 2)])
+        _assert_rows_match(truth, truth.copy(), upper)
+        assert np.all(nees_rows(truth, truth, upper) == 0.0)
+
+    def test_heading_differences_at_multiples_of_pi(self, rng):
+        diffs = [math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
+                 math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), 3.0 * math.pi, 1e3]
+        n = len(diffs) * 40
+        est = rng.normal(size=(n, 3))
+        truth = rng.normal(size=(n, 3))
+        truth[:, 2] = est[:, 2] + np.repeat(diffs, 40)
+        _assert_rows_match(truth, est, _spd_uppers(rng, n))
+
+    @pytest.mark.parametrize("n", [0, 1, NEES_BLOCK - 1, NEES_BLOCK, NEES_BLOCK + 1, 2 * NEES_BLOCK + 7])
+    def test_rows_across_block_boundaries(self, rng, n):
+        upper = _spd_uppers(rng, n) if n else np.empty((0, 6))
+        _assert_rows_match(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), upper)
+
+
 class TestEnsembleSeries:
     def test_stack_rejects_unequal_lengths(self):
         logs = [fake_log(nees_series=[1.0, 2.0]), fake_log(nees_series=[1.0])]
@@ -219,6 +353,13 @@ class TestChi2Band:
         assert hi_big - lo_big < hi_small - lo_small
         # both bands straddle the expected NEES of a consistent filter
         assert lo_big < 3.0 < hi_big
+
+    def test_computed_once_per_argument_tuple(self):
+        chi2_band.cache_clear()
+        band = chi2_band(20, 3, 0.95)
+        assert chi2_band(20, 3, 0.95) is band
+        assert chi2_band.cache_info().hits == 1
+        assert band == chi2_band.__wrapped__(20, 3, 0.95)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

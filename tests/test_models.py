@@ -1,5 +1,6 @@
 """Kinematics, sensing, and Jacobian tests against closed forms and FD oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ from fuzzyloc.models import (
     LandmarkMap,
     Measurement,
     Pose,
+    control_jacobian_floats,
+    motion_floats,
     motion_jacobian_control,
     motion_jacobian_state,
     motion_step,
+    motion_with_jacobian_floats,
     observation_jacobian,
     observe,
     wrap_angle,
@@ -166,6 +170,30 @@ class TestMotionJacobians:
             fd = helpers.fd_jacobian(f, np.zeros(2), h=1e-6, wrap_rows=(2,))
             analytic = motion_jacobian_control(pose, u, dt, wheelbase)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
+
+
+class TestMotionWithJacobian:
+    """motion_with_jacobian_floats against motion_floats + control_jacobian_floats, bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(x, y, phi, v, gamma, dt, wheelbase):
+        got = motion_with_jacobian_floats(x, y, phi, v, gamma, dt, wheelbase)
+        expected = (*motion_floats(x, y, phi, v, gamma, dt, wheelbase),
+                    *control_jacobian_floats(phi, v, gamma, dt, wheelbase))
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    def test_random_inputs(self, rng):
+        for _ in range(2000):
+            x, y = rng.normal(scale=100.0, size=2).tolist()
+            phi, gamma = rng.uniform(-math.pi, math.pi, size=2).tolist()
+            v = float(rng.normal(scale=5.0))
+            dt, wheelbase = float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.5, 8.0))
+            self._assert_bitwise(x, y, phi, v, gamma, dt, wheelbase)
+
+    def test_extreme_angles(self):
+        angles = [math.pi, -math.pi, 1e3, -1e3, 0.0, -0.0]
+        for phi, gamma, v in itertools.product(angles, angles, [3.0, -3.0, 0.0, -0.0, 1e3]):
+            self._assert_bitwise(12.5, -7.25, phi, v, gamma, 0.025, 4.0)
 
 
 class TestObserve:

@@ -18,9 +18,14 @@ import numpy as np
 import pytest
 
 import helpers
-from fuzzyloc import models, simulator
+from fuzzyloc import ekf, metrics, models, simulator
 from fuzzyloc.adaptation import AdaptationConfig
-from fuzzyloc.errors import DegenerateGeometryError, FuzzylocError, ScenarioError
+from fuzzyloc.errors import (
+    DegenerateGeometryError,
+    FuzzylocError,
+    ScenarioError,
+    SingularCovarianceError,
+)
 from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose, wrap_angle
 from fuzzyloc.simulator import (
     DEFAULT_P0_DIAG,
@@ -516,7 +521,9 @@ class TestRunOnce:
     @pytest.mark.parametrize("call, argument, value", [
         ("run_once", "seed", -1),
         ("run_once", "seed", 1.5),
+        ("run_once", "seed", True),
         ("run_monte_carlo", "base_seed", -1),
+        ("run_monte_carlo", "base_seed", False),
         ("run_once", "gate_threshold", math.nan),
         ("run_once", "gate_threshold", -1.0),
         ("run_monte_carlo", "gate_threshold", math.nan),
@@ -819,6 +826,65 @@ class TestTickLoopGuard:
         scans = len(log.t) // tiny_scenario.ticks_per_observation
         assert scans > 0
         assert calls == {"step": scans, "drive": 0}
+
+
+class TestNeesAfterTheLoop:
+    """run_once computes its NEES column in one nees_rows pass after the tick loop."""
+
+    def test_nees_rows_once_and_no_nees_floats(self, tiny_scenario, monkeypatch):
+        calls = {"nees_floats": 0, "nees_rows": 0}
+        nees_floats, nees_rows = metrics.nees_floats, metrics.nees_rows
+
+        def counted_floats(*args):
+            calls["nees_floats"] += 1
+            return nees_floats(*args)
+
+        def counted_rows(*args):
+            calls["nees_rows"] += 1
+            return nees_rows(*args)
+
+        monkeypatch.setattr(metrics, "nees_floats", counted_floats)
+        monkeypatch.setattr(metrics, "nees_rows", counted_rows)
+        run_once(tiny_scenario, "anfekf-rq", seed=0)
+        assert calls == {"nees_floats": 0, "nees_rows": 1}
+
+    @staticmethod
+    def _patch_predict(monkeypatch, singular_call=None, failing_call=None):
+        """ekf.predict_floats, whose call singular_call returns P = 0 and whose
+        call failing_call raises RuntimeError. Every tick predicts once."""
+        predict = ekf.predict_floats
+        calls = [0]
+
+        def patched(*args):
+            calls[0] += 1
+            if calls[0] == failing_call:
+                raise RuntimeError("later failure")
+            out = predict(*args)
+            return out[:3] + (0.0,) * 6 if calls[0] == singular_call else out
+
+        monkeypatch.setattr(ekf, "predict_floats", patched)
+
+    @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
+    def test_singular_tick_raises_before_a_later_error(self, tiny_scenario, monkeypatch, variant):
+        # tick 9 is between scans, tick 30 two scans later
+        self._patch_predict(monkeypatch, singular_call=10, failing_call=31)
+        with pytest.raises(SingularCovarianceError, match="^state covariance is singular$") as raised:
+            run_once(tiny_scenario, variant, seed=0)
+        assert raised.value.__cause__ is None and raised.value.__suppress_context__
+        # the per-tick loop of the oracle stops at the singular tick itself
+        self._patch_predict(monkeypatch, singular_call=10, failing_call=31)
+        with pytest.raises(SingularCovarianceError):
+            helpers.run_once_object_loop(tiny_scenario, variant, seed=0)
+
+    def test_singular_tick_raises_after_the_loop(self, tiny_scenario, monkeypatch):
+        self._patch_predict(monkeypatch, singular_call=10)
+        with pytest.raises(SingularCovarianceError, match="^state covariance is singular$"):
+            run_once(tiny_scenario, "anfekf-r", seed=0)
+
+    def test_later_error_alone_surfaces(self, tiny_scenario, monkeypatch):
+        self._patch_predict(monkeypatch, failing_call=31)
+        with pytest.raises(RuntimeError, match="^later failure$"):
+            run_once(tiny_scenario, "anfekf-r", seed=0)
 
 
 class TestMonteCarlo:
