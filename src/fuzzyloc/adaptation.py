@@ -11,8 +11,8 @@ Per scan CovarianceAdapter.after_update runs the steps below in one fixed
 order: leak_toward, saturated_forward, adapt_r and adapt_q, then
 train_adapters. The nets are one anfis.AnfisNet, a row of 27 floats per
 net driven by the anfis kernels; the window covariance is summed oldest
-residual first, and the Q sensitivity goes through
-models.control_cov_floats and range_bearing_cov_diag_floats. Per scan the
+residual first, and the Q sensitivity is the filter's own S kernel,
+ekf.innovation_cov_floats, with G Q G^T for P and a zero R. Per scan the
 adapter unpacks the records' floats and calls numpy only to read its CovPair
 with tolist and to build the one it returns; once per run _build_net takes
 np.std and np.mean of the S samples. None of this calls BLAS, so the
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import models
 from .anfis import DEFAULT_ETA, N_TERMS, AnfisNet, leak_floats, saturate_floats
-from .ekf import CovPair, InnovationRecord
+from .ekf import CovPair, InnovationRecord, innovation_cov_floats
 
 DEFAULT_WINDOW = 15
 DEFAULT_R_FLOOR = 1e-8
@@ -141,7 +141,8 @@ def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[f
 
     d(S_ii)/d(factor) = [H G Q G^T H^T]_ii, averaged in order over the
     accepted records of the scan, given G Q G^T's upper triangle
-    (models.control_cov_floats). Each record's H has the phi column
+    (models.control_cov_floats): the diagonal of ekf.innovation_cov_floats'
+    S with G Q G^T for P and a zero R. Each record's H has the phi column
     (0, -1), as ekf.step records it.
     """
     s0 = s1 = 0.0
@@ -149,7 +150,8 @@ def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[f
     for rec in records:
         if rec.accepted and rec.H is not None:
             (h00, h01, _), (h10, h11, _) = rec.H
-            d0, d1 = models.range_bearing_cov_diag_floats(h00, h01, h10, h11, *gqg)
+            # R's +0.0 only turns a -0.0 into 0.0, which the sums from 0.0 do anyway
+            d0, _, d1 = innovation_cov_floats(*gqg, h00, h01, h10, h11, 0.0, 0.0, 0.0, 0.0)
             s0 += d0
             s1 += d1
             n += 1

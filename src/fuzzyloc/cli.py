@@ -11,7 +11,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from contextlib import closing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,17 +123,9 @@ class ExperimentSpec:
             raise ValueError("--workers must be at least 1")
 
     def adaptation_config(self) -> AdaptationConfig:
-        cfg = AdaptationConfig()
-        overrides = {}
-        if self.window is not None:
-            overrides["window"] = self.window
-        if self.eta is not None:
-            overrides["eta"] = self.eta
-        if self.r_floor is not None:
-            overrides["r_floor"] = self.r_floor
-        if self.q_floor is not None:
-            overrides["q_floor"] = self.q_floor
-        return replace(cfg, **overrides) if overrides else cfg
+        """AdaptationConfig with every setting this spec gives; a None keeps the default."""
+        settings = {f.name: getattr(self, f.name) for f in fields(AdaptationConfig)}
+        return AdaptationConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 #: Rows formatted per block: bounds the transient lists of one table's text.
@@ -163,13 +156,22 @@ def _write_csv(path: Path, schema: str, header: list[str], tables) -> None:
 def _write_csv_bodies(path: Path, schema: str, header: list[str], bodies) -> None:
     """Replace path with the '# schema=' line, the header row, then each body.
 
-    A body is the text _format_rows gives for one table.
+    A body is the text _format_rows gives for one table, written as it
+    arrives. The text goes to a partial file beside path, removed if
+    anything fails; at the end path is unlinked (see _unlink; a rename over
+    it would wait the same way) and the partial file renamed to it.
     """
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(f"# schema={schema}\n")
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(bodies)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     _unlink(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(bodies)
+    partial.rename(path)
 
 
 def _unlink(path: Path) -> None:
@@ -245,20 +247,13 @@ def _metadata(spec_fields: dict, scenario) -> dict:
     }
 
 
-def _ensemble_report(scenario, spec: ExperimentSpec) -> EnsembleReport:
-    """Aggregate report of the Monte Carlo runs of one spec."""
-    logs = run_monte_carlo(
-        scenario, spec.variant, spec.n_runs, spec.base_seed,
-        max_workers=spec.workers, adaptation=spec.adaptation_config(),
-    )
-    return build_report(logs)
-
-
 def cmd_run(spec: ExperimentSpec) -> int:
     """Run one variant; write runs.csv, report.csv, summary.json, metadata.json.
 
     Each run's runs.csv rows are formatted where the run ran, in a worker
-    with --workers above 1. No output is written until every run returned.
+    with --workers above 1, and written as the run arrives, in run order;
+    only its RunLog is kept for the report. runs.csv is replaced once every
+    run returned, and the other outputs are written after it.
     """
     spec.validate()
     scenario = load_scenario(spec.scenario_path)
@@ -266,9 +261,16 @@ def cmd_run(spec: ExperimentSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
     adaptation = spec.adaptation_config()
     jobs = [(scenario, spec.variant, spec.base_seed + i, adaptation, i) for i in range(spec.n_runs)]
-    logs, bodies = zip(*fan_out(_run_and_format, jobs, spec.workers))
-    report = build_report(list(logs))
-    _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies)
+    logs = []
+
+    def bodies(results):
+        for log, body in results:
+            logs.append(log)
+            yield body
+
+    with closing(fan_out(_run_and_format, jobs, spec.workers)) as results:
+        _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies(results))
+    report = build_report(logs)
     _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)])
     _write_json(out / "summary.json", _summary_dict(report))
     _write_json(out / "metadata.json", _metadata(vars(spec).copy(), scenario))
@@ -285,7 +287,11 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     scenario = load_scenario(spec_a.scenario_path)
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep_a, rep_b = (_ensemble_report(scenario, spec) for spec in (spec_a, spec_b))
+    rep_a, rep_b = (
+        build_report(run_monte_carlo(scenario, spec.variant, spec.n_runs, spec.base_seed,
+                                     max_workers=spec.workers, adaptation=spec.adaptation_config()))
+        for spec in (spec_a, spec_b)
+    )
     steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
     table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
     _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, [table])
@@ -372,11 +378,8 @@ def _spec_from_args(args: argparse.Namespace, variant: str) -> ExperimentSpec:
         n_runs=args.runs,
         base_seed=args.seed,
         out_dir=args.out,
-        window=args.window,
-        eta=args.eta,
-        r_floor=args.r_floor,
-        q_floor=args.q_floor,
         workers=args.workers,
+        **{f.name: getattr(args, f.name) for f in fields(AdaptationConfig)},
     )
 
 

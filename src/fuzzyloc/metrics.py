@@ -18,7 +18,7 @@ import numpy as np
 
 from .ekf import GaussianState
 from .errors import SingularCovarianceError
-from .models import TWO_PI, Pose, wrap_angle
+from .models import Pose, wrap_angle, wrap_angles
 
 STATE_DIM = 3
 
@@ -93,7 +93,7 @@ def nees_rows(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarr
     The rows are solved NEES_BLOCK at a time with nees_floats' operations
     in its order: pivot swaps become selections, max(q, 0.0) keeps q unless
     0.0 > q (so NaN and -0.0 pass as they do through max), and the heading
-    error is wrapped with np.remainder as RunLog.heading_error wraps it.
+    error is wrapped by models.wrap_angles.
 
     Raises:
         SingularCovarianceError: some row has an exactly zero pivot.
@@ -110,8 +110,7 @@ def nees_rows(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarr
 def _nees_block(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """nees_rows of one block: the augmented rows [P | e] eliminated as in nees_floats."""
     e = truth - est
-    wrapped = np.remainder(e[:, 2], TWO_PI)
-    e[:, 2] = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
+    e[:, 2] = wrap_angles(e[:, 2])
     aug = np.empty((len(e), 3, 4))
     aug[:, :, :3] = upper[:, _FULL_FROM_UPPER].reshape(-1, 3, 3)
     aug[:, :, 3] = e

@@ -8,6 +8,7 @@ enters through the control channel rather than directly on the state.
 The float kernels compute the motion (motion_floats), its control Jacobian
 (control_jacobian_floats) and both at once (motion_with_jacobian_floats, the
 one the filter's prediction calls), each with the same products.
+wrap_angles is wrap_angle over an array, the one wrap of logged headings.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def wrap_angle(angle: float) -> float:
     if wrapped > math.pi:
         wrapped -= TWO_PI
     return wrapped
+
+
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """wrap_angle of every entry, bit for bit; a NaN or infinite angle gives NaN."""
+    with np.errstate(invalid="ignore"):
+        wrapped = np.remainder(angles, TWO_PI)
+    return np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
 
 
 @dataclass(frozen=True)
@@ -315,19 +323,3 @@ def observation_jacobian(pose: Pose, landmark: Landmark) -> np.ndarray:
         ]
     )
 
-
-def range_bearing_cov_diag_floats(
-    h00: float, h01: float, h10: float, h11: float,
-    m00: float, m01: float, m02: float, m11: float, m12: float, m22: float,
-) -> tuple[float, float]:
-    """The diagonal of H M H^T on floats, for a symmetric 3x3 M given by its upper triangle.
-
-    H is given by the entries of its (x, y) columns, as range_bearing_jacobian
-    returns them; its phi column is (0, -1).
-    """
-    # the range row of H M, then the bearing row, with H's phi column (0, -1)
-    a0, a1 = h00 * m00 + h01 * m01, h00 * m01 + h01 * m11
-    b0 = h10 * m00 + h11 * m01 - m02
-    b1 = h10 * m01 + h11 * m11 - m12
-    b2 = h10 * m02 + h11 * m12 - m22
-    return a0 * h00 + a1 * h01, b0 * h10 + b1 * h11 - b2

@@ -106,10 +106,13 @@ class Scenario:
             raise ScenarioError("waypoint coordinates must be finite")
         if not _is_seed(self.seed):
             raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.duration * self.control_rate <= 0.5:  # run_once runs round(...) ticks
+        ticks = self.duration * self.control_rate  # run_once runs round(ticks) ticks
+        if not math.isfinite(ticks):
+            raise ScenarioError("duration x control_rate overflows")
+        if ticks <= 0.5:
             raise ScenarioError("duration must span at least one control tick")
         ratio = self.control_rate / self.observe_rate
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("control_rate must be an integer multiple of observe_rate")
         for label, noise in (("true_noise", self.true_noise), ("assumed_noise", self.assumed_noise)):
             for field_name in ("sigma_v", "sigma_gamma", "sigma_r", "sigma_theta"):
@@ -163,12 +166,19 @@ def _noise_to_dict(noise: NoiseSpec) -> dict:
     }
 
 
+def _number(value) -> float:
+    """A scenario number as a float; a bool, string or other non-number is malformed."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _noise_from_dict(data: dict) -> NoiseSpec:
     return NoiseSpec(
-        sigma_v=float(data["sigma_v"]),
-        sigma_gamma=float(data["sigma_gamma_deg"]) * _DEG,
-        sigma_r=float(data["sigma_r"]),
-        sigma_theta=float(data["sigma_theta_deg"]) * _DEG,
+        sigma_v=_number(data["sigma_v"]),
+        sigma_gamma=_number(data["sigma_gamma_deg"]) * _DEG,
+        sigma_r=_number(data["sigma_r"]),
+        sigma_theta=_number(data["sigma_theta_deg"]) * _DEG,
     )
 
 
@@ -202,22 +212,22 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unsupported scenario schema: {schema!r} (expected {SCENARIO_SCHEMA!r})")
     try:
         scenario = Scenario(
-            landmarks=tuple(Landmark(i, float(x), float(y)) for i, x, y in data["landmarks"]),
-            waypoints=tuple((float(x), float(y)) for x, y in data["waypoints"]),
-            wheelbase=float(data["wheelbase"]),
-            speed=float(data["speed"]),
-            gamma_max=float(data["gamma_max_deg"]) * _DEG,
-            sensor_range=float(data["sensor_range"]),
-            sensor_fov=float(data["sensor_fov_deg"]) * _DEG,
-            control_rate=float(data["control_rate"]),
-            observe_rate=float(data["observe_rate"]),
+            landmarks=tuple(Landmark(i, _number(x), _number(y)) for i, x, y in data["landmarks"]),
+            waypoints=tuple((_number(x), _number(y)) for x, y in data["waypoints"]),
+            wheelbase=_number(data["wheelbase"]),
+            speed=_number(data["speed"]),
+            gamma_max=_number(data["gamma_max_deg"]) * _DEG,
+            sensor_range=_number(data["sensor_range"]),
+            sensor_fov=_number(data["sensor_fov_deg"]) * _DEG,
+            control_rate=_number(data["control_rate"]),
+            observe_rate=_number(data["observe_rate"]),
             true_noise=_noise_from_dict(data["true_noise"]),
             assumed_noise=_noise_from_dict(data["assumed_noise"]),
-            duration=float(data["duration"]),
+            duration=_number(data["duration"]),
             seed=data.get("seed", 0),
-            start=tuple(float(v) for v in data.get("start", (0.0, 0.0, 0.0))),
+            start=tuple(_number(v) for v in data.get("start", (0.0, 0.0, 0.0))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     scenario.validate()
     return scenario
@@ -374,10 +384,8 @@ class RunLog:
         )
 
     def heading_error(self) -> np.ndarray:
-        """Heading errors wrapped to (-pi, pi], bitwise equal to models.wrap_angle."""
-        with np.errstate(invalid="ignore"):  # a non-finite error stays NaN, as in wrap_angle
-            wrapped = np.remainder(self.truth[:, 2] - self.est_mean[:, 2], models.TWO_PI)
-        return np.where(wrapped > math.pi, wrapped - models.TWO_PI, wrapped)
+        """Heading errors wrapped to (-pi, pi] by models.wrap_angles."""
+        return models.wrap_angles(self.truth[:, 2] - self.est_mean[:, 2])
 
     def summary(self) -> RunSummary:
         err = self.position_error()
@@ -589,25 +597,29 @@ def _fan_out_worker(job: Callable, items: list[tuple], conn) -> None:
         conn.close()
 
 
-def fan_out(job: Callable, items: list[tuple], workers: int) -> list:
-    """[job(*args) for args in items], spread over min(workers, len(items)) processes.
+def fan_out(job: Callable, items: list[tuple], workers: int) -> Iterator:
+    """Yield job(*args) for each args in items, in item order, computed by
+    min(workers, len(items)) processes.
 
     Worker w runs items w, w + W, ... and sends each result down its own
     one-way pipe. The calling thread receives them in item order, so the
-    list equals the serial one. No helper thread receives anything: a
-    result unpickled on another thread would fill that thread's malloc
-    arena, which this process keeps and every later forked worker inherits.
-    With one worker or one item the calls run in this process. job must be
-    a module-level function, so that a spawned worker can unpickle it.
+    results equal the serial ones, and each is yielded as it arrives. No
+    helper thread receives anything: a result unpickled on another thread
+    would fill that thread's malloc arena, which this process keeps and
+    every later forked worker inherits. With one worker or one item the
+    calls run in this process, each when its result is asked for. job must
+    be a module-level function, so that a spawned worker can unpickle it.
 
     An exception raised by job is raised here, with its type and message;
     a worker that exits without sending its results raises RuntimeError.
-    Every worker is joined before this returns or raises; on a failure the
-    workers still running are terminated first.
+    Every worker is joined before the generator finishes, raises or is
+    closed; on a failure or a close the workers still running are
+    terminated first.
     """
     workers = min(workers, len(items))
     if workers <= 1:
-        return [job(*args) for args in items]
+        yield from (job(*args) for args in items)
+        return
     procs, conns = [], []
     try:
         for w in range(workers):
@@ -618,7 +630,6 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> list:
             procs.append(proc)
             # Only the worker holds the sending end now, so its exit ends the pipe.
             sender.close()
-        results = []
         for i in range(len(items)):
             try:
                 ok, value = conns[i % workers].recv()
@@ -631,8 +642,7 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> list:
                 ) from None
             if not ok:
                 raise value
-            results.append(value)
-        return results
+            yield value
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -666,4 +676,4 @@ def run_monte_carlo(
     _check_run_arguments("base_seed", base_seed, gate_threshold, p0_diag)
     runs = [(scenario, variant, seed, adaptation, gate_threshold, p0_diag)
             for seed in range(base_seed, base_seed + n_runs)]
-    return fan_out(run_once, runs, max_workers)
+    return list(fan_out(run_once, runs, max_workers))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from fuzzyloc import adaptation, anfis, models
@@ -298,6 +300,20 @@ class TestAdaptQ:
         assert Q_new[0, 0] == 1.1 and Q_new[1, 1] == 1.1
 
 
+#: Entries of drawn H rows and control Jacobians.
+_ENTRY = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def _range_bearing_cov_diag(h00, h01, h10, h11, m00, m01, m02, m11, m12, m22):
+    """The diagonal of H M H^T as the former models.range_bearing_cov_diag_floats
+    computed it, for H's (x, y) columns and M's upper triangle."""
+    a0, a1 = h00 * m00 + h01 * m01, h00 * m01 + h01 * m11
+    b0 = h10 * m00 + h11 * m01 - m02
+    b1 = h10 * m01 + h11 * m11 - m12
+    b2 = h10 * m02 + h11 * m12 - m22
+    return a0 * h00 + a1 * h01, b0 * h10 + b1 * h11 - b2
+
+
 def q_sensitivity(records, G, Q):
     """q_sensitivity_floats for a 3x2 G and a 2x2 Q."""
     return q_sensitivity_floats(records, models.control_cov_floats(*G.ravel().tolist(), *Q.ravel().tolist()))
@@ -322,6 +338,40 @@ class TestQFactorSensitivity:
     def test_no_usable_records_gives_zero(self):
         G = np.zeros((3, 2))
         assert np.all(np.array(q_sensitivity([], G, np.eye(2))) == 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        G=st.lists(_ENTRY, min_size=6, max_size=6),
+        q=st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0), st.floats(-1.0, 1.0)),
+        rows=st.lists(st.tuples(st.lists(_ENTRY, min_size=4, max_size=4), st.booleans()),
+                      max_size=6),
+    )
+    def test_matches_the_diagonal_kernel_it_replaced(self, G, q, rows):
+        q00, q11, rho = q
+        q01 = rho * math.sqrt(q00 * q11)
+        Q = np.array([[q00, q01], [q01, q11]])
+        records = [make_record([0.0, 0.0], np.eye(2), accepted=accepted,
+                               H=[[h00, h01, 0.0], [h10, h11, -1.0]])
+                   for (h00, h01, h10, h11), accepted in rows]
+        gqg = models.control_cov_floats(*G, q00, q01, q01, q11)
+        s0 = s1 = 0.0
+        n = 0
+        for (h00, h01, h10, h11), accepted in rows:
+            if accepted:
+                d0, d1 = _range_bearing_cov_diag(h00, h01, h10, h11, *gqg)
+                s0 += d0
+                s1 += d1
+                n += 1
+        expected = (s0 / max(n, 1), s1 / max(n, 1))
+        got = q_sensitivity_floats(records, gqg)
+        assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+        # the same quadratic forms in numpy, within rounding of their absolute terms
+        G_arr = np.array(G).reshape(3, 2)
+        ref = helpers.numpy_q_factor_sensitivity(records, G_arr, Q)
+        abs_records = [make_record([0.0, 0.0], np.eye(2), accepted=rec.accepted, H=np.abs(rec.H))
+                       for rec in records]
+        bound = helpers.numpy_q_factor_sensitivity(abs_records, np.abs(G_arr), np.abs(Q))
+        assert np.all(np.abs(np.array(got) - ref) <= 1e-12 * bound)
 
 
 class TestGoldenTrajectory:

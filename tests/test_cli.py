@@ -162,12 +162,15 @@ class TestRun:
         [
             ({"waypoints": ((math.nan, 0.0),)}, "waypoint coordinates"),
             ({"duration": 0.01}, "one control tick"),
+            ({"observe_rate": 5e-324}, "integer multiple of observe_rate"),
+            ({"duration": 1e300, "control_rate": 1e10, "observe_rate": 1e10}, "overflows"),
         ],
     )
     def test_scenario_without_a_runnable_tick_exits_2(self, tmp_path, tiny_scenario, capsys,
                                                       change, message):
-        # both used to run: a NaN waypoint until a misleading SingularInnovationError,
-        # a 0.01 s duration to an empty RunLog and a NaN summary
+        # the first two used to run: a NaN waypoint until a misleading SingularInnovationError,
+        # a 0.01 s duration to an empty RunLog and a NaN summary; the last two
+        # raised OverflowError from round(inf), in validate and in run_once
         path = tmp_path / "scenario.json"
         save_scenario(dataclasses.replace(tiny_scenario, **change), path)
         out = tmp_path / "o"
@@ -277,6 +280,7 @@ class TestRun:
         assert main(argv + ["--q-floor", "1.0"]) == 2
         assert "q_floor" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert not (out / "runs.csv.partial").exists()
 
     def test_unknown_variant_rejected_by_parser(self, tmp_path, scenario_file):
         with pytest.raises(SystemExit) as exc:

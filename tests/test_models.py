@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from fuzzyloc.errors import DegenerateGeometryError, UnknownLandmarkError
@@ -23,6 +26,7 @@ from fuzzyloc.models import (
     observation_jacobian,
     observe,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -65,6 +69,35 @@ class TestWrapAngle:
             w = wrap_angle(a)
             assert wrap_angle(w).hex() == w.hex()
             assert float(wrap_angle(np.float64(w))).hex() == w.hex()
+
+
+class TestWrapAngles:
+    """models.wrap_angles against wrap_angle, entry by entry and bit for bit."""
+
+    EDGES = (math.pi, -math.pi, math.nextafter(-math.pi, 0.0), 2.0 * math.pi, -2.0 * math.pi,
+             1e3, -1e3, 0.0, -0.0)
+
+    def check(self, angles):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = wrap_angles(np.array(angles, dtype=float))
+        assert [w.hex() for w in out.tolist()] == [wrap_angle(a).hex() for a in angles]
+
+    def test_edges(self):
+        self.check(list(self.EDGES))
+        assert wrap_angles(np.array([-0.0])).tolist()[0].hex() == "0x0.0p+0"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_finite_angles(self, angles):
+        self.check(angles)
+
+    def test_non_finite_gives_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = wrap_angles(np.array([math.nan, math.inf, -math.inf, 1.0]))
+        assert np.isnan(out[:3]).all() and out[3] == 1.0
+        assert all(math.isnan(wrap_angle(a)) for a in (math.nan, math.inf, -math.inf))
 
 
 class TestPose:

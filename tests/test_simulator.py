@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from fuzzyloc import ekf, metrics, models, simulator
@@ -161,6 +163,35 @@ class TestDefaultScenario:
         assert len(s.waypoints) == 6
 
 
+def _replace_at(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+#: Where one value of the default scenario dict is replaced: every top-level
+#: field, and an entry of each noise, a landmark, a waypoint and the start.
+_SCENARIO_PATHS = (
+    *[(key,) for key in scenario_to_dict(default_scenario())],
+    *[(noise, key) for noise in ("true_noise", "assumed_noise")
+      for key in ("sigma_v", "sigma_gamma_deg", "sigma_r", "sigma_theta_deg")],
+    ("landmarks", 0), ("landmarks", 3, 0), ("landmarks", 3, 1), ("landmarks", 3, 2),
+    ("waypoints", 0), ("waypoints", 2, 0), ("waypoints", 2, 1),
+    ("start", 0), ("start", 1), ("start", 2),
+)
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 10**400, "nan", "1e400"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
 class TestScenarioSerialization:
     def test_round_trip_equality(self, tmp_path, tiny_scenario):
         path = tmp_path / "scenario.json"
@@ -229,6 +260,35 @@ class TestScenarioSerialization:
         path.write_text(json.dumps(data))
         with pytest.raises(ScenarioError, match="malformed"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("path", [("speed",), ("true_noise", "sigma_r"), ("landmarks", 0, 1),
+                                      ("waypoints", 0, 0), ("start", 2)])
+    @pytest.mark.parametrize("value", [True, False, "3", None])
+    def test_number_fields_accept_only_json_numbers(self, path, value):
+        # float() used to load "speed": true as 1 m/s and "speed": "3" as 3 m/s
+        data = scenario_to_dict(default_scenario())
+        _replace_at(data, path, value)
+        with pytest.raises(ScenarioError, match="malformed scenario"):
+            scenario_from_dict(data)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(path=st.sampled_from(_SCENARIO_PATHS), value=_JSON_VALUES)
+    # each of these ended in an OverflowError traceback, in the loader or in run_once
+    @example(path=("observe_rate",), value=5e-324)
+    @example(path=("control_rate",), value=1e308)
+    @example(path=("waypoints", 2, 1), value=10**400)
+    def test_any_one_replaced_value_loads_valid_or_raises_scenario_error(self, path, value):
+        data = scenario_to_dict(default_scenario())
+        _replace_at(data, path, value)
+        try:
+            scenario = scenario_from_dict(data)
+        except ScenarioError:
+            return
+        scenario.validate()
+        assert not isinstance(value, (bool, str)), "a bool or string number field loaded"
+        # run_once can count its ticks and its scans
+        assert int(round(scenario.duration * scenario.control_rate)) >= 1
+        assert scenario.ticks_per_observation >= 1
 
 
 class _SilentRng:
@@ -954,6 +1014,12 @@ def _fail_first_or_sleep(x):
     return x
 
 
+def _return_first_or_sleep(x):
+    if x != 0:
+        time.sleep(60.0)
+    return x
+
+
 @contextmanager
 def _deadline(seconds):
     """Fail the block with TimeoutError if it has not finished after seconds."""
@@ -973,20 +1039,20 @@ class TestFanOut:
     """simulator.fan_out: item order, errors, dead workers and clean-up."""
 
     def test_results_in_item_order_from_at_most_workers_processes(self):
-        results = simulator.fan_out(_square_and_pid, [(i,) for i in range(7)], 3)
+        results = list(simulator.fan_out(_square_and_pid, [(i,) for i in range(7)], 3))
         assert [square for square, _ in results] == [i * i for i in range(7)]
         pids = {pid for _, pid in results}
         assert len(pids) == 3 and os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
     def test_one_worker_runs_in_this_process(self):
-        results = simulator.fan_out(_square_and_pid, [(2,), (3,)], 1)
+        results = list(simulator.fan_out(_square_and_pid, [(2,), (3,)], 1))
         assert results == [(4, os.getpid()), (9, os.getpid())]
 
     @pytest.mark.parametrize("exc_type", [ValueError, FuzzylocError, ScenarioError])
     def test_worker_exception_reaches_caller(self, exc_type):
         with _deadline(60), pytest.raises(exc_type, match="^item 3 failed$"):
-            simulator.fan_out(_raise_on, [(i, 3, exc_type) for i in range(5)], 2)
+            list(simulator.fan_out(_raise_on, [(i, 3, exc_type) for i in range(5)], 2))
         assert multiprocessing.active_children() == []
 
     def test_run_monte_carlo_worker_error_reaches_caller(self, tiny_scenario):
@@ -999,13 +1065,22 @@ class TestFanOut:
     @pytest.mark.parametrize("bad", [0, 3])  # the first item of worker 0, the last of worker 1
     def test_dead_worker_raises_instead_of_hanging(self, bad):
         with _deadline(60), pytest.raises(RuntimeError, match=f"exited with code 1 before returning item {bad}$"):
-            simulator.fan_out(_exit_on, [(i, bad) for i in range(4)], 2)
+            list(simulator.fan_out(_exit_on, [(i, bad) for i in range(4)], 2))
         assert multiprocessing.active_children() == []
 
     def test_failure_terminates_the_other_workers(self):
         t0 = time.perf_counter()
         with _deadline(30), pytest.raises(ValueError, match="^item 0 failed$"):
-            simulator.fan_out(_fail_first_or_sleep, [(0,), (1,)], 2)
+            list(simulator.fan_out(_fail_first_or_sleep, [(0,), (1,)], 2))
+        assert time.perf_counter() - t0 < 20.0  # the sleeping worker did not run out its 60 s
+        assert multiprocessing.active_children() == []
+
+    def test_closing_early_terminates_the_other_workers(self):
+        t0 = time.perf_counter()
+        with _deadline(30):
+            results = simulator.fan_out(_return_first_or_sleep, [(0,), (1,)], 2)
+            assert next(results) == 0
+            results.close()
         assert time.perf_counter() - t0 < 20.0  # the sleeping worker did not run out its 60 s
         assert multiprocessing.active_children() == []
 
