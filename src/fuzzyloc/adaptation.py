@@ -12,11 +12,11 @@ order: leak_toward, saturated_forward, adapt_r and adapt_q, then
 train_adapters. The nets are one anfis.AnfisNet, a row of 27 floats per
 net driven by the anfis kernels; the window covariance is summed oldest
 residual first, and the Q sensitivity is the filter's own S kernel,
-ekf.innovation_cov_floats, with G Q G^T for P and a zero R. Per scan the
-adapter unpacks the records' floats and calls numpy only to read its CovPair
-with tolist and to build the one it returns; once per run _build_net takes
-np.std and np.mean of the S samples. None of this calls BLAS, so the
-adapter's bits do not depend on the BLAS kernel.
+ekf.innovation_cov_floats, with G Q G^T for P and a zero R. R and Q arrive
+and leave as a CovPair's variance pairs, so per scan the adapter works on
+floats alone; numpy is called only in _build_net, once per run, for np.std
+and np.mean of the S samples. None of this calls BLAS, so the adapter's bits
+do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def q_sensitivity_floats(records: list[InnovationRecord], gqg: tuple) -> tuple[f
         if rec.accepted and rec.H is not None:
             (h00, h01, _), (h10, h11, _) = rec.H
             # R's +0.0 only turns a -0.0 into 0.0, which the sums from 0.0 do anyway
-            d0, _, d1 = innovation_cov_floats(*gqg, h00, h01, h10, h11, 0.0, 0.0, 0.0, 0.0)
+            d0, _, d1 = innovation_cov_floats(*gqg, h00, h01, h10, h11, 0.0, 0.0)
             s0 += d0
             s1 += d1
             n += 1
@@ -258,9 +258,8 @@ class CovarianceAdapter:
         self._anchor: list[list[float]] | None = None
         self._dom: tuple[float, float] | None = None
         self._s_samples: list[tuple[float, float]] = []
-        (r00, _), (_, r11) = initial_cov.R.tolist()
-        (q00, _), (_, q11) = initial_cov.Q.tolist()
-        self._initial_r = (r00, r11)
+        q00, q11 = initial_cov.Q
+        self._initial_r = initial_cov.R
         self._q_ceiling = (Q_CEILING_RATIO * q00, Q_CEILING_RATIO * q11)
         if cfg.q_floor is not None:
             self._q_floor = (float(cfg.q_floor), float(cfg.q_floor))
@@ -372,15 +371,12 @@ class CovarianceAdapter:
         outputs, traces = saturated_forward(self.net, inputs)
         R_next, Q_next, sens = cov.R, cov.Q, None
         if "r" in self.mode:
-            (r00, r01), (r10, r11) = cov.R.tolist()
-            n00, n11 = adapt_r(r00, r11, outputs[0], outputs[1], cfg.r_floor)
-            trace.applied_delta_r = (n00 - r00, n11 - r11)
-            R_next = np.array(((n00, r01), (r10, n11)))
+            r00, r11 = cov.R
+            R_next = adapt_r(r00, r11, outputs[0], outputs[1], cfg.r_floor)
+            trace.applied_delta_r = (R_next[0] - r00, R_next[1] - r11)
         if "q" in self.mode:
-            (q00, q01), (q10, q11) = cov.Q.tolist()
-            sens = q_sensitivity_floats(accepted, models.control_cov_floats(*G_u, q00, q01, q10, q11))
+            sens = q_sensitivity_floats(accepted, models.control_cov_floats(*G_u, *cov.Q))
             trace.q_factor = outputs[-1]
-            n00, n11 = adapt_q(q00, q11, trace.q_factor, self._q_floor, self._q_ceiling)
-            Q_next = np.array(((n00, q01), (q10, n11)))
+            Q_next = adapt_q(*cov.Q, trace.q_factor, self._q_floor, self._q_ceiling)
         train_adapters(self.net, traces, (d00, d11), sens)
         return CovPair(Q_next, R_next), trace

@@ -4,7 +4,8 @@ The filter owns nothing but the Gaussian belief; the noise covariances are
 passed in every step so an external adapter can rewrite them between steps.
 Measurements are processed sequentially with a Mahalanobis acceptance gate.
 
-The state is 3-dimensional and a measurement 2-dimensional, so every step is
+Q and R are diagonal, so a CovPair holds each as its two variances. The
+state is 3-dimensional and a measurement 2-dimensional, so every step is
 written out entry by entry on Python floats; no step calls LAPACK. Each
 formula is one float kernel (predict_floats, innovation_cov_floats,
 innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
@@ -12,12 +13,11 @@ array-level predict, predict_measurement, innovation, gate and update are
 thin wrappers over them. predict_floats takes the next pose and the control
 Jacobian from one models kernel, motion_with_jacobian_floats, so a
 prediction evaluates two sines and two cosines. step calls the kernels
-directly, so the belief and the records stay on floats through a whole
-scan, and each measurement takes one closed-form 2x2 inverse of its
-innovation covariance S, shared by the gate and the update. The inverse
-rejects S unless all four entries are finite and its 2-norm condition
-number, sigma_max^2 / |det| after scaling S by its largest |entry|, is at
-most 1e12.
+directly, so the belief and the records stay on floats through a whole scan,
+and each measurement takes one closed-form 2x2 inverse of its innovation
+covariance S, shared by the gate and the update. The inverse rejects S
+unless all four entries are finite and its 2-norm condition number,
+sigma_max^2 / |det| after scaling S by its largest |entry|, is at most 1e12.
 """
 
 from __future__ import annotations
@@ -62,27 +62,28 @@ class GaussianState:
         return Pose(self.mean[0], self.mean[1], self.mean[2])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovPair:
-    """Process covariance Q (v, gamma) and measurement covariance R (r, theta).
+    """Process variances Q = (q_v, q_gamma) and measurement variances R = (r_r, r_theta).
 
-    Both are diagonal 2x2 matrices. The pair travels through the filter
-    unchanged; adapters produce new pairs rather than mutating this one.
+    Each pair is stored as two floats, so a mutable input cannot leak in and
+    a 2x2 array fails loudly. Adapters produce new pairs.
     """
 
-    Q: np.ndarray
-    R: np.ndarray
+    Q: tuple[float, float]
+    R: tuple[float, float]
 
     def __post_init__(self) -> None:
-        self.Q = np.asarray(self.Q, dtype=float).copy()
-        self.R = np.asarray(self.R, dtype=float).copy()
+        (q0, q1), (r0, r1) = self.Q, self.R
+        object.__setattr__(self, "Q", (float(q0), float(q1)))
+        object.__setattr__(self, "R", (float(r0), float(r1)))
 
     @classmethod
     def from_noise(cls, noise: NoiseSpec) -> "CovPair":
-        """Diagonal covariances from per-channel standard deviations."""
+        """Variances from per-channel standard deviations."""
         return cls(
-            Q=np.diag([noise.sigma_v**2, noise.sigma_gamma**2]),
-            R=np.diag([noise.sigma_r**2, noise.sigma_theta**2]),
+            Q=(noise.sigma_v**2, noise.sigma_gamma**2),
+            R=(noise.sigma_r**2, noise.sigma_theta**2),
         )
 
 
@@ -145,17 +146,16 @@ def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
 def predict_floats(
     x: float, y: float, phi: float,
     p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
-    v: float, gamma: float, q00: float, q01: float, q10: float, q11: float,
+    v: float, gamma: float, q_v: float, q_gamma: float,
     dt: float, wheelbase: float,
 ) -> tuple[float, float, float, float, float, float, float, float, float]:
     """predict on plain floats: the next mean (heading wrapped) and P's upper triangle.
 
     P is given by its upper triangle (p00, p01, p02, p11, p12, p22) and Q by
-    its four entries, whose off-diagonal pair is averaged; the result is in
-    the same order as the arguments: x, y, phi, then P's upper triangle row
-    by row. The mean and G come from models.motion_with_jacobian_floats.
+    its two variances; the result is in the same order as the arguments: x,
+    y, phi, then P's upper triangle row by row. The mean and G come from
+    models.motion_with_jacobian_floats.
     """
-    q01 = 0.5 * (q01 + q10)
     x, y, phi, g00, g01, g10, g11, g20, g21 = models.motion_with_jacobian_floats(
         x, y, phi, v, gamma, dt, wheelbase,
     )
@@ -164,9 +164,9 @@ def predict_floats(
     n02 = p02 + fx * p22
     n12 = p12 + fy * p22
     # rows of G Q
-    w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
-    w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
-    w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
+    w00, w01 = g00 * q_v, g01 * q_gamma
+    w10, w11 = g10 * q_v, g11 * q_gamma
+    w20, w21 = g20 * q_v, g21 * q_gamma
     return (
         x, y, models.wrap_angle(phi),
         p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
@@ -181,7 +181,7 @@ def predict_floats(
 def predict(
     state: GaussianState,
     u: ControlInput,
-    Q: np.ndarray,
+    Q: tuple[float, float],
     dt: float,
     wheelbase: float,
 ) -> GaussianState:
@@ -191,13 +191,13 @@ def predict(
     and the noisy command, both linearized at the current mean. F is the
     identity except for (fx, fy) above the diagonal in its heading column,
     and those equal the position entries of G's steer column (see
-    models.position_jacobian). The arithmetic is predict_floats'.
+    models.position_jacobian). Q is the variance pair (q_v, q_gamma). The
+    arithmetic is predict_floats'.
     """
     x, y, phi = state.mean.tolist()
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    (q00, q01), (q10, q11) = Q.tolist()
     x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, q00, q01, q10, q11, dt, wheelbase,
+        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *Q, dt, wheelbase,
     )
     return _belief(x, y, phi, p00, p01, p02, p11, p12, p22)
 
@@ -205,14 +205,13 @@ def predict(
 def innovation_cov_floats(
     p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
     h00: float, h01: float, h10: float, h11: float,
-    r00: float, r01: float, r10: float, r11: float,
+    r_r: float, r_theta: float,
 ) -> tuple[float, float, float]:
     """S = H P H^T + R on floats: (s00, s01, s11).
 
     P is given by its upper triangle, H by the entries of its (x, y) columns
-    (its phi column is (0, -1)) and R by its four entries, whose off-diagonal
-    pair is averaged. S is computed with one off-diagonal entry, so it is
-    exactly symmetric.
+    (its phi column is (0, -1)) and R by its two variances. S is computed
+    with one off-diagonal entry, so it is exactly symmetric.
     """
     # rows of H P, with H's phi column (0, -1)
     a0, a1, a2 = h00 * p00 + h01 * p01, h00 * p01 + h01 * p11, h00 * p02 + h01 * p12
@@ -220,9 +219,9 @@ def innovation_cov_floats(
     b1 = h10 * p01 + h11 * p11 - p12
     b2 = h10 * p02 + h11 * p12 - p22
     return (
-        a0 * h00 + a1 * h01 + r00,
-        a0 * h10 + a1 * h11 - a2 + 0.5 * (r01 + r10),
-        b0 * h10 + b1 * h11 - b2 + r11,
+        a0 * h00 + a1 * h01 + r_r,
+        a0 * h10 + a1 * h11 - a2,
+        b0 * h10 + b1 * h11 - b2 + r_theta,
     )
 
 
@@ -273,9 +272,10 @@ def update_floats(
 
 
 def predict_measurement(
-    state: GaussianState, landmark: Landmark, R: np.ndarray
+    state: GaussianState, landmark: Landmark, R: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predicted (range, bearing), innovation covariance, and Jacobian.
+    """Predicted (range, bearing), innovation covariance, and Jacobian, given
+    the variance pair R = (r_r, r_theta).
 
     Returns:
         zhat: (2,) predicted measurement at the current mean.
@@ -284,12 +284,9 @@ def predict_measurement(
     """
     x, y, phi = state.mean.tolist()
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    (r00, r01), (r10, r11) = R.tolist()
     r, bearing = models.range_bearing(x, y, phi, landmark)
     h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
-    s00, s01, s11 = innovation_cov_floats(
-        p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, r00, r01, r10, r11,
-    )
+    s00, s01, s11 = innovation_cov_floats(p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, *R)
     return (
         np.array((r, models.wrap_angle(bearing))),
         np.array(((s00, s01), (s01, s11))),
@@ -353,20 +350,19 @@ def step(
     """
     x, y, phi = state.mean.tolist()
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
-    (q00, q01), (q10, q11) = cov.Q.tolist()
     x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, q00, q01, q10, q11, dt, wheelbase,
+        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *cov.Q, dt, wheelbase,
     )
     if not measurements:
         return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), []
-    (r00, r01), (r10, r11) = cov.R.tolist()
+    r_r, r_theta = cov.R
     records = []
     for z in measurements:
         landmark = landmark_map[z.landmark_id]
         r, bearing = models.range_bearing(x, y, phi, landmark)
         h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
         s00, s01, s11 = innovation_cov_floats(
-            p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, r00, r01, r10, r11,
+            p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, r_r, r_theta,
         )
         v0, v1 = innovation_floats(z, r, models.wrap_angle(bearing))
         i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s01, s11)

@@ -156,12 +156,6 @@ def rmse(logs: Sequence) -> np.ndarray:
     return np.sqrt(sq.mean(axis=0))
 
 
-def heading_rmse(logs: Sequence) -> np.ndarray:
-    """Per-timestep heading RMSE across runs, errors wrapped."""
-    sq = np.array([log.heading_error() ** 2 for log in logs])
-    return np.sqrt(sq.mean(axis=0))
-
-
 def in_band_fraction(series: np.ndarray, lo: float, hi: float) -> float:
     """Fraction of entries inside [lo, hi]."""
     series = np.asarray(series)
@@ -267,7 +261,6 @@ class EnsembleReport:
     n_runs: int
     t: np.ndarray
     rmse_pos: np.ndarray
-    rmse_heading: np.ndarray
     avg_nees: np.ndarray
     band: tuple[float, float]
     in_band: float
@@ -296,7 +289,6 @@ def build_report(logs: Sequence, confidence: float = 0.95) -> EnsembleReport:
         n_runs=n_runs,
         t=logs[0].t.copy(),
         rmse_pos=rmse(logs),
-        rmse_heading=heading_rmse(logs),
         avg_nees=avg,
         band=band,
         in_band=in_band_fraction(avg, band[0], band[1]),

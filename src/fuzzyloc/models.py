@@ -221,18 +221,17 @@ def motion_with_jacobian_floats(
 
 def control_cov_floats(
     g00: float, g01: float, g10: float, g11: float, g20: float, g21: float,
-    q00: float, q01: float, q10: float, q11: float,
+    q_v: float, q_gamma: float,
 ) -> tuple[float, float, float, float, float, float]:
     """G Q G^T on floats: its upper triangle (m00, m01, m02, m11, m12, m22), row by row.
 
     G is the 3x2 control Jacobian, row-major (control_jacobian_floats), and
-    Q's off-diagonal pair is averaged, as ekf.predict_floats does.
+    Q is given by its two variances, as ekf.predict_floats takes it.
     """
-    q01 = 0.5 * (q01 + q10)
     # rows of G Q
-    w00, w01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
-    w10, w11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
-    w20, w21 = g20 * q00 + g21 * q01, g20 * q01 + g21 * q11
+    w00, w01 = g00 * q_v, g01 * q_gamma
+    w10, w11 = g10 * q_v, g11 * q_gamma
+    w20, w21 = g20 * q_v, g21 * q_gamma
     return (
         w00 * g00 + w01 * g01, w00 * g10 + w01 * g11, w00 * g20 + w01 * g21,
         w10 * g10 + w11 * g11, w10 * g20 + w11 * g21,

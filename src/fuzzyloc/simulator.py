@@ -36,6 +36,10 @@ WAYPOINT_RADIUS = 1.0
 #: Control-noise pairs drawn per rng call in run_once; bounds the draw buffer.
 CONTROL_NOISE_BLOCK = 256
 
+#: Most control ticks a scenario may span. A RunLog holds about 250 B per
+#: tick, so this is a 2.5 GB run; the default scenario runs 4000 ticks.
+MAX_TICKS = 10_000_000
+
 #: The filter starts at the true pose with a near-certain belief.
 DEFAULT_P0_DIAG = (1e-6, 1e-6, 1e-6)
 
@@ -111,6 +115,8 @@ class Scenario:
             raise ScenarioError("duration x control_rate overflows")
         if ticks <= 0.5:
             raise ScenarioError("duration must span at least one control tick")
+        if round(ticks) > MAX_TICKS:
+            raise ScenarioError(f"duration x control_rate exceeds {MAX_TICKS} control ticks")
         ratio = self.control_rate / self.observe_rate
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("control_rate must be an integer multiple of observe_rate")
@@ -477,13 +483,12 @@ def run_once(
     p_upper = np.empty((n, 6))  # P's upper triangle, row by row
     n_meas = np.zeros(n, dtype=int)
     n_gated = np.zeros(n, dtype=int)
-    # R and Q change only when the adapter runs. R's diagonal and Q's entries
-    # in force are kept as floats, and the diagonals are written as one slice
-    # per change: rows [filled, i) get the values in force before tick i.
+    # R and Q change only when the adapter runs. Their variance pairs in
+    # force are written as one slice per change: rows [filled, i) get the
+    # values in force before tick i.
     r_diag = np.empty((n, 2))
     q_diag = np.empty((n, 2))
-    r_in_force = cov.R.diagonal().tolist()
-    (q00, q01), (q10, q11) = cov.Q.tolist()
+    q_v, q_gamma = cov.Q
     filled = 0
     dom_diag = np.full((n, 2), np.nan)
     delta_dom_diag = np.full((n, 2), np.nan)
@@ -518,7 +523,7 @@ def run_once(
             tphi = wrap_angle(tphi)
             if (i + 1) % ratio:
                 x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-                    x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q00, q01, q10, q11, dt, wheelbase,
+                    x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q_v, q_gamma, dt, wheelbase,
                 )
             else:
                 scan = sense(Pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
@@ -534,11 +539,10 @@ def run_once(
                 if adapter is not None:
                     G_u = (models.control_jacobian_floats(phi, speed, steer, dt, wheelbase)
                            if q_mode else None)
+                    r_diag[filled:i] = cov.R
+                    q_diag[filled:i] = cov.Q
                     cov, trace = adapter.after_update(records, G_u, cov)
-                    r_diag[filled:i] = r_in_force
-                    q_diag[filled:i] = q00, q11
-                    r_in_force = cov.R.diagonal().tolist()
-                    (q00, q01), (q10, q11) = cov.Q.tolist()
+                    q_v, q_gamma = cov.Q
                     filled = i
                     if trace.active:
                         k = 2 * i
@@ -563,8 +567,8 @@ def run_once(
             raise singular from None
         raise
     nees_arr = metrics.nees_rows(truth_arr, est_arr, p_upper)
-    r_diag[filled:] = r_in_force
-    q_diag[filled:] = q00, q11
+    r_diag[filled:] = cov.R
+    q_diag[filled:] = cov.Q
 
     return RunLog(
         variant=variant,

@@ -303,8 +303,8 @@ def run_once_object_loop(
         est_arr[i] = state.mean
         p_diag[i] = np.diag(state.P)
         nees_arr[i] = metrics.nees(truth, state)
-        r_diag[i] = np.diag(cov.R)
-        q_diag[i] = np.diag(cov.Q)
+        r_diag[i] = cov.R
+        q_diag[i] = cov.Q
     return simulator.RunLog(
         variant=variant, seed=seed, t=np.arange(1, n + 1) * dt,
         truth=truth_arr, est_mean=est_arr, p_diag=p_diag, nees=nees_arr,
@@ -373,7 +373,7 @@ def drive_r_adapter(
         (dom_diag, r_diag): arrays of shape (n_steps, 2); dom rows are NaN on
         warm-up steps.
     """
-    cov = CovPair(np.diag([0.09, 0.0027]), np.diag(np.asarray(r0_diag, dtype=float)))
+    cov = CovPair((0.09, 0.0027), r0_diag)
     adapter = CovarianceAdapter("r", cov, config)
     pattern = alternating_residuals(*true_sigmas)
     G_u = (0.0,) * 6
@@ -382,7 +382,7 @@ def drive_r_adapter(
     for k in range(n_steps):
         rec = InnovationRecord(
             residual=pattern[k % 4].copy(),
-            S=cov.R.copy(),
+            S=np.diag(cov.R),
             landmark_id=1,
             timestep=k,
             accepted=True,
@@ -390,7 +390,7 @@ def drive_r_adapter(
         cov, trace = adapter.after_update([rec], G_u, cov)
         if trace.active:
             doms[k] = trace.dom_diag
-        rs[k] = (cov.R[0, 0], cov.R[1, 1])
+        rs[k] = cov.R
     return doms, rs
 
 
@@ -599,8 +599,8 @@ class LegacyCovarianceAdapter:
         self.q_adapter = None
         self._built = False
         self._s_samples = []
-        self._initial_r = np.diag(initial_cov.R).copy()
-        self._initial_q = np.diag(initial_cov.Q).copy()
+        self._initial_r = np.array(initial_cov.R)
+        self._initial_q = np.array(initial_cov.Q)
         self._r_anchors = []
         self._q_anchor = None
 
@@ -673,30 +673,31 @@ class LegacyCovarianceAdapter:
             return cov, trace
         if not self._built:
             self._build_nets()
-        R_next, Q_next = cov.R, cov.Q
+        R, Q = np.diag(cov.R), np.diag(cov.Q)
+        R_next, Q_next = R, Q
         if self.r_adapter is not None:
-            R_next = np.array(cov.R, dtype=float, copy=True)
+            R_next = np.array(R, dtype=float, copy=True)
             r_traces = []
             for i, net in enumerate(self.r_adapter.nets):
                 delta, t = legacy_saturated_forward(net, float(self.dom[i, i]), float(self.delta_dom[i, i]))
-                R_next[i, i] = max(cov.R[i, i] + delta, self.r_adapter.r_floor)
+                R_next[i, i] = max(R[i, i] + delta, self.r_adapter.r_floor)
                 r_traces.append(t)
             _legacy_train(self.r_adapter, self.dom, r_traces)
             trace.applied_delta_r = (
-                float(R_next[0, 0] - cov.R[0, 0]),
-                float(R_next[1, 1] - cov.R[1, 1]),
+                float(R_next[0, 0] - R[0, 0]),
+                float(R_next[1, 1] - R[1, 1]),
             )
         if self.q_adapter is not None:
-            sens = numpy_q_factor_sensitivity(accepted, np.reshape(G_u, (3, 2)), cov.Q)
+            sens = numpy_q_factor_sensitivity(accepted, np.reshape(G_u, (3, 2)), Q)
             factor, q_trace = legacy_saturated_forward(
                 self.q_adapter.net, float(self.dom[0, 0]), float(self.dom[1, 1]))
-            Q_next = np.array(cov.Q, dtype=float, copy=True)
+            Q_next = np.array(Q, dtype=float, copy=True)
             for i in range(2):
-                Q_next[i, i] = min(max(cov.Q[i, i] * factor, self.q_adapter.q_floor[i]),
+                Q_next[i, i] = min(max(Q[i, i] * factor, self.q_adapter.q_floor[i]),
                                    self.q_adapter.q_ceiling[i])
             _legacy_train(self.q_adapter, self.dom, q_trace, q_sensitivity=sens)
             trace.q_factor = float(q_trace.out)
-        return CovPair(Q_next, R_next), trace
+        return CovPair(np.diag(Q_next), np.diag(R_next)), trace
 
 
 # -- The fuzzy network stack and Q sensitivity as numpy expressions ----------

@@ -139,7 +139,8 @@ def _linear_filter_worst_gap() -> float:
     rng = np.random.default_rng(42)
     dt, wheelbase = 0.1, 2.0
     u = ControlInput(0.0, 0.35)
-    Q = np.diag([0.04, 0.01])
+    q = (0.04, 0.01)
+    Q = np.diag(q)
     R = np.diag([0.09, 0.04])
     C = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.3]])
     state = GaussianState(np.array([1.0, -2.0, 0.4]), np.diag([0.5, 0.4, 0.2]))
@@ -147,7 +148,7 @@ def _linear_filter_worst_gap() -> float:
     worst = 0.0
     for k in range(100):
         G = models.motion_jacobian_control(state.pose, u, dt, wheelbase)
-        state = ekf.predict(state, u, Q, dt, wheelbase)
+        state = ekf.predict(state, u, q, dt, wheelbase)
         ref.predict(np.eye(3), G @ Q @ G.T)
         z = C @ ref.x + rng.normal(scale=0.05, size=2)
         rec = InnovationRecord(
@@ -167,7 +168,7 @@ def _window_estimator_worst_gap(rng) -> float:
         n = int(rng.integers(2, 40))
         scale = float(rng.uniform(0.1, 3.0))
         residuals = rng.normal(size=(n, 2)) * scale
-        cov = CovPair(np.eye(2), np.eye(2))
+        cov = CovPair((1.0, 1.0), (1.0, 1.0))
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=n, eta=0.0))
         for r in residuals:
             record = InnovationRecord(residual=r, S=np.eye(2), landmark_id=1, timestep=0, accepted=True)
@@ -249,7 +250,7 @@ def _soak_invariants() -> tuple[bool, float]:
         for i, a in enumerate(np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
     ]
     lm_map = LandmarkMap(landmarks)
-    cov = CovPair(np.diag([0.09, 0.0027]), np.diag([0.01, 0.0003]))
+    cov = CovPair((0.09, 0.0027), (0.01, 0.0003))
     state = GaussianState(np.array([25.0, 0.0, math.pi / 2]), np.diag([0.1, 0.1, 0.02]))
     u = ControlInput(3.0, 0.12)
     rng = np.random.default_rng(77)
@@ -293,7 +294,7 @@ def _floors_hold_under_adaptation() -> bool:
     scenario = dataclasses.replace(
         misspecified_scenario(sigma_r=2.0, sigma_theta_deg=0.1), duration=60.0
     )
-    q0 = np.diag(CovPair.from_noise(scenario.assumed_noise).Q)
+    q0 = np.array(CovPair.from_noise(scenario.assumed_noise).Q)
     log = run_once(scenario, "anfekf-rq", seed=0)
     if not np.all(log.r_diag >= 1e-8 - 1e-20):
         return False

@@ -39,9 +39,10 @@ from fuzzyloc.anfis import (
     train_step_floats,
 )
 from fuzzyloc.ekf import CovPair, InnovationRecord
+from fuzzyloc.models import NoiseSpec
 from fuzzyloc.simulator import run_once
 
-DEFAULT_COV = CovPair(np.diag([0.09, 0.0027]), np.diag([0.04, 0.001]))
+DEFAULT_COV = CovPair((0.09, 0.0027), (0.04, 0.001))
 
 #: A control Jacobian of zeros, as the six floats after_update takes.
 ZERO_G = (0.0,) * 6
@@ -315,8 +316,8 @@ def _range_bearing_cov_diag(h00, h01, h10, h11, m00, m01, m02, m11, m12, m22):
 
 
 def q_sensitivity(records, G, Q):
-    """q_sensitivity_floats for a 3x2 G and a 2x2 Q."""
-    return q_sensitivity_floats(records, models.control_cov_floats(*G.ravel().tolist(), *Q.ravel().tolist()))
+    """q_sensitivity_floats for a 3x2 G and a diagonal 2x2 Q."""
+    return q_sensitivity_floats(records, models.control_cov_floats(*G.ravel().tolist(), *np.diag(Q).tolist()))
 
 
 class TestQFactorSensitivity:
@@ -342,18 +343,17 @@ class TestQFactorSensitivity:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         G=st.lists(_ENTRY, min_size=6, max_size=6),
-        q=st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0), st.floats(-1.0, 1.0)),
+        q=st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0)),
         rows=st.lists(st.tuples(st.lists(_ENTRY, min_size=4, max_size=4), st.booleans()),
                       max_size=6),
     )
     def test_matches_the_diagonal_kernel_it_replaced(self, G, q, rows):
-        q00, q11, rho = q
-        q01 = rho * math.sqrt(q00 * q11)
-        Q = np.array([[q00, q01], [q01, q11]])
+        q00, q11 = q
+        Q = np.diag(q)
         records = [make_record([0.0, 0.0], np.eye(2), accepted=accepted,
                                H=[[h00, h01, 0.0], [h10, h11, -1.0]])
                    for (h00, h01, h10, h11), accepted in rows]
-        gqg = models.control_cov_floats(*G, q00, q01, q01, q11)
+        gqg = models.control_cov_floats(*G, q00, q11)
         s0 = s1 = 0.0
         n = 0
         for (h00, h01, h10, h11), accepted in rows:
@@ -531,10 +531,10 @@ class TestAdaptationConfig:
 
 class TestCovarianceAdapter:
     def _cov(self, r=(0.04, 0.001)):
-        return CovPair(np.diag([0.09, 0.0027]), np.diag(r))
+        return CovPair((0.09, 0.0027), r)
 
     def _tick(self, adapter, cov, residual, accepted=True, S=None):
-        S = cov.R if S is None else S
+        S = np.diag(cov.R) if S is None else S
         rec = make_record(residual, S, accepted=accepted,
                           H=np.array([[-1.0, 0.0, 0.0], [0.0, -0.1, -1.0]]))
         return adapter.after_update([rec], ZERO_G, cov)
@@ -575,8 +575,8 @@ class TestCovarianceAdapter:
         cov = self._cov()
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=6))
         recs = [
-            make_record([0.1, 0.01], cov.R, accepted=True),
-            make_record([5.0, 1.0], cov.R, accepted=False),
+            make_record([0.1, 0.01], np.diag(cov.R), accepted=True),
+            make_record([5.0, 1.0], np.diag(cov.R), accepted=False),
         ]
         adapter.after_update(recs, ZERO_G, cov)
         assert adapter.filled == 2
@@ -643,19 +643,19 @@ class TestCovarianceAdapter:
         for _ in range(300):
             # actual residuals far smaller than R claims: constant shrink push
             cov, _ = self._tick(adapter, cov, rng.normal(scale=1e-4, size=2))
-            assert cov.R[0, 0] >= 1e-8 and cov.R[1, 1] >= 1e-8
+            assert min(cov.R) >= 1e-8
 
     def test_q_clamps_never_violated_under_pressure(self):
         cov = self._cov()
-        q0 = np.diag(cov.Q).copy()
+        q0 = np.array(cov.Q)
         cfg = AdaptationConfig(window=4, eta=0.05)
         adapter = CovarianceAdapter("q", cov, cfg)
         rng = np.random.default_rng(8)
         for k in range(300):
             scale = 1e-4 if k < 150 else 10.0  # shrink pressure, then grow
             cov, _ = self._tick(adapter, cov, rng.normal(scale=scale, size=2))
-            assert np.all(np.diag(cov.Q) >= 0.01 * q0 - 1e-15)
-            assert np.all(np.diag(cov.Q) <= 100.0 * q0 + 1e-12)
+            assert np.all(np.array(cov.Q) >= 0.01 * q0 - 1e-15)
+            assert np.all(np.array(cov.Q) <= 100.0 * q0 + 1e-12)
 
     @pytest.mark.parametrize("mode", ["q", "rq"])
     def test_q_floor_above_ceiling_rejected(self, mode):
@@ -672,6 +672,36 @@ class TestCovarianceAdapter:
         assert np.all(np.isnan(trace.dom_diag))
         assert np.all(np.isnan(trace.applied_delta_r))
         assert math.isnan(trace.q_factor)
+
+
+class _NoNumpy:
+    """Stands in for the adaptation module's numpy: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used on a scan")
+
+
+class TestNoNumpyPerScan:
+    """Once its nets exist, after_update reads and returns the variance pairs
+    on floats: numpy is used only while the nets are built."""
+
+    @pytest.mark.parametrize("mode", ["r", "q", "rq"])
+    def test_adapted_scans_use_no_numpy(self, monkeypatch, mode):
+        cov = CovPair.from_noise(NoiseSpec(sigma_v=0.3, sigma_gamma=0.05, sigma_r=0.2, sigma_theta=0.03))
+        adapter = CovarianceAdapter(mode, cov, AdaptationConfig(window=3))
+        G_u = (0.02, 0.0, 0.0, 0.07, 0.01, 0.05)
+        residuals = [(0.5, 0.05), (-0.4, 0.06), (0.45, -0.05), (-0.5, -0.04)]
+        for k in range(13):
+            if k == 3:  # the nets were built on the scan before
+                assert adapter.net is not None
+                monkeypatch.setattr(adaptation, "np", _NoNumpy())
+            rec = InnovationRecord(residuals[k % 4], ((0.1, 0.0), (0.0, 0.01)), 1, k, True,
+                                   ((-1.0, 0.0, 0.0), (0.0, -0.1, -1.0)))
+            new_cov, trace = adapter.after_update([rec], G_u, cov)
+            assert trace.active == (k >= 2)
+            if k >= 3:
+                assert new_cov != cov
+            cov = new_cov
 
 
 class TestOnePath:
@@ -723,7 +753,7 @@ class TestSurrogateConvergence:
     def test_rewrite_opposes_mismatch_sign(self):
         """Directionality: once adaptation is active, the applied R change
         opposes the sign of the mismatch on a large majority of steps."""
-        cov = CovPair(np.diag([0.09, 0.0027]), np.diag([0.04, 0.001]))
+        cov = DEFAULT_COV
         adapter = CovarianceAdapter("r", cov, AdaptationConfig())
         rng = np.random.default_rng(99)
         true_cov = np.diag([0.01, 0.0003])  # R starts 4x and 3.3x too large
@@ -731,14 +761,14 @@ class TestSurrogateConvergence:
         total = 0
         for k in range(400):
             residual = rng.multivariate_normal(np.zeros(2), true_cov)
-            rec = make_record(residual, cov.R)
+            rec = make_record(residual, np.diag(cov.R))
             cov, trace = adapter.after_update([rec], ZERO_G, cov)
             if not trace.active:
                 continue
             for i in range(2):
                 dom_i = trace.dom_diag[i]
                 delta_i = trace.applied_delta_r[i]
-                if abs(dom_i) < 0.3 * cov.R[i, i] or delta_i == 0.0:
+                if abs(dom_i) < 0.3 * cov.R[i] or delta_i == 0.0:
                     continue  # below the sampling-noise scale of the window
                 total += 1
                 if dom_i * delta_i < 0.0:

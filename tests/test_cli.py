@@ -164,13 +164,15 @@ class TestRun:
             ({"duration": 0.01}, "one control tick"),
             ({"observe_rate": 5e-324}, "integer multiple of observe_rate"),
             ({"duration": 1e300, "control_rate": 1e10, "observe_rate": 1e10}, "overflows"),
+            ({"duration": 1e12}, "control ticks"),
         ],
     )
     def test_scenario_without_a_runnable_tick_exits_2(self, tmp_path, tiny_scenario, capsys,
                                                       change, message):
         # the first two used to run: a NaN waypoint until a misleading SingularInnovationError,
-        # a 0.01 s duration to an empty RunLog and a NaN summary; the last two
-        # raised OverflowError from round(inf), in validate and in run_once
+        # a 0.01 s duration to an empty RunLog and a NaN summary; the next two
+        # raised OverflowError from round(inf), in validate and in run_once, and
+        # 1e12 s ended in a numpy MemoryError for run_once's 4e13-row arrays
         path = tmp_path / "scenario.json"
         save_scenario(dataclasses.replace(tiny_scenario, **change), path)
         out = tmp_path / "o"

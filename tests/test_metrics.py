@@ -24,7 +24,6 @@ from fuzzyloc.metrics import (
     build_report,
     chi2_band,
     chi2_ppf,
-    heading_rmse,
     in_band_fraction,
     nees,
     nees_floats,
@@ -35,10 +34,9 @@ from fuzzyloc.models import Pose
 from fuzzyloc.simulator import run_monte_carlo
 
 
-def fake_log(variant="ekf", nees_series=(1.0, 2.0), pos_err=(0.0, 0.0), head_err=(0.0, 0.0)):
+def fake_log(variant="ekf", nees_series=(1.0, 2.0), pos_err=(0.0, 0.0)):
     """Minimal stand-in exposing the log surface the metrics consume."""
     pos = np.asarray(pos_err, dtype=float)
-    head = np.asarray(head_err, dtype=float)
     log = SimpleNamespace(
         variant=variant,
         seed=0,
@@ -49,7 +47,6 @@ def fake_log(variant="ekf", nees_series=(1.0, 2.0), pos_err=(0.0, 0.0), head_err
         timed_out=False,
     )
     log.position_error = lambda: pos
-    log.heading_error = lambda: head
     log.summary = lambda: SimpleNamespace(variant=variant, seed=0)
     return log
 
@@ -282,10 +279,6 @@ class TestEnsembleSeries:
         logs = [fake_log(pos_err=[3.0, 0.0]), fake_log(pos_err=[4.0, 2.0])]
         np.testing.assert_allclose(rmse(logs), [math.sqrt(12.5), math.sqrt(2.0)])
 
-    def test_heading_rmse_hand_example(self):
-        logs = [fake_log(head_err=[0.1, -0.1]), fake_log(head_err=[-0.1, 0.1])]
-        np.testing.assert_allclose(heading_rmse(logs), [0.1, 0.1])
-
     def test_in_band_fraction_inclusive(self):
         series = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
         assert in_band_fraction(series, 1.0, 3.0) == pytest.approx(0.6)
@@ -403,8 +396,8 @@ class TestBuildReport:
 
     def test_report_fields(self):
         logs = [
-            fake_log(nees_series=[2.0, 3.0], pos_err=[0.1, 0.2], head_err=[0.01, 0.02]),
-            fake_log(nees_series=[4.0, 3.0], pos_err=[0.3, 0.2], head_err=[0.03, 0.02]),
+            fake_log(nees_series=[2.0, 3.0], pos_err=[0.1, 0.2]),
+            fake_log(nees_series=[4.0, 3.0], pos_err=[0.3, 0.2]),
         ]
         report = build_report(logs, confidence=0.95)
         assert report.variant == "ekf"
@@ -420,7 +413,6 @@ class TestBuildReport:
             n_runs=1,
             t=np.array([1.0, 2.0]),
             rmse_pos=np.array([0.2, 0.4]),
-            rmse_heading=np.array([0.0, 0.0]),
             avg_nees=np.array([3.0, 3.0]),
             band=(2.0, 4.0),
             in_band=1.0,

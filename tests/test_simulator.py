@@ -31,6 +31,7 @@ from fuzzyloc.errors import (
 from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose, wrap_angle
 from fuzzyloc.simulator import (
     DEFAULT_P0_DIAG,
+    MAX_TICKS,
     SCENARIO_SCHEMA,
     VARIANTS,
     WAYPOINT_RADIUS,
@@ -124,6 +125,12 @@ class TestScenarioValidate:
         one_tick = dataclasses.replace(tiny_scenario, duration=0.025)
         one_tick.validate()
         assert len(run_once(one_tick, "ekf").t) == 1
+
+    @pytest.mark.parametrize("ticks", [MAX_TICKS + 1, 4e13, 1e300])
+    def test_tick_count_above_the_bound(self, tiny_scenario, ticks):
+        # only validate runs: run_once would allocate n-row arrays first
+        with pytest.raises(ScenarioError, match=f"exceeds {MAX_TICKS} control ticks"):
+            dataclasses.replace(tiny_scenario, duration=ticks / tiny_scenario.control_rate).validate()
 
     def test_load_rejects_nan_waypoint(self, tmp_path, tiny_scenario):
         path = tmp_path / "nan.json"
