@@ -4,9 +4,10 @@ The filter owns nothing but the Gaussian belief; the noise covariances are
 passed in every step so an external adapter can rewrite them between steps.
 Measurements are processed sequentially with a Mahalanobis acceptance gate.
 
-Q and R are diagonal, so a CovPair holds each as its two variances. The
-state is 3-dimensional and a measurement 2-dimensional, so every step is
-written out entry by entry on Python floats; no step calls LAPACK. Each
+GaussianState holds the belief as float tuples, and Q and R are diagonal, so
+a CovPair holds each as its two variances. The state is 3-dimensional and a
+measurement 2-dimensional, so every step is written out entry by entry on
+Python floats; no step calls LAPACK, and step calls no numpy at all. Each
 formula is one float kernel (predict_floats, innovation_cov_floats,
 innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
 array-level predict, predict_measurement, innovation, gate and update are
@@ -37,29 +38,29 @@ DEFAULT_GATE_THRESHOLD = 5.991
 _COND_LIMIT = 1e12
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
-
-@dataclass
+@dataclass(slots=True)
 class GaussianState:
-    """Gaussian pose belief: mean (x, y, phi) and 3x3 covariance P.
+    """Gaussian pose belief: mean (x, y, phi) and 3x3 covariance P, as float tuples.
 
-    The heading component of the mean is wrapped and P is symmetrized on
-    construction, so every state produced by the filter satisfies both.
+    Any (3,) mean and 3x3 P, sequence or array, is accepted; any other shape
+    raises ValueError. The heading is wrapped and P, three row tuples, is
+    symmetrized on construction. np.asarray(state.P) gives P as an array.
     """
 
-    mean: np.ndarray
-    P: np.ndarray
+    mean: tuple[float, float, float]
+    P: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float).copy()
-        self.mean[2] = models.wrap_angle(self.mean[2])
-        self.P = _symmetrize(np.asarray(self.P, dtype=float))
+        mean, P = np.asarray(self.mean, dtype=float), np.asarray(self.P, dtype=float)
+        if mean.shape != (3,) or P.shape != (3, 3):
+            raise ValueError(f"expected a (3,) mean and a (3, 3) P, got {mean.shape} and {P.shape}")
+        x, y, phi = mean.tolist()
+        self.mean = (x, y, models.wrap_angle(phi))
+        self.P = tuple(map(tuple, (0.5 * (P + P.T)).tolist()))
 
     @property
     def pose(self) -> Pose:
-        return Pose(self.mean[0], self.mean[1], self.mean[2])
+        return Pose(*self.mean)
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,12 @@ def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
             p11: float, p12: float, p22: float) -> GaussianState:
     """GaussianState from floats, phi already wrapped, P mirrored from its upper triangle.
 
-    P is symmetric by construction here, so __post_init__'s copy,
+    P is symmetric by construction here, so __post_init__'s checks,
     wrapping and symmetrization are skipped.
     """
     state = object.__new__(GaussianState)
-    state.mean = np.array([x, y, phi])
-    state.P = np.array([p00, p01, p02, p01, p11, p12, p02, p12, p22]).reshape(3, 3)
+    state.mean = (x, y, phi)
+    state.P = ((p00, p01, p02), (p01, p11, p12), (p02, p12, p22))
     return state
 
 
@@ -194,8 +195,8 @@ def predict(
     models.position_jacobian). Q is the variance pair (q_v, q_gamma). The
     arithmetic is predict_floats'.
     """
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
         x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *Q, dt, wheelbase,
     )
@@ -282,8 +283,8 @@ def predict_measurement(
         S: 2x2 H P H^T + R from innovation_cov_floats, exactly symmetric.
         H: 2x3 observation Jacobian at the current mean.
     """
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     r, bearing = models.range_bearing(x, y, phi, landmark)
     h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
     s00, s01, s11 = innovation_cov_floats(p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, *R)
@@ -311,8 +312,8 @@ def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> Gau
     """Measurement update with gain K = P H^T S^-1; the arithmetic is update_floats'."""
     i00, i01, i10, i11 = _inverse_2x2(record.S)
     v0, v1 = np.asarray(record.residual, dtype=float).tolist()
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     (h00, h01, h02), (h10, h11, h12) = np.asarray(H, dtype=float).tolist()
     return _belief(*update_floats(
         x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
@@ -337,19 +338,17 @@ def step(
     against the belief updated by its predecessors. Rejected measurements are
     recorded with accepted=False and leave the belief untouched.
 
-    The belief stays on Python floats from the prediction to the last
-    measurement: each measurement takes one inverse of its S, shared by the
-    gate and the update, and one GaussianState is built at the end. The
-    records' residual, S and H are the tuples of floats the loop computed.
-    The arithmetic is that of predict, predict_measurement, innovation, gate
-    and update, through the same float kernels, so the result is bit for bit
-    theirs.
+    Each measurement takes one inverse of its S, shared by the gate and the
+    update. The records' residual, S and H and the posterior's mean and P are
+    the float tuples the loop computed; step calls no numpy. The arithmetic
+    is that of predict, predict_measurement, innovation, gate and update,
+    through the same float kernels, so the result is bit for bit theirs.
 
     Returns:
         The posterior state and one InnovationRecord per input measurement.
     """
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
         x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *cov.Q, dt, wheelbase,
     )

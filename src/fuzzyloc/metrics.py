@@ -39,8 +39,8 @@ def nees(truth: Pose, est: GaussianState) -> float:
     Raises:
         SingularCovarianceError: a pivot is exactly zero, as in gesv.
     """
-    p0, p1, p2 = est.P.tolist()
-    return nees_floats(truth.x, truth.y, truth.phi, *est.mean.tolist(), *p0, *p1, *p2)
+    p0, p1, p2 = est.P
+    return nees_floats(truth.x, truth.y, truth.phi, *est.mean, *p0, *p1, *p2)
 
 
 def nees_floats(

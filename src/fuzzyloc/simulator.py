@@ -497,11 +497,11 @@ def run_once(
 
     # Between scans the truth pose and the belief (mean and P's upper
     # triangle) live as floats, and each tick's row goes straight into the
-    # arrays above through flat views. Scan ticks rebuild a GaussianState
-    # for ekf.step and the adapter. NEES is computed once, after the loop.
+    # arrays above through flat views. Scan ticks hand them to ekf.step as a
+    # GaussianState of tuples. NEES is computed once, after the loop.
     tx, ty, tphi = truth.x, truth.y, truth.phi
-    x, y, phi = state.mean.tolist()
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     truth_out, est_out, p_out, dom_out, delta_dom_out, applied_out, q_factor_out = (
         memoryview(a).cast("B").cast("d")
         for a in (truth_arr, est_arr, p_upper, dom_diag, delta_dom_diag, applied_delta_r, q_factor)
@@ -550,8 +550,8 @@ def run_once(
                         delta_dom_out[k], delta_dom_out[k + 1] = trace.delta_dom_diag
                         applied_out[k], applied_out[k + 1] = trace.applied_delta_r
                         q_factor_out[i] = trace.q_factor
-                x, y, phi = state.mean.tolist()
-                (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P.tolist()
+                x, y, phi = state.mean
+                (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
             k = 3 * i
             truth_out[k], truth_out[k + 1], truth_out[k + 2] = tx, ty, tphi
             est_out[k], est_out[k + 1], est_out[k + 2] = x, y, phi

@@ -12,7 +12,7 @@ csv.writer, a run loop that moves Pose/ControlInput/GaussianState objects
 through every tick, the NEES elimination on row tuples, the covariance
 adapter as one AnfisNet object per fuzzy network with a deque residual
 window, and the stacked fuzzy network and Q sensitivity as numpy array
-expressions.
+expressions. NoNumpy stands in for a module's numpy in the guard tests.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ from fuzzyloc.anfis import (
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError, ZeroFiringError
 from fuzzyloc.models import ControlInput, Measurement, Pose, wrap_angle
+
+
+class NoNumpy:
+    """Stands in for a module's numpy: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
 
 
 def fd_jacobian(f, x, h=1e-6, wrap_rows=()):
@@ -165,7 +172,7 @@ def numpy_predict(state, u, Q, dt, wheelbase):
     next_pose = models.motion_step(pose, u, dt, wheelbase)
     F = models.motion_jacobian_state(pose, u, dt)
     G = models.motion_jacobian_control(pose, u, dt, wheelbase)
-    P = F @ state.P @ F.T + G @ Q @ G.T
+    P = F @ np.asarray(state.P) @ F.T + G @ Q @ G.T
     return GaussianState(next_pose.as_array(), P)
 
 
@@ -174,7 +181,7 @@ def numpy_predict_measurement(state, landmark, R):
     pose = state.pose
     z = models.observe(pose, landmark)
     H = models.observation_jacobian(pose, landmark)
-    S = _symmetrize(H @ state.P @ H.T + R)
+    S = _symmetrize(H @ np.asarray(state.P) @ H.T + R)
     return np.array([z.r, z.theta]), S, H
 
 
@@ -186,10 +193,10 @@ def numpy_gate(residual, S, threshold):
 
 def numpy_update(state, record, H):
     """ekf.update as (I - K H) P with K^T solved from S K^T = H P."""
-    K = _solve_innovation(record.S, H @ state.P).T
-    mean = state.mean + K @ record.residual
-    P = (np.eye(3) - K @ H) @ state.P
-    return GaussianState(mean, P)
+    P = np.asarray(state.P)
+    K = _solve_innovation(record.S, H @ P).T
+    mean = np.asarray(state.mean) + K @ record.residual
+    return GaussianState(mean, (np.eye(3) - K @ H) @ P)
 
 
 def step_object_chain(
@@ -301,7 +308,7 @@ def run_once_object_loop(
                     q_factor[i] = trace.q_factor
         truth_arr[i] = (truth.x, truth.y, truth.phi)
         est_arr[i] = state.mean
-        p_diag[i] = np.diag(state.P)
+        p_diag[i] = np.diag(np.asarray(state.P))
         nees_arr[i] = metrics.nees(truth, state)
         r_diag[i] = cov.R
         q_diag[i] = cov.Q
@@ -317,9 +324,9 @@ def run_once_object_loop(
 
 def nees_row_tuples(truth, est):
     """metrics.nees with each row of [P | e] held as a 4-tuple while pivoting."""
-    x, y, phi = est.mean.tolist()
+    x, y, phi = np.asarray(est.mean).tolist()
     e0, e1, e2 = truth.x - x, truth.y - y, wrap_angle(truth.phi - phi)
-    p0, p1, p2 = est.P.tolist()
+    p0, p1, p2 = np.asarray(est.P).tolist()
     r0, r1, r2 = (*p0, e0), (*p1, e1), (*p2, e2)
     if abs(r1[0]) > abs(r0[0]):
         r0, r1 = r1, r0

@@ -144,21 +144,23 @@ def _linear_filter_worst_gap() -> float:
     R = np.diag([0.09, 0.04])
     C = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.3]])
     state = GaussianState(np.array([1.0, -2.0, 0.4]), np.diag([0.5, 0.4, 0.2]))
-    ref = helpers.LinearKF(state.mean.copy(), state.P.copy())
+    ref = helpers.LinearKF(state.mean, state.P)
     worst = 0.0
     for k in range(100):
         G = models.motion_jacobian_control(state.pose, u, dt, wheelbase)
         state = ekf.predict(state, u, q, dt, wheelbase)
         ref.predict(np.eye(3), G @ Q @ G.T)
         z = C @ ref.x + rng.normal(scale=0.05, size=2)
+        mean, P = np.asarray(state.mean), np.asarray(state.P)
         rec = InnovationRecord(
-            residual=z - C @ state.mean, S=C @ state.P @ C.T + R,
+            residual=z - C @ mean, S=C @ P @ C.T + R,
             landmark_id=1, timestep=k,
         )
         state = ekf.update(state, rec, C)
         ref.update(C, R, z)
         p_ref = 0.5 * (ref.P + ref.P.T)
-        worst = max(worst, float(np.abs(state.mean - ref.x).max()), float(np.abs(state.P - p_ref).max()))
+        mean, P = np.asarray(state.mean), np.asarray(state.P)
+        worst = max(worst, float(np.abs(mean - ref.x).max()), float(np.abs(P - p_ref).max()))
     return worst
 
 
@@ -268,9 +270,10 @@ def _soak_invariants() -> tuple[bool, float]:
                 if z.r < 30.0:
                     scan.append(z)
         state, _ = ekf.step(state, u, scan, cov, lm_map, 0.025, 4.0, timestep=k)
-        if not np.array_equal(state.P, state.P.T) or not np.all(np.isfinite(state.P)):
+        P = np.asarray(state.P)
+        if not np.array_equal(P, P.T) or not np.all(np.isfinite(P)):
             return False, float("nan")
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(state.P).min()))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(P).min()))
         if min_eig < -1e-9:
             return False, min_eig
     return True, min_eig

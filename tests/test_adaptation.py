@@ -674,13 +674,6 @@ class TestCovarianceAdapter:
         assert math.isnan(trace.q_factor)
 
 
-class _NoNumpy:
-    """Stands in for the adaptation module's numpy: any use of it fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} used on a scan")
-
-
 class TestNoNumpyPerScan:
     """Once its nets exist, after_update reads and returns the variance pairs
     on floats: numpy is used only while the nets are built."""
@@ -694,7 +687,7 @@ class TestNoNumpyPerScan:
         for k in range(13):
             if k == 3:  # the nets were built on the scan before
                 assert adapter.net is not None
-                monkeypatch.setattr(adaptation, "np", _NoNumpy())
+                monkeypatch.setattr(adaptation, "np", helpers.NoNumpy())
             rec = InnovationRecord(residuals[k % 4], ((0.1, 0.0), (0.0, 0.01)), 1, k, True,
                                    ((-1.0, 0.0, 0.0), (0.0, -0.1, -1.0)))
             new_cov, trace = adapter.after_update([rec], G_u, cov)

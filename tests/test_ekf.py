@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from fuzzyloc import ekf, metrics
+from fuzzyloc import ekf, metrics, models
 from fuzzyloc.ekf import (
     DEFAULT_GATE_THRESHOLD,
     CovPair,
@@ -48,8 +48,39 @@ class TestGaussianState:
         P = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         s = GaussianState(np.array([0.0, 0.0, 3.0 * math.pi]), P)
         assert s.mean[2] == pytest.approx(math.pi)
-        assert np.array_equal(s.P, s.P.T)
-        assert s.P[0, 1] == pytest.approx(0.25)
+        assert np.array_equal(np.asarray(s.P), np.asarray(s.P).T)
+        assert s.P[0][1] == pytest.approx(0.25)
+
+    def test_holds_float_tuples(self):
+        s = GaussianState([1, np.float64(2.0), 0.3], np.eye(3).tolist())
+        assert s.mean == (1.0, 2.0, 0.3) and s.P == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        assert type(s.mean) is tuple and all(type(v) is float for v in s.mean)
+        assert type(s.P) is tuple and all(type(v) is float for row in s.P for v in row)
+
+    def test_symmetrizes_as_the_array_formula(self):
+        # 0.5 * (P + P^T) on the diagonal too, so a huge diagonal overflows to inf
+        P = np.array([[1e308, 0.1, 0.2], [0.3, 2.0, 0.5], [0.7, 0.11, 1.7e308]])
+        with np.errstate(over="ignore"):
+            s = GaussianState(np.zeros(3), P)
+            expected = 0.5 * (P + P.T)
+        assert np.asarray(s.P).tobytes() == expected.tobytes()
+        assert s.P[0][0] == s.P[2][2] == math.inf
+
+    @pytest.mark.parametrize("mean, P", [
+        (np.zeros(4), np.eye(3)),
+        (np.zeros(3), np.eye(2)),
+        (np.zeros((3, 1)), np.eye(3)),
+        (np.zeros(3), np.ones(9)),
+        (0.0, np.eye(3)),
+    ])
+    def test_refuses_other_shapes(self, mean, P):
+        with pytest.raises(ValueError, match=r"\(3,\) mean and a \(3, 3\) P"):
+            GaussianState(mean, P)
+
+    def test_accepts_non_finite_values(self):
+        s = GaussianState([math.nan, math.inf, 0.0], np.full((3, 3), -math.inf))
+        assert math.isnan(s.mean[0]) and s.mean[1] == math.inf
+        assert all(v == -math.inf for row in s.P for v in row)
 
     def test_pose_property(self):
         s = GaussianState(np.array([1.0, 2.0, 0.3]), np.eye(3))
@@ -257,6 +288,7 @@ class TestNumpyOracle:
     TOL = 1e-12
 
     def _close(self, ours, theirs):
+        ours, theirs = np.asarray(ours), np.asarray(theirs)
         assert np.max(np.abs(ours - theirs)) <= self.TOL * np.max(np.abs(theirs))
 
     def test_replay_default_drive(self):
@@ -290,7 +322,7 @@ class TestNumpyOracle:
                 theirs = helpers.numpy_update(state, record, H)
                 self._close(ours.mean, theirs.mean)
                 self._close(ours.P, theirs.P)
-                assert np.array_equal(ours.P, ours.P.T)
+                assert np.array_equal(np.asarray(ours.P), np.asarray(ours.P).T)
                 state = ours
         assert n_accepted > 400 and n_rejected > 0
 
@@ -324,8 +356,8 @@ def _assert_same_array(ours, theirs):
 def _assert_same_step(ours, theirs):
     """Posterior mean and P, and every record, equal bit for bit."""
     (state, records), (their_state, their_records) = ours, theirs
-    _assert_same_array(state.mean, their_state.mean)
-    _assert_same_array(state.P, their_state.P)
+    _assert_same_array(np.asarray(state.mean), np.asarray(their_state.mean))
+    _assert_same_array(np.asarray(state.P), np.asarray(their_state.P))
     assert len(records) == len(their_records)
     for rec, their in zip(records, their_records):
         for name in ("residual", "S", "H"):
@@ -527,7 +559,7 @@ class TestStepCallGuard:
         assert calls == {"predict": 1, "predict_measurement": 4, "innovation": 4,
                          "gate": 4, "update": 4}
 
-    def test_scan_builds_no_array_per_measurement(self, monkeypatch):
+    def test_step_calls_no_numpy_once_the_prior_exists(self, monkeypatch):
         lmap = LandmarkMap(
             [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, -8.0, -6.0),
              Landmark(4, 6.0, -9.0)]
@@ -535,21 +567,20 @@ class TestStepCallGuard:
         state = GaussianState(np.zeros(3), np.diag([0.1, 0.1, 0.02]))
         cov = CovPair((0.09, 0.003), (0.01, 0.0003))
         scan = [observe(Pose(0.1, 0.0, 0.0), lm) for lm in lmap]
-        built = []
-        original = ekf.np.array
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(ekf.np, "array", counted)
-        _, records = step(state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0)
-        assert len(records) == 4
-        assert len(built) <= 2  # the posterior's mean and P
+        scan.append(Measurement(2, 17.0, -1.2))  # absurd range error, must be gated
+        monkeypatch.setattr(ekf, "np", helpers.NoNumpy())
+        monkeypatch.setattr(models, "np", helpers.NoNumpy())
+        u = ControlInput(1.0, 0.0)
+        state, records = step(state, u, [], cov, lmap, 0.1, 4.0)
+        assert records == []
+        state, records = step(state, u, scan, cov, lmap, 0.1, 4.0)
+        assert [rec.accepted for rec in records] == [True, True, True, True, False]
         for rec in records:
             assert type(rec.S) is tuple and type(rec.H) is tuple
             for row in (rec.residual, *rec.S, *rec.H):
                 assert type(row) is tuple and all(type(v) is float for v in row)
+        for row in (state.mean, *state.P):
+            assert type(row) is tuple and all(type(v) is float for v in row)
 
 
 class TestLinearOracle:
@@ -675,8 +706,8 @@ class TestStep:
         verdict = gate(rec.residual, rec.S, DEFAULT_GATE_THRESHOLD)
         assert type(verdict) is bool and verdict is rec.accepted is True
         posterior = update(predict(state, u, cov.Q, 0.1, 4.0), rec, rec.H)
-        assert posterior.mean.tobytes() == out.mean.tobytes()
-        assert posterior.P.tobytes() == out.P.tobytes()
+        assert np.asarray(posterior.mean).tobytes() == np.asarray(out.mean).tobytes()
+        assert np.asarray(posterior.P).tobytes() == np.asarray(out.P).tobytes()
 
     def test_unknown_landmark_raises(self):
         lmap, state, cov, u = self._setup()
@@ -724,9 +755,10 @@ class TestSoak:
                         dth = rng.normal(0.0, noise.sigma_theta)
                         scan.append(observe(truth, lm, noise=(dr, dth)))
             state, _ = step(state, u, scan, cov, lmap, dt, wheelbase)
-            assert np.array_equal(state.P, state.P.T)
-            assert np.all(np.isfinite(state.P)) and np.all(np.isfinite(state.mean))
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(state.P)[0]))
+            P = np.asarray(state.P)
+            assert np.array_equal(P, P.T)
+            assert np.all(np.isfinite(P)) and np.all(np.isfinite(state.mean))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(P)[0]))
         assert min_eig >= -1e-9
 
     def test_default_gate_threshold_value(self):

@@ -123,7 +123,7 @@ class TestNees:
         cases += [np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0]), np.ones((3, 3))]
         for P in cases:
             est = GaussianState(rng.normal(size=3), np.eye(3))
-            est.P = P  # bypass __post_init__'s symmetrization
+            est.P = tuple(map(tuple, P.tolist()))  # bypass __post_init__'s symmetrization
             truth = Pose(*rng.normal(scale=4.0, size=3))
             try:
                 expected = helpers.nees_row_tuples(truth, est)
