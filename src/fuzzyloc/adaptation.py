@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -210,8 +211,8 @@ class AdaptationConfig:
         """
         if not isinstance(self.window, numbers.Integral):  # a bool is below 2 as well
             raise ValueError(f"window must be an integer, got {self.window!r}")
-        if not self.window >= 2:
-            raise ValueError("window must be at least 2")
+        if not 2 <= self.window <= sys.maxsize:  # deque's maxlen bound
+            raise ValueError(f"window must lie in [2, {sys.maxsize}]")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError("eta must be finite and nonnegative")
         if not (math.isfinite(self.r_floor) and self.r_floor > 0.0):

@@ -111,8 +111,8 @@ class ExperimentSpec:
             raise ValueError("--runs must be at least 1")
         if self.base_seed < 0:
             raise ValueError("--seed must be nonnegative")
-        if self.window is not None and self.window < 2:
-            raise ValueError("--window must be at least 2")
+        if self.window is not None and not 2 <= self.window <= sys.maxsize:
+            raise ValueError(f"--window must lie in [2, {sys.maxsize}]")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ValueError("--eta must lie in (0, 1]")
         if self.r_floor is not None and not (math.isfinite(self.r_floor) and self.r_floor > 0.0):

@@ -192,8 +192,8 @@ def predict(
     and the noisy command, both linearized at the current mean. F is the
     identity except for (fx, fy) above the diagonal in its heading column,
     and those equal the position entries of G's steer column (see
-    models.position_jacobian). Q is the variance pair (q_v, q_gamma). The
-    arithmetic is predict_floats'.
+    models.control_jacobian_floats). Q is the variance pair (q_v, q_gamma).
+    The arithmetic is predict_floats'.
     """
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P

@@ -22,6 +22,9 @@ from .models import Pose, wrap_angle, wrap_angles
 
 STATE_DIM = 3
 
+#: Central probability of the average-NEES band that build_report checks.
+BAND_CONFIDENCE = 0.95
+
 #: Rows per nees_rows block; bounds the temporaries of one pass.
 NEES_BLOCK = 256
 
@@ -271,10 +274,11 @@ class EnsembleReport:
         return float(np.mean(self.rmse_pos))
 
 
-def build_report(logs: Sequence, confidence: float = 0.95) -> EnsembleReport:
+def build_report(logs: Sequence) -> EnsembleReport:
     """Aggregate an ensemble of run logs into one report.
 
     All logs must come from the same scenario (equal lengths and variant).
+    The band is chi2_band's at BAND_CONFIDENCE.
     """
     if not logs:
         raise ValueError("cannot build a report from zero runs")
@@ -283,7 +287,7 @@ def build_report(logs: Sequence, confidence: float = 0.95) -> EnsembleReport:
         raise ValueError(f"mixed variants in one ensemble: {sorted(variants)}")
     n_runs = len(logs)
     avg = average_nees(logs)
-    band = chi2_band(n_runs, STATE_DIM, confidence)
+    band = chi2_band(n_runs, STATE_DIM, BAND_CONFIDENCE)
     return EnsembleReport(
         variant=variants.pop(),
         n_runs=n_runs,

@@ -169,26 +169,21 @@ def motion_floats(
     )
 
 
-def position_jacobian(
-    phi: float, v: float, gamma: float, dt: float
-) -> tuple[float, float, float, float]:
-    """Derivatives of the next (x, y) w.r.t. (v, heading), row-major.
+def control_jacobian_floats(
+    phi: float, v: float, gamma: float, dt: float, wheelbase: float
+) -> tuple[float, float, float, float, float, float]:
+    """The six entries of motion_jacobian_control, row-major.
 
     phi and gamma enter the position only through heading = phi + gamma, so
-    the heading column is both d(x, y)/dphi and d(x, y)/dgamma.
+    the position entries of the steer column (the second and fourth) are
+    also d(x, y)/dphi; they do not depend on the wheelbase.
     """
     heading = phi + gamma
     sin_h = math.sin(heading)
     cos_h = math.cos(heading)
-    return dt * cos_h, -dt * v * sin_h, dt * sin_h, dt * v * cos_h
-
-
-def control_jacobian_floats(
-    phi: float, v: float, gamma: float, dt: float, wheelbase: float
-) -> tuple[float, float, float, float, float, float]:
-    """The six entries of motion_jacobian_control, row-major."""
     return (
-        *position_jacobian(phi, v, gamma, dt),
+        dt * cos_h, -dt * v * sin_h,
+        dt * sin_h, dt * v * cos_h,
         dt * math.sin(gamma) / wheelbase,
         dt * v * math.cos(gamma) / wheelbase,
     )
@@ -201,9 +196,9 @@ def motion_with_jacobian_floats(
     the next (x, y, phi), heading not wrapped, then G's six entries row-major.
 
     Each of sin and cos is taken once of the heading and once of gamma, and
-    every product is the one motion_floats, position_jacobian and
-    control_jacobian_floats write, with dt * v computed once where it is
-    their left factor, so the nine floats are bit for bit theirs.
+    every product is the one motion_floats and control_jacobian_floats
+    write, with dt * v computed once where it is their left factor, so the
+    nine floats are bit for bit theirs.
     """
     heading = phi + gamma
     sin_h, cos_h = math.sin(heading), math.cos(heading)
@@ -245,7 +240,8 @@ def motion_jacobian_state(pose: Pose, u: ControlInput, dt: float) -> np.ndarray:
     The heading row is independent of the pose, so the matrix is identity
     plus a heading-to-position shear.
     """
-    _, shear_x, _, shear_y = position_jacobian(pose.phi, u.v, u.gamma, dt)
+    # the shear is G's steer column above its heading row, whatever the wheelbase
+    _, shear_x, _, shear_y, _, _ = control_jacobian_floats(pose.phi, u.v, u.gamma, dt, 1.0)
     return np.array(
         [
             [1.0, 0.0, shear_x],

@@ -406,20 +406,26 @@ class RunLog:
         )
 
 
-def _check_run_arguments(
-    seed_name: str, seed: int | None, gate_threshold: float, p0_diag: tuple[float, float, float],
-) -> None:
-    """Raise ValueError, naming the argument, on a seed that _is_seed rejects
-    (the check Scenario.validate makes), a gate threshold that is NaN or
-    negative, or a p0_diag that is not three positive finite values. A gate
-    threshold of 0 or inf is legal."""
+def _start(
+    scenario: Scenario, variant: str, seed: int | None, adaptation: AdaptationConfig | None,
+    seed_name: str = "seed",
+) -> tuple[CovPair, CovarianceAdapter | None]:
+    """Check a run's arguments; return its start covariances and its adapter.
+
+    In this order: ValueError on a variant not in VARIANTS, ValueError naming
+    seed_name on a seed that _is_seed rejects (the check Scenario.validate
+    makes; None stands for the scenario's seed), then scenario.validate().
+    The CovPair comes from the assumed noise. The adapter is None for the
+    plain filter; its constructor rejects a q_floor above the Q ceiling.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if seed is not None and not _is_seed(seed):
         raise ValueError(f"{seed_name} must be a nonnegative integer, got {seed!r}")
-    if not gate_threshold >= 0.0:
-        raise ValueError(f"gate_threshold must be nonnegative, got {gate_threshold!r}")
-    p0 = np.asarray(p0_diag, dtype=float)
-    if p0.shape != (3,) or not all(math.isfinite(v) and v > 0.0 for v in p0.tolist()):
-        raise ValueError(f"p0_diag must be 3 positive finite values, got {p0_diag!r}")
+    scenario.validate()
+    cov = CovPair.from_noise(scenario.assumed_noise)
+    mode = _VARIANT_MODE[variant]
+    return cov, CovarianceAdapter(mode, cov, adaptation) if mode else None
 
 
 def run_once(
@@ -427,35 +433,29 @@ def run_once(
     variant: str,
     seed: int | None = None,
     adaptation: AdaptationConfig | None = None,
-    gate_threshold: float = ekf.DEFAULT_GATE_THRESHOLD,
-    p0_diag: tuple[float, float, float] = DEFAULT_P0_DIAG,
 ) -> RunLog:
     """Simulate one run of the chosen filter variant.
 
-    The filter starts at the true pose with covariance diag(p0_diag). On
-    every control tick the truth moves with a noisy command while the filter
-    predicts with the clean one; on observation ticks the filter fuses the
-    scan, after which the adapter (if the variant has one) rewrites the
-    covariances used from the next tick on.
+    The filter starts at the true pose with covariance diag(DEFAULT_P0_DIAG),
+    read when the run starts, and gates measurements at
+    ekf.DEFAULT_GATE_THRESHOLD. On every control tick the truth moves with a
+    noisy command while the filter predicts with the clean one; on
+    observation ticks the filter fuses the scan, after which the adapter (if
+    the variant has one) rewrites the covariances used from the next tick on.
 
     Args:
         scenario: world description; validated before the run.
         variant: one of VARIANTS.
         seed: run seed; defaults to scenario.seed.
         adaptation: adapter parameters; defaults to AdaptationConfig().
-        gate_threshold: Mahalanobis acceptance bound for measurements.
-        p0_diag: initial covariance diagonal.
 
     Returns:
         A RunLog with one row per control tick.
 
     Raises:
-        ValueError: an unknown variant, or an argument _check_run_arguments rejects.
+        ValueError, ScenarioError: what _start rejects, before any rng is built.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_run_arguments("seed", seed, gate_threshold, p0_diag)
-    scenario.validate()
+    cov, adapter = _start(scenario, variant, seed, adaptation)
     if seed is None:
         seed = scenario.seed
     control_rng, sensor_rng = (
@@ -470,12 +470,9 @@ def run_once(
 
     landmark_map = LandmarkMap(scenario.landmarks)
     truth = Pose(*scenario.start)
-    state = GaussianState(truth.as_array(), np.diag(p0_diag))
-    cov = CovPair.from_noise(scenario.assumed_noise)
+    state = GaussianState(truth.as_array(), np.diag(DEFAULT_P0_DIAG))
     driver = WaypointDriver(scenario)
-    mode = _VARIANT_MODE[variant]
-    adapter = CovarianceAdapter(mode, cov, adaptation) if mode else None
-    q_mode = mode is not None and "q" in mode
+    q_mode = adapter is not None and "q" in adapter.mode
 
     t = np.arange(1, n + 1) * dt
     truth_arr = np.empty((n, 3))
@@ -530,8 +527,7 @@ def run_once(
                 prior = ekf._belief(x, y, phi, p00, p01, p02, p11, p12, p22)
                 clean = ControlInput(speed, steer)
                 state, records = ekf.step(
-                    prior, clean, scan, cov, landmark_map, dt, wheelbase,
-                    gate_threshold=gate_threshold, timestep=i + 1,
+                    prior, clean, scan, cov, landmark_map, dt, wheelbase, timestep=i + 1,
                 )
                 accepted = [rec.accepted for rec in records].count(True)
                 n_meas[i] = accepted
@@ -665,19 +661,17 @@ def run_monte_carlo(
     base_seed: int = 0,
     max_workers: int = 1,
     adaptation: AdaptationConfig | None = None,
-    gate_threshold: float = ekf.DEFAULT_GATE_THRESHOLD,
-    p0_diag: tuple[float, float, float] = DEFAULT_P0_DIAG,
 ) -> list[RunLog]:
     """Run n_runs independent simulations seeded base_seed + run index.
 
     Results are ordered by run index regardless of worker scheduling, so a
     parallel invocation is interchangeable with a serial one. fan_out starts
     at most one worker process per run, and none for a single worker or run.
-    The arguments are checked as run_once checks them before any process starts.
+    Before any process starts, n_runs is checked and _start makes run_once's
+    checks, with base_seed as the seed.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    _check_run_arguments("base_seed", base_seed, gate_threshold, p0_diag)
-    runs = [(scenario, variant, seed, adaptation, gate_threshold, p0_diag)
-            for seed in range(base_seed, base_seed + n_runs)]
+    _start(scenario, variant, base_seed, adaptation, "base_seed")
+    runs = [(scenario, variant, seed, adaptation) for seed in range(base_seed, base_seed + n_runs)]
     return list(fan_out(run_once, runs, max_workers))

@@ -247,14 +247,7 @@ def record_drive(scenario, seed):
     return ticks
 
 
-def run_once_object_loop(
-    scenario,
-    variant,
-    seed=None,
-    adaptation=None,
-    gate_threshold=ekf.DEFAULT_GATE_THRESHOLD,
-    p0_diag=simulator.DEFAULT_P0_DIAG,
-):
+def run_once_object_loop(scenario, variant, seed=None, adaptation=None):
     """simulator.run_once as a loop over objects: every tick goes through
     WaypointDriver.drive, models.motion_step, ekf.step and metrics.nees,
     with one scalar rng.normal per control-noise channel and tick."""
@@ -271,7 +264,7 @@ def run_once_object_loop(
     n = int(round(scenario.duration * scenario.control_rate))
     landmark_map = models.LandmarkMap(scenario.landmarks)
     truth = Pose(*scenario.start)
-    state = GaussianState(truth.as_array(), np.diag(p0_diag))
+    state = GaussianState(truth.as_array(), np.diag(simulator.DEFAULT_P0_DIAG))
     cov = CovPair.from_noise(scenario.assumed_noise)
     driver = simulator.WaypointDriver(scenario)
     mode = {"ekf": None, "anfekf-r": "r", "anfekf-q": "q", "anfekf-rq": "rq"}[variant]
@@ -291,10 +284,7 @@ def run_once_object_loop(
         obs_tick = (i + 1) % ratio == 0
         scan = simulator.sense(truth, landmark_map, scenario, sensor_rng) if obs_tick else []
         prior = state
-        state, records = ekf.step(
-            state, clean, scan, cov, landmark_map, dt, wheelbase,
-            gate_threshold=gate_threshold, timestep=i + 1,
-        )
+        state, records = ekf.step(state, clean, scan, cov, landmark_map, dt, wheelbase, timestep=i + 1)
         if obs_tick:
             n_meas[i] = sum(rec.accepted for rec in records)
             n_gated[i] = len(records) - n_meas[i]

@@ -1,6 +1,7 @@
 """Covariance-matching tests: window, mismatch, fuzzy rewrites, training loop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -509,7 +510,7 @@ class TestAdaptationConfig:
     @pytest.mark.parametrize(
         "field, bad",
         [
-            ("window", 1), ("window", 15.0),
+            ("window", 1), ("window", 15.0), ("window", sys.maxsize + 1),
             ("eta", -0.01), ("eta", math.nan), ("eta", math.inf),
             ("r_floor", math.nan), ("r_floor", 0.0), ("r_floor", -1e-8), ("r_floor", math.inf),
             ("q_floor", math.nan), ("q_floor", 0.0), ("q_floor", math.inf),

@@ -204,6 +204,7 @@ class TestRun:
             ["--eta", "0.0"],
             ["--eta", "1.5"],
             ["--window", "1"],
+            ["--window", "100000000000000000000"],
             ["--runs", "0"],
             ["--workers", "0"],
             ["--seed", "-1"],

@@ -399,7 +399,7 @@ class TestBuildReport:
             fake_log(nees_series=[2.0, 3.0], pos_err=[0.1, 0.2]),
             fake_log(nees_series=[4.0, 3.0], pos_err=[0.3, 0.2]),
         ]
-        report = build_report(logs, confidence=0.95)
+        report = build_report(logs)
         assert report.variant == "ekf"
         assert report.n_runs == 2
         np.testing.assert_allclose(report.avg_nees, [3.0, 3.0])

@@ -479,6 +479,19 @@ class TestSenseOracle:
                 fn(Pose(3.0, 4.0, 0.0), LandmarkMap(s.landmarks), s, np.random.default_rng(0))
 
 
+@pytest.fixture
+def no_rng_or_process(monkeypatch):
+    """Make building a run's rng or starting a worker process fail the test."""
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an rng was built before the arguments were checked")
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started before the arguments were checked")
+
+    monkeypatch.setattr(simulator.np.random, "SeedSequence", no_rng)
+    monkeypatch.setattr(simulator, "Process", no_process)
+
+
 class TestRunOnce:
     def test_unknown_variant(self, tiny_scenario):
         with pytest.raises(ValueError, match="variant"):
@@ -591,41 +604,36 @@ class TestRunOnce:
         ("run_once", "seed", True),
         ("run_monte_carlo", "base_seed", -1),
         ("run_monte_carlo", "base_seed", False),
-        ("run_once", "gate_threshold", math.nan),
-        ("run_once", "gate_threshold", -1.0),
-        ("run_monte_carlo", "gate_threshold", math.nan),
-        pytest.param("run_once", "p0_diag", (-1.0, 1.0, 1.0), id="run_once-p0_diag-negative"),
-        pytest.param("run_once", "p0_diag", (1.0, 1.0), id="run_once-p0_diag-two-values"),
-        pytest.param("run_monte_carlo", "p0_diag", (1.0, math.inf, 1.0), id="run_monte_carlo-p0_diag-inf"),
     ])
-    def test_invalid_argument_named_before_any_rng(self, tiny_scenario, monkeypatch,
+    def test_invalid_argument_named_before_any_rng(self, tiny_scenario, no_rng_or_process,
                                                    call, argument, value):
-        def no_rng(*args, **kwargs):
-            raise AssertionError("an rng was built before the arguments were checked")
-
-        def no_process(*args, **kwargs):
-            raise AssertionError("a process was started before the arguments were checked")
-
-        monkeypatch.setattr(simulator.np.random, "SeedSequence", no_rng)
-        monkeypatch.setattr(simulator, "Process", no_process)
         with pytest.raises(ValueError, match=f"^{argument} "):
             if call == "run_once":
                 run_once(tiny_scenario, "anfekf-r", **{argument: value})
             else:
                 run_monte_carlo(tiny_scenario, "anfekf-r", n_runs=2, max_workers=2, **{argument: value})
 
-    def test_gate_threshold_zero_and_inf_stay_legal(self, tiny_scenario):
-        scenario = dataclasses.replace(tiny_scenario, duration=2.0)
-        closed = run_once(scenario, "anfekf-r", seed=0, gate_threshold=0.0)
-        assert closed.n_meas.sum() == 0 and closed.n_gated.sum() > 0
-        opened = run_once(scenario, "anfekf-r", seed=0, gate_threshold=math.inf)
-        assert opened.n_gated.sum() == 0 and opened.n_meas.sum() > 0
+    @pytest.mark.parametrize("variant, change, adaptation, error, message", [
+        pytest.param("anfekf-x", {}, None, ValueError, "unknown variant", id="unknown-variant"),
+        pytest.param("anfekf-r", {"waypoints": ()}, None, ScenarioError, "no waypoints",
+                     id="invalid-scenario"),
+        pytest.param("anfekf-q", {}, AdaptationConfig(q_floor=1.0), ValueError, "Q ceiling",
+                     id="q-floor-above-ceiling"),
+    ])
+    def test_ensemble_rejected_before_any_worker(self, tiny_scenario, no_rng_or_process,
+                                                 variant, change, adaptation, error, message):
+        scenario = dataclasses.replace(tiny_scenario, **change)
+        with pytest.raises(error, match=message):
+            run_monte_carlo(scenario, variant, n_runs=2, max_workers=2, adaptation=adaptation)
 
-    def test_initial_covariance_honored(self, tiny_scenario):
-        log = run_once(tiny_scenario, "ekf", seed=0, p0_diag=(4.0, 4.0, 1.0))
-        # first tick is one prediction from the start: still near the prior
-        assert log.p_diag[0, 0] > 3.0
+    def test_initial_covariance_read_at_run_start(self, tiny_scenario, monkeypatch):
         assert DEFAULT_P0_DIAG == (1e-6, 1e-6, 1e-6)
+        p0 = (4.0, 4.0, 1.0)
+        monkeypatch.setattr(simulator, "DEFAULT_P0_DIAG", p0)
+        log = run_once(tiny_scenario, "ekf", seed=0)
+        # the first row is one prediction from the start: P0 plus a little
+        assert np.all(log.p_diag[0] >= p0)
+        assert log.p_diag[0] == pytest.approx(p0, rel=1e-2)
 
 
 def _assert_logs_equal(new, old):
@@ -687,13 +695,6 @@ class TestRunOnceOracle:
         cfg = AdaptationConfig(eta=0.0)
         _assert_logs_equal(run_once(scenario, variant, seed=2, adaptation=cfg),
                            helpers.run_once_object_loop(scenario, variant, seed=2, adaptation=cfg))
-
-    def test_custom_p0_and_gate(self):
-        scenario = _setting("criterion-3")
-        kwargs = dict(seed=3, gate_threshold=2.0, p0_diag=(0.5, 0.2, 0.01))
-        new = run_once(scenario, "anfekf-rq", **kwargs)
-        assert new.n_gated.sum() > 0
-        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-rq", **kwargs))
 
     def test_timed_out_run(self, tiny_scenario):
         scenario = dataclasses.replace(tiny_scenario, waypoints=((1e6, 0.0),), duration=5.0)
