@@ -524,6 +524,12 @@ class TestAdaptationConfig:
         AdaptationConfig(window=2, eta=0.0)
         AdaptationConfig(q_floor=1e-12)
 
+    def test_window_at_deque_bound_runs(self, tiny_scenario):
+        # sys.maxsize is the largest maxlen a deque takes, so the window's bound
+        cfg = AdaptationConfig(window=sys.maxsize)
+        log = run_once(tiny_scenario, "anfekf-r", seed=0, adaptation=cfg)
+        assert np.isfinite(log.r_diag).all()
+
     def test_nan_floor_rejected_before_a_run(self, tiny_scenario):
         # max(x, nan) returns x, so a NaN r_floor used to vanish and let R go negative
         with pytest.raises(ValueError, match="r_floor"):

@@ -1,6 +1,7 @@
 """Simulation harness tests: scenario handling, driver, sensing, runs."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -479,6 +480,12 @@ class TestSenseOracle:
                 fn(Pose(3.0, 4.0, 0.0), LandmarkMap(s.landmarks), s, np.random.default_rng(0))
 
 
+def _gate_runs_at(monkeypatch, threshold):
+    """Make ekf.step gate at threshold where its caller names no gate, as
+    run_once and helpers.run_once_object_loop both do."""
+    monkeypatch.setattr(ekf, "step", functools.partial(ekf.step, gate_threshold=threshold))
+
+
 @pytest.fixture
 def no_rng_or_process(monkeypatch):
     """Make building a run's rng or starting a worker process fail the test."""
@@ -604,6 +611,7 @@ class TestRunOnce:
         ("run_once", "seed", True),
         ("run_monte_carlo", "base_seed", -1),
         ("run_monte_carlo", "base_seed", False),
+        ("run_monte_carlo", "base_seed", 1.5),
     ])
     def test_invalid_argument_named_before_any_rng(self, tiny_scenario, no_rng_or_process,
                                                    call, argument, value):
@@ -626,7 +634,17 @@ class TestRunOnce:
         with pytest.raises(error, match=message):
             run_monte_carlo(scenario, variant, n_runs=2, max_workers=2, adaptation=adaptation)
 
-    def test_initial_covariance_read_at_run_start(self, tiny_scenario, monkeypatch):
+    def test_gate_threshold_zero_and_inf_stay_legal(self, tiny_scenario, monkeypatch):
+        # a closed gate leaves the adapter scans with no accepted measurement
+        scenario = dataclasses.replace(tiny_scenario, duration=2.0)
+        _gate_runs_at(monkeypatch, 0.0)
+        closed = run_once(scenario, "anfekf-r", seed=0)
+        assert closed.n_meas.sum() == 0 and closed.n_gated.sum() > 0
+        _gate_runs_at(monkeypatch, math.inf)
+        opened = run_once(scenario, "anfekf-r", seed=0)
+        assert opened.n_gated.sum() == 0 and opened.n_meas.sum() > 0
+
+    def test_initial_covariance_honored(self, tiny_scenario, monkeypatch):
         assert DEFAULT_P0_DIAG == (1e-6, 1e-6, 1e-6)
         p0 = (4.0, 4.0, 1.0)
         monkeypatch.setattr(simulator, "DEFAULT_P0_DIAG", p0)
@@ -695,6 +713,14 @@ class TestRunOnceOracle:
         cfg = AdaptationConfig(eta=0.0)
         _assert_logs_equal(run_once(scenario, variant, seed=2, adaptation=cfg),
                            helpers.run_once_object_loop(scenario, variant, seed=2, adaptation=cfg))
+
+    def test_custom_p0_and_gate(self, monkeypatch):
+        scenario = _setting("criterion-3")
+        monkeypatch.setattr(simulator, "DEFAULT_P0_DIAG", (0.5, 0.2, 0.01))
+        _gate_runs_at(monkeypatch, 2.0)
+        new = run_once(scenario, "anfekf-rq", seed=3)
+        assert new.n_gated.sum() > 0
+        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-rq", seed=3))
 
     def test_timed_out_run(self, tiny_scenario):
         scenario = dataclasses.replace(tiny_scenario, waypoints=((1e6, 0.0),), duration=5.0)
