@@ -272,11 +272,6 @@ class CovarianceAdapter:
                 f"({Q_CEILING_RATIO:g} x initial Q)"
             )
 
-    @property
-    def filled(self) -> int:
-        """Residuals in the window, at most its length."""
-        return len(self.window)
-
     def _input_scale(self, samples: np.ndarray) -> float:
         spread = float(np.std(samples))
         floor = SCALE_REL_FLOOR * float(np.mean(np.abs(samples)))
@@ -315,7 +310,7 @@ class CovarianceAdapter:
         """Feed one scan's innovation records; returns the covariances to use next.
 
         G_u holds the six entries of the control Jacobian of the scan's
-        prediction, row-major (models.control_jacobian_floats). It is read
+        prediction, row-major (models.motion_with_jacobian_floats[3:]). It is read
         only in the Q modes; the R mode takes None.
 
         Every residual of the scan enters the window, gated or not: the gate

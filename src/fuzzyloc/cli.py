@@ -24,6 +24,7 @@ from .metrics import EnsembleReport, build_report
 from .simulator import (
     VARIANTS,
     RunLog,
+    _start,
     default_scenario,
     fan_out,
     load_scenario,
@@ -253,13 +254,15 @@ def cmd_run(spec: ExperimentSpec) -> int:
     Each run's runs.csv rows are formatted where the run ran, in a worker
     with --workers above 1, and written as the run arrives, in run order;
     only its RunLog is kept for the report. runs.csv is replaced once every
-    run returned, and the other outputs are written after it.
+    run returned, and the other outputs are written after it. The run's
+    arguments pass simulator._start's check before --out is created.
     """
     spec.validate()
     scenario = load_scenario(spec.scenario_path)
+    adaptation = spec.adaptation_config()
+    _start(scenario, spec.variant, spec.base_seed, adaptation)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    adaptation = spec.adaptation_config()
     jobs = [(scenario, spec.variant, spec.base_seed + i, adaptation, i) for i in range(spec.n_runs)]
     logs = []
 
@@ -281,10 +284,16 @@ def cmd_run(spec: ExperimentSpec) -> int:
 
 
 def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
-    """Run two variants on identical seeds; write compare.csv and summaries."""
+    """Run two variants on identical seeds; write compare.csv and summaries.
+
+    Both ensembles' arguments pass simulator._start's check before --out is
+    created and before either ensemble runs.
+    """
     spec_a.validate()
     spec_b.validate()
     scenario = load_scenario(spec_a.scenario_path)
+    for spec in (spec_a, spec_b):
+        _start(scenario, spec.variant, spec.base_seed, spec.adaptation_config())
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rep_a, rep_b = (

@@ -125,12 +125,6 @@ def inverse_2x2_floats(a: float, b: float, c: float, d: float) -> tuple[float, f
     raise SingularInnovationError("innovation covariance is ill-conditioned")
 
 
-def _inverse_2x2(S) -> tuple[float, float, float, float]:
-    """inverse_2x2_floats of a 2x2 array or nested tuple."""
-    (a, b), (c, d) = np.asarray(S, dtype=float).tolist()
-    return inverse_2x2_floats(a, b, c, d)
-
-
 def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
             p11: float, p12: float, p22: float) -> GaussianState:
     """GaussianState from floats, phi already wrapped, P mirrored from its upper triangle.
@@ -192,7 +186,7 @@ def predict(
     and the noisy command, both linearized at the current mean. F is the
     identity except for (fx, fy) above the diagonal in its heading column,
     and those equal the position entries of G's steer column (see
-    models.control_jacobian_floats). Q is the variance pair (q_v, q_gamma).
+    models.motion_with_jacobian_floats). Q is the variance pair (q_v, q_gamma).
     The arithmetic is predict_floats'.
     """
     x, y, phi = state.mean
@@ -303,14 +297,16 @@ def innovation(z: Measurement, zhat: np.ndarray) -> np.ndarray:
 
 def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
     """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
-    i00, i01, i10, i11 = _inverse_2x2(S)
+    (s00, s01), (s10, s11) = np.asarray(S, dtype=float).tolist()
+    i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s10, s11)
     v0, v1 = np.asarray(residual, dtype=float).tolist()
     return gate_floats(v0, v1, i00, i01, i10, i11, threshold)
 
 
 def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
     """Measurement update with gain K = P H^T S^-1; the arithmetic is update_floats'."""
-    i00, i01, i10, i11 = _inverse_2x2(record.S)
+    (s00, s01), (s10, s11) = np.asarray(record.S, dtype=float).tolist()
+    i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s10, s11)
     v0, v1 = np.asarray(record.residual, dtype=float).tolist()
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P

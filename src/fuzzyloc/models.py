@@ -5,10 +5,10 @@ model is a discrete-time steered vehicle: the commanded speed and steer angle
 are corrupted by additive noise before they act on the pose, so process noise
 enters through the control channel rather than directly on the state.
 
-The float kernels compute the motion (motion_floats), its control Jacobian
-(control_jacobian_floats) and both at once (motion_with_jacobian_floats, the
-one the filter's prediction calls), each with the same products.
-wrap_angles is wrap_angle over an array, the one wrap of logged headings.
+The float kernels compute the motion (motion_floats) and the motion with its
+control Jacobian G (motion_with_jacobian_floats), with the same products for
+the motion; the latter is the one place G is written.
+wrap_angles is wrap_angle over an array, the one wrap of logged heading errors.
 """
 
 from __future__ import annotations
@@ -169,36 +169,18 @@ def motion_floats(
     )
 
 
-def control_jacobian_floats(
-    phi: float, v: float, gamma: float, dt: float, wheelbase: float
-) -> tuple[float, float, float, float, float, float]:
-    """The six entries of motion_jacobian_control, row-major.
-
-    phi and gamma enter the position only through heading = phi + gamma, so
-    the position entries of the steer column (the second and fourth) are
-    also d(x, y)/dphi; they do not depend on the wheelbase.
-    """
-    heading = phi + gamma
-    sin_h = math.sin(heading)
-    cos_h = math.cos(heading)
-    return (
-        dt * cos_h, -dt * v * sin_h,
-        dt * sin_h, dt * v * cos_h,
-        dt * math.sin(gamma) / wheelbase,
-        dt * v * math.cos(gamma) / wheelbase,
-    )
-
-
 def motion_with_jacobian_floats(
     x: float, y: float, phi: float, v: float, gamma: float, dt: float, wheelbase: float
 ) -> tuple[float, float, float, float, float, float, float, float, float]:
-    """motion_floats and control_jacobian_floats of one command in one call:
+    """motion_floats and its control Jacobian G of one command in one call:
     the next (x, y, phi), heading not wrapped, then G's six entries row-major.
 
     Each of sin and cos is taken once of the heading and once of gamma, and
-    every product is the one motion_floats and control_jacobian_floats
-    write, with dt * v computed once where it is their left factor, so the
-    nine floats are bit for bit theirs.
+    every motion product is motion_floats', with dt * v computed once where
+    it is the left factor, so the first three floats are bit for bit its.
+    phi and gamma enter the position only through heading = phi + gamma, so
+    the position entries of G's steer column (the fifth and seventh floats)
+    are also d(x, y)/dphi; they do not depend on the wheelbase.
     """
     heading = phi + gamma
     sin_h, cos_h = math.sin(heading), math.cos(heading)
@@ -220,7 +202,7 @@ def control_cov_floats(
 ) -> tuple[float, float, float, float, float, float]:
     """G Q G^T on floats: its upper triangle (m00, m01, m02, m11, m12, m22), row by row.
 
-    G is the 3x2 control Jacobian, row-major (control_jacobian_floats), and
+    G is the 3x2 control Jacobian, row-major (motion_with_jacobian_floats[3:]), and
     Q is given by its two variances, as ekf.predict_floats takes it.
     """
     # rows of G Q
@@ -241,7 +223,8 @@ def motion_jacobian_state(pose: Pose, u: ControlInput, dt: float) -> np.ndarray:
     plus a heading-to-position shear.
     """
     # the shear is G's steer column above its heading row, whatever the wheelbase
-    _, shear_x, _, shear_y, _, _ = control_jacobian_floats(pose.phi, u.v, u.gamma, dt, 1.0)
+    _, shear_x, _, shear_y, _, _ = motion_with_jacobian_floats(
+        pose.x, pose.y, pose.phi, u.v, u.gamma, dt, 1.0)[3:]
     return np.array(
         [
             [1.0, 0.0, shear_x],
@@ -259,7 +242,7 @@ def motion_jacobian_control(
     Evaluated at zero noise; this is the matrix that maps control noise
     covariance into pose covariance during the filter's time update.
     """
-    g = control_jacobian_floats(pose.phi, u.v, u.gamma, dt, wheelbase)
+    g = motion_with_jacobian_floats(pose.x, pose.y, pose.phi, u.v, u.gamma, dt, wheelbase)[3:]
     return np.array(g).reshape(3, 2)
 
 

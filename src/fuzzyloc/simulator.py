@@ -389,10 +389,6 @@ class RunLog:
             self.truth[:, 1] - self.est_mean[:, 1],
         )
 
-    def heading_error(self) -> np.ndarray:
-        """Heading errors wrapped to (-pi, pi] by models.wrap_angles."""
-        return models.wrap_angles(self.truth[:, 2] - self.est_mean[:, 2])
-
     def summary(self) -> RunSummary:
         err = self.position_error()
         return RunSummary(
@@ -533,8 +529,8 @@ def run_once(
                 n_meas[i] = accepted
                 n_gated[i] = len(records) - accepted
                 if adapter is not None:
-                    G_u = (models.control_jacobian_floats(phi, speed, steer, dt, wheelbase)
-                           if q_mode else None)
+                    G_u = (models.motion_with_jacobian_floats(
+                        x, y, phi, speed, steer, dt, wheelbase)[3:] if q_mode else None)
                     r_diag[filled:i] = cov.R
                     q_diag[filled:i] = cov.Q
                     cov, trace = adapter.after_update(records, G_u, cov)
@@ -667,11 +663,13 @@ def run_monte_carlo(
     Results are ordered by run index regardless of worker scheduling, so a
     parallel invocation is interchangeable with a serial one. fan_out starts
     at most one worker process per run, and none for a single worker or run.
-    Before any process starts, n_runs is checked and _start makes run_once's
+    Before any process starts, a ValueError names n_runs or max_workers if
+    it is a bool, not an integer or below 1, and _start makes run_once's
     checks, with base_seed as the seed.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+    for name, count in (("n_runs", n_runs), ("max_workers", max_workers)):
+        if not (_is_seed(count) and count >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     _start(scenario, variant, base_seed, adaptation, "base_seed")
     runs = [(scenario, variant, seed, adaptation) for seed in range(base_seed, base_seed + n_runs)]
     return list(fan_out(run_once, runs, max_workers))

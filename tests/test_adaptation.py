@@ -82,10 +82,10 @@ class TestResidualWindow:
 
     def test_fills_and_evicts(self):
         adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=3, eta=0.0))
-        assert adapter.filled == 0
+        assert len(adapter.window) == 0
         for k in range(5):
             push(adapter, [float(k), 0.0])
-        assert adapter.filled == 3
+        assert len(adapter.window) == 3
         np.testing.assert_allclose([r[0] for r in adapter.window], [2.0, 3.0, 4.0])
 
     def test_push_copies(self):
@@ -103,7 +103,7 @@ class TestEstimateActualCov:
         adapter = CovarianceAdapter("r", DEFAULT_COV, AdaptationConfig(window=4, eta=0.0))
         for _ in range(3):
             trace = push(adapter, [1.0, 0.0])
-            assert not trace.active and adapter.filled < 4
+            assert not trace.active and len(adapter.window) < 4
         assert push(adapter, [1.0, 0.0]).active
 
     def test_matches_brute_force(self, rng):
@@ -572,9 +572,9 @@ class TestCovarianceAdapter:
         cov = self._cov()
         adapter = CovarianceAdapter("r", cov, AdaptationConfig(window=4))
         self._tick(adapter, cov, [0.1, 0.01])
-        before = adapter.filled
+        before = len(adapter.window)
         cov_out, trace = self._tick(adapter, cov, [9.0, 9.0], accepted=False)
-        assert adapter.filled == before + 1
+        assert len(adapter.window) == before + 1
         assert not trace.active
         np.testing.assert_array_equal(cov_out.R, cov.R)
 
@@ -586,7 +586,7 @@ class TestCovarianceAdapter:
             make_record([5.0, 1.0], np.diag(cov.R), accepted=False),
         ]
         adapter.after_update(recs, ZERO_G, cov)
-        assert adapter.filled == 2
+        assert len(adapter.window) == 2
 
     def test_zero_eta_never_builds_or_rewrites(self):
         cov = self._cov()

@@ -245,16 +245,22 @@ class TestRun:
             assert getattr(cfg, name) == 2
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_q_floor_above_q_ceiling_exits_2(self, tmp_path, scenario_file, capsys, workers):
-        # the default Q22 = 0.0027 has a ceiling of 100 x 0.0027 = 0.27
+    @pytest.mark.parametrize("command", [
+        ["run", "--variant", "anfekf-q"],
+        ["compare", "--variant-a", "ekf", "--variant-b", "anfekf-q"],
+    ], ids=["run", "compare"])
+    def test_q_floor_above_q_ceiling_exits_2(self, tmp_path, scenario_file, capsys,
+                                             no_rng_or_process, command, workers):
+        # the default Q22 = 0.0027 has a ceiling of 100 x 0.0027 = 0.27; the start
+        # check rejects it before any rng, worker process or --out directory
         out = tmp_path / "o"
         rc = main([
-            "run", "--variant", "anfekf-q", "--scenario", str(scenario_file),
-            "--runs", "2", "--workers", workers, "--out", str(out), "--q-floor", "1.0",
+            *command, "--scenario", str(scenario_file), "--runs", "2", "--workers", workers,
+            "--out", str(out), "--q-floor", "1.0",
         ])
         assert rc == 2
         assert "q_floor" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_outputs_replaced_not_rewritten(self, tmp_path, scenario_file):
         # a hard link to each first output must keep the first run's bytes

@@ -15,9 +15,9 @@ from fuzzyloc.ekf import (
     CovPair,
     GaussianState,
     InnovationRecord,
-    _inverse_2x2,
     gate,
     innovation,
+    inverse_2x2_floats,
     predict,
     predict_measurement,
     step,
@@ -244,7 +244,7 @@ class TestGate:
         S = np.array([[2.0, 0.7], [-0.3, 1.5]])
         self._assert_gate_at(np.array([0.8, -1.1]), S)
         np.testing.assert_allclose(
-            np.array(_inverse_2x2(S)).reshape(2, 2) @ np.array([0.8, -1.1]),
+            np.array(inverse_2x2_floats(*S.ravel().tolist())).reshape(2, 2) @ np.array([0.8, -1.1]),
             np.linalg.solve(S, np.array([0.8, -1.1])),
             rtol=1e-14,
         )
@@ -270,11 +270,11 @@ class TestInverse2x2:
         cond = np.linalg.cond(S)
         if cond > 1.01 * ekf._COND_LIMIT:
             with pytest.raises(SingularInnovationError):
-                _inverse_2x2(S)
+                inverse_2x2_floats(*S.ravel().tolist())
             return
         if cond < 0.99 * ekf._COND_LIMIT:
             expected = np.linalg.solve(S, rhs)
-            got = np.array(_inverse_2x2(S)).reshape(2, 2) @ rhs
+            got = np.array(inverse_2x2_floats(*S.ravel().tolist())).reshape(2, 2) @ rhs
             # both sides carry an error of order cond * eps
             tol = 16.0 * cond * np.finfo(float).eps * np.max(np.abs(expected))
             assert np.max(np.abs(got - expected)) <= tol

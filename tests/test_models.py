@@ -17,7 +17,6 @@ from fuzzyloc.models import (
     LandmarkMap,
     Measurement,
     Pose,
-    control_jacobian_floats,
     motion_floats,
     motion_jacobian_control,
     motion_jacobian_state,
@@ -206,13 +205,20 @@ class TestMotionJacobians:
 
 
 class TestMotionWithJacobian:
-    """motion_with_jacobian_floats against motion_floats + control_jacobian_floats, bit for bit."""
+    """motion_with_jacobian_floats against motion_floats and G's six entries
+    written out, bit for bit."""
 
     @staticmethod
     def _assert_bitwise(x, y, phi, v, gamma, dt, wheelbase):
         got = motion_with_jacobian_floats(x, y, phi, v, gamma, dt, wheelbase)
-        expected = (*motion_floats(x, y, phi, v, gamma, dt, wheelbase),
-                    *control_jacobian_floats(phi, v, gamma, dt, wheelbase))
+        heading = phi + gamma
+        sin_h, cos_h = math.sin(heading), math.cos(heading)
+        expected = (
+            *motion_floats(x, y, phi, v, gamma, dt, wheelbase),
+            dt * cos_h, -dt * v * sin_h,
+            dt * sin_h, dt * v * cos_h,
+            dt * math.sin(gamma) / wheelbase, dt * v * math.cos(gamma) / wheelbase,
+        )
         assert [v.hex() for v in got] == [v.hex() for v in expected]
 
     def test_random_inputs(self, rng):

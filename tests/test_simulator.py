@@ -29,7 +29,7 @@ from fuzzyloc.errors import (
     ScenarioError,
     SingularCovarianceError,
 )
-from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose, wrap_angle
+from fuzzyloc.models import LandmarkMap, Landmark, NoiseSpec, Pose
 from fuzzyloc.simulator import (
     DEFAULT_P0_DIAG,
     MAX_TICKS,
@@ -486,19 +486,6 @@ def _gate_runs_at(monkeypatch, threshold):
     monkeypatch.setattr(ekf, "step", functools.partial(ekf.step, gate_threshold=threshold))
 
 
-@pytest.fixture
-def no_rng_or_process(monkeypatch):
-    """Make building a run's rng or starting a worker process fail the test."""
-    def no_rng(*args, **kwargs):
-        raise AssertionError("an rng was built before the arguments were checked")
-
-    def no_process(*args, **kwargs):
-        raise AssertionError("a process was started before the arguments were checked")
-
-    monkeypatch.setattr(simulator.np.random, "SeedSequence", no_rng)
-    monkeypatch.setattr(simulator, "Process", no_process)
-
-
 class TestRunOnce:
     def test_unknown_variant(self, tiny_scenario):
         with pytest.raises(ValueError, match="variant"):
@@ -595,16 +582,6 @@ class TestRunOnce:
         # 8 s at 3 m/s cannot reach the first waypoint 60 m out
         assert s.timed_out == log.timed_out is True
 
-    def test_heading_error_wrapped(self, tiny_scenario):
-        log = run_once(tiny_scenario, "ekf", seed=0)
-        he = log.heading_error()
-        assert np.all(np.abs(he) <= math.pi)
-        raw = [math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 1e3, -1e3]
-        log.truth[: len(raw), 2] = raw
-        log.est_mean[: len(raw), 2] = 0.0
-        expected = np.array([wrap_angle(v) for v in log.truth[:, 2] - log.est_mean[:, 2]])
-        assert log.heading_error().tobytes() == expected.tobytes()
-
     @pytest.mark.parametrize("call, argument, value", [
         ("run_once", "seed", -1),
         ("run_once", "seed", 1.5),
@@ -620,6 +597,16 @@ class TestRunOnce:
                 run_once(tiny_scenario, "anfekf-r", **{argument: value})
             else:
                 run_monte_carlo(tiny_scenario, "anfekf-r", n_runs=2, max_workers=2, **{argument: value})
+
+    @pytest.mark.parametrize("argument, value", [
+        ("n_runs", 0), ("n_runs", True), ("n_runs", 2.5),
+        ("max_workers", 0), ("max_workers", -3), ("max_workers", True), ("max_workers", 2.5),
+    ])
+    def test_invalid_count_named_before_any_worker(self, tiny_scenario, no_rng_or_process,
+                                                   argument, value):
+        counts = {"n_runs": 2, "max_workers": 2, argument: value}
+        with pytest.raises(ValueError, match=f"^{argument} must be a positive integer"):
+            run_monte_carlo(tiny_scenario, "anfekf-r", **counts)
 
     @pytest.mark.parametrize("variant, change, adaptation, error, message", [
         pytest.param("anfekf-x", {}, None, ValueError, "unknown variant", id="unknown-variant"),
