@@ -27,6 +27,7 @@ from .models import (
 )
 from .simulator import (
     VARIANTS,
+    RunDigest,
     RunLog,
     Scenario,
     default_scenario,
@@ -51,6 +52,7 @@ __all__ = [
     "Measurement",
     "NoiseSpec",
     "Pose",
+    "RunDigest",
     "RunLog",
     "Scenario",
     "VARIANTS",

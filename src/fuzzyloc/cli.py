@@ -23,12 +23,12 @@ from .errors import FuzzylocError
 from .metrics import EnsembleReport, build_report
 from .simulator import (
     VARIANTS,
+    RunDigest,
     RunLog,
     _start,
     default_scenario,
     fan_out,
     load_scenario,
-    run_monte_carlo,
     run_once,
     save_scenario,
     scenario_to_dict,
@@ -196,10 +196,15 @@ def _runs_columns(run_idx: int, log: RunLog) -> list[np.ndarray]:
     ]
 
 
-def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunLog, str]:
-    """One run and its runs.csv rows; module-level, so a worker process can run it."""
+def _run_digest(scenario, variant: str, seed: int, adaptation) -> RunDigest:
+    """One run's digest; module-level, so a worker process can run it."""
+    return run_once(scenario, variant, seed, adaptation).digest()
+
+
+def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunDigest, str]:
+    """One run's digest and its runs.csv rows; module-level, so a worker process can run it."""
     log = run_once(scenario, variant, seed, adaptation)
-    return log, _format_rows(_runs_columns(run_idx, log))
+    return log.digest(), _format_rows(_runs_columns(run_idx, log))
 
 
 def _report_table(report: EnsembleReport) -> list[np.ndarray]:
@@ -253,7 +258,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
 
     Each run's runs.csv rows are formatted where the run ran, in a worker
     with --workers above 1, and written as the run arrives, in run order;
-    only its RunLog is kept for the report. runs.csv is replaced once every
+    only its RunDigest is kept for the report. runs.csv is replaced once every
     run returned, and the other outputs are written after it. The run's
     arguments pass simulator._start's check before --out is created.
     """
@@ -264,16 +269,16 @@ def cmd_run(spec: ExperimentSpec) -> int:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(scenario, spec.variant, spec.base_seed + i, adaptation, i) for i in range(spec.n_runs)]
-    logs = []
+    digests = []
 
     def bodies(results):
-        for log, body in results:
-            logs.append(log)
+        for digest, body in results:
+            digests.append(digest)
             yield body
 
     with closing(fan_out(_run_and_format, jobs, spec.workers)) as results:
         _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies(results))
-    report = build_report(logs)
+    report = build_report(digests)
     _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)])
     _write_json(out / "summary.json", _summary_dict(report))
     _write_json(out / "metadata.json", _metadata(vars(spec).copy(), scenario))
@@ -287,19 +292,22 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     """Run two variants on identical seeds; write compare.csv and summaries.
 
     Both ensembles' arguments pass simulator._start's check before --out is
-    created and before either ensemble runs.
+    created and before either ensemble runs. Each run sends back only its
+    RunDigest, from a worker with --workers above 1.
     """
     spec_a.validate()
     spec_b.validate()
     scenario = load_scenario(spec_a.scenario_path)
-    for spec in (spec_a, spec_b):
-        _start(scenario, spec.variant, spec.base_seed, spec.adaptation_config())
+    ensembles = [(spec, spec.adaptation_config()) for spec in (spec_a, spec_b)]
+    for spec, adaptation in ensembles:
+        _start(scenario, spec.variant, spec.base_seed, adaptation)
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rep_a, rep_b = (
-        build_report(run_monte_carlo(scenario, spec.variant, spec.n_runs, spec.base_seed,
-                                     max_workers=spec.workers, adaptation=spec.adaptation_config()))
-        for spec in (spec_a, spec_b)
+        build_report(list(fan_out(_run_digest, [
+            (scenario, spec.variant, spec.base_seed + i, adaptation) for i in range(spec.n_runs)
+        ], spec.workers)))
+        for spec, adaptation in ensembles
     )
     steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
     table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]

@@ -53,6 +53,27 @@ def _is_seed(value) -> bool:
     return type(value) is not bool and isinstance(value, numbers.Integral) and value >= 0
 
 
+def _is_number(value) -> bool:
+    """Whether value is a real number that is not a bool, as a scenario number must be."""
+    return type(value) is not bool and isinstance(value, numbers.Real)
+
+
+def _is_finite(value) -> bool:
+    """Whether value is a number (see _is_number) with a finite float value."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _finite_values(values, n: int) -> bool:
+    """Whether values is a sequence of n values that _is_finite accepts."""
+    try:
+        return len(values) == n and all(_is_finite(v) for v in values)
+    except TypeError:  # values has no length
+        return False
+
+
 @dataclass(frozen=True)
 class Scenario:
     """World, vehicle, sensing, and noise description of one experiment.
@@ -86,11 +107,23 @@ class Scenario:
         return int(round(self.control_rate / self.observe_rate))
 
     def validate(self) -> None:
-        """Raise ScenarioError on any structurally invalid field."""
-        if not self.landmarks:
-            raise ScenarioError("scenario has no landmarks")
-        if not self.waypoints:
-            raise ScenarioError("scenario has no waypoints")
+        """Raise ScenarioError, naming the field, on any malformed or invalid field.
+
+        A number field must hold a real number that is not a bool, as the
+        scenario loader reads them; landmarks and waypoints must be sequences,
+        a landmark a Landmark, a waypoint two numbers and start three numbers.
+        """
+        for name in ("landmarks", "waypoints"):
+            items = getattr(self, name)
+            try:
+                count = len(items)
+            except TypeError:  # items has no length
+                raise ScenarioError(f"{name} must be a sequence, got {items!r}") from None
+            if count == 0:
+                raise ScenarioError(f"scenario has no {name}")
+        for lm in self.landmarks:
+            if not isinstance(lm, Landmark):
+                raise ScenarioError(f"landmarks must hold Landmark objects, got {lm!r}")
         ids = [lm.id for lm in self.landmarks]
         for i in ids:
             if type(i) is bool or not isinstance(i, numbers.Integral):
@@ -100,17 +133,19 @@ class Scenario:
         for name in ("wheelbase", "speed", "gamma_max", "sensor_range", "sensor_fov",
                      "control_rate", "observe_rate", "duration"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ScenarioError(f"{name} must be positive and finite")
-        if len(self.start) != 3 or not all(math.isfinite(v) for v in self.start):
-            raise ScenarioError("start must be 3 finite values (x, y, phi)")
-        if not all(math.isfinite(lm.x) and math.isfinite(lm.y) for lm in self.landmarks):
-            raise ScenarioError("landmark coordinates must be finite")
-        if not all(math.isfinite(wx) and math.isfinite(wy) for wx, wy in self.waypoints):
-            raise ScenarioError("waypoint coordinates must be finite")
+            if not (_is_finite(value) and value > 0.0):
+                raise ScenarioError(f"{name} must be positive and finite, got {value!r}")
+        if not _finite_values(self.start, 3):
+            raise ScenarioError(f"start must be 3 finite values (x, y, phi), got {self.start!r}")
+        for lm in self.landmarks:
+            if not (_is_finite(lm.x) and _is_finite(lm.y)):
+                raise ScenarioError(f"landmark coordinates must be finite, got {lm!r}")
+        for wp in self.waypoints:
+            if not _finite_values(wp, 2):
+                raise ScenarioError(f"waypoint coordinates must be 2 finite values (x, y), got {wp!r}")
         if not _is_seed(self.seed):
             raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        ticks = self.duration * self.control_rate  # run_once runs round(ticks) ticks
+        ticks = float(self.duration) * self.control_rate  # run_once runs round(ticks) ticks
         if not math.isfinite(ticks):
             raise ScenarioError("duration x control_rate overflows")
         if ticks <= 0.5:
@@ -121,10 +156,12 @@ class Scenario:
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("control_rate must be an integer multiple of observe_rate")
         for label, noise in (("true_noise", self.true_noise), ("assumed_noise", self.assumed_noise)):
+            if not isinstance(noise, NoiseSpec):
+                raise ScenarioError(f"{label} must be a NoiseSpec, got {noise!r}")
             for field_name in ("sigma_v", "sigma_gamma", "sigma_r", "sigma_theta"):
                 value = getattr(noise, field_name)
-                if not (math.isfinite(value) and value > 0.0):
-                    raise ScenarioError(f"{label}.{field_name} must be positive and finite")
+                if not (_is_finite(value) and value > 0.0):
+                    raise ScenarioError(f"{label}.{field_name} must be positive and finite, got {value!r}")
 
 
 def default_scenario() -> Scenario:
@@ -174,7 +211,7 @@ def _noise_to_dict(noise: NoiseSpec) -> dict:
 
 def _number(value) -> float:
     """A scenario number as a float; a bool, string or other non-number is malformed."""
-    if type(value) is bool or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -401,6 +438,33 @@ class RunLog:
             timed_out=self.timed_out,
         )
 
+    def digest(self) -> RunDigest:
+        """The members of this run that build_report reads, with the same bits."""
+        return RunDigest(self.variant, self.t, self.nees, self.position_error(), self.summary())
+
+
+@dataclass
+class RunDigest:
+    """What build_report reads of one run: a RunLog's variant, t and nees,
+    its position error and its summary.
+
+    It answers position_error() and summary() as the RunLog does and pickles
+    to about an eighth of the RunLog's size, so the CLI's worker processes
+    send it back instead of the RunLog.
+    """
+
+    variant: str
+    t: np.ndarray  # (n,)
+    nees: np.ndarray  # (n,)
+    pos_error: np.ndarray  # (n,)
+    run_summary: RunSummary
+
+    def position_error(self) -> np.ndarray:
+        return self.pos_error
+
+    def summary(self) -> RunSummary:
+        return self.run_summary
+
 
 def _start(
     scenario: Scenario, variant: str, seed: int | None, adaptation: AdaptationConfig | None,
@@ -616,6 +680,10 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> Iterator:
     if workers <= 1:
         yield from (job(*args) for args in items)
         return
+    # numpy loads numpy.random on first use. Loaded here, every forked worker
+    # inherits it instead of importing it on its first run; loaded at module
+    # level, it would slow every import of this package.
+    import numpy.random  # noqa: F401
     procs, conns = [], []
     try:
         for w in range(workers):

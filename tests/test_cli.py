@@ -21,6 +21,9 @@ from fuzzyloc.cli import (
     RUNS_COLUMNS,
     RUNS_SCHEMA,
     ExperimentSpec,
+    _format_rows,
+    _run_and_format,
+    _runs_columns,
     _spec_from_args,
     _write_csv,
     build_parser,
@@ -28,9 +31,12 @@ from fuzzyloc.cli import (
 )
 from fuzzyloc.metrics import build_report
 from fuzzyloc.simulator import (
+    RunDigest,
+    RunLog,
     default_scenario,
     load_scenario,
     run_monte_carlo,
+    run_once,
     save_scenario,
     scenario_to_dict,
 )
@@ -261,6 +267,31 @@ class TestRun:
         assert rc == 2
         assert "q_floor" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_and_format_returns_a_digest_with_its_rows(self, tiny_scenario):
+        digest, rows = _run_and_format(tiny_scenario, "anfekf-r", 3, None, 2)
+        log = run_once(tiny_scenario, "anfekf-r", 3)
+        assert type(digest) is RunDigest
+        assert digest.summary() == log.summary()
+        assert rows == _format_rows(_runs_columns(2, log))
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--variant", "anfekf-rq"],
+        ["compare", "--variant-a", "ekf", "--variant-b", "anfekf-q"],
+    ], ids=["run", "compare"])
+    def test_workers_send_back_no_runlog(self, tmp_path, scenario_file, monkeypatch, command):
+        def no_pickle(self, protocol):
+            raise AssertionError("a RunLog was pickled")
+
+        argv = [*command, "--scenario", str(scenario_file), "--runs", "3", "--seed", "2"]
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main([*argv, "--workers", "1", "--out", str(serial)]) == 0
+        monkeypatch.setattr(RunLog, "__reduce_ex__", no_pickle)  # forked workers inherit it
+        assert main([*argv, "--workers", "2", "--out", str(pooled)]) == 0
+        outputs = sorted(p.name for p in serial.iterdir() if p.name != "metadata.json")
+        assert len(outputs) == (3 if command[0] == "run" else 2)
+        for name in outputs:
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_outputs_replaced_not_rewritten(self, tmp_path, scenario_file):
         # a hard link to each first output must keep the first run's bytes

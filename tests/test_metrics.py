@@ -1,7 +1,9 @@
 """Metrics tests. scipy serves as the oracle for the chi-square machinery;
 the runtime itself never imports it."""
 
+import dataclasses
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +33,20 @@ from fuzzyloc.metrics import (
     rmse,
 )
 from fuzzyloc.models import Pose
-from fuzzyloc.simulator import run_monte_carlo
+from fuzzyloc.simulator import VARIANTS, RunSummary, run_monte_carlo
+
+
+def _bits(value):
+    """value with each float and array replaced by its bytes, so == compares bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return type(value), [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return value
 
 
 def fake_log(variant="ekf", nees_series=(1.0, 2.0), pos_err=(0.0, 0.0)):
@@ -406,6 +421,17 @@ class TestBuildReport:
         assert report.band == chi2_band(2, STATE_DIM, 0.95)
         assert report.in_band == 1.0  # avg 3.0 is dead center for 3 dof
         assert len(report.run_summaries) == 2
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_digests_give_the_runlogs_report_bit_for_bit(self, tiny_scenario, variant):
+        logs = run_monte_carlo(tiny_scenario, variant, n_runs=3, base_seed=21)
+        from_logs = build_report(logs)
+        from_digests = build_report([log.digest() for log in logs])
+        for field in dataclasses.fields(EnsembleReport):
+            assert (_bits(getattr(from_digests, field.name))
+                    == _bits(getattr(from_logs, field.name))), field.name
+        assert _bits(from_digests.time_avg_rmse_pos) == _bits(from_logs.time_avg_rmse_pos)
+        assert [type(s) for s in from_digests.run_summaries] == [RunSummary] * 3
 
     def test_time_avg_rmse_pos_property(self):
         report = EnsembleReport(

@@ -133,6 +133,43 @@ class TestScenarioValidate:
         with pytest.raises(ScenarioError, match=f"exceeds {MAX_TICKS} control ticks"):
             dataclasses.replace(tiny_scenario, duration=ticks / tiny_scenario.control_rate).validate()
 
+    @pytest.mark.parametrize("change, field", [
+        pytest.param({"landmarks": 5}, "landmarks", id="landmarks-number"),
+        pytest.param({"waypoints": 5}, "waypoints", id="waypoints-number"),
+        pytest.param({"waypoints": ((1.0,),)}, "waypoint coordinates", id="waypoint-single"),
+        pytest.param({"waypoints": ((1.0, 2.0, 3.0),)}, "waypoint coordinates", id="waypoint-triple"),
+        pytest.param({"waypoints": (5.0,)}, "waypoint coordinates", id="waypoint-number"),
+        pytest.param({"waypoints": (("1", 2.0),)}, "waypoint coordinates", id="waypoint-string"),
+        pytest.param({"start": ("0", 0.0, 0.0)}, "start", id="start-string"),
+        pytest.param({"start": 0.0}, "start", id="start-number"),
+        pytest.param({"speed": "3"}, "speed", id="speed-string"),
+        pytest.param({"duration": True}, "duration", id="duration-bool"),
+        pytest.param({"wheelbase": 10**400}, "wheelbase", id="wheelbase-beyond-float"),
+        pytest.param({"duration": 10**200, "control_rate": 10**200}, "duration x control_rate",
+                     id="tick-count-beyond-float"),
+        pytest.param({"landmarks": ((1, 0.0, 5.0),)}, "landmarks", id="landmark-tuple"),
+        pytest.param({"landmarks": (Landmark(1, "5", 0.0),)}, "landmark coordinates",
+                     id="landmark-string"),
+        pytest.param({"true_noise": NoiseSpec("0.3", 0.05, 0.1, 0.02)}, "true_noise.sigma_v",
+                     id="noise-string"),
+        pytest.param({"assumed_noise": None}, "assumed_noise", id="noise-none"),
+    ])
+    def test_malformed_field_raises_scenario_error_naming_it(self, tiny_scenario, change, field):
+        bad = dataclasses.replace(tiny_scenario, **change)
+        with pytest.raises(ScenarioError, match=field):
+            bad.validate()
+        with pytest.raises(ScenarioError, match=field):
+            run_once(bad, "ekf")
+
+    def test_numpy_and_integer_numbers_stay_valid(self, tiny_scenario):
+        scenario = dataclasses.replace(
+            tiny_scenario, start=np.zeros(3), speed=np.float64(3.0), duration=8,
+            waypoints=np.array(tiny_scenario.waypoints),
+        )
+        scenario.validate()
+        np.testing.assert_array_equal(run_once(scenario, "ekf").est_mean,
+                                      run_once(tiny_scenario, "ekf").est_mean)
+
     def test_load_rejects_nan_waypoint(self, tmp_path, tiny_scenario):
         path = tmp_path / "nan.json"
         save_scenario(dataclasses.replace(tiny_scenario, waypoints=((math.nan, 0.0),)), path)
@@ -1056,8 +1093,34 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+#: Prints whether numpy.random is loaded after import fuzzyloc, then in the
+#: calling process and in each of two worker processes.
+_NUMPY_RANDOM_SCRIPT = """
+import sys
+import fuzzyloc
+from fuzzyloc import simulator
+
+def loaded():
+    return "numpy.random" in sys.modules
+
+print(loaded())
+print(list(simulator.fan_out(loaded, [(), ()], 1)))
+print(list(simulator.fan_out(loaded, [(), ()], 2)))
+"""
+
+
 class TestFanOut:
     """simulator.fan_out: item order, errors, dead workers and clean-up."""
+
+    def test_workers_start_with_numpy_random_loaded(self):
+        # a fresh interpreter: this one has long loaded numpy.random
+        src = str(Path(simulator.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_RANDOM_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "[False, False]", "[True, True]"]
 
     def test_results_in_item_order_from_at_most_workers_processes(self):
         results = list(simulator.fan_out(_square_and_pid, [(i,) for i in range(7)], 3))
