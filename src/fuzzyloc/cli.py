@@ -29,6 +29,7 @@ from .simulator import (
     default_scenario,
     fan_out,
     load_scenario,
+    run_monte_carlo,
     run_once,
     save_scenario,
     scenario_to_dict,
@@ -196,11 +197,6 @@ def _runs_columns(run_idx: int, log: RunLog) -> list[np.ndarray]:
     ]
 
 
-def _run_digest(scenario, variant: str, seed: int, adaptation) -> RunDigest:
-    """One run's digest; module-level, so a worker process can run it."""
-    return run_once(scenario, variant, seed, adaptation).digest()
-
-
 def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunDigest, str]:
     """One run's digest and its runs.csv rows; module-level, so a worker process can run it."""
     log = run_once(scenario, variant, seed, adaptation)
@@ -292,22 +288,19 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
     """Run two variants on identical seeds; write compare.csv and summaries.
 
     Both ensembles' arguments pass simulator._start's check before --out is
-    created and before either ensemble runs. Each run sends back only its
-    RunDigest, from a worker with --workers above 1.
+    created and before either ensemble runs.
     """
     spec_a.validate()
     spec_b.validate()
     scenario = load_scenario(spec_a.scenario_path)
-    ensembles = [(spec, spec.adaptation_config()) for spec in (spec_a, spec_b)]
-    for spec, adaptation in ensembles:
-        _start(scenario, spec.variant, spec.base_seed, adaptation)
+    for spec in (spec_a, spec_b):
+        _start(scenario, spec.variant, spec.base_seed, spec.adaptation_config())
     out = Path(spec_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rep_a, rep_b = (
-        build_report(list(fan_out(_run_digest, [
-            (scenario, spec.variant, spec.base_seed + i, adaptation) for i in range(spec.n_runs)
-        ], spec.workers)))
-        for spec, adaptation in ensembles
+        build_report(run_monte_carlo(scenario, spec.variant, spec.n_runs, spec.base_seed,
+                                     max_workers=spec.workers, adaptation=spec.adaptation_config()))
+        for spec in (spec_a, spec_b)
     )
     steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
     table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]

@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from multiprocessing import Pipe, Process
+from multiprocessing import Pipe, Process, get_start_method
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -106,6 +106,11 @@ class Scenario:
     def ticks_per_observation(self) -> int:
         return int(round(self.control_rate / self.observe_rate))
 
+    @property
+    def ticks(self) -> float:
+        """duration x control_rate in float arithmetic; run_once runs round(ticks) control ticks."""
+        return float(self.duration) * float(self.control_rate)
+
     def validate(self) -> None:
         """Raise ScenarioError, naming the field, on any malformed or invalid field.
 
@@ -145,7 +150,7 @@ class Scenario:
                 raise ScenarioError(f"waypoint coordinates must be 2 finite values (x, y), got {wp!r}")
         if not _is_seed(self.seed):
             raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        ticks = float(self.duration) * self.control_rate  # run_once runs round(ticks) ticks
+        ticks = self.ticks
         if not math.isfinite(ticks):
             raise ScenarioError("duration x control_rate overflows")
         if ticks <= 0.5:
@@ -526,7 +531,7 @@ def run_once(
     wheelbase = scenario.wheelbase
     speed = scenario.speed
     ratio = scenario.ticks_per_observation
-    n = int(round(scenario.duration * scenario.control_rate))
+    n = int(round(scenario.ticks))
 
     landmark_map = LandmarkMap(scenario.landmarks)
     truth = Pose(*scenario.start)
@@ -669,6 +674,10 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> Iterator:
     every later forked worker inherits. With one worker or one item the
     calls run in this process, each when its result is asked for. job must
     be a module-level function, so that a spawned worker can unpickle it.
+    Where workers start by fork (the default on Linux before Python 3.14),
+    numpy.random is loaded here before the first worker starts, so each
+    worker inherits it; a worker started by spawn or forkserver imports it
+    on its first run.
 
     An exception raised by job is raised here, with its type and message;
     a worker that exits without sending its results raises RuntimeError.
@@ -680,10 +689,11 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> Iterator:
     if workers <= 1:
         yield from (job(*args) for args in items)
         return
-    # numpy loads numpy.random on first use. Loaded here, every forked worker
-    # inherits it instead of importing it on its first run; loaded at module
-    # level, it would slow every import of this package.
-    import numpy.random  # noqa: F401
+    if get_start_method() == "fork":
+        # numpy loads numpy.random on first use. Loaded here, every forked
+        # worker inherits it instead of importing it on its first run; loaded
+        # at module level, it would slow every import of this package.
+        import numpy.random  # noqa: F401
     procs, conns = [], []
     try:
         for w in range(workers):

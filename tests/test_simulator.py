@@ -127,6 +127,14 @@ class TestScenarioValidate:
         one_tick.validate()
         assert len(run_once(one_tick, "ekf").t) == 1
 
+    def test_float32_duration_runs_the_ticks_validate_counted(self, tiny_scenario):
+        # 0.0125 in float32 times 40.0 is 0.50000000745 in float64, one tick,
+        # but rounds to 0.5 in float32 arithmetic, zero ticks
+        scenario = dataclasses.replace(tiny_scenario, duration=np.float32(0.0125))
+        scenario.validate()
+        assert type(scenario.ticks) is float and round(scenario.ticks) == 1
+        assert len(run_once(scenario, "ekf").t) == 1
+
     @pytest.mark.parametrize("ticks", [MAX_TICKS + 1, 4e13, 1e300])
     def test_tick_count_above_the_bound(self, tiny_scenario, ticks):
         # only validate runs: run_once would allocate n-row arrays first
@@ -1113,6 +1121,8 @@ class TestFanOut:
     """simulator.fan_out: item order, errors, dead workers and clean-up."""
 
     def test_workers_start_with_numpy_random_loaded(self):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the calling process's modules")
         # a fresh interpreter: this one has long loaded numpy.random
         src = str(Path(simulator.__file__).resolve().parents[1])
         env = dict(os.environ)
