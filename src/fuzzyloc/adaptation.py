@@ -21,7 +21,6 @@ do not depend on the BLAS kernel.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from collections import deque
@@ -204,21 +203,23 @@ class AdaptationConfig:
     q_floor: float | None = None
 
     def __post_init__(self) -> None:
-        """Raise ValueError on a parameter the adapter cannot honour.
+        """Raise ValueError, naming the field, on a parameter the adapter cannot honour.
 
-        Every bound is checked with a comparison that NaN fails: a NaN floor
-        would otherwise vanish silently inside max().
+        eta and the floors must be numbers as a scenario's are (models._is_number:
+        a real number that is not a bool). Every bound is checked with a
+        comparison that NaN fails: a NaN floor would otherwise vanish silently
+        inside max().
         """
         if not isinstance(self.window, numbers.Integral):  # a bool is below 2 as well
             raise ValueError(f"window must be an integer, got {self.window!r}")
         if not 2 <= self.window <= sys.maxsize:  # deque's maxlen bound
             raise ValueError(f"window must lie in [2, {sys.maxsize}]")
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise ValueError("eta must be finite and nonnegative")
-        if not (math.isfinite(self.r_floor) and self.r_floor > 0.0):
-            raise ValueError("r_floor must be positive and finite")
-        if self.q_floor is not None and not (math.isfinite(self.q_floor) and self.q_floor > 0.0):
-            raise ValueError("q_floor must be None or positive and finite")
+        if not (models._is_finite(self.eta) and self.eta >= 0.0):
+            raise ValueError(f"eta must be a finite nonnegative number, got {self.eta!r}")
+        if not (models._is_finite(self.r_floor) and self.r_floor > 0.0):
+            raise ValueError(f"r_floor must be a positive finite number, got {self.r_floor!r}")
+        if self.q_floor is not None and not (models._is_finite(self.q_floor) and self.q_floor > 0.0):
+            raise ValueError(f"q_floor must be None or a positive finite number, got {self.q_floor!r}")
 
 
 @dataclass

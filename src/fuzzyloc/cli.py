@@ -12,13 +12,14 @@ import math
 import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .adaptation import AdaptationConfig
+from .adaptation import DEFAULT_R_FLOOR, DEFAULT_WINDOW, Q_FLOOR_RATIO, AdaptationConfig
+from .anfis import DEFAULT_ETA
 from .errors import FuzzylocError
 from .metrics import EnsembleReport, build_report
 from .simulator import (
@@ -89,45 +90,6 @@ output files
 
 Every CSV starts with a '# schema=...' header row naming its format version.
 """
-
-
-@dataclass
-class ExperimentSpec:
-    """Resolved CLI configuration for one experiment."""
-
-    scenario_path: str
-    variant: str
-    n_runs: int
-    base_seed: int
-    out_dir: str
-    window: int | None = None
-    eta: float | None = None
-    r_floor: float | None = None
-    q_floor: float | None = None
-    workers: int = 1
-
-    def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n_runs < 1:
-            raise ValueError("--runs must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("--seed must be nonnegative")
-        if self.window is not None and not 2 <= self.window <= sys.maxsize:
-            raise ValueError(f"--window must lie in [2, {sys.maxsize}]")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ValueError("--eta must lie in (0, 1]")
-        if self.r_floor is not None and not (math.isfinite(self.r_floor) and self.r_floor > 0.0):
-            raise ValueError("--r-floor must be positive and finite")
-        if self.q_floor is not None and not (math.isfinite(self.q_floor) and self.q_floor > 0.0):
-            raise ValueError("--q-floor must be positive and finite")
-        if self.workers < 1:
-            raise ValueError("--workers must be at least 1")
-
-    def adaptation_config(self) -> AdaptationConfig:
-        """AdaptationConfig with every setting this spec gives; a None keeps the default."""
-        settings = {f.name: getattr(self, f.name) for f in fields(AdaptationConfig)}
-        return AdaptationConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 #: Rows formatted per block: bounds the transient lists of one table's text.
@@ -220,17 +182,7 @@ def _summary_dict(report) -> dict:
         "in_band_fraction": report.in_band,
         "time_avg_rmse_pos": report.time_avg_rmse_pos,
         "median_run_rmse_pos": float(np.median([s.time_avg_pos_rmse for s in report.run_summaries])),
-        "runs": [
-            {
-                "seed": s.seed,
-                "time_avg_pos_rmse": s.time_avg_pos_rmse,
-                "time_avg_nees": s.time_avg_nees,
-                "accepted": s.accepted,
-                "gated": s.gated,
-                "timed_out": s.timed_out,
-            }
-            for s in report.run_summaries
-        ],
+        "runs": [{k: v for k, v in vars(s).items() if k != "variant"} for s in report.run_summaries],
     }
 
 
@@ -239,32 +191,68 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _metadata(spec_fields: dict, scenario) -> dict:
+def _adaptation_config(args: argparse.Namespace) -> AdaptationConfig:
+    """AdaptationConfig with every setting the flags give; a flag left out keeps the default."""
+    settings = {f.name: getattr(args, f.name) for f in fields(AdaptationConfig)}
+    return AdaptationConfig(**{k: v for k, v in settings.items() if v is not None})
+
+
+def _experiment(args: argparse.Namespace, variant: str) -> dict:
+    """metadata.json's record of one variant's ensemble, as the flags gave it."""
+    return dict(scenario_path=args.scenario, variant=variant, n_runs=args.runs, base_seed=args.seed,
+                out_dir=args.out, window=args.window, eta=args.eta, r_floor=args.r_floor,
+                q_floor=args.q_floor, workers=args.workers)
+
+
+def _metadata(experiment: dict, scenario) -> dict:
     return {
         "created_unix": time.time(),
         "created_iso": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "package_version": __version__,
-        "experiment": spec_fields,
+        "experiment": experiment,
         "scenario": scenario_to_dict(scenario),
     }
 
 
-def cmd_run(spec: ExperimentSpec) -> int:
+def _setup(args: argparse.Namespace, variants) -> tuple:
+    """(scenario, AdaptationConfig, out directory) of a run or compare command.
+
+    The flags, the scenario file, the adaptation settings and then
+    simulator._start for each variant are checked before --out is created.
+    """
+    if args.runs < 1:
+        raise ValueError("--runs must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
+    if args.window is not None and not 2 <= args.window <= sys.maxsize:
+        raise ValueError(f"--window must lie in [2, {sys.maxsize}]")
+    if args.eta is not None and not 0.0 < args.eta <= 1.0:
+        raise ValueError("--eta must lie in (0, 1]")
+    for flag, value in (("--r-floor", args.r_floor), ("--q-floor", args.q_floor)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{flag} must be positive and finite")
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    scenario = load_scenario(args.scenario)
+    adaptation = _adaptation_config(args)
+    for variant in variants:
+        _start(scenario, variant, args.seed, adaptation)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return scenario, adaptation, out
+
+
+def cmd_run(args: argparse.Namespace) -> int:
     """Run one variant; write runs.csv, report.csv, summary.json, metadata.json.
 
     Each run's runs.csv rows are formatted where the run ran, in a worker
     with --workers above 1, and written as the run arrives, in run order;
     only its RunDigest is kept for the report. runs.csv is replaced once every
     run returned, and the other outputs are written after it. The run's
-    arguments pass simulator._start's check before --out is created.
+    arguments pass _setup's checks before --out is created.
     """
-    spec.validate()
-    scenario = load_scenario(spec.scenario_path)
-    adaptation = spec.adaptation_config()
-    _start(scenario, spec.variant, spec.base_seed, adaptation)
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    jobs = [(scenario, spec.variant, spec.base_seed + i, adaptation, i) for i in range(spec.n_runs)]
+    scenario, adaptation, out = _setup(args, [args.variant])
+    jobs = [(scenario, args.variant, args.seed + i, adaptation, i) for i in range(args.runs)]
     digests = []
 
     def bodies(results):
@@ -272,35 +260,30 @@ def cmd_run(spec: ExperimentSpec) -> int:
             digests.append(digest)
             yield body
 
-    with closing(fan_out(_run_and_format, jobs, spec.workers)) as results:
+    with closing(fan_out(_run_and_format, jobs, args.workers)) as results:
         _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies(results))
     report = build_report(digests)
     _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)])
     _write_json(out / "summary.json", _summary_dict(report))
-    _write_json(out / "metadata.json", _metadata(vars(spec).copy(), scenario))
-    print(f"{spec.variant}: {spec.n_runs} runs, "
+    _write_json(out / "metadata.json", _metadata(_experiment(args, args.variant), scenario))
+    print(f"{args.variant}: {args.runs} runs, "
           f"time-avg position RMSE {report.time_avg_rmse_pos:.4f} m, "
           f"NEES in-band {report.in_band:.1%} -> {out}")
     return 0
 
 
-def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     """Run two variants on identical seeds; write compare.csv and summaries.
 
-    Both ensembles' arguments pass simulator._start's check before --out is
-    created and before either ensemble runs.
+    Both ensembles' arguments pass _setup's checks before --out is created
+    and before either ensemble runs.
     """
-    spec_a.validate()
-    spec_b.validate()
-    scenario = load_scenario(spec_a.scenario_path)
-    for spec in (spec_a, spec_b):
-        _start(scenario, spec.variant, spec.base_seed, spec.adaptation_config())
-    out = Path(spec_a.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    variants = (args.variant_a, args.variant_b)
+    scenario, adaptation, out = _setup(args, variants)
     rep_a, rep_b = (
-        build_report(run_monte_carlo(scenario, spec.variant, spec.n_runs, spec.base_seed,
-                                     max_workers=spec.workers, adaptation=spec.adaptation_config()))
-        for spec in (spec_a, spec_b)
+        build_report(run_monte_carlo(scenario, variant, args.runs, args.seed,
+                                     max_workers=args.workers, adaptation=adaptation))
+        for variant in variants
     )
     steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
     table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
@@ -316,11 +299,9 @@ def cmd_compare(spec_a: ExperimentSpec, spec_b: ExperimentSpec) -> int:
         "paired_win_fraction_b": wins_b / len(rmse_a),
     }
     _write_json(out / "compare_summary.json", comparison)
-    _write_json(
-        out / "metadata.json",
-        _metadata({"a": vars(spec_a).copy(), "b": vars(spec_b).copy()}, scenario),
-    )
-    print(f"{spec_a.variant} vs {spec_b.variant}: "
+    experiments = {"a": _experiment(args, args.variant_a), "b": _experiment(args, args.variant_b)}
+    _write_json(out / "metadata.json", _metadata(experiments, scenario))
+    print(f"{args.variant_a} vs {args.variant_b}: "
           f"RMSE {rep_a.time_avg_rmse_pos:.4f} vs {rep_b.time_avg_rmse_pos:.4f} m, "
           f"in-band {rep_a.in_band:.1%} vs {rep_b.in_band:.1%}, "
           f"b wins {comparison['paired_win_fraction_b']:.0%} -> {out}")
@@ -340,14 +321,14 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed + i")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--window", type=int, default=None,
-                        help="residual window length (default 15, minimum 2)")
+                        help=f"residual window length (default {DEFAULT_WINDOW}, minimum 2)")
     parser.add_argument("--eta", type=float, default=None,
-                        help="adapter learning rate in (0, 1] (default 0.01)")
+                        help=f"adapter learning rate in (0, 1] (default {DEFAULT_ETA})")
     parser.add_argument("--r-floor", type=float, default=None,
-                        help="lower bound for R diagonal entries (default 1e-8)")
+                        help=f"lower bound for R diagonal entries (default {DEFAULT_R_FLOOR})")
     parser.add_argument("--q-floor", type=float, default=None,
                         help="absolute lower bound for Q diagonal entries "
-                             "(default: 0.01 x initial Q)")
+                             f"(default: {Q_FLOOR_RATIO} x initial Q)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the Monte Carlo runs")
 
@@ -381,29 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace, variant: str) -> ExperimentSpec:
-    return ExperimentSpec(
-        scenario_path=args.scenario,
-        variant=variant,
-        n_runs=args.runs,
-        base_seed=args.seed,
-        out_dir=args.out,
-        workers=args.workers,
-        **{f.name: getattr(args, f.name) for f in fields(AdaptationConfig)},
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(_spec_from_args(args, args.variant))
+            return cmd_run(args)
         if args.command == "compare":
-            return cmd_compare(
-                _spec_from_args(args, args.variant_a),
-                _spec_from_args(args, args.variant_b),
-            )
+            return cmd_compare(args)
         if args.command == "scenario-default":
             return cmd_scenario_default(args.out)
     except (FuzzylocError, ValueError, OSError) as exc:

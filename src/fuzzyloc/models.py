@@ -14,6 +14,7 @@ wrap_angles is wrap_angle over an array, the one wrap of logged heading errors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -25,6 +26,19 @@ TWO_PI = 2.0 * math.pi
 
 #: Robot-landmark distances below this are treated as degenerate geometry.
 DEFAULT_EPSILON_RANGE = 1e-9
+
+
+def _is_number(value) -> bool:
+    """Whether value is a real number that is not a bool, as a scenario or config number must be."""
+    return type(value) is not bool and isinstance(value, numbers.Real)
+
+
+def _is_finite(value) -> bool:
+    """Whether value is a number (see _is_number) with a finite float value."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def wrap_angle(angle: float) -> float:

@@ -24,11 +24,13 @@ from . import ekf, metrics, models
 from .adaptation import AdaptationConfig, CovarianceAdapter
 from .ekf import CovPair, GaussianState
 from .errors import ScenarioError, SingularCovarianceError
-from .models import ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose
-
-VARIANTS = ("ekf", "anfekf-r", "anfekf-q", "anfekf-rq")
+from .models import (
+    ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose, _is_finite, _is_number,
+)
 
 _VARIANT_MODE = {"ekf": None, "anfekf-r": "r", "anfekf-q": "q", "anfekf-rq": "rq"}
+
+VARIANTS = tuple(_VARIANT_MODE)
 
 #: A waypoint counts as reached inside this radius (m).
 WAYPOINT_RADIUS = 1.0
@@ -47,23 +49,39 @@ SCENARIO_SCHEMA = "fuzzyloc-scenario-v1"
 
 _DEG = math.pi / 180.0
 
+#: (JSON key, Scenario field, radians per JSON unit) of each number field, in
+#: the order Scenario.validate checks them; a unit of 1.0 is exact both ways.
+_NUMBER_FIELDS = (
+    ("wheelbase", "wheelbase", 1.0),
+    ("speed", "speed", 1.0),
+    ("gamma_max_deg", "gamma_max", _DEG),
+    ("sensor_range", "sensor_range", 1.0),
+    ("sensor_fov_deg", "sensor_fov", _DEG),
+    ("control_rate", "control_rate", 1.0),
+    ("observe_rate", "observe_rate", 1.0),
+    ("duration", "duration", 1.0),
+)
+
+#: The Scenario fields that hold a NoiseSpec, stored as JSON objects under their names.
+_NOISE_RECORDS = ("true_noise", "assumed_noise")
+
+#: (JSON key, NoiseSpec field, radians per JSON unit) of each noise record entry.
+_NOISE_FIELDS = (
+    ("sigma_v", "sigma_v", 1.0),
+    ("sigma_gamma_deg", "sigma_gamma", _DEG),
+    ("sigma_r", "sigma_r", 1.0),
+    ("sigma_theta_deg", "sigma_theta", _DEG),
+)
+
+#: The keys scenario_to_dict writes, at the top level and in a noise record.
+_SCENARIO_KEYS = {"schema", "landmarks", "waypoints", "seed", "start", *_NOISE_RECORDS,
+                  *(key for key, _, _ in _NUMBER_FIELDS)}
+_NOISE_KEYS = {key for key, _, _ in _NOISE_FIELDS}
+
 
 def _is_seed(value) -> bool:
     """Whether value can seed a run: a nonnegative integer that is not a bool."""
     return type(value) is not bool and isinstance(value, numbers.Integral) and value >= 0
-
-
-def _is_number(value) -> bool:
-    """Whether value is a real number that is not a bool, as a scenario number must be."""
-    return type(value) is not bool and isinstance(value, numbers.Real)
-
-
-def _is_finite(value) -> bool:
-    """Whether value is a number (see _is_number) with a finite float value."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _finite_values(values, n: int) -> bool:
@@ -135,8 +153,7 @@ class Scenario:
                 raise ScenarioError(f"landmark ids must be integers, got {i!r}")
         if len(ids) != len(set(ids)):
             raise ScenarioError("landmark ids are not unique")
-        for name in ("wheelbase", "speed", "gamma_max", "sensor_range", "sensor_fov",
-                     "control_rate", "observe_rate", "duration"):
+        for _, name, _ in _NUMBER_FIELDS:
             value = getattr(self, name)
             if not (_is_finite(value) and value > 0.0):
                 raise ScenarioError(f"{name} must be positive and finite, got {value!r}")
@@ -160,10 +177,11 @@ class Scenario:
         ratio = self.control_rate / self.observe_rate
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ScenarioError("control_rate must be an integer multiple of observe_rate")
-        for label, noise in (("true_noise", self.true_noise), ("assumed_noise", self.assumed_noise)):
+        for label in _NOISE_RECORDS:
+            noise = getattr(self, label)
             if not isinstance(noise, NoiseSpec):
                 raise ScenarioError(f"{label} must be a NoiseSpec, got {noise!r}")
-            for field_name in ("sigma_v", "sigma_gamma", "sigma_r", "sigma_theta"):
+            for _, field_name, _ in _NOISE_FIELDS:
                 value = getattr(noise, field_name)
                 if not (_is_finite(value) and value > 0.0):
                     raise ScenarioError(f"{label}.{field_name} must be positive and finite, got {value!r}")
@@ -205,15 +223,6 @@ def default_scenario() -> Scenario:
     )
 
 
-def _noise_to_dict(noise: NoiseSpec) -> dict:
-    return {
-        "sigma_v": noise.sigma_v,
-        "sigma_gamma_deg": noise.sigma_gamma / _DEG,
-        "sigma_r": noise.sigma_r,
-        "sigma_theta_deg": noise.sigma_theta / _DEG,
-    }
-
-
 def _number(value) -> float:
     """A scenario number as a float; a bool, string or other non-number is malformed."""
     if not _is_number(value):
@@ -221,57 +230,52 @@ def _number(value) -> float:
     return float(value)
 
 
-def _noise_from_dict(data: dict) -> NoiseSpec:
-    return NoiseSpec(
-        sigma_v=_number(data["sigma_v"]),
-        sigma_gamma=_number(data["sigma_gamma_deg"]) * _DEG,
-        sigma_r=_number(data["sigma_r"]),
-        sigma_theta=_number(data["sigma_theta_deg"]) * _DEG,
-    )
+def _numbers_to_dict(record, table) -> dict:
+    return {key: float(getattr(record, name)) / unit for key, name, unit in table}
+
+
+def _numbers_from_dict(data: dict, table) -> dict:
+    return {name: _number(data[key]) * unit for key, name, unit in table}
+
+
+def _reject_unknown_keys(record, known: set, where: str) -> None:
+    """Raise ScenarioError naming the first key of record outside known, if record is a dict."""
+    if isinstance(record, dict):
+        for key in record:
+            if key not in known:
+                raise ScenarioError(f"malformed scenario: unknown key {key!r} in {where}")
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """JSON-ready form; angular fields are stored in degrees."""
+    """JSON-ready form of Python ints and floats; angular fields are stored in degrees."""
     return {
         "schema": SCENARIO_SCHEMA,
-        "landmarks": [[lm.id, lm.x, lm.y] for lm in scenario.landmarks],
-        "waypoints": [list(wp) for wp in scenario.waypoints],
-        "wheelbase": scenario.wheelbase,
-        "speed": scenario.speed,
-        "gamma_max_deg": scenario.gamma_max / _DEG,
-        "sensor_range": scenario.sensor_range,
-        "sensor_fov_deg": scenario.sensor_fov / _DEG,
-        "control_rate": scenario.control_rate,
-        "observe_rate": scenario.observe_rate,
-        "true_noise": _noise_to_dict(scenario.true_noise),
-        "assumed_noise": _noise_to_dict(scenario.assumed_noise),
-        "duration": scenario.duration,
-        "seed": scenario.seed,
-        "start": list(scenario.start),
+        "landmarks": [[int(lm.id), float(lm.x), float(lm.y)] for lm in scenario.landmarks],
+        "waypoints": [[float(x), float(y)] for x, y in scenario.waypoints],
+        **_numbers_to_dict(scenario, _NUMBER_FIELDS),
+        **{label: _numbers_to_dict(getattr(scenario, label), _NOISE_FIELDS) for label in _NOISE_RECORDS},
+        "seed": int(scenario.seed),
+        "start": [float(v) for v in scenario.start],
     }
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Inverse of scenario_to_dict; validates the result."""
+    """Inverse of scenario_to_dict; validates the result, and rejects a key that it does not write."""
     if not isinstance(data, dict):
         raise ScenarioError(f"malformed scenario: expected a JSON object, got {type(data).__name__}")
     schema = data.get("schema")
     if schema != SCENARIO_SCHEMA:
         raise ScenarioError(f"unsupported scenario schema: {schema!r} (expected {SCENARIO_SCHEMA!r})")
+    _reject_unknown_keys(data, _SCENARIO_KEYS, "the scenario")
+    for label in _NOISE_RECORDS:
+        _reject_unknown_keys(data.get(label), _NOISE_KEYS, label)
     try:
         scenario = Scenario(
             landmarks=tuple(Landmark(i, _number(x), _number(y)) for i, x, y in data["landmarks"]),
             waypoints=tuple((_number(x), _number(y)) for x, y in data["waypoints"]),
-            wheelbase=_number(data["wheelbase"]),
-            speed=_number(data["speed"]),
-            gamma_max=_number(data["gamma_max_deg"]) * _DEG,
-            sensor_range=_number(data["sensor_range"]),
-            sensor_fov=_number(data["sensor_fov_deg"]) * _DEG,
-            control_rate=_number(data["control_rate"]),
-            observe_rate=_number(data["observe_rate"]),
-            true_noise=_noise_from_dict(data["true_noise"]),
-            assumed_noise=_noise_from_dict(data["assumed_noise"]),
-            duration=_number(data["duration"]),
+            **_numbers_from_dict(data, _NUMBER_FIELDS),
+            **{label: NoiseSpec(**_numbers_from_dict(data[label], _NOISE_FIELDS))
+               for label in _NOISE_RECORDS},
             seed=data.get("seed", 0),
             start=tuple(_number(v) for v in data.get("start", (0.0, 0.0, 0.0))),
         )
@@ -282,15 +286,20 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    """Write scenario as JSON; ScenarioError, before anything is written, if validate rejects it."""
+    scenario.validate()
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario JSON file; ScenarioError names the path if it cannot be read or parsed."""
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ScenarioError(f"scenario file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

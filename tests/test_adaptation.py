@@ -514,6 +514,9 @@ class TestAdaptationConfig:
             ("eta", -0.01), ("eta", math.nan), ("eta", math.inf),
             ("r_floor", math.nan), ("r_floor", 0.0), ("r_floor", -1e-8), ("r_floor", math.inf),
             ("q_floor", math.nan), ("q_floor", 0.0), ("q_floor", math.inf),
+            # bools used to be accepted, and strings raised TypeError
+            ("eta", True), ("r_floor", True), ("q_floor", True),
+            ("eta", "0.1"), ("r_floor", "1e-8"), ("q_floor", "1"),
         ],
     )
     def test_invalid_field_rejected(self, field, bad):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import helpers
+from fuzzyloc import cli
 from fuzzyloc.adaptation import AdaptationConfig
 from fuzzyloc.cli import (
     _CSV_BLOCK_ROWS,
@@ -21,11 +22,10 @@ from fuzzyloc.cli import (
     REPORT_SCHEMA,
     RUNS_COLUMNS,
     RUNS_SCHEMA,
-    ExperimentSpec,
+    _adaptation_config,
     _format_rows,
     _run_and_format,
     _runs_columns,
-    _spec_from_args,
     _write_csv,
     build_parser,
     main,
@@ -106,6 +106,31 @@ class TestRun:
         assert meta["scenario"]["schema"] == "fuzzyloc-scenario-v1"
         assert "created_unix" in meta and "package_version" in meta
 
+    def test_metadata_experiment_record(self, tmp_path, scenario_file):
+        out = tmp_path / "exp"
+        assert main([
+            "run", "--variant", "anfekf-q", "--scenario", str(scenario_file),
+            "--runs", "2", "--seed", "4", "--out", str(out), "--q-floor", "1e-6",
+        ]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["experiment"] == {
+            "scenario_path": str(scenario_file), "variant": "anfekf-q", "n_runs": 2,
+            "base_seed": 4, "out_dir": str(out), "window": None, "eta": None,
+            "r_floor": None, "q_floor": 1e-6, "workers": 1,
+        }
+        assert meta["scenario"] == scenario_to_dict(load_scenario(scenario_file))
+
+    def test_unknown_scenario_key_exits_2(self, tmp_path, tiny_scenario, capsys):
+        data = scenario_to_dict(tiny_scenario)
+        data["seeed"] = data.pop("seed")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        rc = main(["run", "--variant", "ekf", "--scenario", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "unknown key 'seeed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_bodies_reproducible(self, tmp_path, scenario_file):
         outs = []
         for name in ("a", "b"):
@@ -142,7 +167,7 @@ class TestRun:
     def test_malformed_scenario_exits_2(self, tmp_path, tiny_scenario, capsys):
         # a two-value start must be rejected before run_once unpacks it into a Pose
         path = tmp_path / "scenario.json"
-        save_scenario(dataclasses.replace(tiny_scenario, start=(0.0, 0.0)), path)
+        path.write_text(json.dumps(scenario_to_dict(dataclasses.replace(tiny_scenario, start=(0.0, 0.0)))))
         rc = main([
             "run", "--variant", "ekf", "--scenario", str(path),
             "--runs", "1", "--out", str(tmp_path / "o"),
@@ -181,7 +206,7 @@ class TestRun:
         # raised OverflowError from round(inf), in validate and in run_once, and
         # 1e12 s ended in a numpy MemoryError for run_once's 4e13-row arrays
         path = tmp_path / "scenario.json"
-        save_scenario(dataclasses.replace(tiny_scenario, **change), path)
+        path.write_text(json.dumps(scenario_to_dict(dataclasses.replace(tiny_scenario, **change))))
         out = tmp_path / "o"
         rc = main(["run", "--variant", "ekf", "--scenario", str(path), "--runs", "1",
                    "--out", str(out)])
@@ -248,7 +273,7 @@ class TestRun:
                 "run", "--variant", "anfekf-rq", "--scenario", "s.json", "--out", "o",
                 "--" + name.replace("_", "-"), "2",
             ])
-            cfg = _spec_from_args(args, args.variant).adaptation_config()
+            cfg = _adaptation_config(args)
             assert getattr(cfg, name) == 2
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -342,6 +367,18 @@ class TestRun:
         ):
             assert token in text, token
 
+    def test_help_shows_the_adaptation_defaults(self, capsys, monkeypatch):
+        # the help text is formatted from the constants, so it follows them
+        for name, value in (("DEFAULT_WINDOW", 23), ("DEFAULT_ETA", 0.125),
+                            ("DEFAULT_R_FLOOR", 3e-9), ("Q_FLOOR_RATIO", 0.25)):
+            monkeypatch.setattr(cli, name, value)
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in ("(default 23, minimum 2)", "(default 0.125)", "(default 3e-09)",
+                       "(default: 0.25 x initial Q)"):
+            assert phrase in text, phrase
+
 
 class TestCompare:
     def test_identical_variants_give_zero_deltas(self, tmp_path, scenario_file, capsys):
@@ -379,6 +416,19 @@ class TestCompare:
         seeds_a = [r["seed"] for r in summary["variant_a"]["runs"]]
         seeds_b = [r["seed"] for r in summary["variant_b"]["runs"]]
         assert seeds_a == seeds_b == [5, 6]
+
+    def test_metadata_experiment_records(self, tmp_path, scenario_file):
+        out = tmp_path / "cmp"
+        assert main([
+            "compare", "--variant-a", "ekf", "--variant-b", "anfekf-r", "--scenario",
+            str(scenario_file), "--runs", "2", "--workers", "2", "--out", str(out), "--window", "9",
+        ]) == 0
+        experiment = json.loads((out / "metadata.json").read_text())["experiment"]
+        common = {
+            "scenario_path": str(scenario_file), "n_runs": 2, "base_seed": 0, "out_dir": str(out),
+            "window": 9, "eta": None, "r_floor": None, "q_floor": None, "workers": 2,
+        }
+        assert experiment == {"a": {**common, "variant": "ekf"}, "b": {**common, "variant": "anfekf-r"}}
 
 
 class TestCsvWriter:
@@ -442,25 +492,21 @@ class TestCsvWriter:
         assert (out / "compare.csv").read_bytes() == (tmp_path / "compare.csv").read_bytes()
 
 
-class TestExperimentSpec:
+class TestAdaptationConfigFromFlags:
+    RUN = ["run", "--variant", "anfekf-r", "--scenario", "s", "--out", "o"]
+
     def test_adaptation_config_overrides(self):
-        spec = ExperimentSpec(
-            scenario_path="s", variant="anfekf-r", n_runs=1, base_seed=0,
-            out_dir="o", window=9, eta=0.5, r_floor=1e-6, q_floor=1e-7,
-        )
-        cfg = spec.adaptation_config()
+        args = build_parser().parse_args([
+            *self.RUN, "--window", "9", "--eta", "0.5", "--r-floor", "1e-6", "--q-floor", "1e-7",
+        ])
+        cfg = _adaptation_config(args)
         assert cfg.window == 9
         assert cfg.eta == 0.5
         assert cfg.r_floor == 1e-6
         assert cfg.q_floor == 1e-7
 
     def test_defaults_pass_through(self):
-        spec = ExperimentSpec(
-            scenario_path="s", variant="ekf", n_runs=1, base_seed=0, out_dir="o",
-        )
-        from fuzzyloc.adaptation import AdaptationConfig
-
-        assert spec.adaptation_config() == AdaptationConfig()
+        assert _adaptation_config(build_parser().parse_args(self.RUN)) == AdaptationConfig()
 
 
 def test_module_entry_point_smoke(tmp_path):

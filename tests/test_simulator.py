@@ -180,7 +180,8 @@ class TestScenarioValidate:
 
     def test_load_rejects_nan_waypoint(self, tmp_path, tiny_scenario):
         path = tmp_path / "nan.json"
-        save_scenario(dataclasses.replace(tiny_scenario, waypoints=((math.nan, 0.0),)), path)
+        path.write_text(json.dumps(scenario_to_dict(dataclasses.replace(tiny_scenario,
+                                                                        waypoints=((math.nan, 0.0),)))))
         assert "NaN" in path.read_text()
         with pytest.raises(ScenarioError, match="waypoint coordinates"):
             load_scenario(path)
@@ -250,6 +251,47 @@ class TestScenarioSerialization:
         path = tmp_path / "scenario.json"
         save_scenario(tiny_scenario, path)
         assert load_scenario(path) == tiny_scenario
+
+    def test_numpy_scalars_round_trip(self, tmp_path, tiny_scenario):
+        # json.dumps used to raise "Object of type float32 is not JSON serializable"
+        scenario = dataclasses.replace(tiny_scenario, duration=np.float32(2.0), seed=np.int64(3),
+                                       speed=np.float64(2.5))
+        scenario.validate()
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+        assert load_scenario(path) == scenario
+
+    def test_save_rejects_an_invalid_scenario(self, tmp_path, tiny_scenario):
+        path = tmp_path / "scenario.json"
+        with pytest.raises(ScenarioError, match="start"):
+            save_scenario(dataclasses.replace(tiny_scenario, start=(0.0, 0.0)), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "seeed"), ((), "strat"), (("true_noise",), "sigma_vv"), (("assumed_noise",), "sigma_r_deg"),
+    ])
+    def test_unknown_key_rejected(self, path, key):
+        # a misspelt key used to be ignored: "seeed": 5 loaded as seed 0
+        data = scenario_to_dict(default_scenario())
+        record = data
+        for part in path:
+            record = record[part]
+        record[key] = 5
+        where = path[0] if path else "the scenario"
+        with pytest.raises(ScenarioError, match=f"unknown key '{key}' in {where}"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("make", ["directory", "not utf-8"])
+    def test_unreadable_file_named(self, tmp_path, make):
+        # a directory raised IsADirectoryError and bad bytes UnicodeDecodeError
+        path = tmp_path / "scenario.json"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"schema": "\xff"}')
+        with pytest.raises(ScenarioError, match="cannot read scenario file") as exc:
+            load_scenario(path)
+        assert str(path) in str(exc.value)
 
     def test_dict_round_trip_default(self):
         s = default_scenario()
