@@ -95,35 +95,123 @@ Every CSV starts with a '# schema=...' header row naming its format version.
 #: Rows formatted per block: bounds the transient lists of one table's text.
 _CSV_BLOCK_ROWS = 32
 
+#: _format_rows' layout of runs.csv: step and t, then the scan-tick columns
+#: n_meas ... dom22, which change only on scan ticks and the tick after.
+_RUNS_LAYOUT = {"tick_at": RUNS_COLUMNS.index("step"), "held_from": RUNS_COLUMNS.index("n_meas")}
 
-def _format_rows(columns) -> str:
+#: The last step and t columns _tick_texts formatted, by dtype and bytes,
+#: and their texts. It lives in the module because a pool worker runs one
+#: job per run and keeps nothing else between them; a worker forked after
+#: the parent formatted a report inherits it.
+_TICK_TEXTS: dict = {}
+
+
+def _bits(col: np.ndarray) -> np.ndarray:
+    """col's values as unsigned integers of their size: equal bits, equal text."""
+    return col.view(f"u{col.dtype.itemsize}")
+
+
+def _template(cells) -> tuple[str, list]:
+    """The comma-joined template of one row of cells, and the cells it takes.
+
+    A sequence of texts is taken with %s. An array that holds its bits over
+    every row is written into the template as its one text; any other array
+    is taken with %d (integers) or %.12g (floats).
+    """
+    pieces, taken = [], []
+    for cell in cells:
+        if not isinstance(cell, np.ndarray):
+            pieces.append("%s")
+            taken.append(cell)
+            continue
+        spec = "%d" if cell.dtype.kind in "iu" else "%.12g"
+        bits = _bits(cell)
+        if (bits == bits[0]).all():
+            pieces.append(spec % cell[0].item())
+        else:
+            pieces.append(spec)
+            taken.append(cell)
+    return ",".join(pieces), taken
+
+
+def _row_texts(template: str, taken, start: int, stop: int) -> list[str]:
+    """template % row for rows start to stop of the taken cells, read as Python scalars."""
+    if not taken:
+        return [template] * (stop - start)
+    block = [cell[start:stop].tolist() if isinstance(cell, np.ndarray) else cell[start:stop]
+             for cell in taken]
+    return [template % row for row in zip(*block)]
+
+
+def _tick_texts(step: np.ndarray, t: np.ndarray) -> tuple[str, ...]:
+    """The "step,t" text of each row, formatted once per process for each pair.
+
+    Every run of a command shares its step and t columns with the others and
+    with its report, so a process formats them for its first table only.
+    """
+    key = (step.dtype.str, step.tobytes(), t.dtype.str, t.tobytes())
+    if key not in _TICK_TEXTS:
+        _TICK_TEXTS.clear()
+        _TICK_TEXTS[key] = tuple(_row_texts(*_template([step, t]), 0, len(t)))
+    return _TICK_TEXTS[key]
+
+
+def _held_texts(group) -> list[str]:
+    """The text of each row of the columns in group, formatted once per
+    stretch of rows in which none of them changes its bits."""
+    template, taken = _template(group)
+    changed = np.zeros(len(group[0]), dtype=bool)
+    changed[0] = True
+    for col in taken:
+        bits = _bits(col)
+        changed[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(changed)
+    texts = _row_texts(template, [col[starts] for col in taken], 0, len(starts))
+    return list(map(texts.__getitem__, (np.cumsum(changed) - 1).tolist()))
+
+
+def _format_rows(columns, tick_at: int | None = None, held_from: int | None = None) -> str:
     """The CSV rows of one table, a list of equal-length 1-D columns.
 
     Integer columns are written with %d and float columns with %.12g, each
-    row ending in \\r\\n: the bytes csv.writer gives for these values.
-    Columns are read block by block as Python scalars and each block is
-    formatted with one row template.
+    row ending in \\r\\n: the bytes csv.writer gives for these values. Each
+    value's text is made once per stretch of rows in which its bits hold
+    (bits, so that -0.0 is never taken for 0.0 and a NaN holds as any value
+    does): a column that holds over the whole table is written into the row
+    template; the columns from held_from on are formatted together on the
+    rows where one of them changes; and the step column at tick_at, with
+    the t column after it, is formatted once per process (_tick_texts). The
+    other columns are read block by block as Python scalars and each block
+    is formatted with the row template.
     """
-    template = ",".join("%d" if col.dtype.kind in "iu" else "%.12g" for col in columns) + "\r\n"
-    blocks = []
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in columns]
-        blocks.append("".join([template % row for row in zip(*block)]))
-    return "".join(blocks)
+    n = len(columns[0])
+    if n == 0:
+        return ""
+    cells = list(columns)
+    if held_from is not None:
+        cells[held_from:] = [_held_texts(columns[held_from:])]
+    if tick_at is not None:
+        cells[tick_at:tick_at + 2] = [_tick_texts(*columns[tick_at:tick_at + 2])]
+    template, taken = _template(cells)
+    template += "\r\n"
+    return "".join(["".join(_row_texts(template, taken, start, min(start + _CSV_BLOCK_ROWS, n)))
+                    for start in range(0, n, _CSV_BLOCK_ROWS)])
 
 
-def _write_csv(path: Path, schema: str, header: list[str], tables) -> None:
-    """Write the '# schema=' line, the header row, then the rows of each table."""
-    _write_csv_bodies(path, schema, header, map(_format_rows, tables))
+def _write_csv(path: Path, schema: str, header: list[str], tables, **layout) -> None:
+    """Write the '# schema=' line, the header row, then the rows of each table,
+    formatted by _format_rows with the layout keywords."""
+    _write_csv_bodies(path, schema, header, (_format_rows(table, **layout) for table in tables))
 
 
 def _write_csv_bodies(path: Path, schema: str, header: list[str], bodies) -> None:
     """Replace path with the '# schema=' line, the header row, then each body.
 
     A body is the text _format_rows gives for one table, written as it
-    arrives. The text goes to a partial file beside path, removed if
-    anything fails; at the end path is unlinked (see _unlink; a rename over
-    it would wait the same way) and the partial file renamed to it.
+    arrives and in the order bodies yields it. The text goes to a partial
+    file beside path, removed if anything fails; at the end path is
+    unlinked (see _unlink; a rename over it would wait the same way) and
+    the partial file renamed to it.
     """
     partial = path.with_name(path.name + ".partial")
     try:
@@ -162,7 +250,7 @@ def _runs_columns(run_idx: int, log: RunLog) -> list[np.ndarray]:
 def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunDigest, str]:
     """One run's digest and its runs.csv rows; module-level, so a worker process can run it."""
     log = run_once(scenario, variant, seed, adaptation)
-    return log.digest(), _format_rows(_runs_columns(run_idx, log))
+    return log.digest(), _format_rows(_runs_columns(run_idx, log), **_RUNS_LAYOUT)
 
 
 def _report_table(report: EnsembleReport) -> list[np.ndarray]:
@@ -171,6 +259,11 @@ def _report_table(report: EnsembleReport) -> list[np.ndarray]:
         np.arange(1, n + 1), report.t, report.rmse_pos, report.avg_nees,
         np.full(n, report.band[0]), np.full(n, report.band[1]),
     ]
+
+
+def _compare_table(rep_a: EnsembleReport, rep_b: EnsembleReport) -> list[np.ndarray]:
+    steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
+    return [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
 
 
 def _summary_dict(report) -> dict:
@@ -246,10 +339,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run one variant; write runs.csv, report.csv, summary.json, metadata.json.
 
     Each run's runs.csv rows are formatted where the run ran, in a worker
-    with --workers above 1, and written as the run arrives, in run order;
-    only its RunDigest is kept for the report. runs.csv is replaced once every
-    run returned, and the other outputs are written after it. The run's
-    arguments pass _setup's checks before --out is created.
+    with --workers above 1, with runs.csv's layout (_RUNS_LAYOUT): a worker
+    formats the step and t texts for its first run only. fan_out takes each
+    result from whichever worker is ready and yields them in run order, so
+    the rows are written in run order; only each run's RunDigest is kept
+    for the report. runs.csv is replaced once every run returned, and the
+    other outputs are written after it; report.csv reuses the step and t
+    texts when this process formatted runs. The run's arguments pass
+    _setup's checks before --out is created.
     """
     scenario, adaptation, out = _setup(args, [args.variant])
     jobs = [(scenario, args.variant, args.seed + i, adaptation, i) for i in range(args.runs)]
@@ -259,11 +356,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         for digest, body in results:
             digests.append(digest)
             yield body
+            del body  # written: free it before the next result is received
 
     with closing(fan_out(_run_and_format, jobs, args.workers)) as results:
         _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies(results))
     report = build_report(digests)
-    _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)])
+    _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)], tick_at=0)
     _write_json(out / "summary.json", _summary_dict(report))
     _write_json(out / "metadata.json", _metadata(_experiment(args, args.variant), scenario))
     print(f"{args.variant}: {args.runs} runs, "
@@ -285,9 +383,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                      max_workers=args.workers, adaptation=adaptation))
         for variant in variants
     )
-    steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
-    table = [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
-    _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, [table])
+    _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, [_compare_table(rep_a, rep_b)],
+               tick_at=0)
     rmse_a = [s.time_avg_pos_rmse for s in rep_a.run_summaries]
     rmse_b = [s.time_avg_pos_rmse for s in rep_b.run_summaries]
     wins_b = sum(1 for a, b in zip(rmse_a, rmse_b) if b < a)

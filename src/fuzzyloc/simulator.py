@@ -676,28 +676,36 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> Iterator:
     min(workers, len(items)) processes.
 
     Worker w runs items w, w + W, ... and sends each result down its own
-    one-way pipe. The calling thread receives them in item order, so the
-    results equal the serial ones, and each is yielded as it arrives. No
-    helper thread receives anything: a result unpickled on another thread
-    would fill that thread's malloc arena, which this process keeps and
-    every later forked worker inherits. With one worker or one item the
-    calls run in this process, each when its result is asked for. job must
-    be a module-level function, so that a spawned worker can unpickle it.
-    Where workers start by fork (the default on Linux before Python 3.14),
-    numpy.random is loaded here before the first worker starts, so each
-    worker inherits it; a worker started by spawn or forkserver imports it
-    on its first run.
+    one-way pipe. The calling thread takes each result from whichever
+    worker is ready, holding at most one result per worker until its turn,
+    so a worker whose result is ready before an earlier item's goes on to
+    its next item instead of waiting in send. Results are yielded in item
+    order, each as soon as it and every earlier one have arrived, so they
+    equal the serial ones. No helper thread receives anything: a result
+    unpickled on another thread would fill that thread's malloc arena,
+    which this process keeps and every later forked worker inherits. With
+    one worker or one item the calls run in this process, each when its
+    result is asked for. job must be a module-level function, so that a
+    spawned worker can unpickle it. Where workers start by fork (the
+    default on Linux before Python 3.14), numpy.random is loaded here
+    before the first worker starts, so each worker inherits it; a worker
+    started by spawn or forkserver imports it on its first run.
 
-    An exception raised by job is raised here, with its type and message;
-    a worker that exits without sending its results raises RuntimeError.
-    Every worker is joined before the generator finishes, raises or is
-    closed; on a failure or a close the workers still running are
-    terminated first.
+    An exception raised by job is raised here, with its type and message,
+    and a worker that exits without sending its results raises
+    RuntimeError, each at its item's turn: when several items fail, the
+    first of them in item order is the one raised. Every worker is joined
+    before the generator finishes, raises or is closed; on a failure or a
+    close the workers still running are terminated first.
     """
     workers = min(workers, len(items))
     if workers <= 1:
         yield from (job(*args) for args in items)
         return
+    # Imported here, as numpy.random is below, so that importing this
+    # package does not load it.
+    from multiprocessing.connection import wait
+
     if get_start_method() == "fork":
         # numpy loads numpy.random on first use. Loaded here, every forked
         # worker inherits it instead of importing it on its first run; loaded
@@ -713,19 +721,30 @@ def fan_out(job: Callable, items: list[tuple], workers: int) -> Iterator:
             procs.append(proc)
             # Only the worker holds the sending end now, so its exit ends the pipe.
             sender.close()
+        held = {}  # worker -> what it sent for its next item, or None if it exited; one each
         for i in range(len(items)):
-            try:
-                ok, value = conns[i % workers].recv()
-            except EOFError:
+            while i % workers not in held:
+                waiting = {conns[w]: w for w in range(workers) if w not in held}
+                for conn in wait(list(waiting)):
+                    w = waiting[conn]
+                    try:
+                        held[w] = conn.recv()
+                    except EOFError:
+                        held[w] = None
+            result = held.pop(i % workers)
+            if result is None:
                 proc = procs[i % workers]
                 proc.join()
                 raise RuntimeError(
                     f"worker process {proc.pid} exited with code {proc.exitcode} "
                     f"before returning item {i}"
-                ) from None
+                )
+            ok, value = result
             if not ok:
                 raise value
             yield value
+            # Free the result the caller is done with before the next one arrives.
+            del result, value
     except BaseException:
         for proc in procs:
             proc.terminate()

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from fuzzyloc import cli
 from fuzzyloc.adaptation import AdaptationConfig
 from fuzzyloc.cli import (
     _CSV_BLOCK_ROWS,
+    _RUNS_LAYOUT,
+    COLUMN_DOCS,
     COMPARE_COLUMNS,
     COMPARE_SCHEMA,
     REPORT_COLUMNS,
@@ -23,9 +26,12 @@ from fuzzyloc.cli import (
     RUNS_COLUMNS,
     RUNS_SCHEMA,
     _adaptation_config,
+    _compare_table,
     _format_rows,
+    _report_table,
     _run_and_format,
     _runs_columns,
+    _tick_texts,
     _write_csv,
     build_parser,
     main,
@@ -439,8 +445,8 @@ class TestCsvWriter:
         3.0, -2.0, 1e15, 1e16, 0.1, -123456789012.5, 2.0**53 + 1.0,
     ]
 
-    def _assert_same_bytes(self, tmp_path, header, tables):
-        _write_csv(tmp_path / "blocks.csv", "test-v1", header, tables)
+    def _assert_same_bytes(self, tmp_path, header, tables, **layout):
+        _write_csv(tmp_path / "blocks.csv", "test-v1", header, tables, **layout)
         rows = [row for columns in tables for row in zip(*columns)]
         helpers.write_csv_rows(tmp_path / "oracle.csv", "test-v1", header, rows)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -460,6 +466,76 @@ class TestCsvWriter:
             floats[::7] = np.resize(self.EDGE_FLOATS, len(floats[::7]))
             tables.append([np.full(n, k), np.arange(1, n + 1), floats, rng.normal(size=n)])
         self._assert_same_bytes(tmp_path, ["run", "step", "x", "y"], tables)
+
+    def test_constant_columns(self, tmp_path):
+        n = 2 * _CSV_BLOCK_ROWS + 5
+        table = [np.full(n, 7), np.arange(1, n + 1), np.full(n, 0.1), np.full(n, math.nan),
+                 np.full(n, -0.0), np.full(n, -(2**63)), np.linspace(0.0, 1.0, n), np.full(n, 1e300)]
+        header = list("abcdefgh")
+        self._assert_same_bytes(tmp_path, header, [table])
+        self._assert_same_bytes(tmp_path, header, [table], tick_at=1, held_from=3)
+
+    def test_held_group_keeps_signed_zeros_and_nans(self, tmp_path):
+        # A scan-style group: it changes every few rows, between -0.0 and
+        # 0.0 and between NaNs of either sign, which print alike.
+        n = 3 * _CSV_BLOCK_ROWS + 1
+        zeros = np.where(np.arange(n) % 8 < 4, -0.0, 0.0)
+        nans = np.where(np.arange(n) % 8 < 2, math.nan, np.copysign(math.nan, -1.0))
+        nans[5::8] = 2.5
+        counts = (np.arange(n) % 8 == 0).astype(np.int64)
+        table = [np.arange(1, n + 1), np.linspace(0.0, 4.0, n), np.sin(np.arange(n)),
+                 counts, zeros, nans, np.full(n, 0.25)]
+        no_nans = [*table[:5], np.full(n, 2.5), table[6]]  # the zeros alone flip on row 4
+        self._assert_same_bytes(tmp_path, list("abcdefg"), [table, no_nans], tick_at=0, held_from=3)
+        rows = _format_rows(table, tick_at=0, held_from=3).splitlines()
+        assert [row.split(",", 3)[3] for row in rows[:6]] == [
+            "1,-0,nan,0.25", "0,-0,nan,0.25", "0,-0,nan,0.25", "0,-0,nan,0.25",
+            "0,0,nan,0.25", "0,0,2.5,0.25"]
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+    def test_held_group_changing_on_one_row(self, tmp_path, row):
+        n = _CSV_BLOCK_ROWS + 3
+        group = [np.full(n, 3), np.full(n, 0.5), np.full(n, -0.0)]
+        for col, value in zip(group, (4, math.inf, 0.0)):
+            col[row] = value
+        table = [np.arange(1, n + 1), np.cos(np.arange(n)), *group]
+        self._assert_same_bytes(tmp_path, list("abcde"), [table], held_from=2)
+
+    @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                   4 * _CSV_BLOCK_ROWS + 7])
+    def test_table_sizes(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        scan = np.where(np.arange(n) % 5 == 0, rng.normal(size=n), math.nan)
+        table = [np.full(n, 2), np.arange(1, n + 1), np.arange(n) / 40.0, rng.normal(size=n),
+                 (np.arange(n) % 5 == 0).astype(np.int64), scan, np.full(n, 1e-3)]
+        tables = [table, [col[: n // 2] for col in table]]
+        self._assert_same_bytes(tmp_path, list("abcdefg"), tables, tick_at=1, held_from=4)
+        self._assert_same_bytes(tmp_path, list("abcdefg"), tables)
+
+    def test_tick_texts_kept_only_for_the_same_bits(self):
+        step = np.arange(1, 6)
+        t = np.arange(5) * 0.025
+        texts = _tick_texts(step, t)
+        assert _tick_texts(step.copy(), t.copy()) is texts
+        signed = t.copy()
+        signed[0] = -0.0
+        assert _tick_texts(step, signed) == ("1,-0", *texts[1:])
+        assert _tick_texts(step.astype(np.int32), signed) == ("1,-0", *texts[1:])
+        assert _tick_texts(step, t) is not texts
+        assert _tick_texts(step, t) == texts
+
+    @pytest.mark.parametrize("variant", ["ekf", "anfekf-r"])
+    def test_runs_rows_of_each_layout(self, tmp_path, tiny_scenario, variant):
+        logs = [run_once(tiny_scenario, variant, seed) for seed in (3, 4)]
+        if variant == "ekf":
+            assert np.isnan(logs[0].dom_diag).all()
+        else:
+            assert (logs[0].q_diag == logs[0].q_diag[0]).all()
+        tables = [_runs_columns(i, log) for i, log in enumerate(logs)]
+        _write_csv(tmp_path / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, tables, **_RUNS_LAYOUT)
+        helpers.write_csv_rows(tmp_path / "oracle.csv", RUNS_SCHEMA, RUNS_COLUMNS,
+                               helpers.runs_rows(logs))
+        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_run_outputs(self, tmp_path, scenario_file):
         out = tmp_path / "exp"
@@ -490,6 +566,38 @@ class TestCsvWriter:
         helpers.write_csv_rows(tmp_path / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS,
                                helpers.compare_rows(rep_a, rep_b))
         assert (out / "compare.csv").read_bytes() == (tmp_path / "compare.csv").read_bytes()
+
+
+def _documented_names(docs):
+    """Every name in docs, with a grouped name such as P11/22/33 expanded."""
+    names = set()
+    for token in re.findall(r"[\w/]+", docs):
+        first, *others = token.split("/")
+        names.add(first)
+        names.update(first[:len(first) - len(other)] + other for other in others)
+    return names
+
+
+class TestCsvLayouts:
+    """Each CSV's header, its column list and the --help text name the same columns."""
+
+    def test_column_lists_match_their_headers(self, tiny_scenario):
+        logs = [run_once(tiny_scenario, "anfekf-r", seed) for seed in (0, 1)]
+        report = build_report(logs)
+        assert len(_runs_columns(0, logs[0])) == len(RUNS_COLUMNS)
+        assert len(_report_table(report)) == len(REPORT_COLUMNS)
+        assert len(_compare_table(report, report)) == len(COMPARE_COLUMNS)
+
+    def test_help_documents_every_column(self):
+        names = _documented_names(COLUMN_DOCS)
+        assert {"P11", "P22", "P33", "truth_y", "band_hi", "rmse_pos_b"} <= names
+        for header in (RUNS_COLUMNS, REPORT_COLUMNS, COMPARE_COLUMNS):
+            assert set(header) <= names, set(header) - names
+
+    def test_runs_layout_names_step_and_the_scan_columns(self):
+        assert RUNS_COLUMNS[_RUNS_LAYOUT["tick_at"]:][:2] == ["step", "t"]
+        assert RUNS_COLUMNS[_RUNS_LAYOUT["held_from"]:] == [
+            "n_meas", "n_gated", "R11", "R22", "Q11", "Q22", "dom11", "dom22"]
 
 
 class TestAdaptationConfigFromFlags:

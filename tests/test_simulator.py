@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -1128,6 +1128,19 @@ def _return_first_or_sleep(x):
     return x
 
 
+def _mark_start(x, marks):
+    """Leave a file for item x in marks; item 0 sleeps, item 1 returns 1 MB."""
+    (Path(marks) / f"start-{x}").touch()
+    if x == 0:
+        time.sleep(1.0)
+    return bytes(2**20) if x == 1 else x
+
+
+def _fail_after(x, delays):
+    time.sleep(delays[x])
+    raise ValueError(f"item {x} failed")
+
+
 @contextmanager
 def _deadline(seconds):
     """Fail the block with TimeoutError if it has not finished after seconds."""
@@ -1218,6 +1231,22 @@ class TestFanOut:
             assert next(results) == 0
             results.close()
         assert time.perf_counter() - t0 < 20.0  # the sleeping worker did not run out its 60 s
+        assert multiprocessing.active_children() == []
+
+    def test_ready_worker_is_not_held_in_send(self, tmp_path):
+        # Item 1's megabyte fills its pipe: worker 1 can start item 3 only
+        # once item 1 has been taken, while item 0 still sleeps.
+        jobs = [(i, str(tmp_path)) for i in range(4)]
+        with _deadline(60), closing(simulator.fan_out(_mark_start, jobs, 2)) as results:
+            assert next(results) == 0
+            assert (tmp_path / "start-3").exists()
+            assert list(results) == [bytes(2**20), 2, 3]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("delays", [(0.0, 0.5), (0.5, 0.0)], ids=["0-first", "1-first"])
+    def test_first_failure_in_item_order_is_raised(self, delays):
+        with _deadline(60), pytest.raises(ValueError, match="^item 0 failed$"):
+            list(simulator.fan_out(_fail_after, [(0, delays), (1, delays)], 2))
         assert multiprocessing.active_children() == []
 
     def test_pooled_run_starts_no_thread(self, tiny_scenario, monkeypatch):
