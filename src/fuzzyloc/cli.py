@@ -10,10 +10,12 @@ import argparse
 import json
 import math
 import sys
+import textwrap
 import time
 from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +23,10 @@ from . import __version__
 from .adaptation import DEFAULT_R_FLOOR, DEFAULT_WINDOW, Q_FLOOR_RATIO, AdaptationConfig
 from .anfis import DEFAULT_ETA
 from .errors import FuzzylocError
-from .metrics import EnsembleReport, build_report
+from .metrics import build_report
 from .simulator import (
     VARIANTS,
     RunDigest,
-    RunLog,
     _start,
     default_scenario,
     fan_out,
@@ -36,55 +37,84 @@ from .simulator import (
     scenario_to_dict,
 )
 
-RUNS_SCHEMA = "fuzzyloc-runs-v1"
-REPORT_SCHEMA = "fuzzyloc-report-v1"
-COMPARE_SCHEMA = "fuzzyloc-compare-v1"
+class CsvTable(NamedTuple):
+    """One CSV file, declared once: its header, columns, layout and --help lines.
 
-RUNS_COLUMNS = [
-    "run", "step", "t",
-    "truth_x", "truth_y", "truth_phi",
-    "est_x", "est_y", "est_phi",
-    "P11", "P22", "P33",
-    "nees", "n_meas", "n_gated",
-    "R11", "R22", "Q11", "Q22",
-    "dom11", "dom22",
-]
+    Each entry is (names, help, take): names as --help shows them, joined
+    by ", ", and take(*record) giving one column per name. A record is a
+    run index and its RunLog (runs.csv), an EnsembleReport (report.csv) or
+    the reports of variants a and b (compare.csv). The scan entries, last,
+    change only on scan ticks and the tick after; _format_rows formats
+    them as one group.
+    """
 
-REPORT_COLUMNS = ["step", "t", "rmse_pos", "avg_nees", "band_lo", "band_hi"]
+    file: str
+    schema: str
+    about: str
+    entries: tuple
+    scans: tuple = ()
 
-COMPARE_COLUMNS = [
-    "step", "t",
-    "rmse_pos_a", "rmse_pos_b",
-    "avg_nees_a", "avg_nees_b",
-    "band_lo", "band_hi",
-]
+    @property
+    def header(self) -> list[str]:
+        return [name for names, _, _ in self.entries + self.scans for name in names.split(", ")]
 
-COLUMN_DOCS = """\
-output files
-  runs.csv     one row per run and control tick
-    run        run index (0-based)
-    step       control tick index within the run (1-based)
-    t          simulation time in seconds
-    truth_x/y  true position (m)
-    truth_phi  true heading (rad, wrapped)
-    est_x/y    estimated position (m)
-    est_phi    estimated heading (rad, wrapped)
-    P11/22/33  state covariance diagonal (x, y, phi)
-    nees       normalized estimation error squared at this tick
-    n_meas     measurements accepted by the gate this tick
-    n_gated    measurements rejected by the gate this tick
-    R11, R22   measurement covariance diagonal in force (range, bearing)
-    Q11, Q22   process covariance diagonal in force (speed, steer)
-    dom11/22   innovation covariance mismatch diagonal (NaN until the
-               adapter is active)
-  report.csv   one row per control tick, aggregated over runs
-    step, t    as above
-    rmse_pos   position RMSE across runs (m)
-    avg_nees   mean NEES across runs
-    band_lo/hi two-sided 95% consistency band for avg_nees
-  compare.csv  one row per control tick (compare subcommand)
-    rmse_pos_a/b, avg_nees_a/b    per-variant aggregates as in report.csv
-    band_lo/hi                    consistency band (same run count for both)
+    def rows(self, *record) -> str:
+        """The CSV rows of one record, with the step column and the scan group marked."""
+        columns = [col for _, _, take in self.entries + self.scans for col in take(*record)]
+        held_from = sum(len(names.split(", ")) for names, _, _ in self.entries) if self.scans else None
+        return _format_rows(columns, tick_at=self.header.index("step"), held_from=held_from)
+
+
+RUNS_TABLE = CsvTable("runs.csv", "fuzzyloc-runs-v1", "one row per run and control tick", (
+    ("run", "run index (0-based)", lambda i, log: [np.full(len(log.t), i)]),
+    ("step, t", "tick index within the run (1-based), time (s)",
+     lambda i, log: [np.arange(1, len(log.t) + 1), log.t]),
+    ("truth_x, truth_y, truth_phi", "true position (m), heading (rad, wrapped)",
+     lambda i, log: log.truth.T),
+    ("est_x, est_y, est_phi", "estimated position (m), heading (rad, wrapped)",
+     lambda i, log: log.est_mean.T),
+    ("P11, P22, P33", "state covariance diagonal (x, y, phi)", lambda i, log: log.p_diag.T),
+    ("nees", "normalized estimation error squared", lambda i, log: [log.nees]),
+), scans=(
+    ("n_meas", "measurements accepted by the gate this tick", lambda i, log: [log.n_meas]),
+    ("n_gated", "measurements rejected by the gate this tick", lambda i, log: [log.n_gated]),
+    ("R11, R22", "measurement noise R in force (range, bearing)", lambda i, log: log.r_diag.T),
+    ("Q11, Q22", "process noise Q in force (speed, steer)", lambda i, log: log.q_diag.T),
+    ("dom11, dom22", "innovation covariance mismatch diagonal (NaN until the adapter is active)",
+     lambda i, log: log.dom_diag.T),
+))
+
+#: The entries of report.csv that compare.csv has for variants a and b.
+_PER_VARIANT = (
+    ("rmse_pos", "position RMSE across runs (m)", lambda rep: [rep.rmse_pos]),
+    ("avg_nees", "mean NEES across runs", lambda rep: [rep.avg_nees]),
+)
+REPORT_TABLE = CsvTable("report.csv", "fuzzyloc-report-v1", "one row per control tick, over all runs", (
+    ("step, t", "as in runs.csv", lambda rep: [np.arange(1, len(rep.t) + 1), rep.t]),
+    *_PER_VARIANT,
+    ("band_lo, band_hi", "two-sided 95% consistency band for mean NEES",
+     lambda rep: [np.full(len(rep.t), bound) for bound in rep.band]),
+))
+
+#: report.csv's entries, each per-variant one as <name>_a, <name>_b and the others from a.
+COMPARE_TABLE = CsvTable(
+    "compare.csv", "fuzzyloc-compare-v1", "one row per control tick (compare subcommand)", tuple(
+        (f"{names}_a, {names}_b", f"{text}, per variant", lambda a, b, take=take: [*take(a), *take(b)])
+        if (names, text, take) in _PER_VARIANT else (names, text, lambda a, b, take=take: take(a))
+        for names, text, take in REPORT_TABLE.entries))
+
+
+def _column_docs(*tables: CsvTable) -> str:
+    """--help's lines on the output files, with every column named as in its table."""
+    lines = ["output files"]
+    for table in tables:
+        lines.append(f"  {table.file:<12} {table.about}")
+        lines += [textwrap.fill(text, 79, initial_indent=f"    {names:<28} ", subsequent_indent=" " * 33)
+                  for names, text, _ in table.entries + table.scans]
+    return "\n".join(lines)
+
+
+COLUMN_DOCS = _column_docs(RUNS_TABLE, REPORT_TABLE, COMPARE_TABLE) + """
   summary.json      deterministic scalar digest of the experiment
   metadata.json     timestamps, package version, resolved configuration
 
@@ -94,10 +124,6 @@ Every CSV starts with a '# schema=...' header row naming its format version.
 
 #: Rows formatted per block: bounds the transient lists of one table's text.
 _CSV_BLOCK_ROWS = 32
-
-#: _format_rows' layout of runs.csv: step and t, then the scan-tick columns
-#: n_meas ... dom22, which change only on scan ticks and the tick after.
-_RUNS_LAYOUT = {"tick_at": RUNS_COLUMNS.index("step"), "held_from": RUNS_COLUMNS.index("n_meas")}
 
 #: The last step and t columns _tick_texts formatted, by dtype and bytes,
 #: and their texts. It lives in the module because a pool worker runs one
@@ -198,26 +224,21 @@ def _format_rows(columns, tick_at: int | None = None, held_from: int | None = No
                     for start in range(0, n, _CSV_BLOCK_ROWS)])
 
 
-def _write_csv(path: Path, schema: str, header: list[str], tables, **layout) -> None:
-    """Write the '# schema=' line, the header row, then the rows of each table,
-    formatted by _format_rows with the layout keywords."""
-    _write_csv_bodies(path, schema, header, (_format_rows(table, **layout) for table in tables))
+def _write_csv(out: Path, table: CsvTable, bodies) -> None:
+    """Replace table.file in out with the '# schema=' line, the header row, then each body.
 
-
-def _write_csv_bodies(path: Path, schema: str, header: list[str], bodies) -> None:
-    """Replace path with the '# schema=' line, the header row, then each body.
-
-    A body is the text _format_rows gives for one table, written as it
+    A body is the text table.rows gives for one record, written as it
     arrives and in the order bodies yields it. The text goes to a partial
-    file beside path, removed if anything fails; at the end path is
-    unlinked (see _unlink; a rename over it would wait the same way) and
-    the partial file renamed to it.
+    file beside the output, removed if anything fails; at the end the
+    output is unlinked (see _unlink; a rename over it would wait the same
+    way) and the partial file renamed to it.
     """
+    path = out / table.file
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", newline="") as fh:
-            fh.write(f"# schema={schema}\n")
-            fh.write(",".join(header) + "\r\n")
+            fh.write(f"# schema={table.schema}\n")
+            fh.write(",".join(table.header) + "\r\n")
             fh.writelines(bodies)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -237,33 +258,10 @@ def _unlink(path: Path) -> None:
     path.unlink(missing_ok=True)
 
 
-def _runs_columns(run_idx: int, log: RunLog) -> list[np.ndarray]:
-    n = len(log.t)
-    return [
-        np.full(n, run_idx), np.arange(1, n + 1), log.t,
-        *log.truth.T, *log.est_mean.T, *log.p_diag.T,
-        log.nees, log.n_meas, log.n_gated,
-        *log.r_diag.T, *log.q_diag.T, *log.dom_diag.T,
-    ]
-
-
 def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunDigest, str]:
     """One run's digest and its runs.csv rows; module-level, so a worker process can run it."""
     log = run_once(scenario, variant, seed, adaptation)
-    return log.digest(), _format_rows(_runs_columns(run_idx, log), **_RUNS_LAYOUT)
-
-
-def _report_table(report: EnsembleReport) -> list[np.ndarray]:
-    n = len(report.t)
-    return [
-        np.arange(1, n + 1), report.t, report.rmse_pos, report.avg_nees,
-        np.full(n, report.band[0]), np.full(n, report.band[1]),
-    ]
-
-
-def _compare_table(rep_a: EnsembleReport, rep_b: EnsembleReport) -> list[np.ndarray]:
-    steps, t, rmse_pos_a, avg_nees_a, band_lo, band_hi = _report_table(rep_a)
-    return [steps, t, rmse_pos_a, rep_b.rmse_pos, avg_nees_a, rep_b.avg_nees, band_lo, band_hi]
+    return log.digest(), RUNS_TABLE.rows(run_idx, log)
 
 
 def _summary_dict(report) -> dict:
@@ -293,8 +291,8 @@ def _adaptation_config(args: argparse.Namespace) -> AdaptationConfig:
 def _experiment(args: argparse.Namespace, variant: str) -> dict:
     """metadata.json's record of one variant's ensemble, as the flags gave it."""
     return dict(scenario_path=args.scenario, variant=variant, n_runs=args.runs, base_seed=args.seed,
-                out_dir=args.out, window=args.window, eta=args.eta, r_floor=args.r_floor,
-                q_floor=args.q_floor, workers=args.workers)
+                out_dir=args.out, workers=args.workers,
+                **{f.name: getattr(args, f.name) for f in fields(AdaptationConfig)})
 
 
 def _metadata(experiment: dict, scenario) -> dict:
@@ -338,9 +336,9 @@ def _setup(args: argparse.Namespace, variants) -> tuple:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one variant; write runs.csv, report.csv, summary.json, metadata.json.
 
-    Each run's runs.csv rows are formatted where the run ran, in a worker
-    with --workers above 1, with runs.csv's layout (_RUNS_LAYOUT): a worker
-    formats the step and t texts for its first run only. fan_out takes each
+    Each run's runs.csv rows are formatted by RUNS_TABLE.rows where the run
+    ran, in a worker with --workers above 1; a worker formats the step and
+    t texts for its first run only. fan_out takes each
     result from whichever worker is ready and yields them in run order, so
     the rows are written in run order; only each run's RunDigest is kept
     for the report. runs.csv is replaced once every run returned, and the
@@ -359,9 +357,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             del body  # written: free it before the next result is received
 
     with closing(fan_out(_run_and_format, jobs, args.workers)) as results:
-        _write_csv_bodies(out / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, bodies(results))
+        _write_csv(out, RUNS_TABLE, bodies(results))
     report = build_report(digests)
-    _write_csv(out / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS, [_report_table(report)], tick_at=0)
+    _write_csv(out, REPORT_TABLE, [REPORT_TABLE.rows(report)])
     _write_json(out / "summary.json", _summary_dict(report))
     _write_json(out / "metadata.json", _metadata(_experiment(args, args.variant), scenario))
     print(f"{args.variant}: {args.runs} runs, "
@@ -383,8 +381,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                      max_workers=args.workers, adaptation=adaptation))
         for variant in variants
     )
-    _write_csv(out / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS, [_compare_table(rep_a, rep_b)],
-               tick_at=0)
+    _write_csv(out, COMPARE_TABLE, [COMPARE_TABLE.rows(rep_a, rep_b)])
     rmse_a = [s.time_avg_pos_rmse for s in rep_a.run_summaries]
     rmse_b = [s.time_avg_pos_rmse for s in rep_b.run_summaries]
     wins_b = sum(1 for a, b in zip(rmse_a, rmse_b) if b < a)

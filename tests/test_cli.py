@@ -17,20 +17,13 @@ from fuzzyloc import cli
 from fuzzyloc.adaptation import AdaptationConfig
 from fuzzyloc.cli import (
     _CSV_BLOCK_ROWS,
-    _RUNS_LAYOUT,
-    COLUMN_DOCS,
-    COMPARE_COLUMNS,
-    COMPARE_SCHEMA,
-    REPORT_COLUMNS,
-    REPORT_SCHEMA,
-    RUNS_COLUMNS,
-    RUNS_SCHEMA,
+    COMPARE_TABLE,
+    REPORT_TABLE,
+    RUNS_TABLE,
+    CsvTable,
     _adaptation_config,
-    _compare_table,
     _format_rows,
-    _report_table,
     _run_and_format,
-    _runs_columns,
     _tick_texts,
     _write_csv,
     build_parser,
@@ -80,14 +73,14 @@ class TestRun:
             assert (out / name).exists()
 
         runs_lines = read_csv_lines(out / "runs.csv")
-        assert runs_lines[0] == f"# schema={RUNS_SCHEMA}"
-        assert runs_lines[1].split(",") == RUNS_COLUMNS
+        assert runs_lines[0] == f"# schema={RUNS_TABLE.schema}"
+        assert runs_lines[1].split(",") == RUNS_TABLE.header
         n_ticks = 320  # 8 s at 40 Hz
         assert len(runs_lines) == 2 + 2 * n_ticks
 
         report_lines = read_csv_lines(out / "report.csv")
-        assert report_lines[0] == f"# schema={REPORT_SCHEMA}"
-        assert report_lines[1].split(",") == REPORT_COLUMNS
+        assert report_lines[0] == f"# schema={REPORT_TABLE.schema}"
+        assert report_lines[1].split(",") == REPORT_TABLE.header
         assert len(report_lines) == 2 + n_ticks
 
         stdout = capsys.readouterr().out
@@ -156,7 +149,7 @@ class TestRun:
             "--runs", "1", "--out", str(out),
         ])
         first_row = read_csv_lines(out / "runs.csv")[2].split(",")
-        dom11 = first_row[RUNS_COLUMNS.index("dom11")]
+        dom11 = first_row[RUNS_TABLE.header.index("dom11")]
         assert dom11 == "nan"
 
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
@@ -305,7 +298,7 @@ class TestRun:
         log = run_once(tiny_scenario, "anfekf-r", 3)
         assert type(digest) is RunDigest
         assert digest.summary() == log.summary()
-        assert rows == _format_rows(_runs_columns(2, log))
+        assert rows == _format_rows(table_columns(RUNS_TABLE, 2, log))
 
     def test_workers_send_back_no_runlog(self, tmp_path, scenario_file, monkeypatch):
         if multiprocessing.get_start_method() != "fork":
@@ -398,10 +391,10 @@ class TestCompare:
         assert scenario_file.read_bytes() == before
 
         lines = read_csv_lines(out / "compare.csv")
-        assert lines[0] == f"# schema={COMPARE_SCHEMA}"
-        assert lines[1].split(",") == COMPARE_COLUMNS
+        assert lines[0] == f"# schema={COMPARE_TABLE.schema}"
+        assert lines[1].split(",") == COMPARE_TABLE.header
         for line in lines[2:5]:
-            row = dict(zip(COMPARE_COLUMNS, line.split(",")))
+            row = dict(zip(COMPARE_TABLE.header, line.split(",")))
             assert row["rmse_pos_a"] == row["rmse_pos_b"]
             assert row["avg_nees_a"] == row["avg_nees_b"]
 
@@ -446,7 +439,8 @@ class TestCsvWriter:
     ]
 
     def _assert_same_bytes(self, tmp_path, header, tables, **layout):
-        _write_csv(tmp_path / "blocks.csv", "test-v1", header, tables, **layout)
+        table = CsvTable("blocks.csv", "test-v1", "", tuple((name, "", None) for name in header))
+        _write_csv(tmp_path, table, (_format_rows(columns, **layout) for columns in tables))
         rows = [row for columns in tables for row in zip(*columns)]
         helpers.write_csv_rows(tmp_path / "oracle.csv", "test-v1", header, rows)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -531,9 +525,8 @@ class TestCsvWriter:
             assert np.isnan(logs[0].dom_diag).all()
         else:
             assert (logs[0].q_diag == logs[0].q_diag[0]).all()
-        tables = [_runs_columns(i, log) for i, log in enumerate(logs)]
-        _write_csv(tmp_path / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS, tables, **_RUNS_LAYOUT)
-        helpers.write_csv_rows(tmp_path / "oracle.csv", RUNS_SCHEMA, RUNS_COLUMNS,
+        _write_csv(tmp_path, RUNS_TABLE, [RUNS_TABLE.rows(i, log) for i, log in enumerate(logs)])
+        helpers.write_csv_rows(tmp_path / "oracle.csv", RUNS_TABLE.schema, RUNS_TABLE.header,
                                helpers.runs_rows(logs))
         assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -545,9 +538,9 @@ class TestCsvWriter:
         ]) == 0
         logs = run_monte_carlo(load_scenario(scenario_file), "anfekf-rq", 3, 4,
                                adaptation=AdaptationConfig())
-        helpers.write_csv_rows(tmp_path / "runs.csv", RUNS_SCHEMA, RUNS_COLUMNS,
+        helpers.write_csv_rows(tmp_path / "runs.csv", RUNS_TABLE.schema, RUNS_TABLE.header,
                                helpers.runs_rows(logs))
-        helpers.write_csv_rows(tmp_path / "report.csv", REPORT_SCHEMA, REPORT_COLUMNS,
+        helpers.write_csv_rows(tmp_path / "report.csv", REPORT_TABLE.schema, REPORT_TABLE.header,
                                helpers.report_rows(build_report(logs)))
         for name in ("runs.csv", "report.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
@@ -563,41 +556,65 @@ class TestCsvWriter:
             build_report(run_monte_carlo(scenario, variant, 2, 9, adaptation=AdaptationConfig()))
             for variant in ("ekf", "anfekf-q")
         )
-        helpers.write_csv_rows(tmp_path / "compare.csv", COMPARE_SCHEMA, COMPARE_COLUMNS,
+        helpers.write_csv_rows(tmp_path / "compare.csv", COMPARE_TABLE.schema, COMPARE_TABLE.header,
                                helpers.compare_rows(rep_a, rep_b))
         assert (out / "compare.csv").read_bytes() == (tmp_path / "compare.csv").read_bytes()
 
 
-def _documented_names(docs):
-    """Every name in docs, with a grouped name such as P11/22/33 expanded."""
-    names = set()
-    for token in re.findall(r"[\w/]+", docs):
-        first, *others = token.split("/")
-        names.add(first)
-        names.update(first[:len(first) - len(other)] + other for other in others)
-    return names
+def table_columns(table, *record):
+    """The columns of every entry of table, in header order."""
+    return [col for _, _, take in table.entries + table.scans for col in take(*record)]
 
 
 class TestCsvLayouts:
-    """Each CSV's header, its column list and the --help text name the same columns."""
+    """Each CSV's v1 header is pinned, and every entry of its table gives one column per name."""
 
-    def test_column_lists_match_their_headers(self, tiny_scenario):
-        logs = [run_once(tiny_scenario, "anfekf-r", seed) for seed in (0, 1)]
+    def test_v1_headers(self):
+        written = {table.file: f"# schema={table.schema}\n{','.join(table.header)}"
+                   for table in (RUNS_TABLE, REPORT_TABLE, COMPARE_TABLE)}
+        assert written == {
+            "runs.csv": "# schema=fuzzyloc-runs-v1\n"
+                        "run,step,t,truth_x,truth_y,truth_phi,est_x,est_y,est_phi,P11,P22,P33,"
+                        "nees,n_meas,n_gated,R11,R22,Q11,Q22,dom11,dom22",
+            "report.csv": "# schema=fuzzyloc-report-v1\nstep,t,rmse_pos,avg_nees,band_lo,band_hi",
+            "compare.csv": "# schema=fuzzyloc-compare-v1\n"
+                           "step,t,rmse_pos_a,rmse_pos_b,avg_nees_a,avg_nees_b,band_lo,band_hi",
+        }
+
+    @pytest.mark.parametrize("variant", ["ekf", "anfekf-r"])
+    def test_each_entry_gives_one_column_per_name(self, tiny_scenario, variant):
+        logs = [run_once(tiny_scenario, variant, seed) for seed in (0, 1)]
         report = build_report(logs)
-        assert len(_runs_columns(0, logs[0])) == len(RUNS_COLUMNS)
-        assert len(_report_table(report)) == len(REPORT_COLUMNS)
-        assert len(_compare_table(report, report)) == len(COMPARE_COLUMNS)
+        n = len(logs[0].t)
+        for table, record in ((RUNS_TABLE, (1, logs[1])), (REPORT_TABLE, (report,)),
+                              (COMPARE_TABLE, (report, report))):
+            for names, _, take in table.entries + table.scans:
+                columns = list(take(*record))
+                assert len(columns) == len(names.split(", ")), (table.file, names)
+                assert all(np.shape(col) == (n,) for col in columns), (table.file, names)
 
-    def test_help_documents_every_column(self):
-        names = _documented_names(COLUMN_DOCS)
-        assert {"P11", "P22", "P33", "truth_y", "band_hi", "rmse_pos_b"} <= names
-        for header in (RUNS_COLUMNS, REPORT_COLUMNS, COMPARE_COLUMNS):
-            assert set(header) <= names, set(header) - names
+    def test_help_documents_every_column(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        words = set(re.findall(r"\w+", capsys.readouterr().out))
+        for table in (RUNS_TABLE, REPORT_TABLE, COMPARE_TABLE):
+            assert set(table.header) <= words, set(table.header) - words
 
-    def test_runs_layout_names_step_and_the_scan_columns(self):
-        assert RUNS_COLUMNS[_RUNS_LAYOUT["tick_at"]:][:2] == ["step", "t"]
-        assert RUNS_COLUMNS[_RUNS_LAYOUT["held_from"]:] == [
+    def test_runs_layout_names_step_and_the_scan_columns(self, tiny_scenario, monkeypatch):
+        # the layout rows() hands _format_rows, read back through each header
+        layouts = []
+        monkeypatch.setattr(cli, "_format_rows", lambda columns, **layout: layouts.append(layout))
+        logs = [run_once(tiny_scenario, "ekf", seed) for seed in (0, 1)]
+        report = build_report(logs)
+        RUNS_TABLE.rows(0, logs[0])
+        REPORT_TABLE.rows(report)
+        COMPARE_TABLE.rows(report, report)
+        runs, *others = layouts
+        header = RUNS_TABLE.header
+        assert header[runs["tick_at"]:][:2] == ["step", "t"]
+        assert header[runs["held_from"]:] == [
             "n_meas", "n_gated", "R11", "R22", "Q11", "Q22", "dom11", "dom22"]
+        assert others == [{"tick_at": 0, "held_from": None}] * 2
 
 
 class TestAdaptationConfigFromFlags:
