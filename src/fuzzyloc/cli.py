@@ -14,6 +14,7 @@ import textwrap
 import time
 from contextlib import closing
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from . import __version__
 from .adaptation import DEFAULT_R_FLOOR, DEFAULT_WINDOW, Q_FLOOR_RATIO, AdaptationConfig
 from .anfis import DEFAULT_ETA
 from .errors import FuzzylocError
-from .metrics import build_report
+from .metrics import BAND_CONFIDENCE, build_report
 from .simulator import (
     VARIANTS,
     RunDigest,
@@ -92,7 +93,7 @@ _PER_VARIANT = (
 REPORT_TABLE = CsvTable("report.csv", "fuzzyloc-report-v1", "one row per control tick, over all runs", (
     ("step, t", "as in runs.csv", lambda rep: [np.arange(1, len(rep.t) + 1), rep.t]),
     *_PER_VARIANT,
-    ("band_lo, band_hi", "two-sided 95% consistency band for mean NEES",
+    ("band_lo, band_hi", f"two-sided {BAND_CONFIDENCE:.0%} consistency band for mean NEES",
      lambda rep: [np.full(len(rep.t), bound) for bound in rep.band]),
 ))
 
@@ -228,34 +229,37 @@ def _write_csv(out: Path, table: CsvTable, bodies) -> None:
     """Replace table.file in out with the '# schema=' line, the header row, then each body.
 
     A body is the text table.rows gives for one record, written as it
-    arrives and in the order bodies yields it. The text goes to a partial
-    file beside the output, removed if anything fails; at the end the
-    output is unlinked (see _unlink; a rename over it would wait the same
-    way) and the partial file renamed to it.
+    arrives and in the order bodies yields it (see _replace).
     """
-    path = out / table.file
+    head = [f"# schema={table.schema}\n", ",".join(table.header) + "\r\n"]
+    _replace(out / table.file, chain(head, bodies))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Replace path with payload as indented JSON, keys sorted (see _replace)."""
+    _replace(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+
+
+def _replace(path: Path, texts) -> None:
+    """Replace path with the texts, each written as it arrives.
+
+    The texts go to a partial file beside the output, removed if anything
+    fails, so a failed write leaves the earlier output as it was. At the end
+    the output is unlinked and the partial file renamed to it. On ext4 with
+    its default auto_da_alloc option, truncating a file whose last contents
+    are still being written back waits for that writeback, and so would a
+    rename over it; creating a new file does not wait. A reader or hard link
+    of the old file keeps its bytes.
+    """
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", newline="") as fh:
-            fh.write(f"# schema={table.schema}\n")
-            fh.write(",".join(table.header) + "\r\n")
-            fh.writelines(bodies)
+            fh.writelines(texts)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    _unlink(path)
-    partial.rename(path)
-
-
-def _unlink(path: Path) -> None:
-    """Remove an earlier output, so that it is replaced, not rewritten in place.
-
-    On ext4 with its default auto_da_alloc option, truncating a file whose
-    last contents are still being written back waits for that writeback, so
-    re-running into the same --out waited on every output; creating a new
-    file does not wait. A reader or hard link of the old file keeps its bytes.
-    """
     path.unlink(missing_ok=True)
+    partial.rename(path)
 
 
 def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunDigest, str]:
@@ -275,11 +279,6 @@ def _summary_dict(report) -> dict:
         "median_run_rmse_pos": float(np.median([s.time_avg_pos_rmse for s in report.run_summaries])),
         "runs": [{k: v for k, v in vars(s).items() if k != "variant"} for s in report.run_summaries],
     }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _unlink(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _adaptation_config(args: argparse.Namespace) -> AdaptationConfig:

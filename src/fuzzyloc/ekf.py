@@ -13,10 +13,12 @@ innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
 array-level predict, predict_measurement, innovation, gate and update are
 thin wrappers over them. predict_floats takes the next pose and the control
 Jacobian from one models kernel, motion_with_jacobian_floats, so a
-prediction evaluates two sines and two cosines. step calls the kernels
-directly, so the belief and the records stay on floats through a whole scan,
-and each measurement takes one closed-form 2x2 inverse of its innovation
-covariance S, shared by the gate and the update. The inverse rejects S
+prediction evaluates two sines and two cosines. step is the whole cycle
+written out in one frame, bit for bit the kernels' with every operation in
+their order, and the kernels are its reference: the belief and the records
+stay on floats through a whole scan, and each measurement takes one
+closed-form 2x2 inverse of its innovation covariance S, shared by the gate
+and the update, which also reuses S's rows of H P. The inverse rejects S
 unless all four entries are finite and its 2-norm condition number,
 sigma_max^2 / |det| after scaling S by its largest |entry|, is at most 1e12.
 """
@@ -25,12 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, hypot, isfinite, pi, sin, sqrt
 
 import numpy as np
 
 from . import models
 from .errors import SingularInnovationError
-from .models import ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose
+from .models import (
+    DEFAULT_EPSILON_RANGE, TWO_PI, ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose,
+)
 
 #: Chi-square 95% quantile for 2 degrees of freedom.
 DEFAULT_GATE_THRESHOLD = 5.991
@@ -334,41 +339,123 @@ def step(
     against the belief updated by its predecessors. Rejected measurements are
     recorded with accepted=False and leave the belief untouched.
 
-    Each measurement takes one inverse of its S, shared by the gate and the
-    update. The records' residual, S and H and the posterior's mean and P are
-    the float tuples the loop computed; step calls no numpy. The arithmetic
-    is that of predict, predict_measurement, innovation, gate and update,
-    through the same float kernels, so the result is bit for bit theirs.
+    The cycle is written out in this one frame: the prediction of
+    predict_floats, then per measurement the range, bearing and Jacobian of
+    one (dx, dy), S, the residual, the inverse of S with its tests, the gate
+    and the update. Every operation is the float kernels' in their order, so
+    the records and the posterior are bit for bit what predict,
+    predict_measurement, innovation, gate and update give, and the errors
+    are theirs at the same measurement. The update takes S's rows of H P,
+    with update_floats' 0.0 * p terms on the range row. step calls no numpy.
 
     Returns:
         The posterior state and one InnovationRecord per input measurement.
     """
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-    x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *cov.Q, dt, wheelbase,
+    v, gamma = u.v, u.gamma
+    q_v, q_gamma = cov.Q
+    # predict_floats: the motion and G of motion_with_jacobian_floats, then P'
+    heading = phi + gamma
+    sin_h, cos_h = sin(heading), cos(heading)
+    sin_g, cos_g = sin(gamma), cos(gamma)
+    dtv = dt * v
+    g11 = dtv * cos_h
+    x, y, phi = x + g11, y + dtv * sin_h, phi + dtv / wheelbase * sin_g
+    g00, g01, g10 = dt * cos_h, -dt * v * sin_h, dt * sin_h
+    g20, g21 = dt * sin_g / wheelbase, dtv * cos_g / wheelbase
+    n02 = p02 + g01 * p22
+    n12 = p12 + g11 * p22
+    w00, w01 = g00 * q_v, g01 * q_gamma
+    w10, w11 = g10 * q_v, g11 * q_gamma
+    w20, w21 = g20 * q_v, g21 * q_gamma
+    p00, p01, p02, p11, p12, p22 = (
+        p00 + g01 * p02 + g01 * n02 + w00 * g00 + w01 * g01,
+        p01 + g01 * p12 + g11 * n02 + w00 * g10 + w01 * g11,
+        n02 + w00 * g20 + w01 * g21,
+        p11 + g11 * p12 + g11 * n12 + w10 * g10 + w11 * g11,
+        n12 + w10 * g20 + w11 * g21,
+        p22 + w20 * g20 + w21 * g21,
     )
+    phi %= TWO_PI
+    if phi > pi:
+        phi -= TWO_PI
     if not measurements:
         return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), []
     r_r, r_theta = cov.R
     records = []
     for z in measurements:
         landmark = landmark_map[z.landmark_id]
-        r, bearing = models.range_bearing(x, y, phi, landmark)
-        h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
-        s00, s01, s11 = innovation_cov_floats(
-            p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, r_r, r_theta,
-        )
-        v0, v1 = innovation_floats(z, r, models.wrap_angle(bearing))
-        i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s01, s11)
-        accepted = gate_floats(v0, v1, i00, i01, i10, i11, gate_threshold)
+        # range_bearing and range_bearing_jacobian
+        dx = landmark.x - x
+        dy = landmark.y - y
+        r = hypot(dx, dy)
+        if r < DEFAULT_EPSILON_RANGE:
+            raise models._degenerate(landmark)
+        bearing = atan2(dy, dx) - phi
+        q = dx * dx + dy * dy
+        rq = sqrt(q)
+        if rq < DEFAULT_EPSILON_RANGE:
+            raise models._degenerate(landmark)
+        h00, h01, h10, h11 = -dx / rq, -dy / rq, dy / q, -dx / q
+        # innovation_cov_floats: rows of H P, then S
+        a0, a1, a2 = h00 * p00 + h01 * p01, h00 * p01 + h01 * p11, h00 * p02 + h01 * p12
+        b0 = h10 * p00 + h11 * p01 - p02
+        b1 = h10 * p01 + h11 * p11 - p12
+        b2 = h10 * p02 + h11 * p12 - p22
+        s00 = a0 * h00 + a1 * h01 + r_r
+        s01 = a0 * h10 + a1 * h11 - a2
+        s11 = b0 * h10 + b1 * h11 - b2 + r_theta
+        # innovation_floats, of the wrapped bearing
+        bearing %= TWO_PI
+        if bearing > pi:
+            bearing -= TWO_PI
+        v0, v1 = z.r - r, z.theta - bearing
+        v1 %= TWO_PI
+        if v1 > pi:
+            v1 -= TWO_PI
+        # inverse_2x2_floats of [[s00, s01], [s01, s11]]
+        if not (isfinite(s00) and isfinite(s01) and isfinite(s11)):
+            raise SingularInnovationError("innovation covariance is not finite")
+        scale = abs(s00)
+        if abs(s01) > scale:
+            scale = abs(s01)
+        if abs(s11) > scale:
+            scale = abs(s11)
+        if not scale > 0.0:
+            raise SingularInnovationError("innovation covariance is ill-conditioned")
+        n00, n01, n11 = s00 / scale, s01 / scale, s11 / scale
+        det = n00 * n11 - n01 * n01
+        fro2 = n00 * n00 + n01 * n01 + n01 * n01 + n11 * n11
+        disc = fro2 * fro2 - 4.0 * det * det
+        if disc < 0.0:
+            disc = 0.0
+        if not 0.5 * (fro2 + sqrt(disc)) <= _COND_LIMIT * abs(det):
+            raise SingularInnovationError("innovation covariance is ill-conditioned")
+        k = 1.0 / det / scale
+        i00, i01, i11 = n11 * k, -n01 * k, n00 * k
+        # gate_floats; S^-1 is symmetric, its (1, 0) entry is i01
+        accepted = v0 * (i00 * v0 + i01 * v1) + v1 * (i01 * v0 + i11 * v1) <= gate_threshold
         records.append(InnovationRecord(
             (v0, v1), ((s00, s01), (s01, s11)), z.landmark_id, timestep, accepted,
             ((h00, h01, 0.0), (h10, h11, -1.0)),
         ))
         if accepted:
-            x, y, phi, p00, p01, p02, p11, p12, p22 = update_floats(
-                x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
-                h00, h01, 0.0, h10, h11, -1.0, i00, i01, i10, i11,
+            # update_floats with H's phi column (0, -1): a + 0.0 * p keeps the
+            # sign of a zero and the NaN of an infinite p, b - p is b + -1.0 * p
+            a0, a1, a2 = a0 + 0.0 * p02, a1 + 0.0 * p12, a2 + 0.0 * p22
+            k0, k1, k2 = i00 * a0 + i01 * b0, i00 * a1 + i01 * b1, i00 * a2 + i01 * b2
+            l0, l1, l2 = i01 * a0 + i11 * b0, i01 * a1 + i11 * b1, i01 * a2 + i11 * b2
+            x, y, phi = x + k0 * v0 + l0 * v1, y + k1 * v0 + l1 * v1, phi + k2 * v0 + l2 * v1
+            phi %= TWO_PI
+            if phi > pi:
+                phi -= TWO_PI
+            p00, p01, p02, p11, p12, p22 = (
+                p00 - (k0 * a0 + l0 * b0),
+                p01 - (k0 * a1 + l0 * b1),
+                p02 - (k0 * a2 + l0 * b2),
+                p11 - (k1 * a1 + l1 * b1),
+                p12 - (k1 * a2 + l1 * b2),
+                p22 - (k2 * a2 + l2 * b2),
             )
     return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), records

@@ -4,9 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fuzzyloc import simulator
 from fuzzyloc.simulator import default_scenario
+
+# Property tests that set no max_examples take it from the loaded profile:
+# 300 examples by default, 10,000 under --hypothesis-profile=deep. The other
+# property tests set their own.
+settings.register_profile("tier1", max_examples=300)
+settings.register_profile("deep", max_examples=10_000)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

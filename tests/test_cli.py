@@ -1,6 +1,7 @@
 """CLI tests: argument handling, file outputs, reproducibility."""
 
 import dataclasses
+import errno
 import json
 import math
 import multiprocessing
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from fuzzyloc.cli import (
     build_parser,
     main,
 )
-from fuzzyloc.metrics import build_report
+from fuzzyloc.metrics import BAND_CONFIDENCE, build_report
 from fuzzyloc.simulator import (
     RunDigest,
     RunLog,
@@ -345,6 +347,45 @@ class TestRun:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         assert not (out / "runs.csv.partial").exists()
 
+    def test_failed_json_write_leaves_the_earlier_summary(self, tmp_path, scenario_file,
+                                                          monkeypatch, capsys):
+        out = tmp_path / "o"
+        argv = ["run", "--variant", "ekf", "--scenario", str(scenario_file),
+                "--runs", "2", "--workers", "1", "--out", str(out)]
+        assert main(argv + ["--seed", "3"]) == 0
+        before = (out / "summary.json").read_bytes()
+
+        class HalfWritten:
+            """A file that takes half of the first text, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
+        def half_written_summary(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            return HalfWritten(fh) if Path(file).name == "summary.json.partial" else fh
+
+        monkeypatch.setattr(cli, "open", half_written_summary, raising=False)
+        assert main(argv + ["--seed", "4"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / "summary.json").read_bytes() == before
+        assert not (out / "summary.json.partial").exists()
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -377,6 +418,10 @@ class TestRun:
         for phrase in ("(default 23, minimum 2)", "(default 0.125)", "(default 3e-09)",
                        "(default: 0.25 x initial Q)"):
             assert phrase in text, phrase
+
+    def test_band_help_formats_the_band_confidence(self):
+        (text,) = [text for names, text, _ in REPORT_TABLE.entries if names == "band_lo, band_hi"]
+        assert f"{BAND_CONFIDENCE:.0%}" in text
 
 
 class TestCompare:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -513,7 +514,8 @@ def _step_case(draw):
 
 
 class TestStepProperty:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # max_examples comes from the hypothesis profile (tests/conftest.py)
+    @settings(deadline=None, derandomize=True, database=None)
     @given(case=_step_case())
     def test_equals_chain_or_raises_the_same(self, case):
         state, u, scan, cov, lmap, threshold = case
@@ -527,21 +529,114 @@ class TestStepProperty:
             _assert_same_step(ours, theirs)
 
 
+def _float_bits(value):
+    """A nonnegative float's bits as an int; the order of the ints is the floats'."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+class TestStepConditioning:
+    """step's own copy of the inverse's tests against the chain: S on either
+    side of the 1e12 condition limit, and S with entries near 1e+-150."""
+
+    LANDMARKS = [Landmark(1, 7.0, -4.0), Landmark(2, -3.0, 9.0)]
+    DT, WHEELBASE = 0.025, 4.0
+    # an SPD matrix with every off-diagonal entry nonzero
+    M = np.array([[1.0, 0.3, 0.2], [0.3, 2.0, -0.4], [0.2, -0.4, 1.5]])
+
+    @staticmethod
+    def _case(P, R):
+        # Q = 0, so only the motion changes P
+        return GaussianState(np.zeros(3), P), ControlInput(1.0, 0.1), CovPair((0.0, 0.0), R)
+
+    def _near_limit(self, scale, t):
+        """S is scale * (diag(1, t) + 1e-14 H M H^T): its determinant does not
+        cancel, so the inverse's cond(S) moves with t to its last bits."""
+        return self._case(scale * 1e-14 * self.M, (scale, scale * t))
+
+    def _generic(self, scale):
+        """S is scale * (H w w^T H^T + 0.01 I), w not along any axis."""
+        w = np.array([1.0, 2.0, 0.5])
+        return self._case(scale * np.outer(w, w), (scale * 0.01, scale * 0.01))
+
+    def _prior_and_s(self, case):
+        state, u, cov = case
+        prior = predict(state, u, cov.Q, self.DT, self.WHEELBASE)
+        _, S, _ = predict_measurement(prior, self.LANDMARKS[0], cov.R)
+        return prior, S
+
+    def _limit(self, scale):
+        """Adjacent t: the inverse rejects the first S and accepts the second."""
+        def accepted(bits):
+            _, S = self._prior_and_s(self._near_limit(scale, _bits_float(bits)))
+            try:
+                inverse_2x2_floats(*S.ravel().tolist())
+            except SingularInnovationError:
+                return False
+            return True
+
+        lo, hi = _float_bits(1e-20), _float_bits(1.0)
+        assert not accepted(lo) and accepted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+        return _bits_float(lo), _bits_float(hi)
+
+    def _assert_step_equals_chain(self, case, threshold):
+        """step's outcome, which must be the chain's: the accepted flags, or the error."""
+        prior, _ = self._prior_and_s(case)
+        scan = []
+        for lm in self.LANDMARKS:  # readings offset from the predictions at the prior
+            zhat, _, _ = predict_measurement(prior, lm, (1.0, 1.0))
+            scan.append(Measurement(lm.id, float(zhat[0]) + 1e-3, wrap_angle(float(zhat[1]) - 1e-4)))
+        state, u, cov = case
+        args = (state, u, scan, cov, LandmarkMap(self.LANDMARKS), self.DT, self.WHEELBASE)
+        ours, our_error = _outcome(step, *args, gate_threshold=threshold, timestep=3)
+        theirs, their_error = _outcome(
+            helpers.step_object_chain, *args, gate_threshold=threshold, timestep=3,
+        )
+        assert our_error == their_error
+        if our_error is None:
+            _assert_same_step(ours, theirs)
+            return [rec.accepted for rec in ours[1]]
+        return our_error
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_either_side_of_the_condition_limit(self, scale):
+        above, below = self._limit(scale)
+        for t in (above, below):
+            _, S = self._prior_and_s(self._near_limit(scale, t))
+            assert S[0, 1] != 0.0
+            assert np.linalg.cond(S / scale) == pytest.approx(ekf._COND_LIMIT, rel=1e-9)
+        assert self._assert_step_equals_chain(self._near_limit(scale, above), math.inf) == (
+            SingularInnovationError, "innovation covariance is ill-conditioned")
+        assert self._assert_step_equals_chain(self._near_limit(scale, below), math.inf)[0] is True
+
+    @pytest.mark.parametrize("threshold", [DEFAULT_GATE_THRESHOLD, math.inf])
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scales(self, scale, threshold):
+        _, S = self._prior_and_s(self._generic(scale))
+        assert np.all(np.abs(S) / scale > 1e-3) and np.all(np.abs(S) / scale < 1e3)
+        accepted = self._assert_step_equals_chain(self._generic(scale), threshold)
+        # the offsets are tiny beside sqrt(1e150) and huge beside sqrt(1e-150)
+        assert accepted == [threshold == math.inf or scale > 1.0] * 2
+
+
 class TestStepCallGuard:
-    """step runs on the float kernels: a call-count guard, free of timing."""
+    """step is one frame: a call-count guard, free of timing."""
 
-    NAMES = ("predict", "predict_measurement", "innovation", "gate", "update")
+    ARRAY_LEVEL = ("predict", "predict_measurement", "innovation", "gate", "update")
+    KERNELS = ("predict_floats", "innovation_cov_floats", "innovation_floats",
+               "inverse_2x2_floats", "gate_floats", "update_floats")
+    MODEL_KERNELS = ("motion_with_jacobian_floats", "range_bearing", "range_bearing_jacobian",
+                     "wrap_angle")
 
-    def test_scan_calls_no_array_level_function(self, monkeypatch):
-        calls = dict.fromkeys(self.NAMES, 0)
-        for name in self.NAMES:
-            original = getattr(ekf, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(ekf, name, counted)
+    @staticmethod
+    def _scan_args():
+        """A four-landmark scan whose readings all pass the gate."""
         lmap = LandmarkMap(
             [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, -8.0, -6.0),
              Landmark(4, 6.0, -9.0)]
@@ -550,30 +645,58 @@ class TestStepCallGuard:
         cov = CovPair((0.09, 0.003), (0.01, 0.0003))
         truth = Pose(0.1, 0.0, 0.0)
         scan = [observe(truth, lm) for lm in lmap]
-        args = (state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0)
+        return state, ControlInput(1.0, 0.0), scan, cov, lmap, 0.1, 4.0
+
+    @staticmethod
+    def _count(monkeypatch, module, names, calls):
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            calls[name] = 0
+            monkeypatch.setattr(module, name, counted)
+
+    def _assert_step_calls_none(self, args, calls):
         _, records = step(*args)
         assert len(records) == 4 and all(rec.accepted for rec in records)
-        assert calls == dict.fromkeys(self.NAMES, 0)
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_scan_calls_no_array_level_function(self, monkeypatch):
+        args, calls = self._scan_args(), {}
+        self._count(monkeypatch, ekf, self.ARRAY_LEVEL, calls)
+        self._assert_step_calls_none(args, calls)
         # the counters see the array-level chain
         helpers.step_object_chain(*args)
         assert calls == {"predict": 1, "predict_measurement": 4, "innovation": 4,
                          "gate": 4, "update": 4}
 
+    def test_scan_calls_no_float_kernel(self, monkeypatch):
+        args, calls = self._scan_args(), {}
+        self._count(monkeypatch, ekf, self.KERNELS, calls)
+        self._count(monkeypatch, models, self.MODEL_KERNELS, calls)
+        self._assert_step_calls_none(args, calls)
+        # the counters see the kernels under the array-level chain: gate and
+        # update each invert S, and predict, predict_measurement, innovation
+        # and update each wrap an angle
+        helpers.step_object_chain(*args)
+        assert calls == {
+            "predict_floats": 1, "innovation_cov_floats": 4, "innovation_floats": 4,
+            "inverse_2x2_floats": 8, "gate_floats": 4, "update_floats": 4,
+            "motion_with_jacobian_floats": 1, "range_bearing": 4, "range_bearing_jacobian": 4,
+            "wrap_angle": 13,
+        }
+
     def test_step_calls_no_numpy_once_the_prior_exists(self, monkeypatch):
-        lmap = LandmarkMap(
-            [Landmark(1, 10.0, 0.0), Landmark(2, 0.0, 10.0), Landmark(3, -8.0, -6.0),
-             Landmark(4, 6.0, -9.0)]
-        )
-        state = GaussianState(np.zeros(3), np.diag([0.1, 0.1, 0.02]))
-        cov = CovPair((0.09, 0.003), (0.01, 0.0003))
-        scan = [observe(Pose(0.1, 0.0, 0.0), lm) for lm in lmap]
+        state, u, scan, cov, lmap, dt, wheelbase = self._scan_args()
         scan.append(Measurement(2, 17.0, -1.2))  # absurd range error, must be gated
         monkeypatch.setattr(ekf, "np", helpers.NoNumpy())
         monkeypatch.setattr(models, "np", helpers.NoNumpy())
-        u = ControlInput(1.0, 0.0)
-        state, records = step(state, u, [], cov, lmap, 0.1, 4.0)
+        state, records = step(state, u, [], cov, lmap, dt, wheelbase)
         assert records == []
-        state, records = step(state, u, scan, cov, lmap, 0.1, 4.0)
+        state, records = step(state, u, scan, cov, lmap, dt, wheelbase)
         assert [rec.accepted for rec in records] == [True, True, True, True, False]
         for rec in records:
             assert type(rec.S) is tuple and type(rec.H) is tuple

@@ -1017,40 +1017,69 @@ class TestNeesAfterTheLoop:
         assert calls == {"nees_floats": 0, "nees_rows": 1}
 
     @staticmethod
-    def _patch_predict(monkeypatch, singular_call=None, failing_call=None):
-        """ekf.predict_floats, whose call singular_call returns P = 0 and whose
-        call failing_call raises RuntimeError. Every tick predicts once."""
-        predict = ekf.predict_floats
-        calls = [0]
+    def _patch_ticks(monkeypatch, singular_tick=None, failing_tick=None):
+        """ekf.predict_floats and ekf.step under one tick counter: tick
+        singular_tick returns P = 0 and tick failing_tick raises RuntimeError.
 
-        def patched(*args):
-            calls[0] += 1
-            if calls[0] == failing_call:
+        Every tick calls exactly one of the two: run_once predicts between
+        scans with predict_floats and fuses a scan with step, which calls no
+        kernel, and helpers.run_once_object_loop calls step on every tick.
+        An earlier patch is undone first. Returns the counter, a one-element
+        list.
+        """
+        monkeypatch.undo()
+        predict, step = ekf.predict_floats, ekf.step
+        ticks = [0]
+
+        def tick():
+            ticks[0] += 1
+            if ticks[0] == failing_tick:
                 raise RuntimeError("later failure")
-            out = predict(*args)
-            return out[:3] + (0.0,) * 6 if calls[0] == singular_call else out
+            return ticks[0] == singular_tick
 
-        monkeypatch.setattr(ekf, "predict_floats", patched)
+        def patched_predict(*args):
+            singular = tick()
+            out = predict(*args)
+            return out[:3] + (0.0,) * 6 if singular else out
+
+        def patched_step(*args, **kwargs):
+            singular = tick()
+            state, records = step(*args, **kwargs)
+            if singular:
+                state = ekf._belief(*state.mean, *(0.0,) * 6)
+            return state, records
+
+        monkeypatch.setattr(ekf, "predict_floats", patched_predict)
+        monkeypatch.setattr(ekf, "step", patched_step)
+        return ticks
+
+    @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
+    def test_each_tick_counts_once(self, tiny_scenario, monkeypatch, variant):
+        for run in (run_once, helpers.run_once_object_loop):
+            ticks = self._patch_ticks(monkeypatch)
+            log = run(tiny_scenario, variant, seed=0)
+            assert ticks == [len(log.t)]
 
     @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
     def test_singular_tick_raises_before_a_later_error(self, tiny_scenario, monkeypatch, variant):
-        # tick 9 is between scans, tick 30 two scans later
-        self._patch_predict(monkeypatch, singular_call=10, failing_call=31)
+        # tick 10 is between scans, tick 31 two scans later
+        self._patch_ticks(monkeypatch, singular_tick=10, failing_tick=31)
         with pytest.raises(SingularCovarianceError, match="^state covariance is singular$") as raised:
             run_once(tiny_scenario, variant, seed=0)
         assert raised.value.__cause__ is None and raised.value.__suppress_context__
         # the per-tick loop of the oracle stops at the singular tick itself
-        self._patch_predict(monkeypatch, singular_call=10, failing_call=31)
+        ticks = self._patch_ticks(monkeypatch, singular_tick=10, failing_tick=31)
         with pytest.raises(SingularCovarianceError):
             helpers.run_once_object_loop(tiny_scenario, variant, seed=0)
+        assert ticks == [10]
 
     def test_singular_tick_raises_after_the_loop(self, tiny_scenario, monkeypatch):
-        self._patch_predict(monkeypatch, singular_call=10)
+        self._patch_ticks(monkeypatch, singular_tick=10)
         with pytest.raises(SingularCovarianceError, match="^state covariance is singular$"):
             run_once(tiny_scenario, "anfekf-r", seed=0)
 
     def test_later_error_alone_surfaces(self, tiny_scenario, monkeypatch):
-        self._patch_predict(monkeypatch, failing_call=31)
+        self._patch_ticks(monkeypatch, failing_tick=31)
         with pytest.raises(RuntimeError, match="^later failure$"):
             run_once(tiny_scenario, "anfekf-r", seed=0)
 
