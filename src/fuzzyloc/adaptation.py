@@ -10,8 +10,10 @@ multiplicatively, and the whole stack then takes one training step.
 Per scan CovarianceAdapter.after_update runs the steps below in one fixed
 order: leak_toward, saturated_forward, adapt_r and adapt_q, then
 train_adapters. The nets are one anfis.AnfisNet, a row of 27 floats per
-net driven by the anfis kernels; the window covariance is summed oldest
-residual first, and the Q sensitivity is the filter's own S kernel,
+net, built here by make_additive_net and make_multiplicative_net; the
+arithmetic on the rows is anfis's, in AnfisNet.leak, anfis.saturate_floats,
+AnfisNet.forward and AnfisNet.train_step. The window covariance is summed
+oldest residual first, and the Q sensitivity is the filter's own S kernel,
 ekf.innovation_cov_floats, with G Q G^T for P and a zero R. R and Q arrive
 and leave as a CovPair's variance pairs, so per scan the adapter works on
 floats alone; numpy is called only in _build_net, once per run, for np.std
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .anfis import DEFAULT_ETA, N_TERMS, AnfisNet, leak_floats, saturate_floats
+from .anfis import DEFAULT_ETA, N_TERMS, AnfisNet, saturate_floats
 from .ekf import CovPair, InnovationRecord, innovation_cov_floats
 
 DEFAULT_WINDOW = 15
@@ -101,18 +103,24 @@ MODE_NETS = {"r": 2, "q": 1, "rq": 3}
 
 def saturated_forward(net: AnfisNet, rows) -> tuple[list[float], list[tuple]]:
     """AnfisNet.forward with every (in1, in2) row clamped into its net's live
-    region by anfis.saturate_floats."""
-    return net.forward([saturate_floats(p, in1, in2) for p, (in1, in2) in zip(net.params, rows)])
+    region by anfis.saturate_floats.
+
+    Raises ValueError unless there is one row per net, as AnfisNet.forward does.
+    """
+    params = net.params
+    if len(rows) != len(params):
+        raise ValueError(f"expected one input row per net ({len(params)}), got {len(rows)}")
+    return net.forward([saturate_floats(p, in1, in2) for p, (in1, in2) in zip(params, rows)])
 
 
 def leak_toward(net: AnfisNet, anchor: list[list[float]], rate: float) -> AnfisNet:
-    """Relax every trained parameter a fraction of the way to its anchor (anfis.leak_floats).
+    """Relax every trained parameter a fraction of the way to its anchor (AnfisNet.leak).
 
     The anchor holds one row per net, normally captured when the stack was
-    built. A zero rate is a no-op.
+    built. A zero rate is a no-op. Raises ValueError unless there is one
+    anchor row per net.
     """
-    net.params = [leak_floats(p, a, rate) for p, a in zip(net.params, anchor)]
-    return net
+    return net.leak(anchor, rate)
 
 
 def adapt_r(r00: float, r11: float, delta0: float, delta1: float,

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from math import atan2, cos, hypot, pi, sin
 from multiprocessing import Pipe, Process, get_start_method
 from pathlib import Path
 from typing import Callable, Iterator
@@ -25,7 +26,7 @@ from .adaptation import AdaptationConfig, CovarianceAdapter
 from .ekf import CovPair, GaussianState
 from .errors import ScenarioError, SingularCovarianceError
 from .models import (
-    ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose, _is_finite, _is_number,
+    TWO_PI, ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose, _is_finite, _is_number,
 )
 
 _VARIANT_MODE = {"ekf": None, "anfekf-r": "r", "anfekf-q": "q", "anfekf-rq": "rq"}
@@ -309,6 +310,8 @@ class WaypointDriver:
     """Constant-speed waypoint pursuit with saturated steering.
 
     Waypoints cycle; reaching the last one returns pursuit to the first.
+    run_once writes steer out in its own tick loop, with this class as the
+    reference its tests compare against.
     """
 
     def __init__(self, scenario: Scenario):
@@ -545,7 +548,6 @@ def run_once(
     landmark_map = LandmarkMap(scenario.landmarks)
     truth = Pose(*scenario.start)
     state = GaussianState(truth.as_array(), np.diag(DEFAULT_P0_DIAG))
-    driver = WaypointDriver(scenario)
     q_mode = adapter is not None and "q" in adapter.mode
 
     t = np.arange(1, n + 1) * dt
@@ -569,7 +571,10 @@ def run_once(
     # Between scans the truth pose and the belief (mean and P's upper
     # triangle) live as floats, and each tick's row goes straight into the
     # arrays above through flat views. Scan ticks hand them to ekf.step as a
-    # GaussianState of tuples. NEES is computed once, after the loop.
+    # GaussianState of tuples. NEES is computed once, after the loop. The
+    # steer, the truth's motion and the prediction between scans are written
+    # out in this frame, every operation in the order of its reference:
+    # WaypointDriver.steer, models.motion_floats and ekf.predict_floats.
     tx, ty, tphi = truth.x, truth.y, truth.phi
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
@@ -577,25 +582,66 @@ def run_once(
         memoryview(a).cast("B").cast("d")
         for a in (truth_arr, est_arr, p_upper, dom_diag, delta_dom_diag, applied_delta_r, q_factor)
     )
-    steer_toward = driver.steer
-    motion_floats, wrap_angle = models.motion_floats, models.wrap_angle
-    predict_floats = ekf.predict_floats
+    # WaypointDriver's pursuit state, and the products of predict_floats
+    # that depend on the clean speed alone
+    waypoints, gamma_max = scenario.waypoints, scenario.gamma_max
+    wp_index = reached = 0
+    wx, wy = waypoints[0]
+    dtv, ndtv = dt * speed, -dt * speed
+    dtv_wb = dtv / wheelbase
 
     i = 0
     try:
         for i, (dv, dgamma) in enumerate(_control_noise(control_rng, scenario.true_noise, n)):
-            steer = steer_toward(tx, ty, tphi)
+            # steer: advance inside the radius, wrap the bearing error, then
+            # clamp it with min(max(steer, -gamma_max), gamma_max)'s comparisons
+            if hypot(wx - tx, wy - ty) <= WAYPOINT_RADIUS:
+                wp_index = (wp_index + 1) % len(waypoints)
+                reached += 1
+                wx, wy = waypoints[wp_index]
+            steer = (atan2(wy - ty, wx - tx) - tphi) % TWO_PI
+            if steer > pi:
+                steer -= TWO_PI
+            if -gamma_max > steer:
+                steer = -gamma_max
+            if gamma_max < steer:
+                steer = gamma_max
             # the truth's command is drive's noisy one, clean + draw, applied as
-            # motion_step(clean, noise=noisy - clean) applies it, rounding included
-            tx, ty, tphi = motion_floats(
-                tx, ty, tphi, speed + ((speed + dv) - speed), steer + ((steer + dgamma) - steer),
-                dt, wheelbase,
-            )
-            tphi = wrap_angle(tphi)
+            # motion_step(clean, noise=noisy - clean) applies it, rounding
+            # included; then motion_floats and the wrap
+            v = speed + ((speed + dv) - speed)
+            gamma = steer + ((steer + dgamma) - steer)
+            heading = tphi + gamma
+            tv = dt * v
+            tx, ty, tphi = tx + tv * cos(heading), ty + tv * sin(heading), tphi + tv / wheelbase * sin(gamma)
+            tphi %= TWO_PI
+            if tphi > pi:
+                tphi -= TWO_PI
             if (i + 1) % ratio:
-                x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-                    x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q_v, q_gamma, dt, wheelbase,
+                # ekf.predict_floats with the clean command (speed, steer)
+                heading = phi + steer
+                sin_h, cos_h = sin(heading), cos(heading)
+                sin_g, cos_g = sin(steer), cos(steer)
+                g11 = dtv * cos_h
+                x, y, phi = x + g11, y + dtv * sin_h, phi + dtv_wb * sin_g
+                g00, g01, g10 = dt * cos_h, ndtv * sin_h, dt * sin_h
+                g20, g21 = dt * sin_g / wheelbase, dtv * cos_g / wheelbase
+                n02 = p02 + g01 * p22
+                n12 = p12 + g11 * p22
+                w00, w01 = g00 * q_v, g01 * q_gamma
+                w10, w11 = g10 * q_v, g11 * q_gamma
+                w20, w21 = g20 * q_v, g21 * q_gamma
+                p00, p01, p02, p11, p12, p22 = (
+                    p00 + g01 * p02 + g01 * n02 + w00 * g00 + w01 * g01,
+                    p01 + g01 * p12 + g11 * n02 + w00 * g10 + w01 * g11,
+                    n02 + w00 * g20 + w01 * g21,
+                    p11 + g11 * p12 + g11 * n12 + w10 * g10 + w11 * g11,
+                    n12 + w10 * g20 + w11 * g21,
+                    p22 + w20 * g20 + w21 * g21,
                 )
+                phi %= TWO_PI
+                if phi > pi:
+                    phi -= TWO_PI
             else:
                 scan = sense(Pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
                 prior = ekf._belief(x, y, phi, p00, p01, p02, p11, p12, p22)
@@ -656,7 +702,7 @@ def run_once(
         delta_dom_diag=delta_dom_diag,
         applied_delta_r=applied_delta_r,
         q_factor=q_factor,
-        timed_out=driver.reached == 0,
+        timed_out=reached == 0,
     )
 
 

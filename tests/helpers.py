@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities by a different route than the package
 code: central finite differences for Jacobians and gradients, a rule-by-rule
-scalar loop for the fuzzy forward pass, a textbook Kalman filter with an
+scalar loop for the fuzzy forward pass, the input clamp through builtin min
+and max, a textbook Kalman filter with an
 explicit matrix inverse, the filter cycle as numpy matrix products with a
 LAPACK solve, the filter step as a chain of the array-level ekf functions,
 a deterministic residual stream whose sample covariance is
@@ -116,6 +117,17 @@ def anfis_fd_gradients(net: AnfisNet, in1: float, in2: float, h: float = 1e-6) -
         out_lo, _ = AnfisNet([lo], net.eta).forward([(in1, in2)])
         grads[k] = (out_hi[0] - out_lo[0]) / (2.0 * hk)
     return grads
+
+
+def saturate_min_max(p: list[float], in1: float, in2: float) -> tuple[float, float]:
+    """anfis.saturate_floats through builtin min and max, as it was first written."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, *_ = p
+    reach1 = INPUT_SATURATION_WIDTHS * max(w0, w1, w2, w3, w4)
+    reach2 = INPUT_SATURATION_WIDTHS * max(w5, w6, w7, w8, w9)
+    return (
+        min(max(in1, min(c0, c1, c2, c3, c4) - reach1), max(c0, c1, c2, c3, c4) + reach1),
+        min(max(in2, min(c5, c6, c7, c8, c9) - reach2), max(c5, c6, c7, c8, c9) + reach2),
+    )
 
 
 def random_net(rng, singleton_span: float = 2.0, k: int = 1) -> AnfisNet:

@@ -31,14 +31,7 @@ from fuzzyloc.adaptation import (
     saturated_forward,
     train_adapters,
 )
-from fuzzyloc.anfis import (
-    DEFAULT_DELTA_FLOOR,
-    AnfisNet,
-    forward_floats,
-    leak_floats,
-    saturate_floats,
-    train_step_floats,
-)
+from fuzzyloc.anfis import DEFAULT_DELTA_FLOOR, AnfisNet
 from fuzzyloc.ekf import CovPair, InnovationRecord
 from fuzzyloc.models import NoiseSpec
 from fuzzyloc.simulator import run_once
@@ -424,9 +417,9 @@ class TestGoldenTrajectory:
 
 
 class TestStackOracle:
-    """A stack of k nets against k single-net float kernel runs, bit for bit,
-    and against k nets of helpers.LegacyAnfisNet, the numpy code before the
-    kernels, within rounding."""
+    """A stack of k nets against k one-net stacks, bit for bit, and against
+    k nets of helpers.LegacyAnfisNet, the numpy code before the kernels,
+    within rounding."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_saturated_forward_train_and_leak(self, rng, k):
@@ -435,7 +428,7 @@ class TestStackOracle:
         olds = [helpers.LegacyAnfisNet(np.reshape(p[:10], (2, 5)), np.reshape(p[10:20], (2, 5)), p[20:], eta=0.1)
                 for p in net.params]
         anchor = copy_rows(net)
-        singles = copy_rows(net)
+        singles = [AnfisNet([row], eta=0.1) for row in anchor]
         for step in range(400):
             inputs = rng.normal(scale=3.0, size=(k, 2))
             if step % 37 == 0:
@@ -447,17 +440,43 @@ class TestStackOracle:
             net.train_step(traces, e.tolist(), ds.tolist())
             leak_toward(net, anchor, 0.05)
             for n, old in enumerate(olds):
-                single = forward_floats(singles[n], *saturate_floats(singles[n], *inputs[n].tolist()))
-                assert single[4].hex() == out[n].hex(), (step, n)
-                singles[n] = leak_floats(train_step_floats(singles[n], single, 0.1, float(e[n]), float(ds[n])),
-                                         anchor[n], 0.05)
+                single_out, single_traces = saturated_forward(singles[n], [inputs[n].tolist()])
+                assert single_out[0].hex() == out[n].hex(), (step, n)
+                singles[n].train_step(single_traces, [float(e[n])], [float(ds[n])])
+                leak_toward(singles[n], [anchor[n]], 0.05)
                 old_out, old_trace = helpers.legacy_saturated_forward(old, *inputs[n])
                 assert abs(out[n] - old_out) <= 1e-9 * np.abs(old.singletons).max(), (step, n)
                 old.train_step(old_trace, float(e[n]), float(ds[n]))
                 helpers.legacy_leak_toward(old, anchor[n], 0.05)
-        assert net.params == singles
+        assert net.params == [single.params[0] for single in singles]
         for n, old in enumerate(olds):
             np.testing.assert_allclose(net.params[n], helpers.legacy_params(old), rtol=1e-9)
+
+
+class TestStackCounts:
+    """Each adapter step that takes one row, trace or anchor per net rejects
+    another count instead of dropping or ignoring nets."""
+
+    def test_leak_toward_needs_one_anchor_row_per_net(self, rng):
+        net = helpers.random_net(rng, k=3)
+        before = copy_rows(net)
+        with pytest.raises(ValueError, match=r"one anchor row per net \(3\), got 1$"):
+            leak_toward(net, before[:1], DEFAULT_LEAK)
+        assert net.params == before
+
+    def test_saturated_forward_needs_one_row_per_net(self, rng):
+        net = helpers.random_net(rng, k=2)
+        for rows in ([(0.0, 0.0)], [(0.0, 0.0)] * 3):
+            with pytest.raises(ValueError, match=rf"one input row per net \(2\), got {len(rows)}$"):
+                saturated_forward(net, rows)
+
+    def test_train_adapters_needs_one_trace_per_net(self, rng):
+        net = helpers.random_net(rng, k=3)
+        before = copy_rows(net)
+        _, traces = net.forward([(0.5, -0.5)] * 3)
+        with pytest.raises(ValueError, match=r"per net \(3\), got 2, 3 and 3$"):
+            train_adapters(net, traces[:2], (1.0, -1.0), q_sensitivity=(1.0, 1.0))
+        assert net.params == before
 
 
 class TestTrainAdapters:

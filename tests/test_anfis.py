@@ -1,19 +1,20 @@
 """Fuzzy network tests: anchors, oracles, gradient checks, training dynamics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from fuzzyloc.anfis import (
     CONSEQUENT,
     DEFAULT_DELTA_FLOOR,
     AnfisNet,
-    forward_floats,
     gradient_floats,
-    leak_floats,
-    train_step_floats,
+    saturate_floats,
 )
 from fuzzyloc.errors import ZeroFiringError
 
@@ -38,7 +39,7 @@ def label(i: int, j: int) -> int:
 
 
 def firing(trace) -> np.ndarray:
-    """(5, 5) rule firing strengths of one forward_floats trace."""
+    """(5, 5) rule firing strengths of one net's AnfisNet.forward trace."""
     mu = trace[1]
     return np.outer(mu[:5], mu[5:])
 
@@ -254,6 +255,28 @@ class TestTraining:
         tail = errors[10:]
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
+    def test_train_step_needs_one_trace_error_and_sensitivity_per_net(self, rng):
+        net = helpers.random_net(rng, k=3)
+        before = [list(p) for p in net.params]
+        _, traces = net.forward(rng.uniform(-2, 2, (3, 2)).tolist())
+        for args, counts in [
+            ((traces, [1.0, 2.0], [1.0] * 3), "3, 2 and 3"),
+            ((traces[:1], [1.0] * 3, [1.0] * 3), "1, 3 and 3"),
+            ((traces, [1.0] * 3, [1.0] * 4), "3, 3 and 4"),
+        ]:
+            with pytest.raises(ValueError, match=rf"per net \(3\), got {counts}$"):
+                net.train_step(*args)
+        assert net.params == before
+
+    def test_leak_needs_one_anchor_row_per_net(self, rng):
+        net = helpers.random_net(rng, k=3)
+        before = [list(p) for p in net.params]
+        for anchor in (before[:1], before + before[:1]):
+            for rate in (0.05, 0.0):
+                with pytest.raises(ValueError, match=rf"per net \(3\), got {len(anchor)}$"):
+                    net.leak(anchor, rate)
+        assert net.params == before
+
     def test_width_floor_respected(self):
         net = AnfisNet([CENTERS + CENTERS + [2e-4] * 10 + np.linspace(-3, 3, 7).tolist()], eta=0.5)
         for _ in range(50):
@@ -268,8 +291,8 @@ def _floored(row: list[float]) -> list[float]:
 
 
 class TestWrittenOutKernels:
-    """The written-out leak_floats and train_step_floats against the
-    elementwise loops they spell out, bit for bit."""
+    """The written-out AnfisNet.leak against the elementwise loop it spells
+    out, bit for bit."""
 
     def test_leak_matches_loop(self, rng):
         for i in range(300):
@@ -282,19 +305,112 @@ class TestWrittenOutKernels:
                 p[int(rng.integers(27))] = math.nan
             rate = float(rng.uniform(0.0, 1.0))
             expected = _floored([v + rate * (a - v) for v, a in zip(p, anchor)])
-            assert hexes(leak_floats(p, anchor, rate)) == hexes(expected)
+            assert hexes(AnfisNet([p]).leak([anchor], rate).params[0]) == hexes(expected)
 
-    def test_train_step_matches_loop(self, rng):
-        for _ in range(300):
-            p = helpers.random_net(rng).params[0]
-            trace = forward_floats(p, *rng.uniform(-2.0, 2.0, 2).tolist())
-            grad = gradient_floats(p, trace)
-            z = trace[0]
-            assert hexes(grad[10:20]) == hexes([d * v for d, v in zip(grad[:10], z)])
-            eta, e, ds = float(rng.uniform(0.0, 2.0)), float(rng.normal(scale=10.0)), 1.0
-            g = eta * e * ds
-            expected = _floored([v - g * d for v, d in zip(p, grad)])
-            assert hexes(train_step_floats(p, trace, eta, e, ds)) == hexes(expected)
+    def test_zero_rate_leaves_every_row(self, rng):
+        net = helpers.random_net(rng, k=2)
+        rows = list(net.params)
+        net.leak([[0.0] * 27] * 2, 0.0)
+        assert all(a is b for a, b in zip(net.params, rows))
+
+
+def _bits(values) -> bytes:
+    """The bytes of a sequence of floats, so that NaN, -0.0 and 0.0 compare by their bits."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _trace_bits(trace) -> bytes:
+    z, mu, total, weights, out = trace
+    return _bits([*z, *mu, total, *weights, out])
+
+
+#: Values that builtin min and max treat specially: NaN compares false
+#: either way, and -0.0 == 0.0 keeps whichever came first.
+_EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 2.0)
+_EDGY = st.one_of(st.sampled_from(_EDGES), st.floats())
+
+
+@st.composite
+def _nets(draw, k):
+    """k rows of N_PARAMS floats whose forward pass is well defined on inputs in [-3, 3]."""
+    return [draw(st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10))
+            + draw(st.lists(st.floats(0.3, 3.0), min_size=10, max_size=10))
+            + draw(st.lists(st.floats(-5.0, 5.0), min_size=7, max_size=7))
+            for _ in range(k)]
+
+
+def _forward(net, rows):
+    """net.forward(rows), with a case whose firing underflowed discarded."""
+    try:
+        return net.forward(rows)
+    except ZeroFiringError:
+        assume(False)
+
+
+_INPUTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+_STEP = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+class TestStackProperty:
+    """The stack methods and the input clamp, bit for bit against their
+    references on hypothesis cases. max_examples comes from the hypothesis
+    profile (tests/conftest.py); CI also runs this class under the deep one."""
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(p=st.lists(_EDGY, min_size=27, max_size=27), in1=_EDGY, in2=_EDGY)
+    # signed-zero ties with zero reach: the lower clamp keeps the first zero,
+    # then the upper one; ties in the widths; in1 tied with the clamp
+    @example(p=[0.0, -0.0, -0.0, -0.0, -0.0] * 2 + [0.0] * 17, in1=-1.0, in2=-1.0)
+    @example(p=[0.0, -0.0, -0.0, -0.0, -0.0] * 2 + [-0.0] * 17, in1=1.0, in2=1.0)
+    @example(p=[-0.0] * 10 + [0.0, -0.0, -0.0, -0.0, -0.0] * 2 + [0.0] * 7, in1=-1.0, in2=-1.0)
+    @example(p=[-0.0] * 10 + [0.0] * 17, in1=0.0, in2=-0.0)
+    @example(p=[-0.0] * 10 + [0.0] * 17, in1=-0.0, in2=0.0)
+    # NaN first or later among the extremes, and as an input; infinite reaches
+    @example(p=[math.nan, 1.0, 2.0, 1.0, 0.0] * 2 + [1.0, math.nan, 2.0, 2.0, 0.5] * 2 + [0.0] * 7,
+             in1=math.nan, in2=1e9)
+    @example(p=[1.0, math.nan, -1.0, -1.0, 1.0] * 2 + [math.nan, 1.0, 1.0, 0.0, 1.0] * 2 + [0.0] * 7,
+             in1=-1e9, in2=math.nan)
+    @example(p=[math.inf, -math.inf, 0.0, 0.0, 0.0] * 2 + [0.0, math.inf, 0.0, 0.0, 0.0] * 2 + [0.0] * 7,
+             in1=0.0, in2=-math.inf)
+    def test_saturate_is_builtin_min_max(self, p, in1, in2):
+        assert _bits(saturate_floats(p, in1, in2)) == _bits(helpers.saturate_min_max(p, in1, in2))
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(rows=_nets(1), inputs=_INPUTS, eta=st.floats(0.0, 2.0), e=_STEP, ds=_STEP)
+    def test_train_step_is_the_gradient_step(self, rows, inputs, eta, e, ds):
+        """p - g * gradient_floats(p, trace), g = eta * e * ds, widths floored;
+        a zero g keeps the row itself."""
+        net = AnfisNet(rows, eta)
+        p = net.params[0]
+        _, traces = _forward(net, [inputs])
+        grad = gradient_floats(p, traces[0])
+        assert _bits(grad[10:20]) == _bits([d * z for d, z in zip(grad[:10], traces[0][0])])
+        g = eta * e * ds
+        net.train_step(traces, [e], [ds])
+        if g == 0.0:
+            assert net.params[0] is p
+        else:
+            assert _bits(net.params[0]) == _bits(_floored([v - g * d for v, d in zip(p, grad)]))
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.integers(1, 3), eta=st.floats(0.0, 2.0), rate=st.floats(0.0, 1.0))
+    def test_k_net_stack_equals_k_one_net_stacks(self, data, k, eta, rate):
+        """forward, train_step and leak of a k-net stack give net n what a
+        one-net stack of its row gives it, bit for bit."""
+        stack = AnfisNet(data.draw(_nets(k)), eta)
+        anchor = data.draw(_nets(k))
+        inputs = data.draw(st.lists(_INPUTS, min_size=k, max_size=k))
+        errors = data.draw(st.lists(_STEP, min_size=k, max_size=k))
+        sensitivities = data.draw(st.lists(_STEP, min_size=k, max_size=k))
+        singles = [AnfisNet([row], eta) for row in stack.params]
+        outputs, traces = _forward(stack, inputs)
+        stack.train_step(traces, errors, sensitivities).leak(anchor, rate)
+        for n, single in enumerate(singles):
+            out, trace = single.forward([inputs[n]])
+            single.train_step(trace, [errors[n]], [sensitivities[n]]).leak([anchor[n]], rate)
+            assert _bits(out) == _bits([outputs[n]])
+            assert _trace_bits(trace[0]) == _trace_bits(traces[n])
+            assert _bits(single.params[0]) == _bits(stack.params[n])
 
 
 class TestNumpyStackReference:

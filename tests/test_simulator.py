@@ -802,6 +802,18 @@ class TestRunOnceOracle:
         assert new.timed_out
         _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-r", seed=4))
 
+    def test_waypoints_cycle(self, tiny_scenario):
+        scenario = dataclasses.replace(
+            tiny_scenario, waypoints=((15.0, 0.0), (15.0, 15.0), (0.0, 15.0)), duration=60.0)
+        new = run_once(scenario, "anfekf-q", seed=11)
+        # WaypointDriver replayed on the logged truth, each tick's pose before its steer
+        driver = WaypointDriver(scenario)
+        for pose in [scenario.start, *new.truth[:-1].tolist()]:
+            driver.steer(*pose)
+        assert driver.reached > len(scenario.waypoints)
+        assert not new.timed_out
+        _assert_logs_equal(new, helpers.run_once_object_loop(scenario, "anfekf-q", seed=11))
+
     @pytest.mark.parametrize("heading", [math.pi, -math.pi, math.nextafter(-math.pi, 0.0)])
     def test_start_heading_at_pi(self, tiny_scenario, heading):
         scenario = dataclasses.replace(tiny_scenario, start=(0.0, 0.0, heading))
@@ -995,6 +1007,43 @@ class TestTickLoopGuard:
         assert scans > 0
         assert calls == {"step": scans, "drive": 0}
 
+    @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
+    def test_between_scan_ticks_call_no_tick_kernel(self, tiny_scenario, monkeypatch, variant):
+        """The steer, the truth's motion and the prediction between scans are
+        run_once's own: a tick between scans calls none of their reference
+        kernels, nor wrap_angle. ekf.step runs once on each scan tick."""
+        noise, step = simulator._control_noise, ekf.step
+        tick = [None]  # the 1-based tick the loop is on, None outside it
+        kernel_ticks, step_ticks = [], []
+
+        def ticking_noise(*args):
+            for i, pair in enumerate(noise(*args)):
+                tick[0] = i + 1
+                yield pair
+            tick[0] = None
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                kernel_ticks.append((name, tick[0]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recorded_step(*args, **kwargs):
+            step_ticks.append(tick[0])
+            return step(*args, **kwargs)
+
+        for owner, name in ((ekf, "predict_floats"), (WaypointDriver, "steer"),
+                            (models, "motion_floats"), (models, "wrap_angle")):
+            monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+        monkeypatch.setattr(simulator, "_control_noise", ticking_noise)
+        monkeypatch.setattr(ekf, "step", recorded_step)
+        log = run_once(tiny_scenario, variant, seed=0)
+        ratio = tiny_scenario.ticks_per_observation
+        assert step_ticks == list(range(ratio, len(log.t) + 1, ratio))
+        assert [(name, t) for name, t in kernel_ticks if t is not None and t % ratio] == []
+        # the scans' sense calls wrap_angle, so the guard sees the loop's ticks
+        assert {name for name, t in kernel_ticks if t is not None} == {"wrap_angle"}
+
 
 class TestNeesAfterTheLoop:
     """run_once computes its NEES column in one nees_rows pass after the tick loop."""
@@ -1018,68 +1067,52 @@ class TestNeesAfterTheLoop:
 
     @staticmethod
     def _patch_ticks(monkeypatch, singular_tick=None, failing_tick=None):
-        """ekf.predict_floats and ekf.step under one tick counter: tick
-        singular_tick returns P = 0 and tick failing_tick raises RuntimeError.
+        """ekf.step under a tick check: the step of tick singular_tick returns
+        P = 0, and that of tick failing_tick raises RuntimeError.
 
-        Every tick calls exactly one of the two: run_once predicts between
-        scans with predict_floats and fuses a scan with step, which calls no
-        kernel, and helpers.run_once_object_loop calls step on every tick.
-        An earlier patch is undone first. Returns the counter, a one-element
-        list.
+        The tick is step's timestep argument, the 1-based tick that run_once
+        and helpers.run_once_object_loop both pass. run_once calls step on
+        scan ticks only, so both ticks are scan ticks; the object loop calls
+        it on every tick. An earlier patch is undone first. Returns a
+        one-element list holding the last tick step ran on.
         """
         monkeypatch.undo()
-        predict, step = ekf.predict_floats, ekf.step
-        ticks = [0]
-
-        def tick():
-            ticks[0] += 1
-            if ticks[0] == failing_tick:
-                raise RuntimeError("later failure")
-            return ticks[0] == singular_tick
-
-        def patched_predict(*args):
-            singular = tick()
-            out = predict(*args)
-            return out[:3] + (0.0,) * 6 if singular else out
+        step = ekf.step
+        last = [0]
 
         def patched_step(*args, **kwargs):
-            singular = tick()
+            last[0] = tick = kwargs["timestep"]
+            if tick == failing_tick:
+                raise RuntimeError("later failure")
             state, records = step(*args, **kwargs)
-            if singular:
+            if tick == singular_tick:
                 state = ekf._belief(*state.mean, *(0.0,) * 6)
             return state, records
 
-        monkeypatch.setattr(ekf, "predict_floats", patched_predict)
         monkeypatch.setattr(ekf, "step", patched_step)
-        return ticks
-
-    @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
-    def test_each_tick_counts_once(self, tiny_scenario, monkeypatch, variant):
-        for run in (run_once, helpers.run_once_object_loop):
-            ticks = self._patch_ticks(monkeypatch)
-            log = run(tiny_scenario, variant, seed=0)
-            assert ticks == [len(log.t)]
+        return last
 
     @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
     def test_singular_tick_raises_before_a_later_error(self, tiny_scenario, monkeypatch, variant):
-        # tick 10 is between scans, tick 31 two scans later
-        self._patch_ticks(monkeypatch, singular_tick=10, failing_tick=31)
+        # tick 16 is the second scan, tick 32 two scans later
+        assert tiny_scenario.ticks_per_observation == 8
+        self._patch_ticks(monkeypatch, singular_tick=16, failing_tick=32)
         with pytest.raises(SingularCovarianceError, match="^state covariance is singular$") as raised:
             run_once(tiny_scenario, variant, seed=0)
         assert raised.value.__cause__ is None and raised.value.__suppress_context__
         # the per-tick loop of the oracle stops at the singular tick itself
-        ticks = self._patch_ticks(monkeypatch, singular_tick=10, failing_tick=31)
+        ticks = self._patch_ticks(monkeypatch, singular_tick=16, failing_tick=32)
         with pytest.raises(SingularCovarianceError):
             helpers.run_once_object_loop(tiny_scenario, variant, seed=0)
-        assert ticks == [10]
+        assert ticks == [16]
 
     def test_singular_tick_raises_after_the_loop(self, tiny_scenario, monkeypatch):
-        self._patch_ticks(monkeypatch, singular_tick=10)
+        self._patch_ticks(monkeypatch, singular_tick=16)
         with pytest.raises(SingularCovarianceError, match="^state covariance is singular$"):
             run_once(tiny_scenario, "anfekf-r", seed=0)
 
     def test_later_error_alone_surfaces(self, tiny_scenario, monkeypatch):
-        self._patch_ticks(monkeypatch, failing_tick=31)
+        self._patch_ticks(monkeypatch, failing_tick=32)
         with pytest.raises(RuntimeError, match="^later failure$"):
             run_once(tiny_scenario, "anfekf-r", seed=0)
 
