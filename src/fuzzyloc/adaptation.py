@@ -32,7 +32,7 @@ import numpy as np
 
 from . import models
 from .anfis import DEFAULT_ETA, N_TERMS, AnfisNet, saturate_floats
-from .ekf import CovPair, InnovationRecord, innovation_cov_floats
+from .ekf import CovPair, InnovationRecord, _cov_pair, innovation_cov_floats
 
 DEFAULT_WINDOW = 15
 DEFAULT_R_FLOOR = 1e-8
@@ -270,6 +270,7 @@ class CovarianceAdapter:
         self._s_samples: list[tuple[float, float]] = []
         q00, q11 = initial_cov.Q
         self._initial_r = initial_cov.R
+        self._r_floor = float(cfg.r_floor)  # so that adapt_r's pair is floats, as _cov_pair needs
         self._q_ceiling = (Q_CEILING_RATIO * q00, Q_CEILING_RATIO * q11)
         if cfg.q_floor is not None:
             self._q_floor = (float(cfg.q_floor), float(cfg.q_floor))
@@ -344,15 +345,17 @@ class CovarianceAdapter:
             return cov, trace
         window = self.window
         s00 = s11 = 0.0
+        accepted = []
         for rec in records:
             v0, v1 = rec.residual
             window.append((v0, v1))
             (a, _), (_, d) = rec.S
             s00 += a
             s11 += d
+            if rec.accepted:
+                accepted.append(rec)
         s00 /= len(records)
         s11 /= len(records)
-        accepted = [rec for rec in records if rec.accepted]
         if not accepted:
             return cov, trace
         if self.net is None and cfg.eta != 0.0:
@@ -377,11 +380,11 @@ class CovarianceAdapter:
         R_next, Q_next, sens = cov.R, cov.Q, None
         if "r" in self.mode:
             r00, r11 = cov.R
-            R_next = adapt_r(r00, r11, outputs[0], outputs[1], cfg.r_floor)
+            R_next = adapt_r(r00, r11, outputs[0], outputs[1], self._r_floor)
             trace.applied_delta_r = (R_next[0] - r00, R_next[1] - r11)
         if "q" in self.mode:
             sens = q_sensitivity_floats(accepted, models.control_cov_floats(*G_u, *cov.Q))
             trace.q_factor = outputs[-1]
             Q_next = adapt_q(*cov.Q, trace.q_factor, self._q_floor, self._q_ceiling)
         train_adapters(self.net, traces, (d00, d11), sens)
-        return CovPair(Q_next, R_next), trace
+        return _cov_pair(Q_next, R_next), trace

@@ -32,7 +32,6 @@ from .simulator import (
     default_scenario,
     fan_out,
     load_scenario,
-    run_monte_carlo,
     run_once,
     save_scenario,
     scenario_to_dict,
@@ -268,6 +267,11 @@ def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int)
     return log.digest(), RUNS_TABLE.rows(run_idx, log)
 
 
+def _run_digest(scenario, variant: str, seed: int, adaptation) -> RunDigest:
+    """One run's digest; module-level, so a worker process can run it."""
+    return run_once(scenario, variant, seed, adaptation).digest()
+
+
 def _summary_dict(report) -> dict:
     return {
         "variant": report.variant,
@@ -371,15 +375,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Run two variants on identical seeds; write compare.csv and summaries.
 
     Both ensembles' arguments pass _setup's checks before --out is created
-    and before either ensemble runs.
+    and before either ensemble runs. The runs of a, then those of b, go
+    through one fan_out, and each sends back only its RunDigest.
     """
     variants = (args.variant_a, args.variant_b)
     scenario, adaptation, out = _setup(args, variants)
-    rep_a, rep_b = (
-        build_report(run_monte_carlo(scenario, variant, args.runs, args.seed,
-                                     max_workers=args.workers, adaptation=adaptation))
-        for variant in variants
-    )
+    jobs = [(scenario, variant, args.seed + i, adaptation) for variant in variants for i in range(args.runs)]
+    digests = list(fan_out(_run_digest, jobs, args.workers))
+    rep_a, rep_b = build_report(digests[:args.runs]), build_report(digests[args.runs:])
     _write_csv(out, COMPARE_TABLE, [COMPARE_TABLE.rows(rep_a, rep_b)])
     rmse_a = [s.time_avg_pos_rmse for s in rep_a.run_summaries]
     rmse_b = [s.time_avg_pos_rmse for s in rep_b.run_summaries]

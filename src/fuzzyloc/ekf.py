@@ -68,7 +68,7 @@ class GaussianState:
         return Pose(*self.mean)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CovPair:
     """Process variances Q = (q_v, q_gamma) and measurement variances R = (r_r, r_theta).
 
@@ -91,6 +91,20 @@ class CovPair:
             Q=(noise.sigma_v**2, noise.sigma_gamma**2),
             R=(noise.sigma_r**2, noise.sigma_theta**2),
         )
+
+
+_SET_COV_PAIR = (CovPair.Q.__set__, CovPair.R.__set__)
+
+
+def _cov_pair(Q: tuple[float, float], R: tuple[float, float]) -> CovPair:
+    """CovPair(Q, R) for two tuples of two Python floats each, which
+    __post_init__'s float() would return unchanged; it is skipped, with the
+    frozen __init__, and the slots are filled directly."""
+    pair = object.__new__(CovPair)
+    set_q, set_r = _SET_COV_PAIR
+    set_q(pair, Q)
+    set_r(pair, R)
+    return pair
 
 
 @dataclass

@@ -26,7 +26,7 @@ STATE_DIM = 3
 BAND_CONFIDENCE = 0.95
 
 #: Rows per nees_rows block; bounds the temporaries of one pass.
-NEES_BLOCK = 256
+NEES_BLOCK = 1024
 
 #: Column of P's upper triangle (p00, p01, p02, p11, p12, p22) behind each
 #: entry of the full 3x3 P, row by row.

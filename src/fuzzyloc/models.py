@@ -56,7 +56,7 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Planar pose: position (x, y) in meters, heading phi in radians.
 
@@ -76,12 +76,43 @@ class Pose:
         return np.array([self.x, self.y, self.phi], dtype=float)
 
 
-@dataclass(frozen=True)
+_SET_POSE = (Pose.x.__set__, Pose.y.__set__, Pose.phi.__set__)
+
+
+def _pose(x: float, y: float, phi: float) -> Pose:
+    """Pose(x, y, phi) for a phi that wrap_angle's operations gave.
+
+    wrap_angle is idempotent on its outputs, so __post_init__'s wrap would
+    return phi bit for bit; it is skipped, with the frozen __init__, and
+    the slots are filled directly.
+    """
+    pose = object.__new__(Pose)
+    set_x, set_y, set_phi = _SET_POSE
+    set_x(pose, x)
+    set_y(pose, y)
+    set_phi(pose, phi)
+    return pose
+
+
+@dataclass(frozen=True, slots=True)
 class ControlInput:
     """Speed command v (m/s) and steer angle gamma (rad)."""
 
     v: float
     gamma: float
+
+
+_SET_CONTROL = (ControlInput.v.__set__, ControlInput.gamma.__set__)
+
+
+def _control(v: float, gamma: float) -> ControlInput:
+    """ControlInput(v, gamma) with its slots filled directly: the frozen
+    __init__ only stores the fields."""
+    control = object.__new__(ControlInput)
+    set_v, set_gamma = _SET_CONTROL
+    set_v(control, v)
+    set_gamma(control, gamma)
+    return control
 
 
 @dataclass(frozen=True)
@@ -93,7 +124,7 @@ class Landmark:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """Range-bearing reading of one landmark.
 
@@ -107,6 +138,20 @@ class Measurement:
     landmark_id: int
     r: float
     theta: float
+
+
+_SET_MEASUREMENT = (Measurement.landmark_id.__set__, Measurement.r.__set__, Measurement.theta.__set__)
+
+
+def _measurement(landmark_id: int, r: float, theta: float) -> Measurement:
+    """Measurement(landmark_id, r, theta) with its slots filled directly:
+    the frozen __init__ only stores the fields."""
+    measurement = object.__new__(Measurement)
+    set_id, set_r, set_theta = _SET_MEASUREMENT
+    set_id(measurement, landmark_id)
+    set_r(measurement, r)
+    set_theta(measurement, theta)
+    return measurement
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from math import atan2, cos, hypot, pi, sin
 from multiprocessing import Pipe, Process, get_start_method
 from pathlib import Path
@@ -26,7 +27,8 @@ from .adaptation import AdaptationConfig, CovarianceAdapter
 from .ekf import CovPair, GaussianState
 from .errors import ScenarioError, SingularCovarianceError
 from .models import (
-    TWO_PI, ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose, _is_finite, _is_number,
+    TWO_PI, ControlInput, Landmark, LandmarkMap, Measurement, NoiseSpec, Pose, _control, _is_finite,
+    _is_number, _measurement, _pose,
 )
 
 _VARIANT_MODE = {"ekf": None, "anfekf-r": "r", "anfekf-q": "q", "anfekf-rq": "rq"}
@@ -359,13 +361,14 @@ def _control_noise(
 
     The values and the order of the draws are those of one
     rng.normal(0.0, sigma_v) then one rng.normal(0.0, sigma_gamma) per tick,
-    as WaypointDriver.drive draws them.
+    as WaypointDriver.drive draws them. Each block is drawn when its first
+    pair is asked for, and its pairs are zipped from one iterator over it,
+    so the caller's loop takes them without resuming a generator frame.
     """
     sigmas = (noise.sigma_v, noise.sigma_gamma)
-    for start in range(0, n, CONTROL_NOISE_BLOCK):
-        size = (min(CONTROL_NOISE_BLOCK, n - start), 2)
-        draws = iter(memoryview(rng.normal(0.0, sigmas, size=size)).cast("B").cast("d"))
-        yield from zip(draws, draws)
+    blocks = (memoryview(rng.normal(0.0, sigmas, size=(min(CONTROL_NOISE_BLOCK, n - start), 2)))
+              .cast("B").cast("d") for start in range(0, n, CONTROL_NOISE_BLOCK))
+    return chain.from_iterable(zip(*[iter(block)] * 2) for block in blocks)
 
 
 def sense(
@@ -395,7 +398,7 @@ def sense(
             continue
         z_r = r + rng.normal(0.0, sigma_r)
         z_theta = models.wrap_angle(theta + rng.normal(0.0, sigma_theta))
-        scan.append(Measurement(lm.id, 0.0 if z_r < 0.0 else z_r, z_theta))
+        scan.append(_measurement(lm.id, 0.0 if z_r < 0.0 else z_r, z_theta))
     return scan
 
 
@@ -546,8 +549,9 @@ def run_once(
     n = int(round(scenario.ticks))
 
     landmark_map = LandmarkMap(scenario.landmarks)
-    truth = Pose(*scenario.start)
-    state = GaussianState(truth.as_array(), np.diag(DEFAULT_P0_DIAG))
+    tx, ty, tphi = scenario.start
+    tphi = models.wrap_angle(tphi)
+    state = GaussianState((tx, ty, tphi), np.diag(DEFAULT_P0_DIAG))
     q_mode = adapter is not None and "q" in adapter.mode
 
     t = np.arange(1, n + 1) * dt
@@ -556,13 +560,12 @@ def run_once(
     p_upper = np.empty((n, 6))  # P's upper triangle, row by row
     n_meas = np.zeros(n, dtype=int)
     n_gated = np.zeros(n, dtype=int)
-    # R and Q change only when the adapter runs. Their variance pairs in
-    # force are written as one slice per change: rows [filled, i) get the
-    # values in force before tick i.
-    r_diag = np.empty((n, 2))
-    q_diag = np.empty((n, 2))
+    # R and Q change only when the adapter runs. Each CovPair in force is
+    # kept with the tick it took over on, and the R and Q columns are
+    # written after the loop: the pair an adapter gives on tick i is in
+    # force from row i until the next one takes over.
+    held_from, held = [0], [cov]
     q_v, q_gamma = cov.Q
-    filled = 0
     dom_diag = np.full((n, 2), np.nan)
     delta_dom_diag = np.full((n, 2), np.nan)
     applied_delta_r = np.full((n, 2), np.nan)
@@ -570,12 +573,12 @@ def run_once(
 
     # Between scans the truth pose and the belief (mean and P's upper
     # triangle) live as floats, and each tick's row goes straight into the
-    # arrays above through flat views. Scan ticks hand them to ekf.step as a
-    # GaussianState of tuples. NEES is computed once, after the loop. The
+    # arrays above through flat views. Scan ticks hand them to sense and
+    # ekf.step through the private builders, which skip the checks of values
+    # already in form. NEES is computed once, after the loop. The
     # steer, the truth's motion and the prediction between scans are written
     # out in this frame, every operation in the order of its reference:
     # WaypointDriver.steer, models.motion_floats and ekf.predict_floats.
-    tx, ty, tphi = truth.x, truth.y, truth.phi
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     truth_out, est_out, p_out, dom_out, delta_dom_out, applied_out, q_factor_out = (
@@ -643,11 +646,12 @@ def run_once(
                 if phi > pi:
                     phi -= TWO_PI
             else:
-                scan = sense(Pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
+                # tphi is a wrap_angle output, as _pose requires
+                scan = sense(_pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)
                 prior = ekf._belief(x, y, phi, p00, p01, p02, p11, p12, p22)
-                clean = ControlInput(speed, steer)
                 state, records = ekf.step(
-                    prior, clean, scan, cov, landmark_map, dt, wheelbase, timestep=i + 1,
+                    prior, _control(speed, steer), scan, cov, landmark_map, dt, wheelbase,
+                    timestep=i + 1,
                 )
                 accepted = [rec.accepted for rec in records].count(True)
                 n_meas[i] = accepted
@@ -655,11 +659,10 @@ def run_once(
                 if adapter is not None:
                     G_u = (models.motion_with_jacobian_floats(
                         x, y, phi, speed, steer, dt, wheelbase)[3:] if q_mode else None)
-                    r_diag[filled:i] = cov.R
-                    q_diag[filled:i] = cov.Q
                     cov, trace = adapter.after_update(records, G_u, cov)
                     q_v, q_gamma = cov.Q
-                    filled = i
+                    held_from.append(i)
+                    held.append(cov)
                     if trace.active:
                         k = 2 * i
                         dom_out[k], dom_out[k + 1] = trace.dom_diag
@@ -683,8 +686,10 @@ def run_once(
             raise singular from None
         raise
     nees_arr = metrics.nees_rows(truth_arr, est_arr, p_upper)
-    r_diag[filled:] = cov.R
-    q_diag[filled:] = cov.Q
+    held_from.append(n)
+    rows_held = np.diff(held_from)
+    r_diag = np.repeat([pair.R for pair in held], rows_held, axis=0)
+    q_diag = np.repeat([pair.Q for pair in held], rows_held, axis=0)
 
     return RunLog(
         variant=variant,

@@ -302,20 +302,24 @@ class TestRun:
         assert digest.summary() == log.summary()
         assert rows == _format_rows(table_columns(RUNS_TABLE, 2, log))
 
-    def test_workers_send_back_no_runlog(self, tmp_path, scenario_file, monkeypatch):
+    @pytest.mark.parametrize("command, outputs", [
+        (["run", "--variant", "anfekf-rq"], ("runs.csv", "report.csv", "summary.json")),
+        (["compare", "--variant-a", "ekf", "--variant-b", "anfekf-rq"],
+         ("compare.csv", "compare_summary.json")),
+    ], ids=["run", "compare"])
+    def test_workers_send_back_no_runlog(self, tmp_path, scenario_file, monkeypatch, command, outputs):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("only forked workers inherit the patched RunLog")
 
         def no_pickle(self, protocol):
             raise AssertionError("a RunLog was pickled")
 
-        argv = ["run", "--variant", "anfekf-rq", "--scenario", str(scenario_file),
-                "--runs", "3", "--seed", "2"]
+        argv = [*command, "--scenario", str(scenario_file), "--runs", "3", "--seed", "2"]
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         assert main([*argv, "--workers", "1", "--out", str(serial)]) == 0
         monkeypatch.setattr(RunLog, "__reduce_ex__", no_pickle)  # forked workers inherit it
         assert main([*argv, "--workers", "2", "--out", str(pooled)]) == 0
-        for name in ("runs.csv", "report.csv", "summary.json"):
+        for name in outputs:
             assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_outputs_replaced_not_rewritten(self, tmp_path, scenario_file):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -124,6 +125,17 @@ class TestCovPair:
         cov = CovPair((0.09, 0.0027), (0.01, 0.0003))
         with pytest.raises(dataclasses.FrozenInstanceError):
             cov.R = (1.0, 1.0)
+
+    @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+    def test_private_builder_equals_constructor(self, q0, q1, r0, r1):
+        # the adapter builds its pairs with ekf._cov_pair from Python floats
+        built, public = ekf._cov_pair((q0, q1), (r0, r1)), CovPair((q0, q1), (r0, r1))
+        assert type(built) is CovPair
+        assert built == public
+        assert hash(built) == hash(public)
+        assert repr(built) == repr(public)
+        assert dataclasses.astuple(built) == dataclasses.astuple(public)
+        assert pickle.loads(pickle.dumps(built)) == public
 
 
 class TestPredict:

@@ -1,5 +1,6 @@
 """Simulation harness tests: scenario handling, driver, sensing, runs."""
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -1043,6 +1044,35 @@ class TestTickLoopGuard:
         assert [(name, t) for name, t in kernel_ticks if t is not None and t % ratio] == []
         # the scans' sense calls wrap_angle, so the guard sees the loop's ticks
         assert {name for name, t in kernel_ticks if t is not None} == {"wrap_angle"}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scan_ticks_run_no_constructor_checks(self, tiny_scenario, monkeypatch, variant):
+        """Each scan's Pose, ControlInput, Measurements and CovPair come from
+        the private builders: no Pose or CovPair __post_init__ and no frozen
+        __init__ runs on a scan tick. ekf.step still looks each measured
+        landmark up through LandmarkMap.__getitem__."""
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[f"{owner.__name__}.{name}"] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Pose, "__post_init__")
+        counted(ekf.CovPair, "__post_init__")
+        counted(models.ControlInput, "__init__")
+        counted(models.Measurement, "__init__")
+        counted(LandmarkMap, "__getitem__")
+        log = run_once(tiny_scenario, variant, seed=0)
+        measurements = int(log.n_meas.sum() + log.n_gated.sum())
+        assert measurements > 0
+        if variant != "ekf":
+            assert np.isfinite(log.dom_diag).any()  # the adapter ran, so it built new pairs
+        # the one CovPair built is _start's, from the assumed noise, before the first tick
+        assert calls == {"CovPair.__post_init__": 1, "LandmarkMap.__getitem__": measurements}
 
 
 class TestNeesAfterTheLoop:
