@@ -10,11 +10,10 @@ centers, input 2's 5 centers, their 10 widths in the same order, 7
 singletons). One AnfisNet holds a stack of k independent networks as k
 such rows; its forward, train_step and leak each run their formula net by
 net in one loop body, written out term by term, so net n's numbers are bit
-for bit those a one-net stack gives it alone. Two float kernels stand
-beside them: saturate_floats, which clamps a net's inputs, and
-gradient_floats, the reference of the gradient train_step takes. All of
-it sums in one fixed order and calls no numpy, so the bits do not depend
-on the BLAS kernel numpy picks for the CPU. The covariance adapter keeps
+for bit those a one-net stack gives it alone. One float kernel stands
+beside them: saturate_floats, which clamps a net's inputs. All of it sums
+in one fixed order and calls no numpy, so the bits do not depend on the
+BLAS kernel numpy picks for the CPU. The covariance adapter keeps
 its nets in one AnfisNet between scans. The fixed rule table CONSEQUENT
 maps each of the 5 x 5 term pairs to a singleton index.
 """
@@ -95,40 +94,6 @@ def saturate_floats(p: list[float], in1: float, in2: float) -> tuple[float, floa
     return in1, in2
 
 
-def gradient_floats(p: list[float], trace: tuple) -> list[float]:
-    """d(out)/d(parameter) at one net's AnfisNet.forward trace, in the N_PARAMS layout.
-
-    AnfisNet.train_step computes it in the same order; this kernel is its
-    reference.
-    """
-    z, mu, total, weights, out = trace
-    a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = mu
-    z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 = z
-    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, s0, s1, s2, s3, s4, s5, s6 = p[10:]
-    # each singleton less the output; rule (i, j) uses singleton 7 - (i + j), clipped
-    e0, e1, e2, e3, e4, e5, e6 = s0 - out, s1 - out, s2 - out, s3 - out, s4 - out, s5 - out, s6 - out
-    # d(out)/d(center): the quotient rule against the normalization layer
-    # gives d(out)/d(mu1_i) = sum_j (w_ij - out) mu2_j / total (and the same
-    # over i for mu2_j), and d(mu)/d(center) = 2 mu z / delta
-    k = 2.0 / total
-    dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9 = (
-        (e6 * b0 + e6 * b1 + e5 * b2 + e4 * b3 + e3 * b4) * a0 * k * z0 / w0,
-        (e6 * b0 + e5 * b1 + e4 * b2 + e3 * b3 + e2 * b4) * a1 * k * z1 / w1,
-        (e5 * b0 + e4 * b1 + e3 * b2 + e2 * b3 + e1 * b4) * a2 * k * z2 / w2,
-        (e4 * b0 + e3 * b1 + e2 * b2 + e1 * b3 + e0 * b4) * a3 * k * z3 / w3,
-        (e3 * b0 + e2 * b1 + e1 * b2 + e0 * b3 + e0 * b4) * a4 * k * z4 / w4,
-        (e6 * a0 + e6 * a1 + e5 * a2 + e4 * a3 + e3 * a4) * b0 * k * z5 / w5,
-        (e6 * a0 + e5 * a1 + e4 * a2 + e3 * a3 + e2 * a4) * b1 * k * z6 / w6,
-        (e5 * a0 + e4 * a1 + e3 * a2 + e2 * a3 + e1 * a4) * b2 * k * z7 / w7,
-        (e4 * a0 + e3 * a1 + e2 * a2 + e1 * a3 + e0 * a4) * b3 * k * z8 / w8,
-        (e3 * a0 + e2 * a1 + e1 * a2 + e0 * a3 + e0 * a4) * b4 * k * z9 / w9,
-    )
-    # d(mu)/d(delta) = 2 mu z^2 / delta, so d(out)/d(delta) is z times d(out)/d(center)
-    return [dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9,
-            dc0 * z0, dc1 * z1, dc2 * z2, dc3 * z3, dc4 * z4, dc5 * z5, dc6 * z6, dc7 * z7, dc8 * z8, dc9 * z9,
-            *weights]
-
-
 class AnfisNet:
     """A stack of trainable two-input/one-output networks.
 
@@ -206,9 +171,9 @@ class AnfisNet:
     def train_step(self, traces: list[tuple], errors: list[float], sensitivities: list[float]) -> "AnfisNet":
         """One steepest-descent step of each net on E = e^2 / 2, widths floored.
 
-        Each net steps by eta * e * sensitivity times gradient_floats at its
-        trace, computed here in gradient_floats' order and written out term
-        by term: a loop over the 27 parameters would cost as much again.
+        Each net steps by eta * e * sensitivity times d(out)/d(parameter)
+        at its trace, written out term by term: a loop over the 27
+        parameters would cost as much again.
 
         Args:
             traces: the forward pass the errors were observed at.
@@ -241,8 +206,11 @@ class AnfisNet:
             a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = mu
             z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 = z
             r0, r1, r2, r3, r4, r5, r6 = weights
-            # gradient_floats: each singleton less the output, then d(out)/d(center)
+            # each singleton less the output; rule (i, j) uses singleton 7 - (i + j), clipped
             e0, e1, e2, e3, e4, e5, e6 = s0 - out, s1 - out, s2 - out, s3 - out, s4 - out, s5 - out, s6 - out
+            # d(out)/d(center): the quotient rule against the normalization layer
+            # gives d(out)/d(mu1_i) = sum_j (w_ij - out) mu2_j / total (and the same
+            # over i for mu2_j), and d(mu)/d(center) = 2 mu z / delta
             k = 2.0 / total
             dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9 = (
                 (e6 * b0 + e6 * b1 + e5 * b2 + e4 * b3 + e3 * b4) * a0 * k * z0 / w0,
@@ -256,7 +224,8 @@ class AnfisNet:
                 (e4 * a0 + e3 * a1 + e2 * a2 + e1 * a3 + e0 * a4) * b3 * k * z8 / w8,
                 (e3 * a0 + e2 * a1 + e1 * a2 + e0 * a3 + e0 * a4) * b4 * k * z9 / w9,
             )
-            # a width's gradient is z times its center's: g * (dc * z)
+            # d(mu)/d(delta) = 2 mu z^2 / delta, so a width's gradient is z
+            # times its center's: g * (dc * z); a singleton's is its weight
             rows.append([
                 c0 - g * dc0, c1 - g * dc1, c2 - g * dc2, c3 - g * dc3, c4 - g * dc4,
                 c5 - g * dc5, c6 - g * dc6, c7 - g * dc7, c8 - g * dc8, c9 - g * dc9,

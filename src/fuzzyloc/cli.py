@@ -291,11 +291,12 @@ def _adaptation_config(args: argparse.Namespace) -> AdaptationConfig:
     return AdaptationConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
-def _experiment(args: argparse.Namespace, variant: str) -> dict:
-    """metadata.json's record of one variant's ensemble, as the flags gave it."""
+def _experiment(args: argparse.Namespace, variant: str, adaptation: AdaptationConfig) -> dict:
+    """metadata.json's record of one variant's ensemble: the flags, and every
+    setting of the AdaptationConfig the runs used, defaults included."""
     return dict(scenario_path=args.scenario, variant=variant, n_runs=args.runs, base_seed=args.seed,
                 out_dir=args.out, workers=args.workers,
-                **{f.name: getattr(args, f.name) for f in fields(AdaptationConfig)})
+                **{f.name: getattr(adaptation, f.name) for f in fields(AdaptationConfig)})
 
 
 def _metadata(experiment: dict, scenario) -> dict:
@@ -364,7 +365,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = build_report(digests)
     _write_csv(out, REPORT_TABLE, [REPORT_TABLE.rows(report)])
     _write_json(out / "summary.json", _summary_dict(report))
-    _write_json(out / "metadata.json", _metadata(_experiment(args, args.variant), scenario))
+    _write_json(out / "metadata.json", _metadata(_experiment(args, args.variant, adaptation), scenario))
     print(f"{args.variant}: {args.runs} runs, "
           f"time-avg position RMSE {report.time_avg_rmse_pos:.4f} m, "
           f"NEES in-band {report.in_band:.1%} -> {out}")
@@ -395,7 +396,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "paired_win_fraction_b": wins_b / len(rmse_a),
     }
     _write_json(out / "compare_summary.json", comparison)
-    experiments = {"a": _experiment(args, args.variant_a), "b": _experiment(args, args.variant_b)}
+    experiments = {"a": _experiment(args, args.variant_a, adaptation),
+                   "b": _experiment(args, args.variant_b, adaptation)}
     _write_json(out / "metadata.json", _metadata(experiments, scenario))
     print(f"{args.variant_a} vs {args.variant_b}: "
           f"RMSE {rep_a.time_avg_rmse_pos:.4f} vs {rep_b.time_avg_rmse_pos:.4f} m, "

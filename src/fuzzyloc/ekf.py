@@ -7,20 +7,21 @@ Measurements are processed sequentially with a Mahalanobis acceptance gate.
 GaussianState holds the belief as float tuples, and Q and R are diagonal, so
 a CovPair holds each as its two variances. The state is 3-dimensional and a
 measurement 2-dimensional, so every step is written out entry by entry on
-Python floats; no step calls LAPACK, and step calls no numpy at all. Each
-formula is one float kernel (predict_floats, innovation_cov_floats,
-innovation_floats, inverse_2x2_floats, gate_floats, update_floats), and the
-array-level predict, predict_measurement, innovation, gate and update are
-thin wrappers over them. predict_floats takes the next pose and the control
-Jacobian from one models kernel, motion_with_jacobian_floats, so a
-prediction evaluates two sines and two cosines. step is the whole cycle
-written out in one frame, bit for bit the kernels' with every operation in
-their order, and the kernels are its reference: the belief and the records
-stay on floats through a whole scan, and each measurement takes one
-closed-form 2x2 inverse of its innovation covariance S, shared by the gate
-and the update, which also reuses S's rows of H P. The inverse rejects S
-unless all four entries are finite and its 2-norm condition number,
-sigma_max^2 / |det| after scaling S by its largest |entry|, is at most 1e12.
+Python floats; no step calls LAPACK, and step calls no numpy at all. The
+array-level predict, predict_measurement, gate and update each hold their
+formula; two float kernels beside them have two callers each:
+innovation_cov_floats (predict_measurement, and the Q adapter's
+sensitivity) and inverse_2x2_floats (gate and update). predict takes the
+next pose and the control Jacobian from one models kernel,
+motion_with_jacobian_floats, so a prediction evaluates two sines and two
+cosines. step is the whole cycle written out in one frame, bit for bit the
+array-level functions' with every operation in their order, and they are
+its reference: the belief and the records stay on floats through a whole
+scan, and each measurement takes one closed-form 2x2 inverse of its
+innovation covariance S, shared by the gate and the update, which also
+reuses S's rows of H P. The inverse rejects S unless all four entries are
+finite and its 2-norm condition number, sigma_max^2 / |det| after scaling S
+by its largest |entry|, is at most 1e12.
 """
 
 from __future__ import annotations
@@ -157,41 +158,6 @@ def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
     return state
 
 
-def predict_floats(
-    x: float, y: float, phi: float,
-    p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
-    v: float, gamma: float, q_v: float, q_gamma: float,
-    dt: float, wheelbase: float,
-) -> tuple[float, float, float, float, float, float, float, float, float]:
-    """predict on plain floats: the next mean (heading wrapped) and P's upper triangle.
-
-    P is given by its upper triangle (p00, p01, p02, p11, p12, p22) and Q by
-    its two variances; the result is in the same order as the arguments: x,
-    y, phi, then P's upper triangle row by row. The mean and G come from
-    models.motion_with_jacobian_floats.
-    """
-    x, y, phi, g00, g01, g10, g11, g20, g21 = models.motion_with_jacobian_floats(
-        x, y, phi, v, gamma, dt, wheelbase,
-    )
-    fx, fy = g01, g11
-    # F P F^T: third column first, it feeds the other entries
-    n02 = p02 + fx * p22
-    n12 = p12 + fy * p22
-    # rows of G Q
-    w00, w01 = g00 * q_v, g01 * q_gamma
-    w10, w11 = g10 * q_v, g11 * q_gamma
-    w20, w21 = g20 * q_v, g21 * q_gamma
-    return (
-        x, y, models.wrap_angle(phi),
-        p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
-        p01 + fx * p12 + fy * n02 + w00 * g10 + w01 * g11,
-        n02 + w00 * g20 + w01 * g21,
-        p11 + fy * p12 + fy * n12 + w10 * g10 + w11 * g11,
-        n12 + w10 * g20 + w11 * g21,
-        p22 + w20 * g20 + w21 * g21,
-    )
-
-
 def predict(
     state: GaussianState,
     u: ControlInput,
@@ -205,15 +171,33 @@ def predict(
     and the noisy command, both linearized at the current mean. F is the
     identity except for (fx, fy) above the diagonal in its heading column,
     and those equal the position entries of G's steer column (see
-    models.motion_with_jacobian_floats). Q is the variance pair (q_v, q_gamma).
-    The arithmetic is predict_floats'.
+    models.motion_with_jacobian_floats), which also gives the next mean.
+    Q is the variance pair (q_v, q_gamma). Only P's upper triangle is
+    evaluated, on floats.
     """
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-    x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
-        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *Q, dt, wheelbase,
+    q_v, q_gamma = Q
+    x, y, phi, g00, g01, g10, g11, g20, g21 = models.motion_with_jacobian_floats(
+        x, y, phi, u.v, u.gamma, dt, wheelbase,
     )
-    return _belief(x, y, phi, p00, p01, p02, p11, p12, p22)
+    fx, fy = g01, g11
+    # F P F^T: third column first, it feeds the other entries
+    n02 = p02 + fx * p22
+    n12 = p12 + fy * p22
+    # rows of G Q
+    w00, w01 = g00 * q_v, g01 * q_gamma
+    w10, w11 = g10 * q_v, g11 * q_gamma
+    w20, w21 = g20 * q_v, g21 * q_gamma
+    return _belief(
+        x, y, models.wrap_angle(phi),
+        p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
+        p01 + fx * p12 + fy * n02 + w00 * g10 + w01 * g11,
+        n02 + w00 * g20 + w01 * g21,
+        p11 + fy * p12 + fy * n12 + w10 * g10 + w11 * g11,
+        n12 + w10 * g20 + w11 * g21,
+        p22 + w20 * g20 + w21 * g21,
+    )
 
 
 def innovation_cov_floats(
@@ -239,31 +223,47 @@ def innovation_cov_floats(
     )
 
 
-def innovation_floats(z: Measurement, r: float, theta: float) -> tuple[float, float]:
-    """Residual z - (r, theta) with the bearing difference wrapped."""
-    return z.r - r, models.wrap_angle(z.theta - theta)
+def predict_measurement(
+    state: GaussianState, landmark: Landmark, R: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted (range, bearing), innovation covariance, and Jacobian, given
+    the variance pair R = (r_r, r_theta).
+
+    Returns:
+        zhat: (2,) predicted measurement at the current mean.
+        S: 2x2 H P H^T + R from innovation_cov_floats, exactly symmetric.
+        H: 2x3 models.observation_jacobian at the current mean.
+    """
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
+    r, bearing = models.range_bearing(x, y, phi, landmark)
+    H = models.observation_jacobian(models._pose(x, y, phi), landmark)  # the belief's phi is wrapped
+    (h00, h01, _), (h10, h11, _) = H.tolist()
+    s00, s01, s11 = innovation_cov_floats(p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, *R)
+    return np.array((r, models.wrap_angle(bearing))), np.array(((s00, s01), (s01, s11))), H
 
 
-def gate_floats(v0: float, v1: float, i00: float, i01: float, i10: float, i11: float,
-                threshold: float) -> bool:
-    """Mahalanobis acceptance test v^T S^-1 v <= threshold, given S^-1's entries."""
+def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
+    """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
+    (s00, s01), (s10, s11) = np.asarray(S, dtype=float).tolist()
+    i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s10, s11)
+    v0, v1 = np.asarray(residual, dtype=float).tolist()
     return v0 * (i00 * v0 + i01 * v1) + v1 * (i10 * v0 + i11 * v1) <= threshold
 
 
-def update_floats(
-    x: float, y: float, phi: float,
-    p00: float, p01: float, p02: float, p11: float, p12: float, p22: float,
-    v0: float, v1: float,
-    h00: float, h01: float, h02: float, h10: float, h11: float, h12: float,
-    i00: float, i01: float, i10: float, i11: float,
-) -> tuple[float, float, float, float, float, float, float, float, float]:
-    """update on floats: the posterior mean (heading wrapped) and P's upper triangle.
+def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
+    """Measurement update with gain K = P H^T S^-1.
 
-    Takes the residual v, the six entries of a general 2x3 H and the entries
-    of S^-1, row-major. With K^T = S^-1 H P the covariance is P - K (H P).
-    Only its upper triangle is evaluated: for a symmetric S, K H P is
-    symmetric.
+    Takes the record's residual v and S and a general 2x3 H. With
+    K^T = S^-1 H P the covariance is P - K (H P). Only its upper triangle is
+    evaluated: for a symmetric S, K H P is symmetric.
     """
+    (s00, s01), (s10, s11) = np.asarray(record.S, dtype=float).tolist()
+    i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s10, s11)
+    v0, v1 = np.asarray(record.residual, dtype=float).tolist()
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
+    (h00, h01, h02), (h10, h11, h12) = np.asarray(H, dtype=float).tolist()
     # rows of H P
     a0, a1, a2 = (h00 * p00 + h01 * p01 + h02 * p02, h00 * p01 + h01 * p11 + h02 * p12,
                   h00 * p02 + h01 * p12 + h02 * p22)
@@ -272,7 +272,7 @@ def update_floats(
     # rows of K^T = S^-1 H P
     k0, k1, k2 = i00 * a0 + i01 * b0, i00 * a1 + i01 * b1, i00 * a2 + i01 * b2
     l0, l1, l2 = i10 * a0 + i11 * b0, i10 * a1 + i11 * b1, i10 * a2 + i11 * b2
-    return (
+    return _belief(
         x + k0 * v0 + l0 * v1,
         y + k1 * v0 + l1 * v1,
         models.wrap_angle(phi + k2 * v0 + l2 * v1),
@@ -283,57 +283,6 @@ def update_floats(
         p12 - (k1 * a2 + l1 * b2),
         p22 - (k2 * a2 + l2 * b2),
     )
-
-
-def predict_measurement(
-    state: GaussianState, landmark: Landmark, R: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predicted (range, bearing), innovation covariance, and Jacobian, given
-    the variance pair R = (r_r, r_theta).
-
-    Returns:
-        zhat: (2,) predicted measurement at the current mean.
-        S: 2x2 H P H^T + R from innovation_cov_floats, exactly symmetric.
-        H: 2x3 observation Jacobian at the current mean.
-    """
-    x, y, phi = state.mean
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-    r, bearing = models.range_bearing(x, y, phi, landmark)
-    h00, h01, h10, h11 = models.range_bearing_jacobian(x, y, landmark)
-    s00, s01, s11 = innovation_cov_floats(p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, *R)
-    return (
-        np.array((r, models.wrap_angle(bearing))),
-        np.array(((s00, s01), (s01, s11))),
-        np.array(((h00, h01, 0.0), (h10, h11, -1.0))),
-    )
-
-
-def innovation(z: Measurement, zhat: np.ndarray) -> np.ndarray:
-    """Residual z - zhat with the bearing difference wrapped."""
-    r, theta = zhat.tolist()
-    return np.array(innovation_floats(z, r, theta))
-
-
-def gate(residual: np.ndarray, S: np.ndarray, threshold: float) -> bool:
-    """Mahalanobis acceptance test: residual^T S^-1 residual <= threshold."""
-    (s00, s01), (s10, s11) = np.asarray(S, dtype=float).tolist()
-    i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s10, s11)
-    v0, v1 = np.asarray(residual, dtype=float).tolist()
-    return gate_floats(v0, v1, i00, i01, i10, i11, threshold)
-
-
-def update(state: GaussianState, record: InnovationRecord, H: np.ndarray) -> GaussianState:
-    """Measurement update with gain K = P H^T S^-1; the arithmetic is update_floats'."""
-    (s00, s01), (s10, s11) = np.asarray(record.S, dtype=float).tolist()
-    i00, i01, i10, i11 = inverse_2x2_floats(s00, s01, s10, s11)
-    v0, v1 = np.asarray(record.residual, dtype=float).tolist()
-    x, y, phi = state.mean
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-    (h00, h01, h02), (h10, h11, h12) = np.asarray(H, dtype=float).tolist()
-    return _belief(*update_floats(
-        x, y, phi, p00, p01, p02, p11, p12, p22, v0, v1,
-        h00, h01, h02, h10, h11, h12, i00, i01, i10, i11,
-    ))
 
 
 def step(
@@ -354,13 +303,13 @@ def step(
     recorded with accepted=False and leave the belief untouched.
 
     The cycle is written out in this one frame: the prediction of
-    predict_floats, then per measurement the range, bearing and Jacobian of
-    one (dx, dy), S, the residual, the inverse of S with its tests, the gate
-    and the update. Every operation is the float kernels' in their order, so
-    the records and the posterior are bit for bit what predict,
-    predict_measurement, innovation, gate and update give, and the errors
-    are theirs at the same measurement. The update takes S's rows of H P,
-    with update_floats' 0.0 * p terms on the range row. step calls no numpy.
+    predict, then per measurement the range, bearing and Jacobian of one
+    (dx, dy), S, the residual, the inverse of S with its tests, the gate
+    and the update. Every operation is the array-level functions' in their
+    order, so the records and the posterior are bit for bit what predict,
+    predict_measurement, the wrapped residual, gate and update give, and the
+    errors are theirs at the same measurement. The update takes S's rows of
+    H P, with update's 0.0 * p terms on the range row. step calls no numpy.
 
     Returns:
         The posterior state and one InnovationRecord per input measurement.
@@ -369,7 +318,7 @@ def step(
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     v, gamma = u.v, u.gamma
     q_v, q_gamma = cov.Q
-    # predict_floats: the motion and G of motion_with_jacobian_floats, then P'
+    # predict: the motion and G of motion_with_jacobian_floats, then P'
     heading = phi + gamma
     sin_h, cos_h = sin(heading), cos(heading)
     sin_g, cos_g = sin(gamma), cos(gamma)
@@ -400,7 +349,7 @@ def step(
     records = []
     for z in measurements:
         landmark = landmark_map[z.landmark_id]
-        # range_bearing and range_bearing_jacobian
+        # range_bearing and observation_jacobian
         dx = landmark.x - x
         dy = landmark.y - y
         r = hypot(dx, dy)
@@ -420,7 +369,7 @@ def step(
         s00 = a0 * h00 + a1 * h01 + r_r
         s01 = a0 * h10 + a1 * h11 - a2
         s11 = b0 * h10 + b1 * h11 - b2 + r_theta
-        # innovation_floats, of the wrapped bearing
+        # the residual, of the wrapped bearing
         bearing %= TWO_PI
         if bearing > pi:
             bearing -= TWO_PI
@@ -448,14 +397,14 @@ def step(
             raise SingularInnovationError("innovation covariance is ill-conditioned")
         k = 1.0 / det / scale
         i00, i01, i11 = n11 * k, -n01 * k, n00 * k
-        # gate_floats; S^-1 is symmetric, its (1, 0) entry is i01
+        # gate; S^-1 is symmetric, its (1, 0) entry is i01
         accepted = v0 * (i00 * v0 + i01 * v1) + v1 * (i01 * v0 + i11 * v1) <= gate_threshold
         records.append(InnovationRecord(
             (v0, v1), ((s00, s01), (s01, s11)), z.landmark_id, timestep, accepted,
             ((h00, h01, 0.0), (h10, h11, -1.0)),
         ))
         if accepted:
-            # update_floats with H's phi column (0, -1): a + 0.0 * p keeps the
+            # update with H's phi column (0, -1): a + 0.0 * p keeps the
             # sign of a zero and the NaN of an infinite p, b - p is b + -1.0 * p
             a0, a1, a2 = a0 + 0.0 * p02, a1 + 0.0 * p12, a2 + 0.0 * p22
             k0, k1, k2 = i00 * a0 + i01 * b0, i00 * a1 + i01 * b1, i00 * a2 + i01 * b2

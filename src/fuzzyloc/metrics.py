@@ -1,10 +1,11 @@
 """Ensemble error and consistency metrics.
 
-NEES is computed by one kernel, nees_floats, on plain floats; nees_rows runs
-the same operations elementwise over a whole run's rows, so a run computes
-its NEES column in one pass after its tick loop. The chi-square quantiles
-needed for consistency bands are computed here from the regularized
-incomplete gamma function, so the runtime has no dependency beyond numpy.
+NEES is computed by nees_rows, elementwise over a whole run's rows, so a run
+computes its NEES column in one pass after its tick loop; nees is one row of
+it, so a single NEES has the bits of its row in a column. The chi-square
+quantiles needed for consistency bands are computed here from the
+regularized incomplete gamma function, so the runtime has no dependency
+beyond numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .ekf import GaussianState
 from .errors import SingularCovarianceError
-from .models import Pose, wrap_angle, wrap_angles
+from .models import Pose, wrap_angles
 
 STATE_DIM = 3
 
@@ -34,69 +35,31 @@ _FULL_FROM_UPPER = (0, 1, 2, 1, 3, 4, 2, 4, 5)
 
 
 def nees(truth: Pose, est: GaussianState) -> float:
-    """Normalized estimation error squared e^T P^-1 e; see nees_floats.
+    """Normalized estimation error squared e^T P^-1 e: nees_rows of one row.
 
     Exactly matching truth gives 0; a consistent filter yields chi-square
-    values with one degree of freedom per state dimension.
+    values with one degree of freedom per state dimension. P is read by its
+    upper triangle, as a GaussianState's P is symmetric.
 
     Raises:
         SingularCovarianceError: a pivot is exactly zero, as in gesv.
     """
-    p0, p1, p2 = est.P
-    return nees_floats(truth.x, truth.y, truth.phi, *est.mean, *p0, *p1, *p2)
-
-
-def nees_floats(
-    tx: float, ty: float, tphi: float, x: float, y: float, phi: float,
-    a0: float, a1: float, a2: float,
-    b0: float, b1: float, b2: float,
-    c0: float, c1: float, c2: float,
-) -> float:
-    """nees on plain floats: true pose, estimated mean, then P's rows a, b, c.
-
-    The heading error is wrapped before weighting. P^-1 e is solved by
-    Gaussian elimination with partial pivoting, unrolled for 3x3: the
-    algorithm of LAPACK's gesv, which is backward stable, so the error stays
-    of order cond(P) * eps at any scale of P. Each row carries its entry of
-    e as a fourth column (a3, b3, c3).
-
-    Raises:
-        SingularCovarianceError: a pivot is exactly zero, as in gesv.
-    """
-    e0, e1, e2 = tx - x, ty - y, wrap_angle(tphi - phi)
-    a3, b3, c3 = e0, e1, e2
-    if abs(b0) > abs(a0):
-        a0, a1, a2, a3, b0, b1, b2, b3 = b0, b1, b2, b3, a0, a1, a2, a3
-    if abs(c0) > abs(a0):
-        a0, a1, a2, a3, c0, c1, c2, c3 = c0, c1, c2, c3, a0, a1, a2, a3
-    if a0 != 0.0:
-        l1, l2 = b0 / a0, c0 / a0
-        # the 2x2 system left after eliminating column 0, rows s and t
-        s0, s1, s2 = b1 - l1 * a1, b2 - l1 * a2, b3 - l1 * a3
-        t0, t1, t2 = c1 - l2 * a1, c2 - l2 * a2, c3 - l2 * a3
-        if abs(t0) > abs(s0):
-            s0, s1, s2, t0, t1, t2 = t0, t1, t2, s0, s1, s2
-        if s0 != 0.0:
-            l3 = t0 / s0
-            u22 = t1 - l3 * s1
-            if u22 != 0.0:
-                x2 = (t2 - l3 * s2) / u22
-                x1 = (s2 - s1 * x2) / s0
-                x0 = (a3 - a2 * x2 - a1 * x1) / a0
-                return max(e0 * x0 + e1 * x1 + e2 * x2, 0.0)
-    raise SingularCovarianceError("state covariance is singular")
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = est.P
+    return float(nees_rows([(truth.x, truth.y, truth.phi)], [est.mean],
+                           [(p00, p01, p02, p11, p12, p22)])[0])
 
 
 def nees_rows(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """nees_floats of every row, bit for bit: truth and est are (n, 3) poses,
-    upper is (n, 6), the upper triangle of each row's P, row by row. Only a
-    NaN's sign may differ: from two NaN operands, numpy and CPython may pass
-    on different ones.
+    """NEES of every row: truth and est are (n, 3) poses, upper is (n, 6),
+    the upper triangle of each row's P, row by row.
 
-    The rows are solved NEES_BLOCK at a time with nees_floats' operations
-    in its order: pivot swaps become selections, max(q, 0.0) keeps q unless
-    0.0 > q (so NaN and -0.0 pass as they do through max), and the heading
-    error is wrapped by models.wrap_angles.
+    The heading error is wrapped by models.wrap_angles before weighting.
+    P^-1 e is solved by Gaussian elimination with partial pivoting, unrolled
+    for 3x3: the algorithm of LAPACK's gesv, which is backward stable, so
+    the error stays of order cond(P) * eps at any scale of P. The rows are
+    solved NEES_BLOCK at a time, pivot swaps as selections. A NEES below 0
+    is clamped to 0, and NaN and -0.0 pass unchanged, as through
+    max(q, 0.0).
 
     Raises:
         SingularCovarianceError: some row has an exactly zero pivot.
@@ -111,7 +74,7 @@ def nees_rows(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarr
 
 
 def _nees_block(truth: np.ndarray, est: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """nees_rows of one block: the augmented rows [P | e] eliminated as in nees_floats."""
+    """nees_rows of one block: each row's [P | e], e its entry as a fourth column, eliminated."""
     e = truth - est
     e[:, 2] = wrap_angles(e[:, 2])
     aug = np.empty((len(e), 3, 4))

@@ -5,9 +5,9 @@ model is a discrete-time steered vehicle: the commanded speed and steer angle
 are corrupted by additive noise before they act on the pose, so process noise
 enters through the control channel rather than directly on the state.
 
-The float kernels compute the motion (motion_floats) and the motion with its
-control Jacobian G (motion_with_jacobian_floats), with the same products for
-the motion; the latter is the one place G is written.
+One float kernel, motion_with_jacobian_floats, computes the motion and its
+control Jacobian G: it is the one place either is written, and motion_step
+takes its pose from it. observation_jacobian is the one place H is written.
 wrap_angles is wrap_angle over an array, the one wrap of logged heading errors.
 """
 
@@ -213,33 +213,20 @@ def motion_step(
     """
     v = u.v + noise[0]
     gamma = u.gamma + noise[1]
-    return Pose(*motion_floats(pose.x, pose.y, pose.phi, v, gamma, dt, wheelbase))
-
-
-def motion_floats(
-    x: float, y: float, phi: float, v: float, gamma: float, dt: float, wheelbase: float
-) -> tuple[float, float, float]:
-    """motion_step on plain floats: the next (x, y, phi), heading not wrapped."""
-    heading = phi + gamma
-    return (
-        x + dt * v * math.cos(heading),
-        y + dt * v * math.sin(heading),
-        phi + dt * v / wheelbase * math.sin(gamma),
-    )
+    return Pose(*motion_with_jacobian_floats(pose.x, pose.y, pose.phi, v, gamma, dt, wheelbase)[:3])
 
 
 def motion_with_jacobian_floats(
     x: float, y: float, phi: float, v: float, gamma: float, dt: float, wheelbase: float
 ) -> tuple[float, float, float, float, float, float, float, float, float]:
-    """motion_floats and its control Jacobian G of one command in one call:
+    """The motion of one command and its control Jacobian G in one call:
     the next (x, y, phi), heading not wrapped, then G's six entries row-major.
 
     Each of sin and cos is taken once of the heading and once of gamma, and
-    every motion product is motion_floats', with dt * v computed once where
-    it is the left factor, so the first three floats are bit for bit its.
-    phi and gamma enter the position only through heading = phi + gamma, so
-    the position entries of G's steer column (the fifth and seventh floats)
-    are also d(x, y)/dphi; they do not depend on the wheelbase.
+    dt * v is computed once where it is the left factor. phi and gamma
+    enter the position only through heading = phi + gamma, so the position
+    entries of G's steer column (the fifth and seventh floats) are also
+    d(x, y)/dphi; they do not depend on the wheelbase.
     """
     heading = phi + gamma
     sin_h, cos_h = math.sin(heading), math.cos(heading)
@@ -262,7 +249,7 @@ def control_cov_floats(
     """G Q G^T on floats: its upper triangle (m00, m01, m02, m11, m12, m22), row by row.
 
     G is the 3x2 control Jacobian, row-major (motion_with_jacobian_floats[3:]), and
-    Q is given by its two variances, as ekf.predict_floats takes it.
+    Q is given by its two variances, as ekf.predict takes it.
     """
     # rows of G Q
     w00, w01 = g00 * q_v, g01 * q_gamma
@@ -331,32 +318,16 @@ def range_bearing(x: float, y: float, phi: float, landmark: Landmark) -> tuple[f
     return r, math.atan2(dy, dx) - phi
 
 
-def range_bearing_jacobian(
-    x: float, y: float, landmark: Landmark
-) -> tuple[float, float, float, float]:
-    """The pose-dependent entries of observation_jacobian, row-major.
-
-    Those are the (x, y) columns; the phi column is always (0, -1).
-    """
-    dx = landmark.x - x
-    dy = landmark.y - y
-    q = dx * dx + dy * dy
-    r = math.sqrt(q)
-    if r < DEFAULT_EPSILON_RANGE:
-        raise _degenerate(landmark)
-    return -dx / r, -dy / r, dy / q, -dx / q
-
-
 def observation_jacobian(pose: Pose, landmark: Landmark) -> np.ndarray:
     """Jacobian of (range, bearing) w.r.t. (x, y, phi).
 
     Rows are (range, bearing); d(bearing)/d(phi) is exactly -1.
     """
-    h00, h01, h10, h11 = range_bearing_jacobian(pose.x, pose.y, landmark)
-    return np.array(
-        [
-            [h00, h01, 0.0],
-            [h10, h11, -1.0],
-        ]
-    )
+    dx = landmark.x - pose.x
+    dy = landmark.y - pose.y
+    q = dx * dx + dy * dy
+    r = math.sqrt(q)
+    if r < DEFAULT_EPSILON_RANGE:
+        raise _degenerate(landmark)
+    return np.array(((-dx / r, -dy / r, 0.0), (dy / q, -dx / q, -1.0)))
 

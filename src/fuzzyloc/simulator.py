@@ -578,14 +578,14 @@ def run_once(
     # already in form. NEES is computed once, after the loop. The
     # steer, the truth's motion and the prediction between scans are written
     # out in this frame, every operation in the order of its reference:
-    # WaypointDriver.steer, models.motion_floats and ekf.predict_floats.
+    # WaypointDriver.steer, models.motion_step and ekf.predict.
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     truth_out, est_out, p_out, dom_out, delta_dom_out, applied_out, q_factor_out = (
         memoryview(a).cast("B").cast("d")
         for a in (truth_arr, est_arr, p_upper, dom_diag, delta_dom_diag, applied_delta_r, q_factor)
     )
-    # WaypointDriver's pursuit state, and the products of predict_floats
+    # WaypointDriver's pursuit state, and the products of ekf.predict
     # that depend on the clean speed alone
     waypoints, gamma_max = scenario.waypoints, scenario.gamma_max
     wp_index = reached = 0
@@ -611,7 +611,7 @@ def run_once(
                 steer = gamma_max
             # the truth's command is drive's noisy one, clean + draw, applied as
             # motion_step(clean, noise=noisy - clean) applies it, rounding
-            # included; then motion_floats and the wrap
+            # included; then motion_step's motion and the wrap
             v = speed + ((speed + dv) - speed)
             gamma = steer + ((steer + dgamma) - steer)
             heading = tphi + gamma
@@ -621,7 +621,7 @@ def run_once(
             if tphi > pi:
                 tphi -= TWO_PI
             if (i + 1) % ratio:
-                # ekf.predict_floats with the clean command (speed, steer)
+                # ekf.predict with the clean command (speed, steer)
                 heading = phi + steer
                 sin_h, cos_h = sin(heading), cos(heading)
                 sin_g, cos_g = sin(steer), cos(steer)

@@ -2,18 +2,21 @@
 
 Everything here recomputes quantities by a different route than the package
 code: central finite differences for Jacobians and gradients, a rule-by-rule
-scalar loop for the fuzzy forward pass, the input clamp through builtin min
-and max, a textbook Kalman filter with an
-explicit matrix inverse, the filter cycle as numpy matrix products with a
-LAPACK solve, the filter step as a chain of the array-level ekf functions,
-a deterministic residual stream whose sample covariance is
-known in closed form, sensing with one noise-free and one noisy
-models.observe per landmark, CSV rows formatted value by value through
-csv.writer, a run loop that moves Pose/ControlInput/GaussianState objects
-through every tick, the NEES elimination on row tuples, the covariance
-adapter as one AnfisNet object per fuzzy network with a deque residual
-window, and the stacked fuzzy network and Q sensitivity as numpy array
-expressions. NoNumpy stands in for a module's numpy in the guard tests.
+scalar loop for the fuzzy forward pass, one net's analytic gradient as a
+function of its own (gradient_floats, the reference of AnfisNet.train_step),
+the input clamp through builtin min and max, a textbook Kalman filter with
+an explicit matrix inverse, the filter cycle as numpy matrix products with a
+LAPACK solve, the filter step as a chain of the array-level ekf functions
+with the wrapped residual (innovation) between them, a deterministic
+residual stream whose sample covariance is known in closed form, sensing
+with one noise-free and one noisy models.observe per landmark, CSV rows
+formatted value by value through csv.writer, a run loop that moves
+Pose/ControlInput/GaussianState objects through every tick, the NEES
+elimination on Python floats with row tuples (nees_row_tuples, the scalar
+reference of metrics.nees_rows), the covariance adapter as one AnfisNet
+object per fuzzy network with a deque residual window, and the stacked
+fuzzy network and Q sensitivity as numpy array expressions. NoNumpy stands
+in for a module's numpy in the guard tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fuzzyloc import ekf, metrics, models, simulator
+from fuzzyloc import ekf, models, simulator
 from fuzzyloc.adaptation import (
     DEFAULT_LEAK,
     Q_CEILING_RATIO,
@@ -46,7 +49,6 @@ from fuzzyloc.anfis import (
     N_SINGLETONS,
     N_TERMS,
     AnfisNet,
-    gradient_floats,
 )
 from fuzzyloc.ekf import CovPair, GaussianState, InnovationRecord
 from fuzzyloc.errors import SingularCovarianceError, SingularInnovationError, ZeroFiringError
@@ -96,6 +98,40 @@ def anfis_forward_brute(net: AnfisNet, in1: float, in2: float) -> float:
             num += firing * p[20 + label - 1]
             den += firing
     return num / den
+
+
+def gradient_floats(p: list[float], trace: tuple) -> list[float]:
+    """d(out)/d(parameter) at one net's AnfisNet.forward trace, in the N_PARAMS layout.
+
+    AnfisNet.train_step steps along it with the same operations in the same
+    order; this kernel is the tests' reference of that step.
+    """
+    z, mu, total, weights, out = trace
+    a0, a1, a2, a3, a4, b0, b1, b2, b3, b4 = mu
+    z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 = z
+    w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, s0, s1, s2, s3, s4, s5, s6 = p[10:]
+    # each singleton less the output; rule (i, j) uses singleton 7 - (i + j), clipped
+    e0, e1, e2, e3, e4, e5, e6 = s0 - out, s1 - out, s2 - out, s3 - out, s4 - out, s5 - out, s6 - out
+    # d(out)/d(center): the quotient rule against the normalization layer
+    # gives d(out)/d(mu1_i) = sum_j (w_ij - out) mu2_j / total (and the same
+    # over i for mu2_j), and d(mu)/d(center) = 2 mu z / delta
+    k = 2.0 / total
+    dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9 = (
+        (e6 * b0 + e6 * b1 + e5 * b2 + e4 * b3 + e3 * b4) * a0 * k * z0 / w0,
+        (e6 * b0 + e5 * b1 + e4 * b2 + e3 * b3 + e2 * b4) * a1 * k * z1 / w1,
+        (e5 * b0 + e4 * b1 + e3 * b2 + e2 * b3 + e1 * b4) * a2 * k * z2 / w2,
+        (e4 * b0 + e3 * b1 + e2 * b2 + e1 * b3 + e0 * b4) * a3 * k * z3 / w3,
+        (e3 * b0 + e2 * b1 + e1 * b2 + e0 * b3 + e0 * b4) * a4 * k * z4 / w4,
+        (e6 * a0 + e6 * a1 + e5 * a2 + e4 * a3 + e3 * a4) * b0 * k * z5 / w5,
+        (e6 * a0 + e5 * a1 + e4 * a2 + e3 * a3 + e2 * a4) * b1 * k * z6 / w6,
+        (e5 * a0 + e4 * a1 + e3 * a2 + e2 * a3 + e1 * a4) * b2 * k * z7 / w7,
+        (e4 * a0 + e3 * a1 + e2 * a2 + e1 * a3 + e0 * a4) * b3 * k * z8 / w8,
+        (e3 * a0 + e2 * a1 + e1 * a2 + e0 * a3 + e0 * a4) * b4 * k * z9 / w9,
+    )
+    # d(mu)/d(delta) = 2 mu z^2 / delta, so d(out)/d(delta) is z times d(out)/d(center)
+    return [dc0, dc1, dc2, dc3, dc4, dc5, dc6, dc7, dc8, dc9,
+            dc0 * z0, dc1 * z1, dc2 * z2, dc3 * z3, dc4 * z4, dc5 * z5, dc6 * z6, dc7 * z7, dc8 * z8, dc9 * z9,
+            *weights]
 
 
 def anfis_analytic_gradients(net: AnfisNet, traces) -> np.ndarray:
@@ -211,6 +247,12 @@ def numpy_update(state, record, H):
     return GaussianState(mean, (np.eye(3) - K @ H) @ P)
 
 
+def innovation(z, zhat):
+    """Residual z - zhat as a (2,) array, the bearing difference wrapped."""
+    r, theta = zhat.tolist()
+    return np.array((z.r - r, models.wrap_angle(z.theta - theta)))
+
+
 def step_object_chain(
     state, u, measurements, cov, landmark_map, dt, wheelbase,
     gate_threshold=ekf.DEFAULT_GATE_THRESHOLD, timestep=0,
@@ -223,7 +265,7 @@ def step_object_chain(
     for z in measurements:
         landmark = landmark_map[z.landmark_id]
         zhat, S, H = ekf.predict_measurement(state, landmark, cov.R)
-        residual = ekf.innovation(z, zhat)
+        residual = innovation(z, zhat)
         accepted = ekf.gate(residual, S, gate_threshold)
         record = InnovationRecord(residual, S, z.landmark_id, timestep, accepted, H)
         if accepted:
@@ -261,8 +303,9 @@ def record_drive(scenario, seed):
 
 def run_once_object_loop(scenario, variant, seed=None, adaptation=None):
     """simulator.run_once as a loop over objects: every tick goes through
-    WaypointDriver.drive, models.motion_step, ekf.step and metrics.nees,
-    with one scalar rng.normal per control-noise channel and tick."""
+    WaypointDriver.drive, models.motion_step, ekf.step and the scalar NEES
+    of nees_row_tuples, with one scalar rng.normal per control-noise
+    channel and tick."""
     if variant not in simulator.VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     scenario.validate()
@@ -311,7 +354,8 @@ def run_once_object_loop(scenario, variant, seed=None, adaptation=None):
         truth_arr[i] = (truth.x, truth.y, truth.phi)
         est_arr[i] = state.mean
         p_diag[i] = np.diag(np.asarray(state.P))
-        nees_arr[i] = metrics.nees(truth, state)
+        nees_arr[i] = nees_row_tuples(truth.x, truth.y, truth.phi, *state.mean, *state.P[0],
+                                      *state.P[1], *state.P[2])
         r_diag[i] = cov.R
         q_diag[i] = cov.Q
     return simulator.RunLog(
@@ -324,12 +368,13 @@ def run_once_object_loop(scenario, variant, seed=None, adaptation=None):
     )
 
 
-def nees_row_tuples(truth, est):
-    """metrics.nees with each row of [P | e] held as a 4-tuple while pivoting."""
-    x, y, phi = np.asarray(est.mean).tolist()
-    e0, e1, e2 = truth.x - x, truth.y - y, wrap_angle(truth.phi - phi)
-    p0, p1, p2 = np.asarray(est.P).tolist()
-    r0, r1, r2 = (*p0, e0), (*p1, e1), (*p2, e2)
+def nees_row_tuples(tx, ty, tphi, x, y, phi, a0, a1, a2, b0, b1, b2, c0, c1, c2):
+    """NEES on Python floats, the scalar reference of metrics.nees_rows: true
+    pose, estimated mean, then P's rows a, b, c, each row of [P | e] held as
+    a 4-tuple while pivoting. P may be any 3x3 matrix, NaN and infinite
+    entries included."""
+    e0, e1, e2 = tx - x, ty - y, wrap_angle(tphi - phi)
+    r0, r1, r2 = (a0, a1, a2, e0), (b0, b1, b2, e1), (c0, c1, c2, e2)
     if abs(r1[0]) > abs(r0[0]):
         r0, r1 = r1, r0
     if abs(r2[0]) > abs(r0[0]):

@@ -13,7 +13,6 @@ from fuzzyloc.anfis import (
     CONSEQUENT,
     DEFAULT_DELTA_FLOOR,
     AnfisNet,
-    gradient_floats,
     saturate_floats,
 )
 from fuzzyloc.errors import ZeroFiringError
@@ -183,7 +182,7 @@ class TestGradients:
         for _ in range(50):
             net = helpers.random_net(rng, k=3)
             _, traces = net.forward(rng.uniform(-3, 3, (3, 2)).tolist())
-            d_w = np.array([gradient_floats(p, t)[20:] for p, t in zip(net.params, traces)])
+            d_w = np.array([helpers.gradient_floats(p, t)[20:] for p, t in zip(net.params, traces)])
             np.testing.assert_allclose(d_w.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(d_w >= 0.0)
 
@@ -378,12 +377,12 @@ class TestStackProperty:
     @settings(deadline=None, derandomize=True, database=None)
     @given(rows=_nets(1), inputs=_INPUTS, eta=st.floats(0.0, 2.0), e=_STEP, ds=_STEP)
     def test_train_step_is_the_gradient_step(self, rows, inputs, eta, e, ds):
-        """p - g * gradient_floats(p, trace), g = eta * e * ds, widths floored;
+        """p - g * helpers.gradient_floats(p, trace), g = eta * e * ds, widths floored;
         a zero g keeps the row itself."""
         net = AnfisNet(rows, eta)
         p = net.params[0]
         _, traces = _forward(net, [inputs])
-        grad = gradient_floats(p, traces[0])
+        grad = helpers.gradient_floats(p, traces[0])
         assert _bits(grad[10:20]) == _bits([d * z for d, z in zip(grad[:10], traces[0][0])])
         g = eta * e * ds
         net.train_step(traces, [e], [ds])
@@ -430,7 +429,7 @@ class TestNumpyStackReference:
             np.testing.assert_allclose([t[2] for t in traces], ref_trace.total, rtol=1e-14)
             np.testing.assert_allclose([normalized(t) for t in traces], ref_trace.normalized,
                                        rtol=1e-12, atol=1e-300)
-            grads = np.array([gradient_floats(p, t) for p, t in zip(net.params, traces)])
+            grads = np.array([helpers.gradient_floats(p, t) for p, t in zip(net.params, traces)])
             got = grads[:, 20:], grads[:, :10].reshape(3, 2, 5), grads[:, 10:20].reshape(3, 2, 5)
             for g, want in zip(got, ref.output_gradients(ref_trace)):
                 assert g.shape == want.shape

@@ -16,7 +16,8 @@ import pytest
 
 import helpers
 from fuzzyloc import cli
-from fuzzyloc.adaptation import AdaptationConfig
+from fuzzyloc.adaptation import DEFAULT_R_FLOOR, DEFAULT_WINDOW, AdaptationConfig
+from fuzzyloc.anfis import DEFAULT_ETA
 from fuzzyloc.cli import (
     _CSV_BLOCK_ROWS,
     COMPARE_TABLE,
@@ -116,8 +117,8 @@ class TestRun:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["experiment"] == {
             "scenario_path": str(scenario_file), "variant": "anfekf-q", "n_runs": 2,
-            "base_seed": 4, "out_dir": str(out), "window": None, "eta": None,
-            "r_floor": None, "q_floor": 1e-6, "workers": 1,
+            "base_seed": 4, "out_dir": str(out), "window": DEFAULT_WINDOW, "eta": DEFAULT_ETA,
+            "r_floor": DEFAULT_R_FLOOR, "q_floor": 1e-6, "workers": 1,
         }
         assert meta["scenario"] == scenario_to_dict(load_scenario(scenario_file))
 
@@ -474,7 +475,8 @@ class TestCompare:
         experiment = json.loads((out / "metadata.json").read_text())["experiment"]
         common = {
             "scenario_path": str(scenario_file), "n_runs": 2, "base_seed": 0, "out_dir": str(out),
-            "window": 9, "eta": None, "r_floor": None, "q_floor": None, "workers": 2,
+            "window": 9, "eta": DEFAULT_ETA, "r_floor": DEFAULT_R_FLOOR, "q_floor": None,
+            "workers": 2,
         }
         assert experiment == {"a": {**common, "variant": "ekf"}, "b": {**common, "variant": "anfekf-r"}}
 

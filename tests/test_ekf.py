@@ -18,7 +18,6 @@ from fuzzyloc.ekf import (
     GaussianState,
     InnovationRecord,
     gate,
-    innovation,
     inverse_2x2_floats,
     predict,
     predict_measurement,
@@ -182,12 +181,12 @@ class TestPredictMeasurement:
 
 class TestInnovation:
     def test_plain_difference(self):
-        v = innovation(Measurement(1, 5.2, 0.1), np.array([5.0, 0.05]))
+        v = helpers.innovation(Measurement(1, 5.2, 0.1), np.array([5.0, 0.05]))
         assert v[0] == pytest.approx(0.2)
         assert v[1] == pytest.approx(0.05)
 
     def test_bearing_wraps_across_pi(self):
-        v = innovation(Measurement(1, 5.0, -math.pi + 0.01), np.array([5.0, math.pi - 0.01]))
+        v = helpers.innovation(Measurement(1, 5.0, -math.pi + 0.01), np.array([5.0, math.pi - 0.01]))
         assert v[1] == pytest.approx(0.02, abs=1e-12)
 
 
@@ -323,7 +322,7 @@ class TestNumpyOracle:
                 theirs = helpers.numpy_predict_measurement(state, landmark, np.diag(cov.R))
                 for a, b in zip((zhat, S, H), theirs):
                     self._close(a, b)
-                residual = innovation(z, zhat)
+                residual = helpers.innovation(z, zhat)
                 accepted = gate(residual, S, DEFAULT_GATE_THRESHOLD)
                 assert accepted == helpers.numpy_gate(residual, S, DEFAULT_GATE_THRESHOLD)
                 if not accepted:
@@ -640,10 +639,9 @@ class TestStepConditioning:
 class TestStepCallGuard:
     """step is one frame: a call-count guard, free of timing."""
 
-    ARRAY_LEVEL = ("predict", "predict_measurement", "innovation", "gate", "update")
-    KERNELS = ("predict_floats", "innovation_cov_floats", "innovation_floats",
-               "inverse_2x2_floats", "gate_floats", "update_floats")
-    MODEL_KERNELS = ("motion_with_jacobian_floats", "range_bearing", "range_bearing_jacobian",
+    ARRAY_LEVEL = ("predict", "predict_measurement", "gate", "update")
+    KERNELS = ARRAY_LEVEL + ("inverse_2x2_floats", "innovation_cov_floats")
+    MODEL_KERNELS = ("motion_with_jacobian_floats", "range_bearing", "observation_jacobian",
                      "wrap_angle")
 
     @staticmethod
@@ -679,6 +677,7 @@ class TestStepCallGuard:
     def test_scan_calls_no_array_level_function(self, monkeypatch):
         args, calls = self._scan_args(), {}
         self._count(monkeypatch, ekf, self.ARRAY_LEVEL, calls)
+        self._count(monkeypatch, helpers, ("innovation",), calls)
         self._assert_step_calls_none(args, calls)
         # the counters see the array-level chain
         helpers.step_object_chain(*args)
@@ -690,14 +689,14 @@ class TestStepCallGuard:
         self._count(monkeypatch, ekf, self.KERNELS, calls)
         self._count(monkeypatch, models, self.MODEL_KERNELS, calls)
         self._assert_step_calls_none(args, calls)
-        # the counters see the kernels under the array-level chain: gate and
-        # update each invert S, and predict, predict_measurement, innovation
-        # and update each wrap an angle
+        # the counters see the functions of the array-level chain and the
+        # kernels under it: gate and update each invert S, and predict,
+        # predict_measurement, innovation and update each wrap an angle
         helpers.step_object_chain(*args)
         assert calls == {
-            "predict_floats": 1, "innovation_cov_floats": 4, "innovation_floats": 4,
-            "inverse_2x2_floats": 8, "gate_floats": 4, "update_floats": 4,
-            "motion_with_jacobian_floats": 1, "range_bearing": 4, "range_bearing_jacobian": 4,
+            "predict": 1, "predict_measurement": 4, "gate": 4, "update": 4,
+            "inverse_2x2_floats": 8, "innovation_cov_floats": 4,
+            "motion_with_jacobian_floats": 1, "range_bearing": 4, "observation_jacobian": 4,
             "wrap_angle": 13,
         }
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from fuzzyloc.ekf import GaussianState
+from fuzzyloc.ekf import GaussianState, _belief
 from fuzzyloc.errors import SingularCovarianceError
 from fuzzyloc.metrics import (
     NEES_BLOCK,
@@ -28,11 +28,10 @@ from fuzzyloc.metrics import (
     chi2_ppf,
     in_band_fraction,
     nees,
-    nees_floats,
     nees_rows,
     rmse,
 )
-from fuzzyloc.models import Pose
+from fuzzyloc.models import Pose, _pose
 from fuzzyloc.simulator import VARIANTS, RunSummary, run_monte_carlo
 
 
@@ -127,8 +126,10 @@ class TestNees:
         assert nees(truth, est) == pytest.approx(expected, rel=16.0 * cond * np.finfo(float).eps)
 
     def test_scalar_pivoting_bitwise(self, rng):
-        """The scalar kernel against the row-tuple elimination it replaced: every
-        pivot order, general (not only symmetric) P, and the singular cases."""
+        """nees against the row-tuple elimination: every pivot order, general
+        (not only symmetric) P, and the singular cases. nees reads P's upper
+        triangle, as a GaussianState's P is symmetric, so the oracle is given
+        that triangle mirrored."""
         cases = []
         for _ in range(400):
             P = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
@@ -136,35 +137,40 @@ class TestNees:
         for perm in ([0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]):
             cases.append(np.diag([1.0, 2.0, 3.0])[perm] + 0.1)
         cases += [np.zeros((3, 3)), np.diag([2.0, 0.0, 1.0]), np.ones((3, 3))]
+        orders = set()
         for P in cases:
             est = GaussianState(rng.normal(size=3), np.eye(3))
             est.P = tuple(map(tuple, P.tolist()))  # bypass __post_init__'s symmetrization
             truth = Pose(*rng.normal(scale=4.0, size=3))
+            (p00, p01, p02), (_, p11, p12), (_, _, p22) = est.P
             try:
-                expected = helpers.nees_row_tuples(truth, est)
+                expected = helpers.nees_row_tuples(truth.x, truth.y, truth.phi, *est.mean,
+                                                   p00, p01, p02, p01, p11, p12, p02, p12, p22)
             except SingularCovarianceError:
                 with pytest.raises(SingularCovarianceError):
                     nees(truth, est)
                 continue
+            orders.add(_pivot_order(p00, p01, p02, p11, p12, p22))
             assert nees(truth, est).hex() == expected.hex()
+        assert orders == {(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)}
 
 
-def _nees_floats_rows(truth, est, upper):
-    """nees_floats of each row on Python floats: a float, or the exception it raised."""
+def _nees_tuple_rows(truth, est, upper):
+    """helpers.nees_row_tuples of each row: a float, or the exception it raised."""
     out = []
     for (tx, ty, tphi), (x, y, phi), (p00, p01, p02, p11, p12, p22) in zip(
             truth.tolist(), est.tolist(), upper.tolist()):
         try:
-            out.append(nees_floats(tx, ty, tphi, x, y, phi,
-                                   p00, p01, p02, p01, p11, p12, p02, p12, p22))
+            out.append(helpers.nees_row_tuples(tx, ty, tphi, x, y, phi,
+                                               p00, p01, p02, p01, p11, p12, p02, p12, p22))
         except SingularCovarianceError as exc:
             out.append(exc)
     return out
 
 
 def _assert_rows_match(truth, est, upper):
-    """nees_rows equals nees_floats row by row, bit for bit."""
-    expected = _nees_floats_rows(truth, est, upper)
+    """nees_rows equals helpers.nees_row_tuples row by row, bit for bit."""
+    expected = _nees_tuple_rows(truth, est, upper)
     assert all(isinstance(v, float) for v in expected)
     got = nees_rows(truth, est, upper)
     assert got.dtype == np.float64 and got.shape == (len(truth),)
@@ -172,7 +178,7 @@ def _assert_rows_match(truth, est, upper):
 
 
 def _pivot_order(p00, p01, p02, p11, p12, p22):
-    """(first pivot row, second pivot row) that nees_floats' elimination picks for P."""
+    """(first pivot row, second pivot row) that the NEES elimination picks for P."""
     a, b, c = (p00, p01, 0), (p01, p11, 1), (p02, p12, 2)
     if abs(b[0]) > abs(a[0]):
         a, b = b, a
@@ -199,7 +205,7 @@ def _general_uppers(rng, n):
 
 
 class TestNeesRows:
-    """metrics.nees_rows against its oracle nees_floats, bit for bit."""
+    """metrics.nees_rows against its scalar oracle helpers.nees_row_tuples, bit for bit."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -236,27 +242,32 @@ class TestNeesRows:
         for row in (0, NEES_BLOCK - 1, NEES_BLOCK, 2 * NEES_BLOCK):
             upper = _spd_uppers(rng, n)
             upper[row] = P[_UPPER]
-            singular = _nees_floats_rows(truth, est, upper)[row]
+            singular = _nees_tuple_rows(truth, est, upper)[row]
             assert isinstance(singular, SingularCovarianceError)
             with pytest.raises(SingularCovarianceError) as raised:
                 nees_rows(truth, est, upper)
             assert str(raised.value) == str(singular)
 
     def test_nan_entries(self, rng):
-        """A NaN anywhere in a row gives NaN, as nees_floats does. Bits match
-        except for a NaN's sign: with two NaN operands, IEEE 754 leaves open
-        which one a sum or product returns."""
+        """A NaN anywhere in a row gives NaN, as the scalar oracle does. Bits
+        match except for a NaN's sign: with two NaN operands, IEEE 754 leaves
+        open which one a sum or product returns. metrics.nees, one row of
+        nees_rows, gives each row's bits, NaN sign included."""
         n = 3 * NEES_BLOCK
         upper = _spd_uppers(rng, n)
         truth, est = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
         for arr in (upper, truth, est):
             arr[rng.random(size=arr.shape) < 0.02] = np.nan
-        expected = np.array(_nees_floats_rows(truth, est, upper), dtype=float)
+        expected = np.array(_nees_tuple_rows(truth, est, upper), dtype=float)
         got = nees_rows(truth, est, upper)
         nan = np.isnan(expected)
         assert 0 < nan.sum() < n
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == expected[~nan].tobytes()
+        # the objects carry each row as it is: no wrap, P mirrored from the row
+        one_by_one = [nees(_pose(*t), _belief(*e, *u))
+                      for t, e, u in zip(truth.tolist(), est.tolist(), upper.tolist())]
+        assert np.array(one_by_one).tobytes() == got.tobytes()
 
     def test_truth_equal_to_estimate(self, rng):
         n = NEES_BLOCK + 3

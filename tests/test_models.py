@@ -22,7 +22,6 @@ from fuzzyloc.models import (
     _control,
     _measurement,
     _pose,
-    motion_floats,
     motion_jacobian_control,
     motion_jacobian_state,
     motion_step,
@@ -262,8 +261,8 @@ class TestMotionJacobians:
 
 
 class TestMotionWithJacobian:
-    """motion_with_jacobian_floats against motion_floats and G's six entries
-    written out, bit for bit."""
+    """motion_with_jacobian_floats against the motion formula and G's six
+    entries written out, bit for bit."""
 
     @staticmethod
     def _assert_bitwise(x, y, phi, v, gamma, dt, wheelbase):
@@ -271,7 +270,9 @@ class TestMotionWithJacobian:
         heading = phi + gamma
         sin_h, cos_h = math.sin(heading), math.cos(heading)
         expected = (
-            *motion_floats(x, y, phi, v, gamma, dt, wheelbase),
+            x + dt * v * math.cos(heading),
+            y + dt * v * math.sin(heading),
+            phi + dt * v / wheelbase * math.sin(gamma),
             dt * cos_h, -dt * v * sin_h,
             dt * sin_h, dt * v * cos_h,
             dt * math.sin(gamma) / wheelbase, dt * v * math.cos(gamma) / wheelbase,

@@ -1011,8 +1011,9 @@ class TestTickLoopGuard:
     @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
     def test_between_scan_ticks_call_no_tick_kernel(self, tiny_scenario, monkeypatch, variant):
         """The steer, the truth's motion and the prediction between scans are
-        run_once's own: a tick between scans calls none of their reference
-        kernels, nor wrap_angle. ekf.step runs once on each scan tick."""
+        run_once's own: a tick between scans calls none of their references
+        (WaypointDriver.steer, models.motion_step, ekf.predict), nor the
+        motion kernel or wrap_angle. ekf.step runs once on each scan tick."""
         noise, step = simulator._control_noise, ekf.step
         tick = [None]  # the 1-based tick the loop is on, None outside it
         kernel_ticks, step_ticks = [], []
@@ -1033,8 +1034,8 @@ class TestTickLoopGuard:
             step_ticks.append(tick[0])
             return step(*args, **kwargs)
 
-        for owner, name in ((ekf, "predict_floats"), (WaypointDriver, "steer"),
-                            (models, "motion_floats"), (models, "wrap_angle")):
+        for owner, name in ((ekf, "predict"), (WaypointDriver, "steer"), (models, "motion_step"),
+                            (models, "motion_with_jacobian_floats"), (models, "wrap_angle")):
             monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
         monkeypatch.setattr(simulator, "_control_noise", ticking_noise)
         monkeypatch.setattr(ekf, "step", recorded_step)
@@ -1042,8 +1043,10 @@ class TestTickLoopGuard:
         ratio = tiny_scenario.ticks_per_observation
         assert step_ticks == list(range(ratio, len(log.t) + 1, ratio))
         assert [(name, t) for name, t in kernel_ticks if t is not None and t % ratio] == []
-        # the scans' sense calls wrap_angle, so the guard sees the loop's ticks
-        assert {name for name, t in kernel_ticks if t is not None} == {"wrap_angle"}
+        # the scans' sense calls wrap_angle, and the Q adapter's G_u the motion
+        # kernel, so the guard sees the loop's ticks
+        assert {name for name, t in kernel_ticks if t is not None} == (
+            {"wrap_angle", "motion_with_jacobian_floats"} if "q" in variant else {"wrap_angle"})
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_scan_ticks_run_no_constructor_checks(self, tiny_scenario, monkeypatch, variant):
@@ -1079,21 +1082,22 @@ class TestNeesAfterTheLoop:
     """run_once computes its NEES column in one nees_rows pass after the tick loop."""
 
     def test_nees_rows_once_and_no_nees_floats(self, tiny_scenario, monkeypatch):
-        calls = {"nees_floats": 0, "nees_rows": 0}
-        nees_floats, nees_rows = metrics.nees_floats, metrics.nees_rows
+        """One nees_rows pass, and no per-tick metrics.nees."""
+        calls = {"nees": 0, "nees_rows": 0}
+        nees, nees_rows = metrics.nees, metrics.nees_rows
 
-        def counted_floats(*args):
-            calls["nees_floats"] += 1
-            return nees_floats(*args)
+        def counted_nees(*args):
+            calls["nees"] += 1
+            return nees(*args)
 
         def counted_rows(*args):
             calls["nees_rows"] += 1
             return nees_rows(*args)
 
-        monkeypatch.setattr(metrics, "nees_floats", counted_floats)
+        monkeypatch.setattr(metrics, "nees", counted_nees)
         monkeypatch.setattr(metrics, "nees_rows", counted_rows)
         run_once(tiny_scenario, "anfekf-rq", seed=0)
-        assert calls == {"nees_floats": 0, "nees_rows": 1}
+        assert calls == {"nees": 0, "nees_rows": 1}
 
     @staticmethod
     def _patch_ticks(monkeypatch, singular_tick=None, failing_tick=None):
