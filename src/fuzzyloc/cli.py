@@ -254,11 +254,11 @@ def _replace(path: Path, texts) -> None:
     try:
         with open(partial, "w", newline="") as fh:
             fh.writelines(texts)
+        path.unlink(missing_ok=True)
+        partial.rename(path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    path.unlink(missing_ok=True)
-    partial.rename(path)
 
 
 def _run_and_format(scenario, variant: str, seed: int, adaptation, run_idx: int) -> tuple[RunDigest, str]:

@@ -8,20 +8,16 @@ GaussianState holds the belief as float tuples, and Q and R are diagonal, so
 a CovPair holds each as its two variances. The state is 3-dimensional and a
 measurement 2-dimensional, so every step is written out entry by entry on
 Python floats; no step calls LAPACK, and step calls no numpy at all. The
-array-level predict, predict_measurement, gate and update each hold their
-formula; two float kernels beside them have two callers each:
-innovation_cov_floats (predict_measurement, and the Q adapter's
-sensitivity) and inverse_2x2_floats (gate and update). predict takes the
-next pose and the control Jacobian from one models kernel,
-motion_with_jacobian_floats, so a prediction evaluates two sines and two
-cosines. step is the whole cycle written out in one frame, bit for bit the
-array-level functions' with every operation in their order, and they are
-its reference: the belief and the records stay on floats through a whole
-scan, and each measurement takes one closed-form 2x2 inverse of its
-innovation covariance S, shared by the gate and the update, which also
-reuses S's rows of H P. The inverse rejects S unless all four entries are
-finite and its 2-norm condition number, sigma_max^2 / |det| after scaling S
-by its largest |entry|, is at most 1e12.
+time update is one float kernel, predict_floats, which predict, step and
+the simulator's ticks between scans call. predict_measurement, gate and
+update each hold their formula, with two float kernels of two callers each:
+innovation_cov_floats (predict_measurement, the Q adapter's sensitivity)
+and inverse_2x2_floats (gate, update). step writes the rest of the cycle
+out in one frame, bit for bit theirs: each measurement takes one
+closed-form 2x2 inverse of its innovation covariance S, shared by the gate
+and the update, which also reuses S's rows of H P. The inverse rejects S
+unless all four entries are finite and its 2-norm condition number,
+sigma_max^2 / |det| after scaling S by its largest |entry|, is at most 1e12.
 """
 
 from __future__ import annotations
@@ -158,46 +154,60 @@ def _belief(x: float, y: float, phi: float, p00: float, p01: float, p02: float,
     return state
 
 
-def predict(
-    state: GaussianState,
-    u: ControlInput,
-    Q: tuple[float, float],
-    dt: float,
-    wheelbase: float,
-) -> GaussianState:
-    """Time update: propagate the mean and inflate P through the motion model.
+def predict_floats(
+    x: float, y: float, phi: float, p00: float, p01: float, p02: float, p11: float, p12: float,
+    p22: float, v: float, gamma: float, q_v: float, q_gamma: float, dt: float, wheelbase: float,
+) -> tuple[float, float, float, float, float, float, float, float, float]:
+    """The time update on floats: the next (x, y, phi), heading wrapped, then
+    P's upper triangle, row by row.
 
     P' = F P F^T + G Q G^T with F, G the motion Jacobians w.r.t. the state
-    and the noisy command, both linearized at the current mean. F is the
-    identity except for (fx, fy) above the diagonal in its heading column,
-    and those equal the position entries of G's steer column (see
-    models.motion_with_jacobian_floats), which also gives the next mean.
-    Q is the variance pair (q_v, q_gamma). Only P's upper triangle is
-    evaluated, on floats.
+    and the command (v, gamma) at the current mean, and Q = diag(q_v, q_gamma).
+    F is the identity but for (g01, g11) above the diagonal in its heading
+    column. The mean and G are models.motion_with_jacobian_floats' operations
+    in its order, written out here rather than called, which measured faster.
     """
-    x, y, phi = state.mean
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-    q_v, q_gamma = Q
-    x, y, phi, g00, g01, g10, g11, g20, g21 = models.motion_with_jacobian_floats(
-        x, y, phi, u.v, u.gamma, dt, wheelbase,
-    )
-    fx, fy = g01, g11
+    heading = phi + gamma
+    sin_h, cos_h = sin(heading), cos(heading)
+    sin_g, cos_g = sin(gamma), cos(gamma)
+    dtv = dt * v
+    g11 = dtv * cos_h
+    x, y, phi = x + g11, y + dtv * sin_h, phi + dtv / wheelbase * sin_g
+    phi %= TWO_PI
+    if phi > pi:
+        phi -= TWO_PI
+    g00, g01, g10 = dt * cos_h, -dt * v * sin_h, dt * sin_h
+    g20, g21 = dt * sin_g / wheelbase, dtv * cos_g / wheelbase
     # F P F^T: third column first, it feeds the other entries
-    n02 = p02 + fx * p22
-    n12 = p12 + fy * p22
+    n02 = p02 + g01 * p22
+    n12 = p12 + g11 * p22
     # rows of G Q
     w00, w01 = g00 * q_v, g01 * q_gamma
     w10, w11 = g10 * q_v, g11 * q_gamma
     w20, w21 = g20 * q_v, g21 * q_gamma
-    return _belief(
-        x, y, models.wrap_angle(phi),
-        p00 + fx * p02 + fx * n02 + w00 * g00 + w01 * g01,
-        p01 + fx * p12 + fy * n02 + w00 * g10 + w01 * g11,
+    return (
+        x, y, phi,
+        p00 + g01 * p02 + g01 * n02 + w00 * g00 + w01 * g01,
+        p01 + g01 * p12 + g11 * n02 + w00 * g10 + w01 * g11,
         n02 + w00 * g20 + w01 * g21,
-        p11 + fy * p12 + fy * n12 + w10 * g10 + w11 * g11,
+        p11 + g11 * p12 + g11 * n12 + w10 * g10 + w11 * g11,
         n12 + w10 * g20 + w11 * g21,
         p22 + w20 * g20 + w21 * g21,
     )
+
+
+def predict(state: GaussianState, u: ControlInput, Q: tuple[float, float], dt: float,
+            wheelbase: float) -> GaussianState:
+    """Time update of the belief by predict_floats. Q is the variance pair
+    (q_v, q_gamma), each through float() as CovPair takes it, so a 2x2
+    matrix raises TypeError."""
+    x, y, phi = state.mean
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
+    q_v, q_gamma = Q
+    return _belief(*predict_floats(
+        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, float(q_v), float(q_gamma),
+        dt, wheelbase,
+    ))
 
 
 def innovation_cov_floats(
@@ -227,7 +237,8 @@ def predict_measurement(
     state: GaussianState, landmark: Landmark, R: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicted (range, bearing), innovation covariance, and Jacobian, given
-    the variance pair R = (r_r, r_theta).
+    the variance pair R = (r_r, r_theta). Each variance goes through float(),
+    as CovPair takes it, so a 2x2 matrix raises TypeError.
 
     Returns:
         zhat: (2,) predicted measurement at the current mean.
@@ -236,10 +247,12 @@ def predict_measurement(
     """
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
+    r_r, r_theta = R
     r, bearing = models.range_bearing(x, y, phi, landmark)
     H = models.observation_jacobian(models._pose(x, y, phi), landmark)  # the belief's phi is wrapped
     (h00, h01, _), (h10, h11, _) = H.tolist()
-    s00, s01, s11 = innovation_cov_floats(p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, *R)
+    s00, s01, s11 = innovation_cov_floats(
+        p00, p01, p02, p11, p12, p22, h00, h01, h10, h11, float(r_r), float(r_theta))
     return np.array((r, models.wrap_angle(bearing))), np.array(((s00, s01), (s01, s11))), H
 
 
@@ -302,9 +315,9 @@ def step(
     against the belief updated by its predecessors. Rejected measurements are
     recorded with accepted=False and leave the belief untouched.
 
-    The cycle is written out in this one frame: the prediction of
-    predict, then per measurement the range, bearing and Jacobian of one
-    (dx, dy), S, the residual, the inverse of S with its tests, the gate
+    The prediction is predict_floats; the rest of the cycle is written out
+    in this one frame: per measurement the range, bearing and Jacobian of
+    one (dx, dy), S, the residual, the inverse of S with its tests, the gate
     and the update. Every operation is the array-level functions' in their
     order, so the records and the posterior are bit for bit what predict,
     predict_measurement, the wrapped residual, gate and update give, and the
@@ -316,33 +329,10 @@ def step(
     """
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
-    v, gamma = u.v, u.gamma
     q_v, q_gamma = cov.Q
-    # predict: the motion and G of motion_with_jacobian_floats, then P'
-    heading = phi + gamma
-    sin_h, cos_h = sin(heading), cos(heading)
-    sin_g, cos_g = sin(gamma), cos(gamma)
-    dtv = dt * v
-    g11 = dtv * cos_h
-    x, y, phi = x + g11, y + dtv * sin_h, phi + dtv / wheelbase * sin_g
-    g00, g01, g10 = dt * cos_h, -dt * v * sin_h, dt * sin_h
-    g20, g21 = dt * sin_g / wheelbase, dtv * cos_g / wheelbase
-    n02 = p02 + g01 * p22
-    n12 = p12 + g11 * p22
-    w00, w01 = g00 * q_v, g01 * q_gamma
-    w10, w11 = g10 * q_v, g11 * q_gamma
-    w20, w21 = g20 * q_v, g21 * q_gamma
-    p00, p01, p02, p11, p12, p22 = (
-        p00 + g01 * p02 + g01 * n02 + w00 * g00 + w01 * g01,
-        p01 + g01 * p12 + g11 * n02 + w00 * g10 + w01 * g11,
-        n02 + w00 * g20 + w01 * g21,
-        p11 + g11 * p12 + g11 * n12 + w10 * g10 + w11 * g11,
-        n12 + w10 * g20 + w11 * g21,
-        p22 + w20 * g20 + w21 * g21,
+    x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
+        x, y, phi, p00, p01, p02, p11, p12, p22, u.v, u.gamma, q_v, q_gamma, dt, wheelbase,
     )
-    phi %= TWO_PI
-    if phi > pi:
-        phi -= TWO_PI
     if not measurements:
         return _belief(x, y, phi, p00, p01, p02, p11, p12, p22), []
     r_r, r_theta = cov.R

@@ -249,7 +249,9 @@ def control_cov_floats(
     """G Q G^T on floats: its upper triangle (m00, m01, m02, m11, m12, m22), row by row.
 
     G is the 3x2 control Jacobian, row-major (motion_with_jacobian_floats[3:]), and
-    Q is given by its two variances, as ekf.predict takes it.
+    Q is given by its two variances, as ekf.predict_floats takes them. The Q
+    adapter's sensitivity uses it; ekf.predict_floats forms the same products
+    but adds them to F P F^T one at a time.
     """
     # rows of G Q
     w00, w01 = g00 * q_v, g01 * q_gamma

@@ -576,22 +576,21 @@ def run_once(
     # arrays above through flat views. Scan ticks hand them to sense and
     # ekf.step through the private builders, which skip the checks of values
     # already in form. NEES is computed once, after the loop. The
-    # steer, the truth's motion and the prediction between scans are written
-    # out in this frame, every operation in the order of its reference:
-    # WaypointDriver.steer, models.motion_step and ekf.predict.
+    # steer and the truth's motion are written out in this frame, every
+    # operation in the order of its reference: WaypointDriver.steer and
+    # models.motion_step. Between scans the belief is predicted by
+    # ekf.predict_floats, the time update ekf.predict and ekf.step run.
     x, y, phi = state.mean
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
     truth_out, est_out, p_out, dom_out, delta_dom_out, applied_out, q_factor_out = (
         memoryview(a).cast("B").cast("d")
         for a in (truth_arr, est_arr, p_upper, dom_diag, delta_dom_diag, applied_delta_r, q_factor)
     )
-    # WaypointDriver's pursuit state, and the products of ekf.predict
-    # that depend on the clean speed alone
+    predict_floats = ekf.predict_floats
+    # WaypointDriver's pursuit state
     waypoints, gamma_max = scenario.waypoints, scenario.gamma_max
     wp_index = reached = 0
     wx, wy = waypoints[0]
-    dtv, ndtv = dt * speed, -dt * speed
-    dtv_wb = dtv / wheelbase
 
     i = 0
     try:
@@ -621,30 +620,11 @@ def run_once(
             if tphi > pi:
                 tphi -= TWO_PI
             if (i + 1) % ratio:
-                # ekf.predict with the clean command (speed, steer)
-                heading = phi + steer
-                sin_h, cos_h = sin(heading), cos(heading)
-                sin_g, cos_g = sin(steer), cos(steer)
-                g11 = dtv * cos_h
-                x, y, phi = x + g11, y + dtv * sin_h, phi + dtv_wb * sin_g
-                g00, g01, g10 = dt * cos_h, ndtv * sin_h, dt * sin_h
-                g20, g21 = dt * sin_g / wheelbase, dtv * cos_g / wheelbase
-                n02 = p02 + g01 * p22
-                n12 = p12 + g11 * p22
-                w00, w01 = g00 * q_v, g01 * q_gamma
-                w10, w11 = g10 * q_v, g11 * q_gamma
-                w20, w21 = g20 * q_v, g21 * q_gamma
-                p00, p01, p02, p11, p12, p22 = (
-                    p00 + g01 * p02 + g01 * n02 + w00 * g00 + w01 * g01,
-                    p01 + g01 * p12 + g11 * n02 + w00 * g10 + w01 * g11,
-                    n02 + w00 * g20 + w01 * g21,
-                    p11 + g11 * p12 + g11 * n12 + w10 * g10 + w11 * g11,
-                    n12 + w10 * g20 + w11 * g21,
-                    p22 + w20 * g20 + w21 * g21,
+                # the time update with the clean command (speed, steer)
+                x, y, phi, p00, p01, p02, p11, p12, p22 = predict_floats(
+                    x, y, phi, p00, p01, p02, p11, p12, p22, speed, steer, q_v, q_gamma,
+                    dt, wheelbase,
                 )
-                phi %= TWO_PI
-                if phi > pi:
-                    phi -= TWO_PI
             else:
                 # tphi is a wrap_angle output, as _pose requires
                 scan = sense(_pose(tx, ty, tphi), landmark_map, scenario, sensor_rng)

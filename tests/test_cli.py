@@ -391,6 +391,17 @@ class TestRun:
         assert (out / "summary.json").read_bytes() == before
         assert not (out / "summary.json.partial").exists()
 
+    def test_failed_rename_leaves_no_partial_file(self, tmp_path, scenario_file, capsys):
+        # summary.json is a directory, so unlinking the old output fails
+        out = tmp_path / "o"
+        (out / "summary.json").mkdir(parents=True)
+        argv = ["run", "--variant", "ekf", "--scenario", str(scenario_file),
+                "--runs", "2", "--workers", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "summary.json" in capsys.readouterr().err
+        assert (out / "summary.json").is_dir()
+        assert sorted(out.glob("*.partial")) == []
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main([

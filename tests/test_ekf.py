@@ -165,6 +165,19 @@ class TestPredict:
             expected = motion_step(pose, u, 0.05, 3.0)
             np.testing.assert_allclose(out.mean, expected.as_array(), atol=1e-12)
 
+    def test_a_2x2_q_is_refused(self):
+        state = GaussianState(np.array([1.0, 2.0, 0.4]), np.diag([0.1, 0.1, 0.01]))
+        with pytest.raises(TypeError):
+            predict(state, ControlInput(1.0, 0.1), np.diag([0.09, 0.003]), 0.1, 4.0)
+
+    def test_takes_q_through_float(self):
+        state = GaussianState(np.array([1.0, 2.0, 0.4]), np.diag([0.1, 0.1, 0.01]))
+        u = ControlInput(1.0, 0.1)
+        out = predict(state, u, np.array([0.09, 0.003]), 0.1, 4.0)
+        assert out == predict(state, u, (0.09, 0.003), 0.1, 4.0)
+        for row in (out.mean, *out.P):
+            assert all(type(v) is float for v in row)
+
 
 class TestPredictMeasurement:
     def test_zhat_s_h(self):
@@ -177,6 +190,18 @@ class TestPredictMeasurement:
         assert zhat[1] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(S, H @ state.P @ H.T + R, atol=1e-15)
         assert np.array_equal(S, S.T)
+
+    def test_a_2x2_r_is_refused(self):
+        state = GaussianState(np.zeros(3), np.diag([0.2, 0.1, 0.05]))
+        with pytest.raises(TypeError):
+            predict_measurement(state, Landmark(1, 10.0, 0.0), np.diag([0.01, 0.001]))
+
+    def test_takes_r_through_float(self):
+        state = GaussianState(np.zeros(3), np.diag([0.2, 0.1, 0.05]))
+        lm = Landmark(1, 10.0, 0.0)
+        ours = predict_measurement(state, lm, np.array([0.01, 0.001]))
+        for a, b in zip(ours, predict_measurement(state, lm, (0.01, 0.001))):
+            assert np.array_equal(a, b)
 
 
 class TestInnovation:
@@ -540,6 +565,45 @@ class TestStepProperty:
             _assert_same_step(ours, theirs)
 
 
+@st.composite
+def _predict_case(draw):
+    """An SPD P whose standard deviations span 1e-3..1e3, so its diagonal
+    spans 1e-6..1e6, with a drawn correlation; a drawn command, Q, dt and
+    wheelbase."""
+    mean = (draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0)),
+            draw(st.floats(-math.pi, math.pi)))
+    A = np.eye(3)
+    A[np.tril_indices(3, -1)] = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    C = A @ A.T
+    sigma = np.array([_positive(draw, -3.0, 3.0) for _ in range(3)])
+    P = C * np.outer(sigma, sigma) / np.sqrt(np.outer(np.diag(C), np.diag(C)))
+    u = ControlInput(draw(st.floats(-5.0, 5.0)), draw(st.floats(-1.0, 1.0)))
+    q = _variances(draw, -6.0, 2.0)
+    dt, wheelbase = _positive(draw, -3.0, -1.0), draw(st.floats(0.5, 10.0))
+    return GaussianState(mean, P), u, q, dt, wheelbase
+
+
+class TestPredictProperty:
+    """The one time update against numpy's matrix products of the model
+    Jacobians, and its mean against the models kernel bit for bit."""
+
+    # max_examples comes from the hypothesis profile (tests/conftest.py)
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(case=_predict_case())
+    def test_equals_numpy_and_the_motion_kernel(self, case):
+        state, u, q, dt, wheelbase = case
+        ours = predict(state, u, q, dt, wheelbase)
+        theirs = helpers.numpy_predict(state, u, np.diag(q), dt, wheelbase)
+        for a, b in ((ours.mean, theirs.mean), (ours.P, theirs.P)):
+            a, b = np.asarray(a), np.asarray(b)
+            assert np.max(np.abs(a - b)) <= TestNumpyOracle.TOL * np.max(np.abs(b))
+        (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P
+        kernel = ekf.predict_floats(*state.mean, p00, p01, p02, p11, p12, p22, u.v, u.gamma, *q,
+                                    dt, wheelbase)
+        x, y, phi = models.motion_with_jacobian_floats(*state.mean, u.v, u.gamma, dt, wheelbase)[:3]
+        assert list(map(float.hex, kernel[:3])) == list(map(float.hex, (x, y, wrap_angle(phi))))
+
+
 def _float_bits(value):
     """A nonnegative float's bits as an int; the order of the ints is the floats'."""
     return struct.unpack("<q", struct.pack("<d", value))[0]
@@ -640,7 +704,7 @@ class TestStepCallGuard:
     """step is one frame: a call-count guard, free of timing."""
 
     ARRAY_LEVEL = ("predict", "predict_measurement", "gate", "update")
-    KERNELS = ARRAY_LEVEL + ("inverse_2x2_floats", "innovation_cov_floats")
+    KERNELS = ARRAY_LEVEL + ("predict_floats", "inverse_2x2_floats", "innovation_cov_floats")
     MODEL_KERNELS = ("motion_with_jacobian_floats", "range_bearing", "observation_jacobian",
                      "wrap_angle")
 
@@ -684,20 +748,25 @@ class TestStepCallGuard:
         assert calls == {"predict": 1, "predict_measurement": 4, "innovation": 4,
                          "gate": 4, "update": 4}
 
-    def test_scan_calls_no_float_kernel(self, monkeypatch):
+    def test_scan_calls_one_float_kernel(self, monkeypatch):
         args, calls = self._scan_args(), {}
         self._count(monkeypatch, ekf, self.KERNELS, calls)
         self._count(monkeypatch, models, self.MODEL_KERNELS, calls)
-        self._assert_step_calls_none(args, calls)
+        _, records = step(*args)
+        assert len(records) == 4 and all(rec.accepted for rec in records)
+        # the time update is the one kernel step calls
+        assert calls == {**dict.fromkeys(calls, 0), "predict_floats": 1}
+        calls.update(dict.fromkeys(calls, 0))
         # the counters see the functions of the array-level chain and the
-        # kernels under it: gate and update each invert S, and predict,
-        # predict_measurement, innovation and update each wrap an angle
+        # kernels under it: predict calls the time update, gate and update
+        # each invert S, and predict_measurement, innovation and update each
+        # wrap an angle
         helpers.step_object_chain(*args)
         assert calls == {
             "predict": 1, "predict_measurement": 4, "gate": 4, "update": 4,
-            "inverse_2x2_floats": 8, "innovation_cov_floats": 4,
-            "motion_with_jacobian_floats": 1, "range_bearing": 4, "observation_jacobian": 4,
-            "wrap_angle": 13,
+            "predict_floats": 1, "inverse_2x2_floats": 8, "innovation_cov_floats": 4,
+            "motion_with_jacobian_floats": 0, "range_bearing": 4, "observation_jacobian": 4,
+            "wrap_angle": 12,
         }
 
     def test_step_calls_no_numpy_once_the_prior_exists(self, monkeypatch):

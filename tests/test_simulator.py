@@ -1009,14 +1009,17 @@ class TestTickLoopGuard:
         assert calls == {"step": scans, "drive": 0}
 
     @pytest.mark.parametrize("variant", ["ekf", "anfekf-rq"])
-    def test_between_scan_ticks_call_no_tick_kernel(self, tiny_scenario, monkeypatch, variant):
-        """The steer, the truth's motion and the prediction between scans are
-        run_once's own: a tick between scans calls none of their references
-        (WaypointDriver.steer, models.motion_step, ekf.predict), nor the
-        motion kernel or wrap_angle. ekf.step runs once on each scan tick."""
+    def test_between_scan_ticks_call_only_the_time_update(self, tiny_scenario, monkeypatch,
+                                                            variant):
+        """The steer and the truth's motion are run_once's own: a tick between
+        scans calls none of their references (WaypointDriver.steer,
+        models.motion_step), nor ekf.predict, the motion kernel or
+        wrap_angle. Every tick calls ekf.predict_floats once: between scans
+        from run_once, on scans through ekf.step, which runs once on each."""
         noise, step = simulator._control_noise, ekf.step
         tick = [None]  # the 1-based tick the loop is on, None outside it
-        kernel_ticks, step_ticks = [], []
+        in_step = [False]
+        kernel_ticks, step_ticks, predict_calls = [], [], []
 
         def ticking_noise(*args):
             for i, pair in enumerate(noise(*args)):
@@ -1027,26 +1030,36 @@ class TestTickLoopGuard:
         def recorded(name, fn):
             def wrapper(*args, **kwargs):
                 kernel_ticks.append((name, tick[0]))
+                if name == "predict_floats":
+                    predict_calls.append((tick[0], in_step[0]))
                 return fn(*args, **kwargs)
             return wrapper
 
         def recorded_step(*args, **kwargs):
             step_ticks.append(tick[0])
-            return step(*args, **kwargs)
+            in_step[0] = True
+            try:
+                return step(*args, **kwargs)
+            finally:
+                in_step[0] = False
 
-        for owner, name in ((ekf, "predict"), (WaypointDriver, "steer"), (models, "motion_step"),
-                            (models, "motion_with_jacobian_floats"), (models, "wrap_angle")):
+        for owner, name in ((ekf, "predict"), (ekf, "predict_floats"), (WaypointDriver, "steer"),
+                            (models, "motion_step"), (models, "motion_with_jacobian_floats"),
+                            (models, "wrap_angle")):
             monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
         monkeypatch.setattr(simulator, "_control_noise", ticking_noise)
         monkeypatch.setattr(ekf, "step", recorded_step)
         log = run_once(tiny_scenario, variant, seed=0)
         ratio = tiny_scenario.ticks_per_observation
         assert step_ticks == list(range(ratio, len(log.t) + 1, ratio))
-        assert [(name, t) for name, t in kernel_ticks if t is not None and t % ratio] == []
+        assert predict_calls == [(t, t % ratio == 0) for t in range(1, len(log.t) + 1)]
+        assert [(name, t) for name, t in kernel_ticks
+                if name != "predict_floats" and t is not None and t % ratio] == []
         # the scans' sense calls wrap_angle, and the Q adapter's G_u the motion
         # kernel, so the guard sees the loop's ticks
         assert {name for name, t in kernel_ticks if t is not None} == (
-            {"wrap_angle", "motion_with_jacobian_floats"} if "q" in variant else {"wrap_angle"})
+            {"predict_floats", "wrap_angle", "motion_with_jacobian_floats"} if "q" in variant
+            else {"predict_floats", "wrap_angle"})
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_scan_ticks_run_no_constructor_checks(self, tiny_scenario, monkeypatch, variant):
